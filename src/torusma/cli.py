@@ -151,6 +151,14 @@ def _cmd_run(args) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    for rung, state in enumerate(states):
+        count = state.diagnostics["gmres_info_nonzero"]
+        if count:
+            print(
+                f"warning: rung {rung} (eps={state.eps:g}): {count} GMRES solve(s) "
+                f"stopped short of the inner tolerance",
+                file=sys.stderr,
+            )
     write_artifacts(outdir, experiment, record, states)
     sys.stdout.write(render_verdicts(record))
     print(f"artifacts: {outdir}")
@@ -224,7 +232,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, SchemaMismatch) as exc:
+    except (OSError, SchemaMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

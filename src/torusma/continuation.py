@@ -111,8 +111,7 @@ def _smoothed(model: QuasiPshModel, eps: float) -> GridField:
 
 
 def _mass_alpha(alpha: AlphaModel, eps: float = 0.0) -> float:
-    zero = GridField(alpha.spec, alpha.spec.zeros())
-    return integrate(ma_density(alpha.coefficients(eps), zero))
+    return integrate(GridField(alpha.spec, alpha.coefficients(eps).det()))
 
 
 def _mass_density(psi1: QuasiPshModel, psi2: QuasiPshModel) -> float:
@@ -227,6 +226,7 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
             trace_defect = estimates.trace_identity_defect(Phi, eps)
             diagnostics = {
                 "residual_sup": result.residual_sup,
+                "gmres_info_nonzero": result.gmres_info_nonzero,
                 "shift_defect": defect,
                 "siu_min_residual": float(np.min(siu.values)),
                 "weighted_c2_sup": probe.global_weighted_sup,

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "TorusSpec",
@@ -97,46 +98,60 @@ class TorusSpec:
 
 
 @lru_cache(maxsize=32)
-def _wavenumbers(n: int, N: int):
-    """Integer frequency arrays, one per real axis, broadcastable."""
-    k = np.fft.fftfreq(N, d=1.0 / N)  # integers -N/2 .. N/2-1
+def _half_wavenumbers(n: int, N: int, derivative: bool) -> tuple[np.ndarray, ...]:
+    """Integer frequencies on the ``rfftn`` half spectrum, one per real axis.
+
+    Every axis runs over ``-N/2 .. N/2-1`` except the last, which keeps only
+    ``0 .. N/2``.  With ``derivative`` the Nyquist frequency is set to zero:
+    an odd multiplier is not Hermitian there, so only with that entry zeroed
+    is every product of first-derivative factors exact under ``irfftn``.
+    """
     ks = []
     for axis in range(2 * n):
+        if axis == 2 * n - 1:
+            k = scipy.fft.rfftfreq(N, d=1.0 / N)
+        else:
+            k = scipy.fft.fftfreq(N, d=1.0 / N)
+        if derivative:
+            k[N // 2] = 0.0
         shape = [1] * (2 * n)
-        shape[axis] = N
+        shape[axis] = k.size
         ks.append(k.reshape(shape))
-    return ks
+    return tuple(ks)
 
 
 @lru_cache(maxsize=32)
 def _k_squared(n: int, N: int) -> np.ndarray:
-    ks = _wavenumbers(n, N)
-    out = np.zeros((N,) * (2 * n))
-    for k in ks:
-        out = out + k**2
-    return out
+    return sum(k**2 for k in _half_wavenumbers(n, N, False))
 
 
 @lru_cache(maxsize=32)
-def _hessian_multipliers(n: int, N: int):
-    """Fourier multipliers for the independent complex-Hessian entries.
-
-    Returns a dict mapping ``(j, k)`` with ``j <= k`` to the multiplier of
-    ``d^2/dz_j dzbar_k``.  Diagonal multipliers are real, off-diagonal ones
-    complex:
-
-        H_jk = (1/4) [ dx_j dx_k + dy_j dy_k + i (dx_j dy_k - dy_j dx_k) ]
-    """
-    ks = _wavenumbers(n, N)
-    mult = {}
-    for j in range(n):
-        for k in range(j, n):
-            kxj, kyj = ks[2 * j], ks[2 * j + 1]
-            kxk, kyk = ks[2 * k], ks[2 * k + 1]
-            real = kxj * kxk + kyj * kyk
-            imag = kxj * kyk - kyj * kxk
-            mult[(j, k)] = -np.pi**2 * (real + 1j * imag)
+def _inverse_k_squared(n: int, N: int) -> np.ndarray:
+    """Multiplier of the mean-zero inverse half-Laplacian (zero on the mean mode)."""
+    k2 = _k_squared(n, N)
+    mult = np.zeros_like(k2)
+    nz = k2 > 0
+    mult[nz] = -1.0 / (np.pi**2 * k2[nz])
     return mult
+
+
+@lru_cache(maxsize=32)
+def _hessian_multipliers(n: int, N: int) -> tuple[np.ndarray, ...]:
+    """Real Fourier multipliers of the independent complex-Hessian parts.
+
+    With ``H_jk = (1/4) [ dx_j dx_k + dy_j dy_k + i (dx_j dy_k - dy_j dx_k) ]``
+    the parts are ``(H_00,)`` for ``n = 1`` and ``(H_00, H_11, Re H_01,
+    Im H_01)`` for ``n = 2``.  Diagonal entries are second derivatives and
+    keep the Nyquist frequency; the off-diagonal parts are products of
+    first-derivative factors, Nyquist zeroed.
+    """
+    ks = _half_wavenumbers(n, N, False)
+    mults = [-np.pi**2 * (ks[2 * j] ** 2 + ks[2 * j + 1] ** 2) for j in range(n)]
+    if n == 2:
+        kx0, ky0, kx1, ky1 = _half_wavenumbers(n, N, True)
+        mults.append(-np.pi**2 * (kx0 * kx1 + ky0 * ky1))
+        mults.append(-np.pi**2 * (kx0 * ky1 - ky0 * kx1))
+    return tuple(mults)
 
 
 def _as_spec(obj) -> TorusSpec:
@@ -210,33 +225,48 @@ def scaled_identity(spec: TorusSpec, scale: float = 1.0) -> HermitianFormField:
     return HermitianFormField(spec, out)
 
 
-def _fftn(values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values)
+def _rfftn(values: np.ndarray) -> np.ndarray:
+    return scipy.fft.rfftn(values)
 
 
-def _ifftn_real(values_hat: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifftn(values_hat))
+def _irfftn(values_hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return scipy.fft.irfftn(values_hat, s=shape)
+
+
+def _hessian_parts(values: np.ndarray) -> list[np.ndarray]:
+    """Independent real parts of the complex Hessian of a raw grid array.
+
+    ``[H_00]`` for ``n = 1`` and ``[H_00, H_11, Re H_01, Im H_01]`` for
+    ``n = 2``: one forward transform shared by one real inverse per part.
+    """
+    fhat = _rfftn(values)
+    mults = _hessian_multipliers(values.ndim // 2, values.shape[0])
+    return [_irfftn(m * fhat, values.shape) for m in mults]
+
+
+def _solve_half_laplacian(values: np.ndarray) -> np.ndarray:
+    """Mean-zero ``u`` with ``trace H(u)`` equal to ``values`` minus its mean."""
+    mult = _inverse_k_squared(values.ndim // 2, values.shape[0])
+    return _irfftn(mult * _rfftn(values), values.shape)
 
 
 def complex_hessian(f: GridField) -> HermitianFormField:
     """Complex Hessian ``H(f)_{jk} = d^2 f / dz_j dzbar_k`` by spectral differentiation.
 
-    One forward transform of ``f`` is shared by all entries.  For real input
-    the diagonal entries are real and the matrix is Hermitian at every point.
+    One forward transform of ``f`` is shared by all entries.  Each entry is
+    assembled from real inverse transforms, so the diagonal is exactly real
+    and ``H_10`` is exactly the conjugate of ``H_01``.
     """
     spec = f.spec
-    n, N = spec.n, spec.N
-    fhat = _fftn(f.values)
-    mult = _hessian_multipliers(n, N)
+    n = spec.n
+    parts = _hessian_parts(f.values)
     out = np.zeros(spec.shape + (n, n), dtype=complex)
     for j in range(n):
-        for k in range(j, n):
-            ent = np.fft.ifftn(mult[(j, k)] * fhat)
-            if j == k:
-                ent = np.real(ent)
-            out[..., j, k] = ent
-            if j != k:
-                out[..., k, j] = np.conj(ent)
+        out[..., j, j] = parts[j]
+    if n == 2:
+        h01 = parts[2] + 1j * parts[3]
+        out[..., 0, 1] = h01
+        out[..., 1, 0] = np.conj(h01)
     return HermitianFormField(spec, out)
 
 
@@ -248,17 +278,20 @@ def half_laplacian(f: GridField) -> GridField:
     """
     spec = f.spec
     mult = -np.pi**2 * _k_squared(spec.n, spec.N)
-    return GridField(spec, _ifftn_real(mult * _fftn(f.values)))
+    return GridField(spec, _irfftn(mult * _rfftn(f.values), spec.shape))
 
 
 def spectral_gradient(f: GridField) -> np.ndarray:
-    """All ``2n`` first real derivatives, stacked along a leading axis."""
+    """All ``2n`` first real derivatives, stacked along a leading axis.
+
+    The Nyquist mode has no real derivative on the grid and contributes zero.
+    """
     spec = f.spec
-    fhat = _fftn(f.values)
-    ks = _wavenumbers(spec.n, spec.N)
+    fhat = _rfftn(f.values)
+    ks = _half_wavenumbers(spec.n, spec.N, True)
     out = np.empty((spec.num_axes,) + spec.shape)
     for a in range(spec.num_axes):
-        out[a] = _ifftn_real(2j * np.pi * ks[a] * fhat)
+        out[a] = _irfftn(2j * np.pi * ks[a] * fhat, spec.shape)
     return out
 
 
@@ -268,14 +301,7 @@ def invert_half_laplacian(f: GridField) -> GridField:
     The mean of ``f`` is projected out (the flat torus admits no solution
     otherwise), and the returned field has exactly zero grid mean.
     """
-    spec = f.spec
-    k2 = _k_squared(spec.n, spec.N)
-    mult = np.zeros_like(k2)
-    nz = k2 > 0
-    mult[nz] = -1.0 / (np.pi**2 * k2[nz])
-    fhat = _fftn(f.values)
-    fhat.flat[0] = 0.0
-    return GridField(spec, _ifftn_real(mult * fhat))
+    return GridField(f.spec, _solve_half_laplacian(f.values))
 
 
 def heat_smooth(f: GridField, eps: float) -> GridField:
@@ -288,7 +314,7 @@ def heat_smooth(f: GridField, eps: float) -> GridField:
         raise ValueError("smoothing time must be nonnegative")
     spec = f.spec
     mult = np.exp(-eps * 4.0 * np.pi**2 * _k_squared(spec.n, spec.N))
-    return GridField(spec, _ifftn_real(mult * _fftn(f.values)))
+    return GridField(spec, _irfftn(mult * _rfftn(f.values), spec.shape))
 
 
 def integrate(f: GridField) -> float:

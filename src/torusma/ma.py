@@ -31,6 +31,8 @@ from .geometry import (
     GridField,
     HermitianFormField,
     TorusSpec,
+    _hessian_parts,
+    _solve_half_laplacian,
     complex_hessian,
     integrate,
     invert_half_laplacian,
@@ -117,10 +119,14 @@ class AlphaModel:
         return HermitianFormField(self.spec, out)
 
 
+def _metric_form(a: HermitianFormField, phi: GridField) -> HermitianFormField:
+    """The perturbed form ``g = a + H(phi)``."""
+    return HermitianFormField(a.spec, a.values + complex_hessian(phi).values)
+
+
 def ma_density(a: HermitianFormField, phi: GridField) -> GridField:
     """Pointwise ``det(a + H(phi))``; may be negative, callers gate on positivity."""
-    form = HermitianFormField(a.spec, a.values + complex_hessian(phi).values)
-    return GridField(a.spec, form.det())
+    return GridField(a.spec, _metric_form(a, phi).det())
 
 
 @dataclass(frozen=True)
@@ -132,53 +138,65 @@ class PositivityReport:
 _POSITIVITY_MARGIN = 1e-10
 
 
-def positivity_check(a: HermitianFormField, phi: GridField) -> PositivityReport:
-    """Grid minimum of the smallest eigenvalue of ``a + H(phi)``."""
-    form = HermitianFormField(a.spec, a.values + complex_hessian(phi).values)
+def _positivity(form: HermitianFormField) -> PositivityReport:
     m = float(np.min(min_eigenvalue_field(form).values))
     return PositivityReport(ok=m >= _POSITIVITY_MARGIN, min_eig=m)
 
 
+def positivity_check(a: HermitianFormField, phi: GridField) -> PositivityReport:
+    """Grid minimum of the smallest eigenvalue of ``a + H(phi)``."""
+    return _positivity(_metric_form(a, phi))
+
+
 @dataclass
 class _MetricData:
-    """Per-iterate cache: determinant and adjugate of g = a + H(phi)."""
+    """Per-iterate cache: determinant and adjugate of g = a + H(phi).
+
+    ``weights`` pairs with the Hessian parts of ``geometry._hessian_parts``
+    so that ``trace(g^{-1} M) = sum(weights * parts(M)) / det``: ``(1,)``
+    for ``n = 1`` and ``(g11, g00, -2 Re g01, -2 Im g01)`` for ``n = 2``.
+    """
 
     det: np.ndarray
-    adj00: np.ndarray  # real
-    adj11: np.ndarray | None  # real (n=2 only)
-    adj01: np.ndarray | None  # complex (n=2 only)
+    weights: tuple
     n: int
 
     @classmethod
-    def build(cls, a: HermitianFormField, phi: GridField) -> "_MetricData":
-        g = HermitianFormField(a.spec, a.values + complex_hessian(phi).values)
-        n = a.spec.n
-        if n == 1:
-            g00 = np.real(g.values[..., 0, 0])
-            return cls(det=g00, adj00=np.ones_like(g00), adj11=None, adj01=None, n=1)
+    def from_form(cls, g: HermitianFormField) -> "_MetricData":
+        n = g.spec.n
         g00 = np.real(g.values[..., 0, 0])
+        if n == 1:
+            return cls(det=g00, weights=(1.0,), n=1)
         g11 = np.real(g.values[..., 1, 1])
         g01 = g.values[..., 0, 1]
-        det = g00 * g11 - np.abs(g01) ** 2
-        # adjugate: inverse = adj / det
-        return cls(det=det, adj00=g11, adj11=g00, adj01=-g01, n=2)
+        return cls(
+            det=g.det(),
+            weights=(g11, g00, -2.0 * np.real(g01), -2.0 * np.imag(g01)),
+            n=2,
+        )
+
+    @classmethod
+    def build(cls, a: HermitianFormField, phi: GridField) -> "_MetricData":
+        return cls.from_form(_metric_form(a, phi))
+
+    def contract_parts(self, parts) -> np.ndarray:
+        """trace(g^{-1} M) pointwise from the independent real parts of M."""
+        num = self.weights[0] * parts[0]
+        for w, p in zip(self.weights[1:], parts[1:]):
+            num += w * p
+        return num / self.det
 
     def contract(self, M: HermitianFormField) -> np.ndarray:
         """trace(g^{-1} M) pointwise — real for Hermitian input."""
-        if self.n == 1:
-            return np.real(M.values[..., 0, 0]) / self.det
-        num = (
-            self.adj00 * np.real(M.values[..., 0, 0])
-            + self.adj11 * np.real(M.values[..., 1, 1])
-            + 2.0 * np.real(self.adj01 * np.conj(M.values[..., 0, 1]))
-        )
-        return num / self.det
+        v = M.values
+        parts = [np.real(v[..., j, j]) for j in range(self.n)]
+        if self.n == 2:
+            parts += [np.real(v[..., 0, 1]), np.imag(v[..., 0, 1])]
+        return self.contract_parts(parts)
 
     def inverse_trace(self) -> np.ndarray:
         """trace(g^{-1}) pointwise."""
-        if self.n == 1:
-            return 1.0 / self.det
-        return (self.adj00 + self.adj11) / self.det
+        return sum(self.weights[: self.n]) / self.det
 
 
 def linearized_apply(a: HermitianFormField, phi: GridField, u: GridField) -> GridField:
@@ -195,6 +213,7 @@ class SolveResult:
     newton_steps: int
     residual_sup: float
     residual_history: tuple[float, ...]
+    gmres_info_nonzero: int = 0
 
 
 _MAX_NEWTON_STEPS = 200
@@ -207,37 +226,38 @@ def _mean_zero(values: np.ndarray) -> np.ndarray:
 
 def _newton_direction(
     spec: TorusSpec, data: _MetricData, r: np.ndarray, rtol: float
-) -> np.ndarray:
-    """Solve the linearized system for the Newton update.
+) -> tuple[np.ndarray, int]:
+    """Solve the linearized system for the Newton update; returns ``(update, info)``.
 
     The metric Laplacian annihilates constants, so the operator is augmented
     with the grid mean, which shifts the nullspace away from the right-hand
     side; the constant component of the update is irrelevant (the determinant
     is invariant under ``phi -> phi + c``) and is projected out afterwards.
     The preconditioner is the flat spectral inverse composed with division by
-    the pointwise inverse-metric trace — exact for ``n = 1``.
+    the pointwise inverse-metric trace — exact for ``n = 1``.  Both operators
+    act on raw arrays; the update is validated once, as a ``GridField``.
+    ``info`` is the GMRES return code: nonzero when the inner solve stopped
+    short of ``rtol``, which still yields a usable descent direction because
+    the line search guards the outer iteration either way.
     """
     shape = spec.shape
     size = int(np.prod(shape))
     sigma = data.inverse_trace() / spec.n
 
     def matvec(x):
-        u = GridField(spec, x.reshape(shape))
-        return (data.contract(complex_hessian(u)) + x.mean()).ravel()
+        hu = data.contract_parts(_hessian_parts(x.reshape(shape)))
+        return (hu + x.mean()).ravel()
 
     def precond(x):
         w = x.reshape(shape)
         m = w.mean()
-        u = invert_half_laplacian(GridField(spec, (w - m) / sigma))
-        return (u.values + m).ravel()
+        return (_solve_half_laplacian((w - m) / sigma) + m).ravel()
 
     A = LinearOperator((size, size), matvec=matvec, dtype=float)
     M = LinearOperator((size, size), matvec=precond, dtype=float)
     b = (-r).ravel()
     x, info = gmres(A, b, M=M, rtol=rtol, atol=0.0, restart=60, maxiter=200)
-    # info > 0 (slow inner convergence) still yields a usable descent direction;
-    # the line search below guards the outer iteration either way.
-    return _mean_zero(x.reshape(shape))
+    return GridField(spec, _mean_zero(x.reshape(shape))).values, info
 
 
 def solve_ma_detailed(
@@ -256,7 +276,7 @@ def solve_ma_detailed(
     spec = a.spec
     if float(np.min(F.values)) <= 0:
         raise ValueError("right-hand density must be positive everywhere")
-    mass_a = integrate(ma_density(a, GridField(spec, spec.zeros())))
+    mass_a = integrate(GridField(spec, a.det()))
     mass_f = integrate(F)
     if abs(mass_f - mass_a) > 1e-8 * abs(mass_a):
         raise CompatibilityError(
@@ -265,18 +285,20 @@ def solve_ma_detailed(
         )
 
     phi = GridField(spec, _mean_zero(phi0.values if phi0 is not None else spec.zeros()))
-    report = positivity_check(a, phi)
+    form = _metric_form(a, phi)
+    report = _positivity(form)
     if not report.ok:
         raise PositivityError(
             f"initial iterate leaves the form indefinite (min eig {report.min_eig:.3e})"
         )
 
     logF = np.log(F.values)
-    data = _MetricData.build(a, phi)
+    data = _MetricData.from_form(form)
     r = np.log(data.det) - logF
     r_sup = float(np.max(np.abs(r)))
     history = [r_sup]
     steps = 0
+    gmres_info_nonzero = 0
 
     while r_sup > tol:
         if steps >= _MAX_NEWTON_STEPS:
@@ -289,16 +311,14 @@ def solve_ma_detailed(
         # Inexact-Newton forcing: crude inner solves far from the solution,
         # tightening proportionally to the residual near it.
         forcing = min(1e-2, max(0.05 * r_sup, 1e-12))
-        direction = _newton_direction(spec, data, r, forcing)
+        direction, info = _newton_direction(spec, data, r, forcing)
+        gmres_info_nonzero += int(info != 0)
         lam = 1.0
         while True:
             cand = GridField(spec, _mean_zero(phi.values + lam * direction))
-            cand_form = HermitianFormField(
-                spec, a.values + complex_hessian(cand).values
-            )
-            min_eig = float(np.min(min_eigenvalue_field(cand_form).values))
-            if min_eig >= _POSITIVITY_MARGIN:
-                cand_data = _MetricData.build(a, cand)
+            cand_form = _metric_form(a, cand)
+            if _positivity(cand_form).ok:
+                cand_data = _MetricData.from_form(cand_form)
                 cand_r = np.log(cand_data.det) - logF
                 cand_sup = float(np.max(np.abs(cand_r)))
                 if cand_sup < r_sup:
@@ -314,7 +334,11 @@ def solve_ma_detailed(
         steps += 1
 
     return SolveResult(
-        phi=phi, newton_steps=steps, residual_sup=r_sup, residual_history=tuple(history)
+        phi=phi,
+        newton_steps=steps,
+        residual_sup=r_sup,
+        residual_history=tuple(history),
+        gmres_info_nonzero=gmres_info_nonzero,
     )
 
 

@@ -243,7 +243,7 @@ def hessian_lower_bound(model: QuasiPshModel, s_min: float | None = None) -> flo
 
 # Regularization guarantees are enforced only at moderate smoothing times;
 # beyond this the heat kernel moves smooth parts by more than the contractual
-# slack of 1 and the guarantee is recorded but not enforced.
+# slack of 1, and both guarantees are skipped: neither checked nor recorded.
 _GUARANTEE_EPS_MAX = 0.1
 
 
@@ -253,8 +253,9 @@ def regularize(
     """Smoothing-family member at parameter ``eps``: heat flow of the widened model.
 
     The pole smoothing is set to ``sqrt(eps)`` and the result is heat-smoothed
-    for time ``eps``.  Two guarantees are verified per call (for
-    ``eps <= 0.1``; larger times are outside the contractual range):
+    for time ``eps``.  Two guarantees are verified per call with ``check``
+    for ``eps <= _GUARANTEE_EPS_MAX`` (0.1); above it both are skipped,
+    since larger times are outside the contractual range:
 
     (a) output >= evaluate(model, 0) - 1 pointwise (grid-floored pole values);
     (b) min eig(C*I + H(output)) >= -1e-8 with ``C`` certified at the same

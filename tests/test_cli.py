@@ -220,6 +220,62 @@ class TestRunVerb:
         assert err.startswith("solver error:")
         assert "smoothed field drops" in err
 
+    def test_unwritable_output_parent_exits_three(self, tmp_path, capsys):
+        cfg = _write(tmp_path, MINI)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        code = main(["run", cfg, "--output-dir", str(blocker / "x")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:")
+        assert err.count("\n") == 1
+
+    def test_gmres_shortfalls_are_reported_per_rung(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import torusma.ma as ma
+
+        real_gmres = ma.gmres
+
+        def short(*args, **kwargs):
+            x, _ = real_gmres(*args, **kwargs)
+            return x, 1
+
+        monkeypatch.setattr(ma, "gmres", short)
+        cfg = _write(tmp_path, MINI)
+        out = str(tmp_path / "runs")
+        assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
+        captured = capsys.readouterr()
+        rundir = _run_record_dir(out, captured.out)
+        rows = open(os.path.join(rundir, "report.csv")).read().splitlines()[1:]
+        steps = [int(row.split(",")[3]) for row in rows]
+        warnings = [
+            line for line in captured.err.splitlines() if line.startswith("warning:")
+        ]
+        expected = [
+            f"warning: rung {k} (eps={eps:g}): {n} GMRES solve(s) "
+            f"stopped short of the inner tolerance"
+            for k, (eps, n) in enumerate(zip((0.2, 0.02, 0.002), steps))
+            if n
+        ]
+        assert expected and warnings == expected
+
+    def test_non_finite_newton_direction_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import torusma.ma as ma
+
+        def broken(A, b, **kwargs):
+            return np.full_like(b, np.nan), 0
+
+        monkeypatch.setattr(ma, "gmres", broken)
+        cfg = _write(tmp_path, MINI)
+        code = main(["run", cfg, "--output-dir", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert code == EXIT_SOLVER
+        assert err.startswith("solver error:")
+        assert "non-finite" in err
+
     def test_unknown_target_exits_three(self, capsys):
         assert main(["run", "no-such-scenario"]) == EXIT_CONFIG
         err = capsys.readouterr().err

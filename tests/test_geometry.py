@@ -161,6 +161,94 @@ class TestSpectralExactness:
         np.testing.assert_allclose(H, np.conj(np.swapaxes(H, -1, -2)), atol=0)
 
 
+def _reference_wavenumbers(spec, odd):
+    """Full-spectrum integer frequencies; ``odd`` zeroes the Nyquist entry."""
+    k = np.fft.fftfreq(spec.N, d=1.0 / spec.N)
+    if odd:
+        k[spec.N // 2] = 0.0
+    ks = []
+    for axis in range(spec.num_axes):
+        shape = [1] * spec.num_axes
+        shape[axis] = spec.N
+        ks.append(k.reshape(shape))
+    return ks
+
+
+def reference_hessian(f):
+    """Complex-FFT Hessian, Nyquist zeroed in every first-derivative factor."""
+    spec = f.spec
+    fhat = np.fft.fftn(f.values)
+    even = _reference_wavenumbers(spec, odd=False)
+    odd = _reference_wavenumbers(spec, odd=True)
+    out = np.zeros(spec.shape + (spec.n, spec.n), dtype=complex)
+    for j in range(spec.n):
+        kx, ky = even[2 * j], even[2 * j + 1]
+        out[..., j, j] = np.real(np.fft.ifftn(-np.pi**2 * (kx**2 + ky**2) * fhat))
+        for k in range(j + 1, spec.n):
+            kxj, kyj, kxk, kyk = odd[2 * j], odd[2 * j + 1], odd[2 * k], odd[2 * k + 1]
+            mult = -np.pi**2 * (kxj * kxk + kyj * kyk + 1j * (kxj * kyk - kyj * kxk))
+            ent = np.fft.ifftn(mult * fhat)
+            out[..., j, k] = ent
+            out[..., k, j] = np.conj(ent)
+    return out
+
+
+def reference_gradient(f):
+    fhat = np.fft.fftn(f.values)
+    ks = _reference_wavenumbers(f.spec, odd=True)
+    return np.stack([np.real(np.fft.ifftn(2j * np.pi * k * fhat)) for k in ks])
+
+
+class TestRealSpectralCore:
+    """Real-to-complex operators on white noise, which fills every mode
+    including the Nyquist frequency, against a complex-FFT reference."""
+
+    CASES = [(1, 8, 20), (1, 10, 21), (2, 8, 22)]
+
+    @staticmethod
+    def noise(n, N, seed):
+        spec = TorusSpec(n, N)
+        return GridField(spec, np.random.default_rng(seed).normal(size=spec.shape))
+
+    @pytest.mark.parametrize("n,N,seed", CASES)
+    def test_hessian_is_exactly_hermitian(self, n, N, seed):
+        H = complex_hessian(self.noise(n, N, seed)).values
+        for j in range(n):
+            assert np.all(np.imag(H[..., j, j]) == 0.0)
+        if n == 2:
+            assert np.array_equal(H[..., 1, 0], np.conj(H[..., 0, 1]))
+
+    @pytest.mark.parametrize("n,N,seed", CASES)
+    def test_hessian_matches_complex_reference(self, n, N, seed):
+        f = self.noise(n, N, seed)
+        H = complex_hessian(f).values
+        ref = reference_hessian(f)
+        scale = np.max(np.abs(H))
+        assert scale > 0
+        assert np.max(np.abs(H - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n,N,seed", CASES)
+    def test_gradient_matches_complex_reference(self, n, N, seed):
+        f = self.noise(n, N, seed)
+        g = spectral_gradient(f)
+        ref = reference_gradient(f)
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("n,N,seed", CASES)
+    def test_half_laplacian_is_hessian_trace(self, n, N, seed):
+        f = self.noise(n, N, seed)
+        lap = half_laplacian(f).values
+        trace = complex_hessian(f).trace()
+        assert np.max(np.abs(lap - trace)) <= 1e-12 * np.max(np.abs(lap))
+
+    @pytest.mark.parametrize("n,N,seed", CASES)
+    def test_inverse_half_laplacian_round_trip(self, n, N, seed):
+        f = self.noise(n, N, seed)
+        mean_zero = f.values - f.values.mean()
+        u = invert_half_laplacian(half_laplacian(f)).values
+        assert np.max(np.abs(u - mean_zero)) <= 1e-12 * np.max(np.abs(mean_zero))
+
+
 class TestInverseAndHeat:
     def test_invert_half_laplacian_round_trip(self):
         spec = TorusSpec(1, 64)

@@ -199,6 +199,31 @@ class TestSolve:
         assert info.value.steps == 2
         assert info.value.residual > 0
 
+    def test_gmres_shortfalls_are_counted(self, monkeypatch):
+        _, F = _manufactured_n1()
+        clean = solve_ma_detailed(scaled_identity(SPEC1), F)
+        assert clean.gmres_info_nonzero == 0
+        real_gmres = ma.gmres
+
+        def short(*args, **kwargs):
+            x, _ = real_gmres(*args, **kwargs)
+            return x, 1
+
+        monkeypatch.setattr(ma, "gmres", short)
+        result = solve_ma_detailed(scaled_identity(SPEC1), F)
+        assert result.newton_steps > 0
+        assert result.gmres_info_nonzero == result.newton_steps
+
+    def test_non_finite_newton_direction_is_rejected(self, monkeypatch):
+        _, F = _manufactured_n1()
+
+        def broken(A, b, **kwargs):
+            return np.full_like(b, np.nan), 0
+
+        monkeypatch.setattr(ma, "gmres", broken)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_ma_detailed(scaled_identity(SPEC1), F)
+
 
 class TestPoissonOracle:
     def test_round_trip_identity_background(self):
