@@ -27,6 +27,7 @@ import sys
 
 from .config import ConfigError, ExperimentConfig, parse_config, with_resolution
 from .continuation import ContinuationError
+from .estimates import EstimateError
 from .ma import CompatibilityError, IterationLimitError, PositivityError
 from .pluripotential import RegularizationContractError
 from .report import (
@@ -174,15 +175,13 @@ def _cmd_verify(args) -> int:
         outdir = _run_dir(experiment, args.output_dir)
     try:
         states = load_states(outdir, experiment)
-    except FileNotFoundError as exc:
-        raise ConfigError(str(exc)) from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
         record = build_record(experiment, states)
-    except _SOLVER_ERRORS as exc:
+    except (*_SOLVER_ERRORS, EstimateError) as exc:
         print(f"estimate error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:
+        # foreign states, malformed or non-finite arrays, unusable settings
+        raise ConfigError(str(exc)) from None
     sys.stdout.write(render_verdicts(record))
     csv_path = os.path.join(outdir, "report.csv")
     if os.path.exists(csv_path):

@@ -86,8 +86,9 @@ class EstimateSettings:
     def __post_init__(self):
         if not 0 < self.holder_gamma < 1:
             raise ValueError(f"holder_gamma must be in (0,1), got {self.holder_gamma}")
-        if self.exclusion_inner <= 0 or self.exclusion_outer <= self.exclusion_inner:
-            raise ValueError("need 0 < exclusion_inner < exclusion_outer")
+        # Radii are in grid spacings; the Hoelder stencil needs at least two.
+        if self.exclusion_inner < 2 or self.exclusion_outer <= self.exclusion_inner:
+            raise ValueError("need 2 <= exclusion_inner < exclusion_outer")
         if self.sobolev_q <= 0:
             raise ValueError(f"sobolev_q must be positive, got {self.sobolev_q}")
 

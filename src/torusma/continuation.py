@@ -17,7 +17,6 @@ form ``(1 + eps) I`` — the frame every curvature-type estimate uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +33,7 @@ __all__ = [
     "enforce_mass_balance",
     "delta_eps",
     "run_continuation",
+    "rung_diagnostics",
     "shift_potential",
     "shift_defect",
     "extract_limit",
@@ -105,11 +105,6 @@ class ContinuationError(RuntimeError):
         self.eps = eps
 
 
-@lru_cache(maxsize=32)
-def _smoothed(model: QuasiPshModel, eps: float) -> GridField:
-    return regularize(model, eps)
-
-
 def _mass_alpha(alpha: AlphaModel, eps: float = 0.0) -> float:
     return integrate(GridField(alpha.spec, alpha.coefficients(eps).det()))
 
@@ -148,10 +143,19 @@ def delta_eps(scenario: Scenario, eps: float) -> float:
     Defined by ``(1 + delta) * int exp(psi1_eps - psi2_eps) = int det(a + eps I)``
     with both potentials smoothed at the same ``eps`` as the background shift.
     """
-    p1 = _smoothed(scenario.psi1, eps)
-    p2 = _smoothed(scenario.psi2, eps)
+    p1 = regularize(scenario.psi1, eps)
+    p2 = regularize(scenario.psi2, eps)
+    return _delta(scenario.alpha, eps, p1, p2)
+
+
+def _delta(alpha: AlphaModel, eps: float, p1: GridField, p2: GridField) -> float:
     mass = float(np.exp(p1.values - p2.values).mean())
-    return _mass_alpha(scenario.alpha, eps) / mass - 1.0
+    return _mass_alpha(alpha, eps) / mass - 1.0
+
+
+def _rung_density(delta: float, p1: GridField, p2: GridField) -> GridField:
+    """Right-hand side ``(1 + delta) exp(psi1_eps - psi2_eps)`` of one rung."""
+    return GridField(p1.spec, (1.0 + delta) * np.exp(p1.values - p2.values))
 
 
 def shift_potential(state: ContinuationState, alpha: AlphaModel) -> GridField:
@@ -170,24 +174,71 @@ def shift_defect(state: ContinuationState, alpha: AlphaModel) -> float:
     ``det((1+eps) I + H(Phi))`` the spectral Hessian of the shifted
     potential; exact algebra says they agree, so the defect is round-off.
     """
-    return _shift_defect(state.phi, state.Phi, alpha, state.eps)
+    rhs = ma_density(scaled_identity(state.phi.spec, 1.0 + state.eps), state.Phi)
+    return _shift_defect(state.phi, rhs.values, alpha, state.eps)
 
 
 def _shift_defect(
-    phi: GridField, Phi: GridField, alpha: AlphaModel, eps: float
+    phi: GridField, det_g: np.ndarray, alpha: AlphaModel, eps: float
 ) -> float:
     lhs = ma_density(alpha.coefficients(eps), phi)
-    rhs = ma_density(scaled_identity(phi.spec, 1.0 + eps), Phi)
-    return float(np.max(np.abs(lhs.values - rhs.values)))
+    return float(np.max(np.abs(lhs.values - det_g)))
+
+
+def rung_diagnostics(
+    scenario: Scenario,
+    eps: float,
+    delta: float,
+    phi: GridField,
+    p1: GridField,
+    p2: GridField,
+    C: float,
+) -> tuple[GridField, dict]:
+    """The shifted potential and every per-rung estimate scalar of a solved rung.
+
+    ``p1`` and ``p2`` are the potentials smoothed at ``eps``, ``delta`` the
+    rung's mass-restoring constant and ``C`` the probe constant.  The metric
+    ``(1 + eps) I + H(Phi)`` is built once and shared by the shift and trace
+    identities, the log-trace inequality, the weighted second-order probe and
+    the convexity comparison for both weights (the rung-smoothed ``psi2``
+    with the constant certified at this smoothing scale, and the background
+    weight ``eta = -rho`` with its closed-form bound ``t``).  ``run`` and
+    ``verify`` both compute their diagnostics here.  Raises
+    ``EstimateError`` or ``PositivityError`` when a precondition fails.
+    """
+    spec = scenario.spec
+    alpha = scenario.alpha
+    Phi = GridField(spec, phi.values + alpha.rho().values)
+    m = estimates._RungMetric.build(Phi, eps)
+    F = _rung_density(delta, p1, p2)
+    f_log = GridField(spec, np.log(F.values) - spec.n * np.log1p(eps))
+    siu = estimates._siu_residual(m, f_log, C)
+    probe = estimates._max_principle_probe(m, p2, C)
+    C_cert = hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
+    comparison = min(
+        float(np.min(estimates._comparison_residual(m, p2, C_cert))),
+        float(np.min(estimates._comparison_residual(m, alpha.eta(), alpha.t + 1e-6))),
+    )
+    return Phi, {
+        "shift_defect": _shift_defect(phi, m.data.det, alpha, eps),
+        "siu_min_residual": float(np.min(siu)),
+        "weighted_c2_sup": probe.global_weighted_sup,
+        "sum_inverse_at_argmax": probe.sum_inverse_at_argmax,
+        "argmax": probe.argmax,
+        "trace_defect": estimates._trace_identity_defect(m),
+        "comparison_min": comparison,
+        "q_sup": float(np.max(m.q)),
+    }
 
 
 def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[ContinuationState]:
     """Solve every rung of the schedule, warm-starting each from the last.
 
     Preconditions: the scenario is mass-balanced.  Each state carries the
-    solver diagnostics and the per-rung estimate scalars (curvature-probe
-    suprema, inequality residual minima, trace-identity defect).  A failed
-    rung raises with all completed states attached.
+    solver diagnostics (``residual_sup``, ``gmres_info_nonzero``) and the
+    per-rung estimate scalars of :func:`rung_diagnostics`, the same function
+    that ``report.rebuild_states`` calls on stored fields.  A failed rung
+    raises with all completed states attached.
     """
     mass_a = _mass_alpha(scenario.alpha)
     mass_d = _mass_density(scenario.psi1, scenario.psi2)
@@ -197,54 +248,37 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
             f"apply enforce_mass_balance first"
         )
     C = scenario.resolved_C()
-    rho = scenario.alpha.rho()
     states: list[ContinuationState] = []
     prev_phi: GridField | None = None
     for rung, eps in enumerate(scenario.eps_schedule):
         try:
-            p1 = _smoothed(scenario.psi1, eps)
-            p2 = _smoothed(scenario.psi2, eps)
-            delta = delta_eps(scenario, eps)
-            F = GridField(
-                scenario.spec, (1.0 + delta) * np.exp(p1.values - p2.values)
-            )
-            a_eps = scenario.alpha.coefficients(eps)
+            p1 = regularize(scenario.psi1, eps)
+            p2 = regularize(scenario.psi2, eps)
+            delta = _delta(scenario.alpha, eps, p1, p2)
             result = solve_ma_detailed(
-                a_eps, F, phi0=prev_phi, tol=scenario.tol
+                scenario.alpha.coefficients(eps),
+                _rung_density(delta, p1, p2),
+                phi0=prev_phi,
+                tol=scenario.tol,
             )
-            phi = result.phi
-            Phi = GridField(scenario.spec, phi.values + rho.values)
-            defect = _shift_defect(phi, Phi, scenario.alpha, eps)
-            f_log = GridField(
-                scenario.spec,
-                np.log(F.values) - scenario.spec.n * np.log1p(eps),
+            Phi, diagnostics = rung_diagnostics(
+                scenario, eps, delta, result.phi, p1, p2, C
             )
-            siu = estimates.siu_residual(Phi, f_log, eps, C)
-            probe = estimates.max_principle_probe(
-                _EstimateView(eps, Phi), p2, C
-            )
-            trace_defect = estimates.trace_identity_defect(Phi, eps)
-            diagnostics = {
-                "residual_sup": result.residual_sup,
-                "gmres_info_nonzero": result.gmres_info_nonzero,
-                "shift_defect": defect,
-                "siu_min_residual": float(np.min(siu.values)),
-                "weighted_c2_sup": probe.global_weighted_sup,
-                "sum_inverse_at_argmax": probe.sum_inverse_at_argmax,
-                "argmax": probe.argmax,
-                "trace_defect": trace_defect,
-            }
             states.append(
                 ContinuationState(
                     eps=eps,
                     delta_eps=delta,
-                    phi=phi,
+                    phi=result.phi,
                     Phi=Phi,
                     newton_steps=result.newton_steps,
-                    diagnostics=diagnostics,
+                    diagnostics={
+                        "residual_sup": result.residual_sup,
+                        "gmres_info_nonzero": result.gmres_info_nonzero,
+                        **diagnostics,
+                    },
                 )
             )
-            prev_phi = phi if warm_start else None
+            prev_phi = result.phi if warm_start else None
         except Exception as exc:
             if isinstance(exc, ContinuationError):
                 raise
@@ -252,14 +286,6 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
                 f"rung {rung} (eps={eps:g}) failed: {exc}", states, rung, eps
             ) from exc
     return states
-
-
-@dataclass(frozen=True)
-class _EstimateView:
-    """Minimal state view for probes that only need (eps, Phi)."""
-
-    eps: float
-    Phi: GridField
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ __all__ = [
     "INCONCLUSIVE",
     "Verdict",
     "EstimateReport",
+    "EstimateError",
     "ProbeResult",
     "SobolevHolderReport",
     "c0_uniformity",
@@ -50,7 +51,6 @@ __all__ = [
     "c2_uniformity",
     "delta_trend",
     "holder_seminorm",
-    "holder_scaling",
     "sobolev_holder_probe",
 ]
 
@@ -89,11 +89,8 @@ class EstimateReport:
     data: tuple[tuple[str, float], ...] = ()
 
 
-def _metric(Phi: GridField, eps: float) -> _MetricData:
-    data = _MetricData.build(scaled_identity(Phi.spec, 1.0 + eps), Phi)
-    if float(np.min(data.det)) <= 0:
-        raise PositivityError("metric is singular: determinant vanishes on the grid")
-    return data
+class EstimateError(ValueError):
+    """An estimate's precondition fails on the fields it was handed."""
 
 
 def _q_values(Phi: GridField, eps: float) -> np.ndarray:
@@ -101,10 +98,38 @@ def _q_values(Phi: GridField, eps: float) -> np.ndarray:
     q = Phi.spec.n + half_laplacian(Phi).values / (1.0 + eps)
     qmin = float(np.min(q))
     if qmin <= 0:
-        raise ValueError(
+        raise EstimateError(
             f"normalized metric trace must be positive, grid minimum {qmin:.3e}"
         )
     return q
+
+
+@dataclass(frozen=True)
+class _RungMetric:
+    """The metric ``g = (1 + eps) I + H(Phi)`` of one rung, built once.
+
+    Carries the normalized trace ``q``, the Hessian ``H(Phi)`` and the
+    determinant/adjugate data of ``g``; every per-rung estimate reads these
+    instead of differentiating ``Phi`` again.
+    """
+
+    Phi: GridField
+    eps: float
+    q: np.ndarray
+    hessian: HermitianFormField
+    data: _MetricData
+
+    @classmethod
+    def build(cls, Phi: GridField, eps: float) -> "_RungMetric":
+        q = _q_values(Phi, eps)
+        H = complex_hessian(Phi)
+        g = HermitianFormField(
+            Phi.spec, scaled_identity(Phi.spec, 1.0 + eps).values + H.values
+        )
+        data = _MetricData.from_form(g)
+        if float(np.min(data.det)) <= 0:
+            raise PositivityError("metric is singular: determinant vanishes on the grid")
+        return cls(Phi=Phi, eps=eps, q=q, hessian=H, data=data)
 
 
 def siu_residual(Phi: GridField, f: GridField, eps: float, C: float) -> GridField:
@@ -122,14 +147,15 @@ def siu_residual(Phi: GridField, f: GridField, eps: float, C: float) -> GridFiel
     noise.  At ``Phi = 0``, ``f = 0`` the residual is the constant
     ``C/n + C n``.
     """
-    spec = Phi.spec
-    q = _q_values(Phi, eps)
-    data = _metric(Phi, eps)
-    logq = GridField(spec, np.log(q))
-    lhs = data.contract(complex_hessian(logq))
-    rhs = (half_laplacian(f).values / (1.0 + eps) - C) / q
-    rhs = rhs - C * (1.0 + eps) * data.inverse_trace()
-    return GridField(spec, lhs - rhs)
+    return GridField(Phi.spec, _siu_residual(_RungMetric.build(Phi, eps), f, C))
+
+
+def _siu_residual(m: _RungMetric, f: GridField, C: float) -> np.ndarray:
+    logq = GridField(m.Phi.spec, np.log(m.q))
+    lhs = m.data.contract(complex_hessian(logq))
+    rhs = (half_laplacian(f).values / (1.0 + m.eps) - C) / m.q
+    rhs = rhs - C * (1.0 + m.eps) * m.data.inverse_trace()
+    return lhs - rhs
 
 
 _COMPARISON_PRECONDITION = -1e-8
@@ -150,22 +176,25 @@ def comparison_residual(
     full trace ``(1+eps) q``.  Returned is left minus right — nonnegative up
     to round-off whenever the precondition holds.
     """
-    spec = Phi.spec
-    shifted = scaled_identity(spec, C)
-    form_vals = shifted.values + complex_hessian(psi).values
+    m = _RungMetric.build(Phi, eps)
+    return GridField(Phi.spec, _comparison_residual(m, psi, C))
+
+
+def _comparison_residual(m: _RungMetric, psi: GridField, C: float) -> np.ndarray:
+    spec = m.Phi.spec
+    H = complex_hessian(psi)
+    form_vals = scaled_identity(spec, C).values + H.values
     min_eig = float(
         np.min(min_eigenvalue_field(HermitianFormField(spec, form_vals)).values)
     )
     if min_eig < _COMPARISON_PRECONDITION:
-        raise ValueError(
+        raise EstimateError(
             f"weight is not curvature-bounded by C={C:.6g}: "
             f"grid minimum eigenvalue {min_eig:.3e}"
         )
-    q = _q_values(Phi, eps)
-    data = _metric(Phi, eps)
-    lhs = C * data.inverse_trace() + data.contract(complex_hessian(psi))
-    rhs = (C * spec.n + half_laplacian(psi).values) / ((1.0 + eps) * q)
-    return GridField(spec, lhs - rhs)
+    lhs = C * m.data.inverse_trace() + m.data.contract(H)
+    rhs = (C * spec.n + half_laplacian(psi).values) / ((1.0 + m.eps) * m.q)
+    return lhs - rhs
 
 
 def trace_identity_defect(Phi: GridField, eps: float) -> float:
@@ -174,10 +203,12 @@ def trace_identity_defect(Phi: GridField, eps: float) -> float:
     Both sides are computed independently from the same metric cache; the
     identity is pure linear algebra, so the defect is round-off only.
     """
-    spec = Phi.spec
-    data = _metric(Phi, eps)
-    lhs = data.contract(complex_hessian(Phi))
-    rhs = spec.n - (1.0 + eps) * data.inverse_trace()
+    return _trace_identity_defect(_RungMetric.build(Phi, eps))
+
+
+def _trace_identity_defect(m: _RungMetric) -> float:
+    lhs = m.data.contract(m.hessian)
+    rhs = m.Phi.spec.n - (1.0 + m.eps) * m.data.inverse_trace()
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -199,13 +230,14 @@ def max_principle_probe(state, psi2_eps: GridField, C: float) -> ProbeResult:
     ``(1+eps) trace(g^{-1})`` — the sum of reciprocal normalized eigenvalues
     that the argument bounds by a dimensional constant.
     """
-    Phi, eps = state.Phi, state.eps
-    q = _q_values(Phi, eps)
-    S = -2.0 * C * Phi.values + psi2_eps.values + np.log(q)
+    return _max_principle_probe(_RungMetric.build(state.Phi, state.eps), psi2_eps, C)
+
+
+def _max_principle_probe(m: _RungMetric, psi2_eps: GridField, C: float) -> ProbeResult:
+    S = -2.0 * C * m.Phi.values + psi2_eps.values + np.log(m.q)
     flat = int(np.argmax(S))
-    idx = tuple(int(i) for i in np.unravel_index(flat, Phi.spec.shape))
-    data = _metric(Phi, eps)
-    sum_inv = float(((1.0 + eps) * data.inverse_trace())[idx])
+    idx = tuple(int(i) for i in np.unravel_index(flat, m.Phi.spec.shape))
+    sum_inv = float(((1.0 + m.eps) * m.data.inverse_trace())[idx])
     s_max = float(S[idx])
     return ProbeResult(
         argmax=idx,
@@ -447,52 +479,6 @@ def holder_seminorm(
             f"stencil pairs on an N={spec.N} grid"
         )
     return best
-
-
-def holder_scaling(
-    states,
-    gamma: float,
-    centers: tuple,
-    inner_radius: float,
-    outer_radius: float,
-) -> Verdict:
-    """Interior regularity versus near-pole concentration of the gradient.
-
-    Two claims: the seminorm at the outer exclusion radius is stable (within
-    50 percent spread) over the last three rungs, and at the final rung the
-    inner-radius seminorm exceeds the outer-radius one by a factor of at
-    least 10 — gradient roughness concentrates at the poles.
-    """
-    if len(states) < 3:
-        return Verdict(INCONCLUSIVE, f"need at least 3 rungs, got {len(states)}")
-    outer = [
-        holder_seminorm(s.phi, gamma, outer_radius, centers) for s in states[-3:]
-    ]
-    inner_final = holder_seminorm(states[-1].phi, gamma, inner_radius, centers)
-    spread_ok = max(outer) <= 1.5 * min(outer)
-    concentration = inner_final / outer[-1]
-    concentrated = concentration >= 10.0
-    witness = (
-        ("outer_min", float(min(outer))),
-        ("outer_max", float(max(outer))),
-        ("inner_final", float(inner_final)),
-        ("concentration_ratio", float(concentration)),
-    )
-    if spread_ok and concentrated:
-        return Verdict(
-            HOLDS,
-            f"outer seminorm stable ({min(outer):.4g}..{max(outer):.4g}), "
-            f"inner/outer ratio {concentration:.3g} >= 10",
-            witness=witness,
-        )
-    parts = []
-    if not spread_ok:
-        parts.append(
-            f"outer seminorm spread {max(outer) / min(outer):.3g} exceeds 1.5"
-        )
-    if not concentrated:
-        parts.append(f"inner/outer ratio {concentration:.3g} below 10")
-    return Verdict(VIOLATED, "; ".join(parts), witness=witness)
 
 
 @dataclass(frozen=True)

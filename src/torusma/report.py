@@ -11,6 +11,12 @@ Column semantics: ``weighted_c2_sup`` is the global supremum of the weighted
 trace ``q * exp(psi2_eps - 2 C Phi)`` with the rung-smoothed weight, and
 ``min_siu_residual`` uses the scenario's resolved constant ``C``; the
 ladder-level verdicts recompute their own sharp-weight variants.
+
+Per-rung scalars — the CSV columns and the inputs of the identity,
+inequality and unweighted-growth verdicts — are read from each state's
+``diagnostics``, which ``continuation.rung_diagnostics`` fills both when a
+ladder is solved and when :func:`rebuild_states` re-checks stored fields, so
+``verify`` re-runs the very code ``run`` ran.
 """
 
 from __future__ import annotations
@@ -28,15 +34,11 @@ from .config import ExperimentConfig, parse_config
 from .continuation import (
     ContinuationState,
     Scenario,
-    _smoothed,
     run_continuation,
+    rung_diagnostics,
 )
-from .geometry import GridField, half_laplacian
-from .pluripotential import (
-    density_lp_check,
-    hessian_lower_bound,
-    skoda_integrability,
-)
+from .geometry import GridField
+from .pluripotential import density_lp_check, regularize, skoda_integrability
 
 __all__ = [
     "RunRecord",
@@ -127,35 +129,6 @@ def _bound_report(
         witness=((name, float(value)),),
     )
     return estimates.EstimateReport(name=name, verdict=verdict)
-
-
-def _comparison_check(scenario: Scenario, states) -> estimates.EstimateReport:
-    """Convexity comparison for both bundled weights at every rung.
-
-    The singular weight uses the rung-smoothed field with the constant
-    certified at that rung's smoothing scale; the background weight
-    ``eta = -rho`` uses its closed-form bound ``t``.
-    """
-    worst = np.inf
-    for s in states:
-        psi2_eps = _smoothed(scenario.psi2, s.eps)
-        C_cert = hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(s.eps)))
-        res = estimates.comparison_residual(s.Phi, psi2_eps, C_cert, eps=s.eps)
-        worst = min(worst, float(np.min(res.values)))
-        eta = scenario.alpha.eta()
-        res = estimates.comparison_residual(
-            s.Phi, eta, scenario.alpha.t + 1e-6, eps=s.eps
-        )
-        worst = min(worst, float(np.min(res.values)))
-    return _bound_report("inequality-comparison", worst, _COMPARISON_FLOOR, "min")
-
-
-def _unweighted_growth(states) -> float:
-    sups = [
-        float(np.max(s.Phi.spec.n + half_laplacian(s.Phi).values / (1 + s.eps)))
-        for s in states
-    ]
-    return max(sups) / sups[0]
 
 
 def _holder_report(
@@ -314,12 +287,18 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
     )
     siu_worst = min(s.diagnostics["siu_min_residual"] for s in states)
     reports.append(_bound_report("inequality-main", siu_worst, _SIU_FLOOR, "min"))
-    reports.append(_comparison_check(scenario, states))
+    comparison_worst = min(s.diagnostics["comparison_min"] for s in states)
+    reports.append(
+        _bound_report(
+            "inequality-comparison", comparison_worst, _COMPARISON_FLOOR, "min"
+        )
+    )
 
     reports.append(_holder_report(scenario, settings, states))
 
     if scenario.psi2.poles:
-        growth = _unweighted_growth(states)
+        q_sups = [s.diagnostics["q_sup"] for s in states]
+        growth = max(q_sups) / q_sups[0]
         reports.append(
             _bound_report(
                 "unweighted-growth",
@@ -439,8 +418,12 @@ def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationS
     """Rebuild continuation states from a stored record (no solving).
 
     The stored fields are trusted for ``phi``; everything derived — the
-    shifted potential and all per-rung diagnostics — is recomputed, which is
-    exactly what an estimates-only verification needs.
+    shifted potential and all per-rung diagnostics — is recomputed by
+    :func:`rebuild_states`, which is exactly what an estimates-only
+    verification needs.  Raises ``FileNotFoundError`` for missing states,
+    ``ValueError`` for a foreign config hash or malformed arrays, and
+    ``EstimateError`` or ``PositivityError`` when an estimate's precondition
+    fails on the stored fields.
     """
     path = os.path.join(outdir, "states.npz")
     if not os.path.exists(path):
@@ -464,49 +447,34 @@ def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationS
 def rebuild_states(
     scenario: Scenario, eps, delta, steps, phi
 ) -> list[ContinuationState]:
-    from .continuation import _shift_defect
+    """Continuation states from stored per-rung arrays, without solving.
 
+    Every stored potential is validated as a grid field before any estimate
+    runs; each rung's diagnostics then come from
+    ``continuation.rung_diagnostics``, the function ``run_continuation``
+    called when the fields were solved, so a faithful record reproduces them
+    exactly.  ``residual_sup`` is not stored and reads NaN.
+    """
     spec = scenario.spec
     C = scenario.resolved_C()
-    rho = scenario.alpha.rho()
+    fields = [GridField(spec, values) for values in phi]
     states = []
-    for k in range(len(eps)):
-        e = float(eps[k])
-        phi_k = GridField(spec, phi[k])
-        Phi_k = GridField(spec, phi[k] + rho.values)
-        p1 = _smoothed(scenario.psi1, e)
-        p2 = _smoothed(scenario.psi2, e)
-        F = GridField(spec, (1.0 + float(delta[k])) * np.exp(p1.values - p2.values))
-        f_log = GridField(spec, np.log(F.values) - spec.n * np.log1p(e))
-        siu = estimates.siu_residual(Phi_k, f_log, e, C)
-        probe = estimates.max_principle_probe(
-            _StateView(e, Phi_k), p2, C
-        )
+    for k, phi_k in enumerate(fields):
+        e, d = float(eps[k]), float(delta[k])
+        p1 = regularize(scenario.psi1, e)
+        p2 = regularize(scenario.psi2, e)
+        Phi_k, diagnostics = rung_diagnostics(scenario, e, d, phi_k, p1, p2, C)
         states.append(
             ContinuationState(
                 eps=e,
-                delta_eps=float(delta[k]),
+                delta_eps=d,
                 phi=phi_k,
                 Phi=Phi_k,
                 newton_steps=int(steps[k]),
-                diagnostics={
-                    "residual_sup": float("nan"),
-                    "shift_defect": _shift_defect(phi_k, Phi_k, scenario.alpha, e),
-                    "siu_min_residual": float(np.min(siu.values)),
-                    "weighted_c2_sup": probe.global_weighted_sup,
-                    "sum_inverse_at_argmax": probe.sum_inverse_at_argmax,
-                    "argmax": probe.argmax,
-                    "trace_defect": estimates.trace_identity_defect(Phi_k, e),
-                },
+                diagnostics={"residual_sup": float("nan"), **diagnostics},
             )
         )
     return states
-
-
-@dataclass(frozen=True)
-class _StateView:
-    eps: float
-    Phi: GridField
 
 
 class SchemaMismatch(ValueError):

@@ -148,6 +148,10 @@ class TestConfigParsing:
                 "holder_gamma must be in (0,1)",
             ),
             (
+                "[torus]\nn = 1\nN = 16\n[estimates]\nexclusion_inner = 1.0\n",
+                "need 2 <= exclusion_inner < exclusion_outer",
+            ),
+            (
                 "[torus]\nn = 1\nN = 16\n[output]\nformats = csv,yaml\n",
                 "unknown output format 'yaml'",
             ),
@@ -349,6 +353,40 @@ class TestVerifyVerb:
         open(cfg_path, "w").write(doctored)
         assert main(["verify", rundir]) == EXIT_CONFIG
         assert "stored states were produced by config" in capsys.readouterr().err
+
+    @staticmethod
+    def _doctor_phi(rundir, change):
+        path = os.path.join(rundir, "states.npz")
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["phi"] = change(arrays["phi"])
+        np.savez_compressed(path, **arrays)
+
+    def test_estimate_failure_on_valid_fields_exits_two(self, mini_run, capsys):
+        _, _, rundir = mini_run
+        capsys.readouterr()
+        # a finite field whose metric trace turns negative somewhere
+        x = np.arange(32) / 32
+        bump = 0.5 * np.cos(2 * np.pi * x)[:, None]
+        self._doctor_phi(rundir, lambda phi: phi + bump)
+        assert main(["verify", rundir]) == EXIT_SOLVER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "estimate error: normalized metric trace must be positive"
+        )
+
+    def test_non_finite_stored_field_exits_three(self, mini_run, capsys):
+        _, _, rundir = mini_run
+        capsys.readouterr()
+
+        def poison(phi):
+            phi[-1, 0, 0] = np.nan
+            return phi
+
+        self._doctor_phi(rundir, poison)
+        assert main(["verify", rundir]) == EXIT_CONFIG
+        assert "config error: field contains non-finite values" in capsys.readouterr().err
 
     def test_directory_without_config_exits_three(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -1,5 +1,6 @@
 """Ladder mechanics: mass balance, normalization constants, warm-started
-continuation, the constant-background change of frame, and limit extraction.
+continuation, the constant-background change of frame, the per-rung
+diagnostics shared by solving and re-checking, and limit extraction.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from torusma.continuation import (
     shift_defect,
     shift_potential,
 )
-from torusma.geometry import GridField, TorusSpec, integrate
+from torusma.estimates import comparison_residual
+from torusma.geometry import GridField, TorusSpec, half_laplacian, integrate
 from torusma.ma import AlphaModel, ma_density, poisson_oracle_n1
 from torusma.pluripotential import (
     Pole,
@@ -24,8 +26,10 @@ from torusma.pluripotential import (
     RegularizationContractError,
     SmoothMode,
     evaluate,
+    hessian_lower_bound,
     regularize,
 )
+from torusma.report import rebuild_states
 
 
 def _scenario(
@@ -324,6 +328,76 @@ class TestShiftFrame:
             diagnostics={},
         )
         assert shift_defect(state, alpha) <= 1e-12
+
+
+_ESTIMATE_KEYS = (
+    "shift_defect",
+    "siu_min_residual",
+    "weighted_c2_sup",
+    "sum_inverse_at_argmax",
+    "argmax",
+    "trace_defect",
+    "comparison_min",
+    "q_sup",
+)
+
+
+class TestOneDiagnosticsPath:
+    """``run`` and ``verify`` compute per-rung estimates through one function."""
+
+    @pytest.fixture(
+        params=[
+            _scenario(
+                N=32,
+                t=0.5,
+                psi1=(SmoothMode(0.08, (1, 0), 0.3),),
+                psi2=(SmoothMode(0.05, (0, 1), 1.1),),
+                poles2=(Pole(center=(0.5, 0.5), weight=0.3),),
+                schedule=(0.25, 0.125, 0.0625),
+            ),
+            _scenario(
+                n=2,
+                N=8,
+                t=0.5,
+                psi1=(SmoothMode(0.05, (1, 0, 0, 0), 0.3),),
+                psi2=(SmoothMode(0.03, (0, 0, 1, 0), 1.1),),
+                schedule=(0.2, 0.05),
+            ),
+        ],
+        ids=["n1", "n2"],
+    )
+    def ladder(self, request):
+        scenario = enforce_mass_balance(request.param)
+        return scenario, run_continuation(scenario)
+
+    def test_rebuilt_diagnostics_equal_the_solved_ones(self, ladder):
+        scenario, states = ladder
+        rebuilt = rebuild_states(
+            scenario,
+            np.array([s.eps for s in states]),
+            np.array([s.delta_eps for s in states]),
+            np.array([s.newton_steps for s in states]),
+            np.stack([s.phi.values for s in states]),
+        )
+        assert len(rebuilt) == len(states)
+        for solved, again in zip(states, rebuilt):
+            for key in _ESTIMATE_KEYS:
+                assert again.diagnostics[key] == solved.diagnostics[key], key
+            np.testing.assert_array_equal(again.Phi.values, solved.Phi.values)
+
+    def test_comparison_min_is_the_worse_public_residual(self, ladder):
+        scenario, states = ladder
+        alpha = scenario.alpha
+        for s in states:
+            C_cert = hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(s.eps)))
+            psi2_eps = regularize(scenario.psi2, s.eps)
+            singular = comparison_residual(s.Phi, psi2_eps, C_cert, eps=s.eps)
+            background = comparison_residual(s.Phi, alpha.eta(), alpha.t + 1e-6, eps=s.eps)
+            assert s.diagnostics["comparison_min"] == min(
+                float(np.min(singular.values)), float(np.min(background.values))
+            )
+            q = scenario.spec.n + half_laplacian(s.Phi).values / (1 + s.eps)
+            assert s.diagnostics["q_sup"] == float(np.max(q))
 
 
 class TestExtractLimit:

@@ -15,7 +15,6 @@ from torusma.estimates import (
     c2_uniformity,
     comparison_residual,
     delta_trend,
-    holder_scaling,
     holder_seminorm,
     max_principle_probe,
     siu_residual,
@@ -304,40 +303,6 @@ class TestHolderSeminorm:
             holder_seminorm(field, 0.5, spec.h)
         with pytest.raises(ValueError, match="no admissible stencil pairs"):
             holder_seminorm(field, 0.5, 0.75, ((0.5, 0.5),))
-
-
-class TestHolderScaling:
-    def test_concentrated_bump_holds(self):
-        spec = SPEC1
-        coords = spec.coordinates()
-        d2 = (coords[0] - 0.5) ** 2 + (coords[1] - 0.5) ** 2
-        sigma = 2 * spec.h
-        bump = GridField(
-            spec, 0.1 * np.exp(-d2 / (2 * sigma**2)) * np.ones(spec.shape)
-        )
-        verdict = holder_scaling(
-            [_state(bump)] * 3, 0.5, ((0.5, 0.5),), 2 * spec.h, 8 * spec.h
-        )
-        assert verdict.status == HOLDS
-        keys = dict(verdict.witness)
-        assert keys["concentration_ratio"] == pytest.approx(522.17, rel=1e-3)
-        assert keys["outer_min"] == keys["outer_max"]
-
-    def test_uniform_roughness_fails_the_concentration_clause(self):
-        spec = SPEC1
-        verdict = holder_scaling(
-            [_state(_mode(spec, 0.1))] * 3, 0.5, ((0.5, 0.5),), 2 * spec.h, 8 * spec.h
-        )
-        assert verdict.status == VIOLATED
-        assert "below 10" in verdict.summary
-        assert dict(verdict.witness)["concentration_ratio"] == pytest.approx(1.0)
-
-    def test_short_ladder_is_inconclusive(self):
-        spec = SPEC1
-        verdict = holder_scaling(
-            [_state(_mode(spec, 0.1))] * 2, 0.5, (), 2 * spec.h, 8 * spec.h
-        )
-        assert verdict.status == INCONCLUSIVE
 
 
 class TestSobolevHolderProbe:
