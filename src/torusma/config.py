@@ -20,6 +20,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 from .continuation import Scenario, enforce_mass_balance
+from .estimates import has_admissible_pairs
 from .geometry import TorusSpec
 from .ma import AlphaModel
 from .pluripotential import Pole, QuasiPshModel, SmoothMode, lelong_number
@@ -148,6 +149,19 @@ def _hypothesis_notes(scenario: Scenario) -> tuple[bool, tuple[str, ...]]:
     return satisfied, tuple(notes)
 
 
+def _check_exclusion(scenario: Scenario, settings: EstimateSettings) -> None:
+    """The interior-regularity verdict needs Hoelder stencil pairs at the
+    outer exclusion radius (the inner one is smaller and keeps more)."""
+    centers = tuple(p.center for p in scenario.psi2.poles + scenario.psi1.poles)
+    radius = settings.exclusion_outer * scenario.spec.h
+    if not has_admissible_pairs(scenario.spec, radius, centers):
+        raise ConfigError(
+            f"exclusion_outer = {settings.exclusion_outer!r} grid spacings "
+            f"(radius {radius:g}) leaves no admissible Hoelder stencil pairs "
+            f"around the pole centers on an N={scenario.spec.N} grid"
+        )
+
+
 def make_experiment(
     name: str,
     scenario: Scenario,
@@ -156,11 +170,14 @@ def make_experiment(
 ) -> ExperimentConfig:
     """Resolve a scenario into a runnable experiment.
 
-    Enforces mass balance (idempotent), computes the hypothesis flags, and
-    renders the canonical echo whose hash keys the output directory.
+    Rejects an outer exclusion radius that leaves the Hoelder stencil no
+    admissible pair on this grid, enforces mass balance (idempotent),
+    computes the hypothesis flags, and renders the canonical echo whose hash
+    keys the output directory.
     """
     settings = settings or EstimateSettings()
     output = output or OutputSettings()
+    _check_exclusion(scenario, settings)
     scenario = enforce_mass_balance(scenario)
     if scenario.name != name:
         scenario = replace(scenario, name=name)

@@ -23,7 +23,13 @@ import numpy as np
 from . import estimates
 from .geometry import GridField, TorusSpec, integrate, scaled_identity
 from .ma import AlphaModel, ma_density, solve_ma_detailed
-from .pluripotential import QuasiPshModel, evaluate, hessian_lower_bound, regularize
+from .pluripotential import (
+    QuasiPshModel,
+    _regularize,
+    evaluate,
+    hessian_lower_bound,
+    regularize,
+)
 
 __all__ = [
     "Scenario",
@@ -34,6 +40,7 @@ __all__ = [
     "delta_eps",
     "run_continuation",
     "rung_diagnostics",
+    "smoothed_potentials",
     "shift_potential",
     "shift_defect",
     "extract_limit",
@@ -185,6 +192,20 @@ def _shift_defect(
     return float(np.max(np.abs(lhs.values - det_g)))
 
 
+def smoothed_potentials(
+    scenario: Scenario, eps: float
+) -> tuple[GridField, GridField, float]:
+    """``psi1`` and ``psi2`` regularized at ``eps``, and the certified constant.
+
+    The constant is ``hessian_lower_bound(psi2, s_min=sqrt(eps))``, taken
+    from the field ``regularize`` widens and checks ``psi2`` with, so each
+    rung certifies it once.
+    """
+    p1 = regularize(scenario.psi1, eps)
+    p2, C_cert = _regularize(scenario.psi2, eps, certify=True)
+    return p1, p2, C_cert
+
+
 def rung_diagnostics(
     scenario: Scenario,
     eps: float,
@@ -193,10 +214,13 @@ def rung_diagnostics(
     p1: GridField,
     p2: GridField,
     C: float,
+    C_cert: float,
 ) -> tuple[GridField, dict]:
     """The shifted potential and every per-rung estimate scalar of a solved rung.
 
-    ``p1`` and ``p2`` are the potentials smoothed at ``eps``, ``delta`` the
+    ``p1`` and ``p2`` are the potentials smoothed at ``eps`` and ``C_cert``
+    the curvature constant of ``psi2`` certified at smoothing ``sqrt(eps)``,
+    all three as :func:`smoothed_potentials` returns them; ``delta`` is the
     rung's mass-restoring constant and ``C`` the probe constant.  The metric
     ``(1 + eps) I + H(Phi)`` is built once and shared by the shift and trace
     identities, the log-trace inequality, the weighted second-order probe and
@@ -214,7 +238,6 @@ def rung_diagnostics(
     f_log = GridField(spec, np.log(F.values) - spec.n * np.log1p(eps))
     siu = estimates._siu_residual(m, f_log, C)
     probe = estimates._max_principle_probe(m, p2, C)
-    C_cert = hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
     comparison = min(
         float(np.min(estimates._comparison_residual(m, p2, C_cert))),
         float(np.min(estimates._comparison_residual(m, alpha.eta(), alpha.t + 1e-6))),
@@ -252,8 +275,7 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
     prev_phi: GridField | None = None
     for rung, eps in enumerate(scenario.eps_schedule):
         try:
-            p1 = regularize(scenario.psi1, eps)
-            p2 = regularize(scenario.psi2, eps)
+            p1, p2, C_cert = smoothed_potentials(scenario, eps)
             delta = _delta(scenario.alpha, eps, p1, p2)
             result = solve_ma_detailed(
                 scenario.alpha.coefficients(eps),
@@ -262,7 +284,7 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
                 tol=scenario.tol,
             )
             Phi, diagnostics = rung_diagnostics(
-                scenario, eps, delta, result.phi, p1, p2, C
+                scenario, eps, delta, result.phi, p1, p2, C, C_cert
             )
             states.append(
                 ContinuationState(

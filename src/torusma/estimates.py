@@ -51,6 +51,7 @@ __all__ = [
     "c2_uniformity",
     "delta_trend",
     "holder_seminorm",
+    "has_admissible_pairs",
     "sobolev_holder_probe",
 ]
 
@@ -123,10 +124,7 @@ class _RungMetric:
     def build(cls, Phi: GridField, eps: float) -> "_RungMetric":
         q = _q_values(Phi, eps)
         H = complex_hessian(Phi)
-        g = HermitianFormField(
-            Phi.spec, scaled_identity(Phi.spec, 1.0 + eps).values + H.values
-        )
-        data = _MetricData.from_form(g)
+        data = _MetricData.from_form(scaled_identity(Phi.spec, 1.0 + eps) + H)
         if float(np.min(data.det)) <= 0:
             raise PositivityError("metric is singular: determinant vanishes on the grid")
         return cls(Phi=Phi, eps=eps, q=q, hessian=H, data=data)
@@ -183,10 +181,7 @@ def comparison_residual(
 def _comparison_residual(m: _RungMetric, psi: GridField, C: float) -> np.ndarray:
     spec = m.Phi.spec
     H = complex_hessian(psi)
-    form_vals = scaled_identity(spec, C).values + H.values
-    min_eig = float(
-        np.min(min_eigenvalue_field(HermitianFormField(spec, form_vals)).values)
-    )
+    min_eig = float(np.min(min_eigenvalue_field(scaled_identity(spec, C) + H).values))
     if min_eig < _COMPARISON_PRECONDITION:
         raise EstimateError(
             f"weight is not curvature-bounded by C={C:.6g}: "
@@ -451,11 +446,34 @@ def holder_seminorm(
             f"exclusion radius must be at least 2h = {2 * spec.h:g}, "
             f"got {exclusion_radius:g}"
         )
-    centers = _centers_of(singular)
     grad = spectral_gradient(phi)
-    keep = _exclusion_mask(spec, centers, exclusion_radius)
+    axes = tuple(range(spec.num_axes))
     best = -np.inf
-    any_valid = False
+    for shift, separation, valid in _admissible_pairs(spec, exclusion_radius, singular):
+        diff2 = np.zeros(spec.shape)
+        for comp in grad:
+            diff2 += (np.roll(comp, shift, axis=axes) - comp) ** 2
+        quotient = np.sqrt(diff2[valid]) / separation**gamma
+        best = max(best, float(np.max(quotient)))
+    if best == -np.inf:
+        raise ValueError(
+            f"exclusion radius {exclusion_radius:g} leaves no admissible "
+            f"stencil pairs on an N={spec.N} grid"
+        )
+    return best
+
+
+def _admissible_pairs(spec, exclusion_radius: float, singular=()):
+    """Yield ``(shift, separation, valid)`` for each Hoelder stencil leg.
+
+    Legs run along one representative of each antipodal lattice direction at
+    one, two and four grid spacings, capped at separation 1/4; ``valid``
+    marks the grid points whose leg keeps both endpoints at least
+    ``exclusion_radius`` from every singular center.  Legs with no valid
+    point are skipped.
+    """
+    keep = _exclusion_mask(spec, _centers_of(singular), exclusion_radius)
+    axes = tuple(range(spec.num_axes))
     for v in _stencil_offsets(spec.num_axes):
         vnorm = float(np.linalg.norm(v))
         for m in (1, 2, 4):
@@ -463,22 +481,23 @@ def holder_seminorm(
             if separation > 0.25:
                 continue
             shift = tuple(-m * c for c in v)
-            axes = tuple(range(spec.num_axes))
-            diff2 = np.zeros(spec.shape)
-            for comp in grad:
-                diff2 += (np.roll(comp, shift, axis=axes) - comp) ** 2
             valid = keep & np.roll(keep, shift, axis=axes)
-            if not valid.any():
-                continue
-            any_valid = True
-            quotient = np.sqrt(diff2[valid]) / separation**gamma
-            best = max(best, float(np.max(quotient)))
-    if not any_valid:
-        raise ValueError(
-            f"exclusion radius {exclusion_radius:g} leaves no admissible "
-            f"stencil pairs on an N={spec.N} grid"
-        )
-    return best
+            if valid.any():
+                yield shift, separation, valid
+
+
+def has_admissible_pairs(spec, exclusion_radius: float, singular=()) -> bool:
+    """Whether :func:`holder_seminorm` has any stencil pair at this exclusion."""
+    return next(_admissible_pairs(spec, exclusion_radius, singular), None) is not None
+
+
+def _frobenius(form: HermitianFormField) -> np.ndarray:
+    """Pointwise Frobenius norm, summed in the dense row-major entry order."""
+    if form.spec.n == 1:
+        return np.sqrt(form.parts[0] ** 2)
+    g00, g11, g01 = form.parts
+    b2 = np.abs(g01) ** 2
+    return np.sqrt(g00**2 + b2 + b2 + g11**2)
 
 
 @dataclass(frozen=True)
@@ -518,8 +537,7 @@ def sobolev_holder_probe(
     keep = _exclusion_mask(spec, centers, exclusion_radius)
     if not keep.any():
         raise ValueError("exclusion radius removes the whole grid")
-    hess = complex_hessian(phi)
-    frob = np.sqrt(np.sum(np.abs(hess.values) ** 2, axis=(-2, -1)))
+    frob = _frobenius(complex_hessian(phi))
     cell = spec.h**spec.num_axes
     sobolev = float((np.sum(frob[keep] ** q_exponent) * cell) ** (1.0 / q_exponent))
     holder = holder_seminorm(phi, gamma, exclusion_radius, centers)

@@ -178,19 +178,32 @@ class GridField:
         return GridField(self.spec, self.values.copy())
 
 
-@dataclass
 class HermitianFormField:
-    """A pointwise Hermitian ``n x n`` coefficient field.
+    """A pointwise Hermitian ``n x n`` coefficient field, stored by its
+    independent components.
 
-    The values array has shape ``grid + (n, n)`` and is Hermitian-symmetrised
-    on construction, so numerical asymmetry from round-off never propagates.
+    ``parts`` follows the order of ``_hessian_parts``: ``(g00,)`` for
+    ``n = 1`` and ``(g00, g11, g01)`` for ``n = 2``, the diagonal real and
+    ``g01`` complex (``g10`` is its conjugate).  A form costs one real field
+    for ``n = 1`` and two real plus one complex field for ``n = 2``.
+
+    ``HermitianFormField(spec, values)`` takes a dense array of shape
+    ``grid + (n, n)``: it is the one entry point that checks shape and
+    finiteness and Hermitian-symmetrises, so asymmetry from outside never
+    propagates.  Forms built inside the library (Hessians, sums, the
+    identity) are Hermitian by construction and enter through
+    ``_from_parts`` unchecked.  ``values`` and ``entry`` assemble dense
+    entries on demand.
     """
 
-    spec: TorusSpec
-    values: np.ndarray
+    __slots__ = ("spec", "parts")
 
-    def __post_init__(self):
-        v = np.asarray(self.values)
+    def __init__(self, spec: TorusSpec, values: np.ndarray):
+        self.spec = spec
+        self.__post_init__(values)
+
+    def __post_init__(self, values: np.ndarray):
+        v = np.asarray(values)
         n = self.spec.n
         if v.shape != self.spec.shape + (n, n):
             raise ValueError(
@@ -199,30 +212,59 @@ class HermitianFormField:
         if not np.all(np.isfinite(v)):
             raise ValueError("form contains non-finite values")
         v = np.asarray(v, dtype=complex)
-        self.values = 0.5 * (v + np.conj(np.swapaxes(v, -1, -2)))
+        parts = [np.real(v[..., j, j]).copy() for j in range(n)]
+        if n == 2:
+            parts.append(0.5 * (v[..., 0, 1] + np.conj(v[..., 1, 0])))
+        self.parts = tuple(parts)
+
+    @classmethod
+    def _from_parts(cls, spec: TorusSpec, parts) -> "HermitianFormField":
+        """A form from components already in ``parts`` order, unchecked."""
+        form = object.__new__(cls)
+        form.spec = spec
+        form.parts = tuple(parts)
+        return form
+
+    def __add__(self, other: "HermitianFormField") -> "HermitianFormField":
+        if other.spec != self.spec:
+            raise ValueError("forms live on different grids")
+        return HermitianFormField._from_parts(
+            self.spec, (x + y for x, y in zip(self.parts, other.parts))
+        )
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense ``grid + (n, n)`` complex array, assembled on demand."""
+        n = self.spec.n
+        out = np.empty(self.spec.shape + (n, n), dtype=complex)
+        for j in range(n):
+            for k in range(n):
+                out[..., j, k] = self.entry(j, k)
+        return out
 
     def entry(self, j: int, k: int) -> np.ndarray:
-        return self.values[..., j, k]
+        if j == k:
+            return self.parts[j].astype(complex)
+        return self.parts[2] if j < k else np.conj(self.parts[2])
 
     def trace(self) -> np.ndarray:
-        return np.real(np.trace(self.values, axis1=-2, axis2=-1))
+        if self.spec.n == 1:
+            return self.parts[0]
+        return self.parts[0] + self.parts[1]
 
     def det(self) -> np.ndarray:
-        n = self.spec.n
-        if n == 1:
-            return np.real(self.values[..., 0, 0])
-        a, d = np.real(self.values[..., 0, 0]), np.real(self.values[..., 1, 1])
-        b = self.values[..., 0, 1]
-        return a * d - np.abs(b) ** 2
+        if self.spec.n == 1:
+            return self.parts[0]
+        g00, g11, g01 = self.parts
+        return g00 * g11 - np.abs(g01) ** 2
 
 
 def scaled_identity(spec: TorusSpec, scale: float = 1.0) -> HermitianFormField:
     """The constant coefficient field ``scale * I``."""
-    n = spec.n
-    out = np.zeros(spec.shape + (n, n), dtype=complex)
-    for j in range(n):
-        out[..., j, j] = scale
-    return HermitianFormField(spec, out)
+    parts = [np.full(spec.shape, float(scale)) for _ in range(spec.n)]
+    if spec.n == 2:
+        parts.append(np.zeros(spec.shape, dtype=complex))
+    return HermitianFormField._from_parts(spec, parts)
 
 
 def _rfftn(values: np.ndarray) -> np.ndarray:
@@ -255,19 +297,12 @@ def complex_hessian(f: GridField) -> HermitianFormField:
 
     One forward transform of ``f`` is shared by all entries.  Each entry is
     assembled from real inverse transforms, so the diagonal is exactly real
-    and ``H_10`` is exactly the conjugate of ``H_01``.
+    and the form is Hermitian by construction.
     """
-    spec = f.spec
-    n = spec.n
     parts = _hessian_parts(f.values)
-    out = np.zeros(spec.shape + (n, n), dtype=complex)
-    for j in range(n):
-        out[..., j, j] = parts[j]
-    if n == 2:
-        h01 = parts[2] + 1j * parts[3]
-        out[..., 0, 1] = h01
-        out[..., 1, 0] = np.conj(h01)
-    return HermitianFormField(spec, out)
+    if f.spec.n == 2:
+        parts = parts[:2] + [parts[2] + 1j * parts[3]]
+    return HermitianFormField._from_parts(f.spec, parts)
 
 
 def half_laplacian(f: GridField) -> GridField:
@@ -330,10 +365,8 @@ def min_eigenvalue_field(form: HermitianFormField) -> GridField:
     """
     spec = form.spec
     if spec.n == 1:
-        return GridField(spec, np.real(form.values[..., 0, 0]))
-    a = np.real(form.values[..., 0, 0])
-    d = np.real(form.values[..., 1, 1])
-    b = form.values[..., 0, 1]
+        return GridField(spec, form.parts[0])
+    a, d, b = form.parts
     mid = 0.5 * (a + d)
     rad = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(b) ** 2)
     return GridField(spec, mid - rad)

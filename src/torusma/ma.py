@@ -112,16 +112,18 @@ class AlphaModel:
 
     def coefficients(self, eps: float = 0.0) -> HermitianFormField:
         """Closed-form ``diag(1 - t cos(2 pi x_j)) + eps I``."""
-        n = self.spec.n
-        out = np.zeros(self.spec.shape + (n, n), dtype=complex)
-        for j, c in enumerate(self._cosines()):
-            out[..., j, j] = np.broadcast_to(1.0 - self.t * c + eps, self.spec.shape)
-        return HermitianFormField(self.spec, out)
+        shape = self.spec.shape
+        parts = [
+            np.broadcast_to(1.0 - self.t * c + eps, shape).copy() for c in self._cosines()
+        ]
+        if self.spec.n == 2:
+            parts.append(np.zeros(shape, dtype=complex))
+        return HermitianFormField._from_parts(self.spec, parts)
 
 
 def _metric_form(a: HermitianFormField, phi: GridField) -> HermitianFormField:
     """The perturbed form ``g = a + H(phi)``."""
-    return HermitianFormField(a.spec, a.values + complex_hessian(phi).values)
+    return a + complex_hessian(phi)
 
 
 def ma_density(a: HermitianFormField, phi: GridField) -> GridField:
@@ -163,12 +165,9 @@ class _MetricData:
 
     @classmethod
     def from_form(cls, g: HermitianFormField) -> "_MetricData":
-        n = g.spec.n
-        g00 = np.real(g.values[..., 0, 0])
-        if n == 1:
-            return cls(det=g00, weights=(1.0,), n=1)
-        g11 = np.real(g.values[..., 1, 1])
-        g01 = g.values[..., 0, 1]
+        if g.spec.n == 1:
+            return cls(det=g.parts[0], weights=(1.0,), n=1)
+        g00, g11, g01 = g.parts
         return cls(
             det=g.det(),
             weights=(g11, g00, -2.0 * np.real(g01), -2.0 * np.imag(g01)),
@@ -188,10 +187,9 @@ class _MetricData:
 
     def contract(self, M: HermitianFormField) -> np.ndarray:
         """trace(g^{-1} M) pointwise — real for Hermitian input."""
-        v = M.values
-        parts = [np.real(v[..., j, j]) for j in range(self.n)]
+        parts = M.parts
         if self.n == 2:
-            parts += [np.real(v[..., 0, 1]), np.imag(v[..., 0, 1])]
+            parts = parts[:2] + (np.real(parts[2]), np.imag(parts[2]))
         return self.contract_parts(parts)
 
     def inverse_trace(self) -> np.ndarray:
@@ -234,8 +232,12 @@ def _newton_direction(
     side; the constant component of the update is irrelevant (the determinant
     is invariant under ``phi -> phi + c``) and is projected out afterwards.
     The preconditioner is the flat spectral inverse composed with division by
-    the pointwise inverse-metric trace — exact for ``n = 1``.  Both operators
-    act on raw arrays; the update is validated once, as a ``GridField``.
+    the pointwise inverse-metric trace ``sigma``.  For ``n = 1`` it inverts
+    the metric Laplacian only up to a rank-one term: it splits off the
+    unweighted grid mean, where the operator's range would need the
+    ``sigma``-weighted one, so GMRES still takes about three matvecs per
+    Newton step there.  Both operators act on raw arrays; the update is
+    validated once, as a ``GridField``.
     ``info`` is the GMRES return code: nonzero when the inner solve stopped
     short of ``rtol``, which still yields a usable descent direction because
     the line search guards the outer iteration either way.
@@ -367,7 +369,7 @@ def poisson_oracle_n1(
     if a is None:
         background = np.ones(spec.shape)
     else:
-        background = np.broadcast_to(np.real(a.values[..., 0, 0]), spec.shape)
+        background = a.parts[0]
     mass_f = float(F.values.mean())
     mass_a = float(background.mean())
     if abs(mass_f - mass_a) > 1e-10 * max(1.0, abs(mass_a)):

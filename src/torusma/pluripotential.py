@@ -236,7 +236,11 @@ def hessian_lower_bound(model: QuasiPshModel, s_min: float | None = None) -> flo
     inequality checks rely on that strictness.  The bound grows as ``s_min``
     approaches the grid scale.
     """
-    psi = evaluate(model, s_override=s_min)
+    return _curvature_bound(evaluate(model, s_override=s_min))
+
+
+def _curvature_bound(psi: GridField) -> float:
+    """``hessian_lower_bound`` of a model already sampled at its smoothing."""
     lam = float(np.min(min_eigenvalue_field(complex_hessian(psi)).values))
     return max(0.0, -lam + 1e-6)
 
@@ -262,12 +266,26 @@ def regularize(
         smoothing — exact in principle because the heat multiplier commutes
         with the complex-Hessian multiplier and averages matrices pointwise.
     """
+    return _regularize(model, eps, check)[0]
+
+
+def _regularize(
+    model: QuasiPshModel, eps: float, check: bool = True, certify: bool = False
+) -> tuple[GridField, float | None]:
+    """:func:`regularize` plus the constant it certifies.
+
+    The constant is ``hessian_lower_bound(model, s_min=sqrt(eps))``, taken
+    from the widened model that the smoothing starts from.  It is computed
+    when guarantee (b) needs it or ``certify`` asks for it, else ``None``.
+    """
     if eps <= 0:
         raise ValueError(f"regularization parameter must be positive, got {eps}")
     s = float(np.sqrt(eps))
     base = evaluate(model, s_override=s)
     out = heat_smooth(base, eps)
-    if check and eps <= _GUARANTEE_EPS_MAX:
+    guarded = check and eps <= _GUARANTEE_EPS_MAX
+    c_bound = _curvature_bound(base) if guarded or certify else None
+    if guarded:
         sharp = evaluate(model, s_override=0.0)
         short = float(np.min(out.values - (sharp.values - 1.0)))
         if short < -1e-12:
@@ -275,7 +293,6 @@ def regularize(
                 f"smoothed field drops {-short:.3e} below the sharp field minus 1 "
                 f"(eps={eps:g}); pole or cutoff configuration is inconsistent"
             )
-        c_bound = hessian_lower_bound(model, s_min=s)
         lam = float(
             np.min(min_eigenvalue_field(complex_hessian(out)).values) + c_bound
         )
@@ -284,7 +301,7 @@ def regularize(
                 f"curvature bound fails after smoothing: min eig {lam:.3e} < -1e-8 "
                 f"(eps={eps:g}, C={c_bound:.3e})"
             )
-    return out
+    return out, c_bound
 
 
 def _match_center(center: tuple[float, ...], x, tol: float = 1e-9) -> bool:
@@ -380,15 +397,26 @@ def skoda_integrability(
     log_integrals = []
     for N in (base_resolution, 2 * base_resolution, 4 * base_resolution):
         sub = TorusSpec(n, N)
-        psi = evaluate(model, s_override=0.0, spec=sub)
-        coords = sub.coordinates()
+        # Sample only the index window around x that covers the ball: the
+        # same grid coordinates and floor as the whole grid, in sorted
+        # order, so the ball's values reach logsumexp in the same order.
+        coords = []
+        for axis, aj in enumerate(center):
+            c = sub.axis_coordinate(axis)
+            inside = (_periodic_delta(c, aj) ** 2 <= radius**2).ravel()
+            coords.append(np.compress(inside, c, axis=axis))
         d2 = 0.0
         for cj, aj in zip(coords, center):
             d2 = d2 + _periodic_delta(cj, aj) ** 2
-        mask = np.broadcast_to(d2 <= radius**2, sub.shape)
+        window = np.broadcast_shapes(*(c.shape for c in coords))
+        psi = _smooth_values(model, coords) + _pole_values(
+            model, coords, 0.0, floor=sub.h
+        )
+        mask = np.broadcast_to(d2 <= radius**2, window)
         # log of the cell-sum over the ball, computed in log space
         log_integrals.append(
-            float(logsumexp(-p * psi.values[mask])) - sub.num_axes * np.log(N)
+            float(logsumexp(-p * np.broadcast_to(psi, window)[mask]))
+            - sub.num_axes * np.log(N)
         )
 
     l1, l2, l3 = log_integrals

@@ -36,9 +36,10 @@ from .continuation import (
     Scenario,
     run_continuation,
     rung_diagnostics,
+    smoothed_potentials,
 )
 from .geometry import GridField
-from .pluripotential import density_lp_check, regularize, skoda_integrability
+from .pluripotential import density_lp_check, skoda_integrability
 
 __all__ = [
     "RunRecord",
@@ -461,9 +462,10 @@ def rebuild_states(
     states = []
     for k, phi_k in enumerate(fields):
         e, d = float(eps[k]), float(delta[k])
-        p1 = regularize(scenario.psi1, e)
-        p2 = regularize(scenario.psi2, e)
-        Phi_k, diagnostics = rung_diagnostics(scenario, e, d, phi_k, p1, p2, C)
+        p1, p2, C_cert = smoothed_potentials(scenario, e)
+        Phi_k, diagnostics = rung_diagnostics(
+            scenario, e, d, phi_k, p1, p2, C, C_cert
+        )
         states.append(
             ContinuationState(
                 eps=e,

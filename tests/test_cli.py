@@ -152,6 +152,11 @@ class TestConfigParsing:
                 "need 2 <= exclusion_inner < exclusion_outer",
             ),
             (
+                "[torus]\nn = 1\nN = 32\n[psi2]\npole = 0.5 0.5, 0.5, 0.1, 0.2\n"
+                "[estimates]\nexclusion_outer = 30.0\n",
+                "leaves no admissible Hoelder stencil pairs",
+            ),
+            (
                 "[torus]\nn = 1\nN = 16\n[output]\nformats = csv,yaml\n",
                 "unknown output format 'yaml'",
             ),
@@ -296,6 +301,34 @@ class TestRunVerb:
         code = main(["run", cfg, "--resolution-override", "15"])
         assert code == EXIT_CONFIG
         assert "resolution override:" in capsys.readouterr().err
+
+    def test_unusable_exclusion_outer_exits_three_before_solving(
+        self, tmp_path, capsys
+    ):
+        # A radius of 30 spacings (0.94) on an N=32 grid leaves no stencil
+        # pair clear of the pole: rejected at parse time, no record written.
+        text = CHEAP_ABOVE.replace("C = 2.0\n", "C = 2.0\nexclusion_outer = 30.0\n")
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: exclusion_outer = 30.0 grid spacings")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_resolution_override_rechecks_exclusion_outer(self, tmp_path, capsys):
+        # 20 spacings is usable at N=32 (radius 0.625) but not at N=16 (1.25).
+        text = CHEAP_ABOVE.replace("C = 2.0\n", "C = 2.0\nexclusion_outer = 20.0\n")
+        assert parse_config(text).settings.exclusion_outer == 20.0
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        code = main(
+            ["run", cfg, "--output-dir", str(out), "--resolution-override", "16"]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "resolution override: exclusion_outer = 20.0" in err
+        assert not out.exists()
 
     def test_short_ladder_is_inconclusive_and_strict_fails_it(
         self, tmp_path, capsys

@@ -16,9 +16,16 @@ from torusma.continuation import (
     run_continuation,
     shift_defect,
     shift_potential,
+    smoothed_potentials,
 )
 from torusma.estimates import comparison_residual
-from torusma.geometry import GridField, TorusSpec, half_laplacian, integrate
+from torusma.geometry import (
+    GridField,
+    HermitianFormField,
+    TorusSpec,
+    half_laplacian,
+    integrate,
+)
 from torusma.ma import AlphaModel, ma_density, poisson_oracle_n1
 from torusma.pluripotential import (
     Pole,
@@ -342,33 +349,63 @@ _ESTIMATE_KEYS = (
 )
 
 
+_LADDERS = [
+    _scenario(
+        N=32,
+        t=0.5,
+        psi1=(SmoothMode(0.08, (1, 0), 0.3),),
+        psi2=(SmoothMode(0.05, (0, 1), 1.1),),
+        poles2=(Pole(center=(0.5, 0.5), weight=0.3),),
+        schedule=(0.25, 0.125, 0.0625),
+    ),
+    _scenario(
+        n=2,
+        N=8,
+        t=0.5,
+        psi1=(SmoothMode(0.05, (1, 0, 0, 0), 0.3),),
+        psi2=(SmoothMode(0.03, (0, 0, 1, 0), 1.1),),
+        schedule=(0.2, 0.05),
+    ),
+]
+
+
 class TestOneDiagnosticsPath:
     """``run`` and ``verify`` compute per-rung estimates through one function."""
 
-    @pytest.fixture(
-        params=[
-            _scenario(
-                N=32,
-                t=0.5,
-                psi1=(SmoothMode(0.08, (1, 0), 0.3),),
-                psi2=(SmoothMode(0.05, (0, 1), 1.1),),
-                poles2=(Pole(center=(0.5, 0.5), weight=0.3),),
-                schedule=(0.25, 0.125, 0.0625),
-            ),
-            _scenario(
-                n=2,
-                N=8,
-                t=0.5,
-                psi1=(SmoothMode(0.05, (1, 0, 0, 0), 0.3),),
-                psi2=(SmoothMode(0.03, (0, 0, 1, 0), 1.1),),
-                schedule=(0.2, 0.05),
-            ),
-        ],
-        ids=["n1", "n2"],
-    )
+    @pytest.fixture(params=_LADDERS, ids=["n1", "n2"])
     def ladder(self, request):
         scenario = enforce_mass_balance(request.param)
         return scenario, run_continuation(scenario)
+
+    @pytest.mark.parametrize("scenario", _LADDERS, ids=["n1", "n2"])
+    def test_no_dense_form_is_built(self, scenario, monkeypatch):
+        # Solving and re-checking a ladder touch only component forms.
+        scenario = enforce_mass_balance(scenario)
+
+        def refuse(*args):
+            raise AssertionError("dense Hermitian form built on the ladder")
+
+        monkeypatch.setattr(HermitianFormField, "__post_init__", refuse)
+        monkeypatch.setattr(HermitianFormField, "values", property(refuse))
+        states = run_continuation(scenario)
+        rebuild_states(
+            scenario,
+            np.array([s.eps for s in states]),
+            np.array([s.delta_eps for s in states]),
+            np.array([s.newton_steps for s in states]),
+            np.stack([s.phi.values for s in states]),
+        )
+
+    @pytest.mark.parametrize("eps", [0.25, 0.1, 0.01])
+    def test_smoothed_potentials_certify_psi2_once(self, eps):
+        # One rung's smoothing yields the same fields as ``regularize`` and
+        # the constant ``hessian_lower_bound`` certifies at sqrt(eps), both
+        # inside the guaranteed range (eps <= 0.1) and above it.
+        scenario = enforce_mass_balance(_LADDERS[0])
+        p1, p2, C_cert = smoothed_potentials(scenario, eps)
+        np.testing.assert_array_equal(p1.values, regularize(scenario.psi1, eps).values)
+        np.testing.assert_array_equal(p2.values, regularize(scenario.psi2, eps).values)
+        assert C_cert == hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
 
     def test_rebuilt_diagnostics_equal_the_solved_ones(self, ladder):
         scenario, states = ladder

@@ -12,6 +12,7 @@ import pytest
 import torusma.ma as ma
 from torusma.geometry import (
     GridField,
+    HermitianFormField,
     TorusSpec,
     complex_hessian,
     half_laplacian,
@@ -134,6 +135,21 @@ class TestLinearized:
 
 
 class TestSolve:
+    def test_solve_builds_no_dense_form(self, monkeypatch):
+        # Every form inside the solver is Hermitian by construction: neither
+        # the validating dense constructor nor the dense view is used.
+        spec, phi, F = _manufactured_n2(N=12, amplitude=0.05)
+        a = scaled_identity(spec)
+
+        def refuse(*args):
+            raise AssertionError("dense Hermitian form built inside the solver")
+
+        monkeypatch.setattr(HermitianFormField, "__post_init__", refuse)
+        monkeypatch.setattr(HermitianFormField, "values", property(refuse))
+        result = solve_ma_detailed(a, F)
+        assert result.newton_steps > 0
+        assert result.residual_sup <= 1e-10
+
     def test_n1_manufactured_recovery(self):
         phi_star, F = _manufactured_n1()
         result = solve_ma_detailed(scaled_identity(SPEC1), F)

@@ -6,8 +6,11 @@ smooth parts are finite cosine sums, singular parts are cutoff log poles
 inside ``r0`` and identically 0 outside ``r1``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from torusma.geometry import (
     GridField,
@@ -311,6 +314,56 @@ class TestSkodaDichotomy:
     def test_rejects_exponent_below_one(self):
         with pytest.raises(ValueError, match="must be >= 1"):
             skoda_integrability(self._model(self.N1, 0.3), 0.5, (0.5, 0.5))
+
+    @staticmethod
+    def _whole_grid_log_integrals(model, p, x, base_resolution):
+        """Ball quadrature that samples the whole torus, then masks the ball."""
+        radius = min(pl.r1 for pl in model.poles)
+        out = []
+        for N in (base_resolution, 2 * base_resolution, 4 * base_resolution):
+            sub = TorusSpec(model.spec.n, N)
+            psi = evaluate(model, s_override=0.0, spec=sub)
+            d2 = 0.0
+            for cj, aj in zip(sub.coordinates(), x):
+                d2 = d2 + (np.mod(cj - aj + 0.5, 1.0) - 0.5) ** 2
+            mask = np.broadcast_to(d2 <= radius**2, sub.shape)
+            log_sum = float(logsumexp(-p * psi.values[mask]))
+            out.append(log_sum - sub.num_axes * np.log(N))
+        return out
+
+    @pytest.mark.parametrize(
+        "spec, x, base",
+        [
+            (TorusSpec(1, 64), (0.03, 0.97), 64),
+            (TorusSpec(2, 16), (0.9, 0.05, 0.5, 0.23), 12),
+        ],
+        ids=["n1", "n2"],
+    )
+    def test_ball_window_equals_the_whole_grid(self, spec, x, base):
+        # The centre sits near the seam, so the index window wraps around.
+        model = QuasiPshModel(
+            spec,
+            smooth=(SmoothMode(0.2, (1,) + (0,) * (spec.num_axes - 2) + (1,), 0.4),),
+            poles=(Pole(center=x, weight=0.9, r0=0.08, r1=0.2),),
+        )
+        result = skoda_integrability(model, 1.5, x, base_resolution=base)
+        l1, l2, l3 = self._whole_grid_log_integrals(model, 1.5, x, base)
+        assert result.integrals == tuple(float(np.exp(v)) for v in (l1, l2, l3))
+        d1 = np.exp(l1) * np.expm1(l2 - l1)
+        d2 = np.exp(l1) * (np.exp(l3 - l1) - np.exp(l2 - l1))
+        assert result.increment_ratio == float(d2 / d1)
+
+    def test_n2_quadrature_samples_only_the_ball(self):
+        # The whole 48^4 torus is 5.3 M points (42 MiB per real field); the
+        # ball of radius 0.2 needs a window of at most 21^4 points.
+        model = self._model(TorusSpec(2, 16), 0.5)
+        tracemalloc.start()
+        try:
+            skoda_integrability(model, 1.5, (0.5,) * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSingularSet:
