@@ -16,7 +16,8 @@ Verbs:
 
 Exit codes: 0 success; 1 verdict failure (any violated check, or any
 inconclusive check under ``--strict``); 2 solver or estimate failure;
-3 configuration error.
+3 configuration error; 4 internal error (an unexpected exception, reported
+as one ``internal error:`` line).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
+EXIT_INTERNAL = 4
 
 _SOLVER_ERRORS = (
     ContinuationError,
@@ -234,6 +236,9 @@ def main(argv=None) -> int:
     except (OSError, SchemaMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

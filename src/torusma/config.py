@@ -17,7 +17,7 @@ files.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .continuation import Scenario, enforce_mass_balance
 from .estimates import has_admissible_pairs
@@ -367,12 +367,14 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), line=line) from None
 
+    # Optional keys are passed only when the document sets them, so every
+    # default has one source: the constructor that receives the value.
     line, value = _single(entries, "alpha", "t", default="0.0")
-    t = _to_float(value if value is not None else "0.0", line or 0, "alpha t")
-    line, value = _single(entries, "alpha", "eps0", default="0.4")
-    eps0 = _to_float(value if value is not None else "0.4", line or 0, "alpha eps0")
+    t = _to_float(value, line, "alpha t")
+    line, value = _single(entries, "alpha", "eps0")
+    alpha_kw = {} if value is None else {"eps0": _to_float(value, line, "alpha eps0")}
     try:
-        alpha = AlphaModel(spec=spec, t=t, eps0=eps0)
+        alpha = AlphaModel(spec=spec, t=t, **alpha_kw)
     except ValueError as exc:
         raise ConfigError(str(exc), line=line) from None
 
@@ -380,7 +382,7 @@ def parse_config(text: str) -> ExperimentConfig:
     psi2 = _parse_model(entries, "psi2", spec)
 
     line, value = _single(entries, "hypothesis", "p", default="2.0")
-    p = _to_float(value if value is not None else "2.0", line or 0, "hypothesis p")
+    p = _to_float(value, line, "hypothesis p")
 
     line, value = _single(entries, "continuation", "schedule")
     if value is None:
@@ -389,39 +391,32 @@ def parse_config(text: str) -> ExperimentConfig:
         schedule = tuple(
             _to_float(x, line, "schedule entry") for x in value.split()
         )
-    line_tol, value = _single(entries, "continuation", "tol", default="1e-10")
-    tol = _to_float(value if value is not None else "1e-10", line_tol or 0, "tol")
+    line, value = _single(entries, "continuation", "tol")
+    scenario_kw = {} if value is None else {"tol": _to_float(value, line, "tol")}
 
     line_c, value = _single(entries, "estimates", "C")
     C_config = None if value is None else _to_float(value, line_c, "estimates C")
 
-    def est_float(key, default):
-        ln, v = _single(entries, "estimates", key)
-        return default if v is None else _to_float(v, ln, f"estimates {key}")
-
+    settings_kw = {}
+    for key in (f.name for f in fields(EstimateSettings)):
+        line, value = _single(entries, "estimates", key)
+        if value is not None:
+            settings_kw[key] = _to_float(value, line, f"estimates {key}")
     try:
-        settings = EstimateSettings(
-            holder_gamma=est_float("holder_gamma", 0.5),
-            exclusion_inner=est_float("exclusion_inner", 2.0),
-            exclusion_outer=est_float("exclusion_outer", 8.0),
-            sobolev_q=est_float("sobolev_q", 4.0),
-            sobolev_d=est_float("sobolev_d", None),
-        )
+        settings = EstimateSettings(**settings_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     _, name = _single(entries, "output", "name", default="custom")
-    name = name if name is not None else "custom"
-    _, directory = _single(entries, "output", "directory", default="runs")
-    directory = directory if directory is not None else "runs"
+    output_kw = {}
+    _, value = _single(entries, "output", "directory")
+    if value is not None:
+        output_kw["directory"] = value
     line_f, value = _single(entries, "output", "formats")
-    formats = (
-        _KNOWN_FORMATS
-        if value is None
-        else tuple(f.strip() for f in value.split(",") if f.strip())
-    )
+    if value is not None:
+        output_kw["formats"] = tuple(f.strip() for f in value.split(",") if f.strip())
     try:
-        output = OutputSettings(directory=directory, formats=formats)
+        output = OutputSettings(**output_kw)
     except ValueError as exc:
         raise ConfigError(str(exc), line=line_f) from None
 
@@ -434,8 +429,8 @@ def parse_config(text: str) -> ExperimentConfig:
             psi2=psi2,
             p=p,
             eps_schedule=schedule,
-            tol=tol,
             C_config=C_config,
+            **scenario_kw,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

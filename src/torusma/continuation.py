@@ -22,9 +22,16 @@ import numpy as np
 
 from . import estimates
 from .geometry import GridField, TorusSpec, integrate, scaled_identity
-from .ma import AlphaModel, ma_density, solve_ma_detailed
+from .ma import (
+    AlphaModel,
+    IterationLimitError,
+    PositivityError,
+    ma_density,
+    solve_ma_detailed,
+)
 from .pluripotential import (
     QuasiPshModel,
+    RegularizationContractError,
     _regularize,
     evaluate,
     hessian_lower_bound,
@@ -35,18 +42,27 @@ __all__ = [
     "Scenario",
     "ContinuationState",
     "ContinuationError",
-    "LimitResult",
     "enforce_mass_balance",
     "delta_eps",
     "run_continuation",
     "rung_diagnostics",
     "smoothed_potentials",
-    "shift_potential",
     "shift_defect",
-    "extract_limit",
 ]
 
 _BALANCE_RTOL = 1e-10
+
+# What a rung raises by design: solver and smoothing failures, and
+# ``ValueError`` for rejected inputs (incompatible masses, estimate
+# preconditions, non-finite fields).  Anything else is a programming error
+# and propagates unwrapped.
+_RUNG_ERRORS = (
+    PositivityError,
+    IterationLimitError,
+    RegularizationContractError,
+    ValueError,
+    MemoryError,
+)
 
 
 @dataclass(frozen=True)
@@ -165,15 +181,6 @@ def _rung_density(delta: float, p1: GridField, p2: GridField) -> GridField:
     return GridField(p1.spec, (1.0 + delta) * np.exp(p1.values - p2.values))
 
 
-def shift_potential(state: ContinuationState, alpha: AlphaModel) -> GridField:
-    """The potential in the constant-background frame: ``Phi = phi + rho``.
-
-    ``a + eps I + H(phi)`` and ``(1 + eps) I + H(Phi)`` are the same matrix,
-    so the rung equation holds verbatim for ``Phi``.
-    """
-    return GridField(state.phi.spec, state.phi.values + alpha.rho().values)
-
-
 def shift_defect(state: ContinuationState, alpha: AlphaModel) -> float:
     """Sup difference of the two independently computed rung determinants.
 
@@ -260,8 +267,9 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
     Preconditions: the scenario is mass-balanced.  Each state carries the
     solver diagnostics (``residual_sup``, ``gmres_info_nonzero``) and the
     per-rung estimate scalars of :func:`rung_diagnostics`, the same function
-    that ``report.rebuild_states`` calls on stored fields.  A failed rung
-    raises with all completed states attached.
+    that ``report.rebuild_states`` calls on stored fields.  A rung that
+    fails by design (see ``_RUNG_ERRORS``) raises ``ContinuationError`` with
+    all completed states attached; any other exception propagates as is.
     """
     mass_a = _mass_alpha(scenario.alpha)
     mass_d = _mass_density(scenario.psi1, scenario.psi2)
@@ -301,40 +309,9 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
                 )
             )
             prev_phi = result.phi if warm_start else None
-        except Exception as exc:
-            if isinstance(exc, ContinuationError):
-                raise
+        except _RUNG_ERRORS as exc:
             raise ContinuationError(
                 f"rung {rung} (eps={eps:g}) failed: {exc}", states, rung, eps
             ) from exc
     return states
 
-
-@dataclass(frozen=True)
-class LimitResult:
-    phi_limit: GridField
-    cauchy_table: tuple[float, ...]
-    converged: bool
-    monotone: bool
-
-
-def extract_limit(states: list[ContinuationState], cauchy_tol: float) -> LimitResult:
-    """Last iterate plus the table of consecutive sup-norm differences.
-
-    Convergence is declared when the final difference is below the tolerance.
-    A non-monotone difference table (differences failing to decrease) is the
-    non-Cauchy flag — reported, never fatal.
-    """
-    if len(states) < 3:
-        raise ValueError(f"need at least 3 rungs to extract a limit, got {len(states)}")
-    diffs = tuple(
-        float(np.max(np.abs(a.phi.values - b.phi.values)))
-        for a, b in zip(states, states[1:])
-    )
-    monotone = all(b <= a + 1e-14 for a, b in zip(diffs, diffs[1:]))
-    return LimitResult(
-        phi_limit=states[-1].phi,
-        cauchy_table=diffs,
-        converged=diffs[-1] <= cauchy_tol,
-        monotone=monotone,
-    )

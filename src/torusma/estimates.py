@@ -32,7 +32,7 @@ from .geometry import (
     spectral_gradient,
 )
 from .ma import AlphaModel, _MetricData, PositivityError
-from .pluripotential import QuasiPshModel, SingularSet, evaluate, _periodic_delta
+from .pluripotential import QuasiPshModel, evaluate, _periodic_delta
 
 __all__ = [
     "HOLDS",
@@ -292,13 +292,6 @@ def c0_uniformity(states) -> Verdict:
     )
 
 
-def _centers_of(singular) -> tuple:
-    """Accept a singular-set record or a plain tuple of center coordinates."""
-    if isinstance(singular, SingularSet):
-        return singular.centers
-    return tuple(singular)
-
-
 def _exclusion_mask(spec, centers, radius: float) -> np.ndarray:
     """True where the periodic distance to every center is at least ``radius``."""
     if not centers:
@@ -432,9 +425,9 @@ def holder_seminorm(
     over a stencil of lattice directions at one, two, and four grid spacings
     (separations capped at 1/4, the injectivity scale of the periodic
     distance), restricted to pairs whose endpoints both keep the exclusion
-    distance from every singular center.  ``singular`` is a singular-set
-    record or a plain tuple of centers.  Monotone non-increasing in the
-    exclusion radius by construction.  Raises when the exclusion empties the
+    distance from every singular center, given as a tuple of center
+    coordinates.  Monotone non-increasing in the exclusion radius by
+    construction.  Raises when the exclusion empties the
     stencil; requires at least two grid spacings of exclusion radius so the
     shortest stencil legs cannot straddle a pole.
     """
@@ -472,7 +465,7 @@ def _admissible_pairs(spec, exclusion_radius: float, singular=()):
     ``exclusion_radius`` from every singular center.  Legs with no valid
     point are skipped.
     """
-    keep = _exclusion_mask(spec, _centers_of(singular), exclusion_radius)
+    keep = _exclusion_mask(spec, singular, exclusion_radius)
     axes = tuple(range(spec.num_axes))
     for v in _stencil_offsets(spec.num_axes):
         vnorm = float(np.linalg.norm(v))
@@ -533,14 +526,13 @@ def sobolev_holder_probe(
     if q_exponent <= 0:
         raise ValueError(f"integrability exponent must be positive, got {q_exponent}")
     spec = phi.spec
-    centers = _centers_of(singular)
-    keep = _exclusion_mask(spec, centers, exclusion_radius)
+    keep = _exclusion_mask(spec, singular, exclusion_radius)
     if not keep.any():
         raise ValueError("exclusion radius removes the whole grid")
     frob = _frobenius(complex_hessian(phi))
     cell = spec.h**spec.num_axes
     sobolev = float((np.sum(frob[keep] ** q_exponent) * cell) ** (1.0 / q_exponent))
-    holder = holder_seminorm(phi, gamma, exclusion_radius, centers)
+    holder = holder_seminorm(phi, gamma, exclusion_radius, singular)
     ratio = holder / sobolev if sobolev > 0 else (0.0 if holder == 0 else float("inf"))
     margins = [
         ("real_dimension", q_exponent * (1.0 - gamma) - 2 * spec.n),

@@ -22,7 +22,7 @@ quadratic vanishing on the sheets ``{x_j = 0}`` at ``t = 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -48,7 +48,6 @@ __all__ = [
     "SolveResult",
     "ma_density",
     "positivity_check",
-    "linearized_apply",
     "solve_ma",
     "solve_ma_detailed",
     "poisson_oracle_n1",
@@ -174,10 +173,6 @@ class _MetricData:
             n=2,
         )
 
-    @classmethod
-    def build(cls, a: HermitianFormField, phi: GridField) -> "_MetricData":
-        return cls.from_form(_metric_form(a, phi))
-
     def contract_parts(self, parts) -> np.ndarray:
         """trace(g^{-1} M) pointwise from the independent real parts of M."""
         num = self.weights[0] * parts[0]
@@ -195,14 +190,6 @@ class _MetricData:
     def inverse_trace(self) -> np.ndarray:
         """trace(g^{-1}) pointwise."""
         return sum(self.weights[: self.n]) / self.det
-
-
-def linearized_apply(a: HermitianFormField, phi: GridField, u: GridField) -> GridField:
-    """Metric Laplacian ``trace((a + H(phi))^{-1} H(u))`` at the iterate ``phi``."""
-    data = _MetricData.build(a, phi)
-    if np.min(data.det) <= 0:
-        raise PositivityError("metric is singular: determinant vanishes on the grid")
-    return GridField(a.spec, data.contract(complex_hessian(u)))
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,15 @@ scale: ``log(max(d^2, h^2))`` with ``h = 1/N``.  This keeps every grid value
 finite while preserving the pole profile at all resolved distances.
 
 The module also provides: heat-kernel regularization with its two per-call
-guarantees (lower bound and curvature bound), analytic and numeric Lelong
-numbers, the exponential-integrability dichotomy at a pole (with a refining
-quadrature as numeric evidence), the singular-set extraction above a weight
-threshold, and the L^p hypothesis check for a density ``exp(psi1 - psi2)``.
+guarantees (lower bound and curvature bound), analytic Lelong numbers, the
+exponential-integrability dichotomy at a pole (with a refining quadrature as
+numeric evidence), and the L^p hypothesis check for a density
+``exp(psi1 - psi2)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -33,9 +33,7 @@ from .geometry import (
     GridField,
     TorusSpec,
     complex_hessian,
-    half_laplacian,
     heat_smooth,
-    integrate,
     min_eigenvalue_field,
 )
 
@@ -43,17 +41,13 @@ __all__ = [
     "Pole",
     "SmoothMode",
     "QuasiPshModel",
-    "SingularSet",
     "RegularizationContractError",
     "evaluate",
-    "evaluate_at_points",
     "regularize",
     "hessian_lower_bound",
     "lelong_number",
-    "lelong_slope_estimate",
     "skoda_integrability",
     "SkodaResult",
-    "singular_set",
     "density_lp_check",
     "DensityCheck",
 ]
@@ -122,25 +116,6 @@ class QuasiPshModel:
         )
 
 
-@dataclass(frozen=True)
-class SingularSet:
-    """Pole centers whose Lelong number meets the non-integrability threshold."""
-
-    points: tuple[tuple[tuple[float, ...], float], ...]  # (center, lelong number)
-    threshold: float
-
-    def __post_init__(self):
-        for _, nu in self.points:
-            if nu < self.threshold:
-                raise ValueError(
-                    f"listed point has Lelong number {nu} below threshold {self.threshold}"
-                )
-
-    @property
-    def centers(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(c for c, _ in self.points)
-
-
 def _cutoff(d: np.ndarray, r0: float, r1: float) -> np.ndarray:
     """Quintic smoothstep: 1 on [0, r0], 0 on [r1, inf), C^2 in between."""
     t = np.clip((d - r0) / (r1 - r0), 0.0, 1.0)
@@ -202,28 +177,6 @@ def evaluate(
         model, coords, s_override, floor=target.h
     )
     return GridField(target, np.broadcast_to(values, target.shape).copy())
-
-
-def evaluate_at_points(
-    model: QuasiPshModel, points: np.ndarray, s_override: float | None = None
-) -> np.ndarray:
-    """Closed-form evaluation at arbitrary points, shape ``(m, 2n)``.
-
-    No grid floor is applied: callers sample away from pole centers (or pass a
-    positive smoothing).
-    """
-    pts = np.asarray(points, dtype=float)
-    coords = [pts[:, a] for a in range(model.spec.num_axes)]
-    values = _smooth_values(model, coords)
-    for pole in model.poles:
-        d2 = 0.0
-        for cj, aj in zip(coords, pole.center):
-            d2 = d2 + _periodic_delta(cj, aj) ** 2
-        s = pole.smoothing if s_override is None else s_override
-        values = values + pole.weight * _cutoff(
-            np.sqrt(d2), pole.r0, pole.r1
-        ) * np.log(d2 + s * s)
-    return values
 
 
 def hessian_lower_bound(model: QuasiPshModel, s_min: float | None = None) -> float:
@@ -317,48 +270,6 @@ def lelong_number(model: QuasiPshModel, x) -> float:
     return sum(p.weight for p in model.poles if _match_center(p.center, x))
 
 
-def _sphere_directions(num_axes: int, count: int) -> np.ndarray:
-    """Deterministic direction set on the unit sphere in ``R^{2n}``."""
-    if num_axes == 2:
-        theta = 2 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    rng = np.random.default_rng(20250823)
-    v = rng.normal(size=(count, num_axes))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def lelong_slope_estimate(
-    model: QuasiPshModel,
-    x,
-    r_min: float | None = None,
-    r_max: float | None = None,
-    num_radii: int = 12,
-    num_directions: int = 64,
-) -> float:
-    """Numeric Lelong number: slope of max-on-spheres against ``log r^2``.
-
-    Radii are log-spaced in ``[4h, r0/2]`` by default; the model is evaluated
-    in closed form at sphere sample points with zero smoothing (all samples
-    stay away from the centers, so no floor is involved).
-    """
-    h = model.spec.h
-    if r_min is None:
-        r_min = 4 * h
-    if r_max is None:
-        r_max = min((p.r0 for p in model.poles), default=0.1) / 2
-    if not 0 < r_min < r_max:
-        raise ValueError(f"invalid radius range [{r_min}, {r_max}]")
-    center = np.asarray(x, dtype=float)
-    dirs = _sphere_directions(model.spec.num_axes, num_directions)
-    radii = np.geomspace(r_min, r_max, num_radii)
-    maxima = np.empty(num_radii)
-    for i, r in enumerate(radii):
-        pts = np.mod(center[None, :] + r * dirs, 1.0)
-        maxima[i] = float(np.max(evaluate_at_points(model, pts, s_override=0.0)))
-    slope, _ = np.polyfit(np.log(radii**2), maxima, 1)
-    return float(slope)
-
-
 @dataclass(frozen=True)
 class SkodaResult:
     """Exponential integrability of ``exp(-p psi)`` near a point."""
@@ -438,22 +349,6 @@ def skoda_integrability(
         integrals=tuple(float(np.exp(l)) for l in log_integrals),
         increment_ratio=ratio,
     )
-
-
-def singular_set(model: QuasiPshModel, p: float) -> SingularSet:
-    """Centers where ``p * nu >= n``: exactly where ``exp(-p psi)`` fails to be integrable."""
-    if p <= 0:
-        raise ValueError(f"exponent must be positive, got {p}")
-    n = model.spec.n
-    threshold = n / p
-    seen: list[tuple[tuple[float, ...], float]] = []
-    for pole in model.poles:
-        if any(_match_center(c, pole.center) for c, _ in seen):
-            continue
-        nu = lelong_number(model, pole.center)
-        if p * nu >= n:
-            seen.append((pole.center, nu))
-    return SingularSet(points=tuple(seen), threshold=threshold)
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,17 @@ def _holder_report(
     inner_r = settings.exclusion_inner * spec.h
     outer = [
         estimates.holder_seminorm(s.phi, gamma, outer_r, centers)
-        for s in states[-3:]
+        for s in states[-3:-1]
     ]
+    probe = estimates.sobolev_holder_probe(
+        states[-1].phi,
+        gamma,
+        settings.sobolev_q,
+        outer_r,
+        centers,
+        d_override=settings.sobolev_d,
+    )
+    outer.append(probe.holder_value)  # the final rung's outer seminorm
     inner_final = estimates.holder_seminorm(states[-1].phi, gamma, inner_r, centers)
     lo, hi = min(outer), max(outer)
     if hi <= 1e-12:  # identically flat potential: nothing to measure
@@ -166,14 +175,6 @@ def _holder_report(
         ratio = inner_final / outer[-1]
     else:
         ratio = 1.0 if inner_final <= 1e-12 else float("inf")
-    probe = estimates.sobolev_holder_probe(
-        states[-1].phi,
-        gamma,
-        settings.sobolev_q,
-        outer_r,
-        centers,
-        d_override=settings.sobolev_d,
-    )
     if spread <= 1.5:
         verdict = estimates.Verdict(
             estimates.HOLDS,

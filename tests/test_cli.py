@@ -11,6 +11,7 @@ import pytest
 
 from torusma.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VERDICT,
@@ -285,6 +286,22 @@ class TestRunVerb:
         assert err.startswith("solver error:")
         assert "non-finite" in err
 
+    def test_programming_error_exits_four(self, tmp_path, capsys, monkeypatch):
+        # Not a solver failure: exit 4 with one line, no record, no traceback.
+        import torusma.continuation as continuation
+
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(continuation, "solve_ma_detailed", broken)
+        cfg = _write(tmp_path, MINI)
+        out = tmp_path / "runs"
+        assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == (
+            "internal error: TypeError: unexpected argument\n"
+        )
+        assert not out.exists()
+
     def test_unknown_target_exits_three(self, capsys):
         assert main(["run", "no-such-scenario"]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -420,6 +437,20 @@ class TestVerifyVerb:
         self._doctor_phi(rundir, poison)
         assert main(["verify", rundir]) == EXIT_CONFIG
         assert "config error: field contains non-finite values" in capsys.readouterr().err
+
+    def test_programming_error_exits_four(self, mini_run, capsys, monkeypatch):
+        import torusma.report as report
+
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected argument")
+
+        _, _, rundir = mini_run
+        capsys.readouterr()
+        monkeypatch.setattr(report, "rung_diagnostics", broken)
+        assert main(["verify", rundir]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == (
+            "internal error: TypeError: unexpected argument\n"
+        )
 
     def test_directory_without_config_exits_three(self, tmp_path, capsys):
         empty = tmp_path / "empty"

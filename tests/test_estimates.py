@@ -30,7 +30,7 @@ from torusma.geometry import (
     min_eigenvalue_field,
     scaled_identity,
 )
-from torusma.ma import AlphaModel, ma_density
+from torusma.ma import AlphaModel, PositivityError, ma_density
 from torusma.pluripotential import Pole, QuasiPshModel, evaluate
 from conftest import trig_poly
 
@@ -163,6 +163,12 @@ class TestTraceIdentity:
         spec = TorusSpec(n, N)
         Phi = GridField(spec, scale * trig_poly(spec, kmax=2, seed=seed).values)
         assert trace_identity_defect(Phi, 0.2) <= 1e-10
+
+    def test_singular_metric_is_rejected(self):
+        # n = 2, Phi = 0.15 cos(2 pi x0): g = diag(1 - 0.15 pi^2 cos, 1), so
+        # the normalized trace stays positive while det g changes sign.
+        with pytest.raises(PositivityError, match="determinant vanishes"):
+            trace_identity_defect(_mode(TorusSpec(2, 8), 0.15), 0.0)
 
 
 class TestMaxPrinciplProbe:

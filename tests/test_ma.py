@@ -25,7 +25,6 @@ from torusma.ma import (
     IterationLimitError,
     PositivityError,
     degeneracy_integrability,
-    linearized_apply,
     ma_density,
     poisson_oracle_n1,
     positivity_check,
@@ -112,26 +111,6 @@ class TestMaDensity:
         bad = positivity_check(scaled_identity(SPEC1), _mode(SPEC1, 0.2))
         assert not bad.ok
         assert bad.min_eig == pytest.approx(1 - 0.2 * np.pi**2, abs=1e-10)
-
-
-class TestLinearized:
-    def test_flat_metric_reduces_to_the_laplacian(self):
-        u = GridField(SPEC1, trig_poly(SPEC1, 3, seed=9).values * 0.1)
-        zero = GridField(SPEC1, SPEC1.zeros())
-        got = linearized_apply(scaled_identity(SPEC1), zero, u)
-        np.testing.assert_allclose(got.values, half_laplacian(u).values, atol=1e-12)
-
-    def test_n1_closed_form_with_curved_metric(self):
-        # For n = 1 the linearization is H(u) / (a + H(phi)) pointwise.
-        phi = _mode(SPEC1, 0.05)
-        u = _mode(SPEC1, 0.3)
-        got = linearized_apply(scaled_identity(SPEC1), phi, u)
-        want = half_laplacian(u).values / (1 + half_laplacian(phi).values)
-        np.testing.assert_allclose(got.values, want, atol=1e-12)
-
-    def test_degenerate_metric_is_rejected(self):
-        with pytest.raises(PositivityError, match="determinant vanishes"):
-            linearized_apply(scaled_identity(SPEC1), _mode(SPEC1, 0.2), _mode(SPEC1, 0.1))
 
 
 class TestSolve:

@@ -23,16 +23,12 @@ from torusma.pluripotential import (
     Pole,
     QuasiPshModel,
     RegularizationContractError,
-    SingularSet,
     SmoothMode,
     density_lp_check,
     evaluate,
-    evaluate_at_points,
     hessian_lower_bound,
     lelong_number,
-    lelong_slope_estimate,
     regularize,
-    singular_set,
     skoda_integrability,
 )
 
@@ -73,21 +69,23 @@ class TestEvaluation:
         assert field.values[32, 32] == pytest.approx(want, abs=1e-12)
 
     def test_point_values_inside_plateau_and_outside_support(self):
+        # Grid node (i, j) sits at (i/64, j/64); none below is within the
+        # floor scale h of the center, so the floor plays no part.
         model = QuasiPshModel(
             SPEC64,
             smooth=(SmoothMode(0.3, (1, 0)),),
             poles=(Pole(center=(0.5, 0.5), weight=0.7, r0=0.1, r1=0.2),),
         )
-        pts = np.array([[0.55, 0.5], [0.5, 0.72], [0.95, 0.5]])
-        got = evaluate_at_points(model, pts, s_override=0.0)
+        field = evaluate(model, s_override=0.0)
+        got = field.values[[35, 32, 61], [32, 46, 32]]
         want = np.array(
             [
-                # distance 0.05 < r0: full pole term w log(d^2)
-                0.3 * np.cos(2 * np.pi * 0.55) + 0.7 * np.log(0.05**2),
-                # distance 0.22 > r1: the pole contributes nothing
+                # distance 3/64 < r0: full pole term w log(d^2)
+                0.3 * np.cos(2 * np.pi * 35 / 64) + 0.7 * np.log((3 / 64) ** 2),
+                # distance 14/64 > r1: the pole contributes nothing
                 0.3 * np.cos(np.pi),
-                # distance 0.45 > r1 likewise
-                0.3 * np.cos(2 * np.pi * 0.95),
+                # distance 29/64 > r1 likewise
+                0.3 * np.cos(2 * np.pi * 61 / 64),
             ]
         )
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -96,16 +94,16 @@ class TestEvaluation:
         model = QuasiPshModel(
             SPEC64, poles=(Pole(center=(0.95, 0.5), weight=0.6, r0=0.1, r1=0.2),)
         )
-        got = evaluate_at_points(model, np.array([[0.03, 0.5]]), s_override=0.0)
-        # periodic distance |0.03 - 0.95| -> 0.08 through the seam
-        assert got[0] == pytest.approx(0.6 * np.log(0.08**2), abs=1e-12)
+        got = evaluate(model, s_override=0.0).values[2, 32]
+        # periodic distance |2/64 - 0.95| -> 0.08125 through the seam
+        assert got == pytest.approx(0.6 * np.log(0.08125**2), abs=1e-12)
 
     def test_positive_smoothing_widens_the_pole(self):
         model = QuasiPshModel(
             SPEC64, poles=(Pole(center=(0.5, 0.5), weight=0.7, r0=0.1, r1=0.2),)
         )
-        got = evaluate_at_points(model, np.array([[0.52, 0.5]]), s_override=0.05)
-        assert got[0] == pytest.approx(0.7 * np.log(0.02**2 + 0.05**2), abs=1e-12)
+        got = evaluate(model, s_override=0.05).values[33, 32]
+        assert got == pytest.approx(0.7 * np.log((1 / 64) ** 2 + 0.05**2), abs=1e-12)
 
     def test_resolution_override_is_exact_for_band_limited_models(self):
         model = QuasiPshModel(TorusSpec(1, 16), smooth=(SmoothMode(0.4, (2, 1), 0.7),))
@@ -140,10 +138,6 @@ class TestValidation:
             evaluate(model, s_override=-0.1)
         with pytest.raises(ValueError, match="same dimension"):
             evaluate(model, spec=TorusSpec(2, 16))
-
-    def test_singular_set_rejects_points_below_threshold(self):
-        with pytest.raises(ValueError, match="below threshold"):
-            SingularSet(points=(((0.5, 0.5), 0.3),), threshold=0.5)
 
 
 class TestHessianLowerBound:
@@ -239,34 +233,6 @@ class TestLelong:
             ),
         )
         assert lelong_number(model, (0.5, 0.5)) == pytest.approx(0.7)
-
-    def test_slope_is_exact_without_background(self):
-        # max over a sphere of w log r^2 is exactly linear in log r^2, so the
-        # least-squares slope is the weight to machine precision.
-        model = QuasiPshModel(
-            SPEC64, poles=(Pole(center=(0.5, 0.5), weight=0.8, r0=0.2, r1=0.24),)
-        )
-        assert lelong_slope_estimate(model, (0.5, 0.5)) == pytest.approx(
-            0.8, abs=1e-12
-        )
-
-    def test_slope_tolerates_a_smooth_background(self):
-        model = QuasiPshModel(
-            SPEC64,
-            smooth=(SmoothMode(0.1, (1, 0)),),
-            poles=(Pole(center=(0.5, 0.5), weight=0.8, r0=0.2, r1=0.24),),
-        )
-        assert lelong_slope_estimate(model, (0.5, 0.5)) == pytest.approx(
-            0.8, rel=0.05
-        )
-
-    def test_rejects_an_empty_radius_range(self):
-        # r0 = 0.1 gives r_max = 0.05 while the default r_min = 4h = 0.0625.
-        model = QuasiPshModel(
-            SPEC64, poles=(Pole(center=(0.5, 0.5), weight=0.8, r0=0.1, r1=0.2),)
-        )
-        with pytest.raises(ValueError, match="invalid radius range"):
-            lelong_slope_estimate(model, (0.5, 0.5))
 
 
 class TestSkodaDichotomy:
@@ -364,32 +330,6 @@ class TestSkodaDichotomy:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-
-
-class TestSingularSet:
-    def test_keeps_only_centers_at_or_above_threshold(self):
-        n, p = 1, 1.5
-        model = QuasiPshModel(
-            SPEC64,
-            poles=(
-                Pole(center=(0.25, 0.25), weight=0.3, r0=0.1, r1=0.2),  # p*nu = 0.45
-                Pole(center=(0.75, 0.75), weight=0.9, r0=0.1, r1=0.2),  # p*nu = 1.35
-            ),
-        )
-        result = singular_set(model, p)
-        assert result.threshold == pytest.approx(n / p)
-        assert result.centers == ((0.75, 0.75),)
-        assert result.points[0][1] == pytest.approx(0.9)
-
-    def test_exact_threshold_is_included(self):
-        model = QuasiPshModel(
-            SPEC64, poles=(Pole(center=(0.5, 0.5), weight=2.0 / 3.0, r0=0.1, r1=0.2),)
-        )
-        assert singular_set(model, 1.5).centers == ((0.5, 0.5),)
-
-    def test_rejects_nonpositive_exponent(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            singular_set(QuasiPshModel(SPEC64), 0.0)
 
 
 class TestDensityCheck:
