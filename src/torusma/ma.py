@@ -8,11 +8,14 @@ equation ``det(a + H(phi)) = F`` is solved in log-residual form
     r(phi) = log det(a + H(phi)) - log F,
 
 whose linearization at ``phi`` is exactly the metric Laplacian
-``u -> trace((a + H(phi))^{-1} H(u))``.  Newton steps solve the linearized
-system with a Krylov iteration preconditioned by the flat spectral inverse
-composed with a pointwise inverse-metric-trace scaling; step lengths are
-halved until both positivity of the perturbed form and strict sup-norm
-residual decrease hold.  Solutions are normalized to zero mean.
+``u -> trace((a + H(phi))^{-1} H(u))``.  For ``n = 1`` that operator is
+``u -> H(u)/g`` with a scalar metric ``g``, and each Newton direction is
+solved exactly by one flat spectral inversion.  For ``n = 2`` the linearized
+system is solved inexactly by GMRES, preconditioned by the flat spectral
+inverse composed with a pointwise inverse-metric-trace scaling, to a relative
+tolerance set by Eisenstat–Walker forcing.  Step lengths are halved until
+both positivity of the perturbed form and strict sup-norm residual decrease
+hold.  Solutions are normalized to zero mean.
 
 ``AlphaModel`` is the family of degenerate background forms: a product-cosine
 potential ``rho = (t/pi^2) sum_j cos(2 pi x_j)`` whose coefficient matrix is
@@ -204,9 +207,41 @@ class SolveResult:
 _MAX_NEWTON_STEPS = 200
 _MIN_STEP_LENGTH = 2.0**-20
 
+# Eisenstat–Walker forcing, choice 2 (SIAM J. Sci. Comput. 17(1), 1996):
+# eta_k = gamma * (r_k / r_{k-1})**2, safeguarded, and capped at _FORCING_MAX,
+# which is also eta_0.  A cap of 0.1 costs the near-degenerate manufactured
+# n = 2 solve (lambda_min(a + H) = 0.013) an extra damped Newton step, where
+# 0.05 does not; on band-limited data and the pole ladders both caps do the
+# same Krylov work.
+_FORCING_MAX = 0.05
+_FORCING_GAMMA = 0.9
+_FORCING_SAFEGUARD = 0.1
+
 
 def _mean_zero(values: np.ndarray) -> np.ndarray:
     return values - values.mean()
+
+
+def _forcing(
+    r_sup: float, r_prev: float | None, eta_prev: float | None, tol: float
+) -> float:
+    """Relative GMRES tolerance for the next Newton direction.
+
+    ``r_prev`` and ``eta_prev`` are the previous step's residual and forcing
+    (``None`` before the first step).  The safeguard keeps a sudden residual
+    drop from tightening the inner solve before the outer iteration has shown
+    fast convergence; the floor ``tol / (2 r)`` stops the last step from
+    being solved far below what the outer tolerance needs.
+    """
+    if r_prev is None:
+        eta = _FORCING_MAX
+    else:
+        eta = _FORCING_GAMMA * (r_sup / r_prev) ** 2
+        safeguard = _FORCING_GAMMA * eta_prev**2
+        if safeguard > _FORCING_SAFEGUARD:
+            eta = max(eta, safeguard)
+        eta = min(eta, _FORCING_MAX)
+    return max(eta, 0.5 * tol / r_sup)
 
 
 def _newton_direction(
@@ -214,22 +249,32 @@ def _newton_direction(
 ) -> tuple[np.ndarray, int]:
     """Solve the linearized system for the Newton update; returns ``(update, info)``.
 
-    The metric Laplacian annihilates constants, so the operator is augmented
-    with the grid mean, which shifts the nullspace away from the right-hand
-    side; the constant component of the update is irrelevant (the determinant
-    is invariant under ``phi -> phi + c``) and is projected out afterwards.
-    The preconditioner is the flat spectral inverse composed with division by
-    the pointwise inverse-metric trace ``sigma``.  For ``n = 1`` it inverts
-    the metric Laplacian only up to a rank-one term: it splits off the
-    unweighted grid mean, where the operator's range would need the
-    ``sigma``-weighted one, so GMRES still takes about three matvecs per
-    Newton step there.  Both operators act on raw arrays; the update is
-    validated once, as a ``GridField``.
-    ``info`` is the GMRES return code: nonzero when the inner solve stopped
-    short of ``rtol``, which still yields a usable descent direction because
-    the line search guards the outer iteration either way.
+    The metric Laplacian annihilates constants and its range is the set of
+    ``v`` with ``mean(det * v) = 0``, so the update solves it up to a
+    constant: ``trace(g^{-1} H(u)) = -r - c``.  The constant component of
+    the update is irrelevant (the determinant is invariant under
+    ``phi -> phi + c``) and is projected out.  The update is validated once,
+    as a ``GridField``.
+
+    For ``n = 1`` the operator is ``u -> H(u)/g`` with ``g = det``, so the
+    direction is exact: ``H(u) = w - c g`` with ``w = -g r`` and the
+    ``g``-weighted mean ``c = mean(w) / mean(g)``, one spectral solve, and
+    ``rtol`` is not used.  For ``n = 2`` GMRES solves the operator augmented
+    with the grid mean to relative tolerance ``rtol``, preconditioned by the
+    flat spectral inverse composed with division by the pointwise
+    inverse-metric trace ``sigma``; both operators act on raw arrays.
+    ``info`` is the GMRES return code (always 0 for ``n = 1``): nonzero when
+    the inner solve stopped short of ``rtol``, which still yields a usable
+    descent direction because the line search guards the outer iteration
+    either way.
     """
     shape = spec.shape
+    if spec.n == 1:
+        g = data.det
+        w = -g * r
+        u = _solve_half_laplacian(w - (w.mean() / g.mean()) * g)
+        return GridField(spec, _mean_zero(u)).values, 0
+
     size = int(np.prod(shape))
     sigma = data.inverse_trace() / spec.n
 
@@ -288,6 +333,7 @@ def solve_ma_detailed(
     history = [r_sup]
     steps = 0
     gmres_info_nonzero = 0
+    forcing = None
 
     while r_sup > tol:
         if steps >= _MAX_NEWTON_STEPS:
@@ -297,9 +343,9 @@ def solve_ma_detailed(
                 steps=steps,
                 residual=r_sup,
             )
-        # Inexact-Newton forcing: crude inner solves far from the solution,
-        # tightening proportionally to the residual near it.
-        forcing = min(1e-2, max(0.05 * r_sup, 1e-12))
+        # Inexact Newton (n = 2): loose inner solves while the residual falls
+        # slowly, tightening as it starts to fall quadratically.
+        forcing = _forcing(r_sup, history[-2] if steps else None, forcing, tol)
         direction, info = _newton_direction(spec, data, r, forcing)
         gmres_info_nonzero += int(info != 0)
         lam = 1.0

@@ -130,7 +130,9 @@ def _periodic_delta(coord: np.ndarray, center: float) -> np.ndarray:
 def _smooth_values(model: QuasiPshModel, coords: list[np.ndarray]) -> np.ndarray:
     out = 0.0
     for m in model.smooth:
-        arg = sum(2 * np.pi * kj * cj for kj, cj in zip(m.k, coords))
+        # Zero wavenumbers add exact zeros; skipping them keeps ``arg`` as
+        # small as the axes the mode depends on.
+        arg = sum(2 * np.pi * kj * cj for kj, cj in zip(m.k, coords) if kj)
         out = out + m.amplitude * np.cos(arg + m.phase)
     return out
 
@@ -156,6 +158,17 @@ def _pole_values(
     return out
 
 
+def _values(
+    model: QuasiPshModel,
+    coords: list[np.ndarray],
+    s_override: float | None,
+    floor: float,
+) -> np.ndarray:
+    """The model at broadcastable ``coords``, possibly of a smaller shape."""
+    smooth = _smooth_values(model, coords)
+    return smooth + _pole_values(model, coords, s_override, floor)
+
+
 def evaluate(
     model: QuasiPshModel,
     s_override: float | None = None,
@@ -173,9 +186,7 @@ def evaluate(
     if target.num_axes != model.spec.num_axes:
         raise ValueError("resolution override must keep the same dimension")
     coords = target.coordinates()
-    values = _smooth_values(model, coords) + _pole_values(
-        model, coords, s_override, floor=target.h
-    )
+    values = _values(model, coords, s_override, floor=target.h)
     return GridField(target, np.broadcast_to(values, target.shape).copy())
 
 
@@ -320,9 +331,7 @@ def skoda_integrability(
         for cj, aj in zip(coords, center):
             d2 = d2 + _periodic_delta(cj, aj) ** 2
         window = np.broadcast_shapes(*(c.shape for c in coords))
-        psi = _smooth_values(model, coords) + _pole_values(
-            model, coords, 0.0, floor=sub.h
-        )
+        psi = _values(model, coords, 0.0, floor=sub.h)
         mask = np.broadcast_to(d2 <= radius**2, window)
         # log of the cell-sum over the ball, computed in log space
         log_integrals.append(
@@ -361,14 +370,41 @@ class DensityCheck:
     flagged: bool  # ratio > 1.5: integrability hypothesis at risk
 
 
+# Points per slab of the density quadrature: a few MiB of temporaries per
+# slab, however large the refined grid.
+_SLAB_POINTS = 2**17
+
+
+def _log_sum_density(
+    psi1: QuasiPshModel, psi2: QuasiPshModel, p: float, spec: TorusSpec
+) -> float:
+    """``log sum exp(p (psi1 - psi2))`` over the grid of ``spec``, pole-floored.
+
+    The grid is swept in axis-0 slabs twice: the exact maximum first, then
+    the sum of ``exp(. - max)``, so no whole-grid field is ever held.
+    """
+    coords = spec.coordinates()
+    rows = max(1, _SLAB_POINTS * spec.N // int(np.prod(spec.shape)))
+
+    def slabs():
+        for start in range(0, spec.N, rows):
+            sub = [coords[0][start : start + rows]] + coords[1:]
+            diff = _values(psi1, sub, 0.0, spec.h) - _values(psi2, sub, 0.0, spec.h)
+            yield p * np.broadcast_to(diff, (len(sub[0]),) + spec.shape[1:])
+
+    top = max(float(np.max(x)) for x in slabs())
+    return top + float(np.log(sum(float(np.sum(np.exp(x - top))) for x in slabs())))
+
+
 def density_lp_check(
     psi1: QuasiPshModel, psi2: QuasiPshModel, p: float
 ) -> DensityCheck:
     """``||exp(psi1 - psi2)||_{L^p}`` at the working resolution and at 2N.
 
     Computed in log space throughout (the integrand reaches ``h^{-2pc}`` near
-    above-threshold poles); a refinement ratio above 1.5 flags that the
-    integral is tracking the pole floor rather than converging.
+    above-threshold poles), in slabs of bounded size; a refinement ratio
+    above 1.5 flags that the integral is tracking the pole floor rather than
+    converging.
     """
     if p <= 1:
         raise ValueError(f"hypothesis exponent must be > 1, got {p}")
@@ -377,11 +413,8 @@ def density_lp_check(
     norms = []
     for scale in (1, 2):
         sub = TorusSpec(psi1.spec.n, psi1.spec.N * scale)
-        diff = (
-            evaluate(psi1, s_override=0.0, spec=sub).values
-            - evaluate(psi2, s_override=0.0, spec=sub).values
-        )
-        log_norm = (logsumexp(p * diff) - sub.num_axes * np.log(sub.N)) / p
+        log_sum = _log_sum_density(psi1, psi2, p, sub)
+        log_norm = (log_sum - sub.num_axes * np.log(sub.N)) / p
         norms.append(float(np.exp(log_norm)))
     ratio = norms[1] / norms[0] if norms[0] > 0 else np.inf
     return DensityCheck(

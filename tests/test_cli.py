@@ -40,6 +40,13 @@ schedule = 0.2 0.02 0.002
 name = mini
 """
 
+# MINI at n = 2, where Newton directions come from GMRES.
+MINI_N2 = (
+    MINI.replace("n = 1\nN = 32", "n = 2\nN = 8")
+    .replace("1 0, 0.3", "1 0 0 0, 0.3")
+    .replace("0 1, 1.1", "0 1 0 0, 1.1")
+)
+
 CHEAP_ABOVE = """\
 [torus]
 n = 1
@@ -252,7 +259,7 @@ class TestRunVerb:
             return x, 1
 
         monkeypatch.setattr(ma, "gmres", short)
-        cfg = _write(tmp_path, MINI)
+        cfg = _write(tmp_path, MINI_N2)
         out = str(tmp_path / "runs")
         assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
         captured = capsys.readouterr()
@@ -279,6 +286,22 @@ class TestRunVerb:
             return np.full_like(b, np.nan), 0
 
         monkeypatch.setattr(ma, "gmres", broken)
+        cfg = _write(tmp_path, MINI_N2)
+        code = main(["run", cfg, "--output-dir", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert code == EXIT_SOLVER
+        assert err.startswith("solver error:")
+        assert "non-finite" in err
+
+    def test_non_finite_n1_newton_direction_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import torusma.ma as ma
+
+        def broken(values):
+            return np.full_like(values, np.nan)
+
+        monkeypatch.setattr(ma, "_solve_half_laplacian", broken)
         cfg = _write(tmp_path, MINI)
         code = main(["run", cfg, "--output-dir", str(tmp_path / "runs")])
         err = capsys.readouterr().err

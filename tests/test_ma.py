@@ -14,6 +14,7 @@ from torusma.geometry import (
     GridField,
     HermitianFormField,
     TorusSpec,
+    _hessian_parts,
     complex_hessian,
     half_laplacian,
     integrate,
@@ -137,10 +138,39 @@ class TestSolve:
         assert abs(integrate(result.phi)) <= 1e-10
 
     def test_n2_manufactured_recovery(self):
+        # lambda_min(I + H(phi*)) = 1 - 0.1 pi^2 ~ 0.013: Newton is damped at
+        # first, and looser inner solves must not cost it outer steps.  The
+        # fixed forcing min(1e-2, 0.05 r) took 7 steps here.
         spec, phi_star, F = _manufactured_n2(N=16, amplitude=0.1)
         result = solve_ma_detailed(scaled_identity(spec), F, tol=1e-11)
         assert float(np.max(np.abs(result.phi.values - phi_star.values))) <= 1e-10
-        assert result.newton_steps <= 20
+        assert result.newton_steps <= 7
+
+    def test_n1_direction_solves_the_linearization_exactly(self):
+        # The n = 1 operator is u -> H(u)/g; its range is mean(g v) = 0, so
+        # the direction leaves a constant linearized residual, nothing else.
+        spec = TorusSpec(1, 64)
+        a = AlphaModel(spec, t=0.7).coefficients(0.05)
+        g = ma._metric_form(a, _mode(spec, 0.03, axis=1))
+        data = ma._MetricData.from_form(g)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            r = rng.standard_normal(spec.shape)
+            u, info = ma._newton_direction(spec, data, r, 0.1)
+            lin = data.contract_parts(_hessian_parts(u)) + r
+            assert info == 0
+            assert abs(u.mean()) <= 1e-15
+            assert np.ptp(lin) <= 1e-12 * np.max(np.abs(r))
+
+    def test_n1_solve_never_calls_gmres(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("GMRES called for an n = 1 Newton direction")
+
+        monkeypatch.setattr(ma, "gmres", refuse)
+        phi_star, F = _manufactured_n1()
+        result = solve_ma_detailed(scaled_identity(SPEC1), F)
+        assert result.newton_steps > 0
+        assert result.gmres_info_nonzero == 0
 
     def test_residual_history_strictly_decreases(self):
         phi_star, F = _manufactured_n1()
@@ -195,8 +225,8 @@ class TestSolve:
         assert info.value.residual > 0
 
     def test_gmres_shortfalls_are_counted(self, monkeypatch):
-        _, F = _manufactured_n1()
-        clean = solve_ma_detailed(scaled_identity(SPEC1), F)
+        spec, _, F = _manufactured_n2(N=12, amplitude=0.05)
+        clean = solve_ma_detailed(scaled_identity(spec), F)
         assert clean.gmres_info_nonzero == 0
         real_gmres = ma.gmres
 
@@ -205,19 +235,66 @@ class TestSolve:
             return x, 1
 
         monkeypatch.setattr(ma, "gmres", short)
-        result = solve_ma_detailed(scaled_identity(SPEC1), F)
+        result = solve_ma_detailed(scaled_identity(spec), F)
         assert result.newton_steps > 0
         assert result.gmres_info_nonzero == result.newton_steps
 
     def test_non_finite_newton_direction_is_rejected(self, monkeypatch):
-        _, F = _manufactured_n1()
+        spec, _, F = _manufactured_n2(N=12, amplitude=0.05)
 
         def broken(A, b, **kwargs):
             return np.full_like(b, np.nan), 0
 
         monkeypatch.setattr(ma, "gmres", broken)
         with pytest.raises(ValueError, match="non-finite"):
+            solve_ma_detailed(scaled_identity(spec), F)
+
+    def test_non_finite_n1_newton_direction_is_rejected(self, monkeypatch):
+        _, F = _manufactured_n1()
+
+        def broken(values):
+            return np.full_like(values, np.nan)
+
+        monkeypatch.setattr(ma, "_solve_half_laplacian", broken)
+        with pytest.raises(ValueError, match="non-finite"):
             solve_ma_detailed(scaled_identity(SPEC1), F)
+
+
+class TestForcing:
+    TOL = 1e-10
+
+    @pytest.mark.parametrize(
+        "r, r_prev, eta_prev",
+        [
+            (8.0, None, None),
+            (3.0, 8.0, 0.05),
+            (0.9, 1.0, 0.05),
+            (1e-3, 1.0, 0.05),
+            (1e-9, 1e-4, 1e-3),
+            (1.1e-10, 1e-9, 0.4),
+            (2e-10, 1e-3, 0.9),
+        ],
+    )
+    def test_forcing_lies_between_the_floor_and_the_cap(self, r, r_prev, eta_prev):
+        eta = ma._forcing(r, r_prev, eta_prev, self.TOL)
+        floor = 0.5 * self.TOL / r
+        assert floor <= eta <= max(0.1, floor)
+
+    def test_first_step_uses_the_cap(self):
+        assert ma._forcing(1.0, None, None, self.TOL) == ma._FORCING_MAX
+
+    def test_choice_two_tracks_the_squared_residual_ratio(self):
+        eta = ma._forcing(1e-3, 1e-1, 0.05, self.TOL)
+        assert eta == pytest.approx(0.9 * 1e-4, rel=1e-12)
+
+    def test_safeguard_keeps_a_large_previous_forcing(self):
+        # 0.9 * 0.5^2 > 0.1: a sudden residual drop after a loose solve
+        # does not tighten the next one below the cap.
+        assert ma._forcing(1e-6, 1.0, 0.5, 1e-20) == ma._FORCING_MAX
+        assert ma._forcing(1e-6, 1.0, 0.3, 1e-20) == pytest.approx(0.9e-12, rel=1e-12)
+
+    def test_floor_stops_over_solving_the_last_step(self):
+        assert ma._forcing(4e-10, 1e-5, 0.05, self.TOL) == 0.5 * self.TOL / 4e-10
 
 
 class TestPoissonOracle:

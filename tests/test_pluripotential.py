@@ -360,6 +360,55 @@ class TestDensityCheck:
         result = density_lp_check(QuasiPshModel(spec), psi2, 1.5)
         assert not result.flagged
 
+    @staticmethod
+    def _n2_factors():
+        spec = TorusSpec(2, 16)
+        psi1 = QuasiPshModel(spec, smooth=(SmoothMode(0.3, (1, 0, 0, 1), 0.3),))
+        psi2 = QuasiPshModel(
+            spec, poles=(Pole(center=(0.5, 0.4, 0.25, 0.3), weight=0.5, r0=0.1, r1=0.2),)
+        )
+        return psi1, psi2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_slabs_equal_the_whole_grid(self, n):
+        # Reference: both grids sampled whole and reduced by one logsumexp.
+        # The slabbed sum adds the same terms in another order, so the
+        # norms agree to a few ulps of the 2^20-term sum, not bit for bit.
+        if n == 1:
+            spec = TorusSpec(1, 512)
+            psi1 = QuasiPshModel(spec, smooth=(SmoothMode(0.2, (1, 1), 0.1),))
+            psi2 = QuasiPshModel(
+                spec, poles=(Pole(center=(0.3, 0.6), weight=1.4, r0=0.1, r1=0.2),)
+            )
+        else:
+            psi1, psi2 = self._n2_factors()
+            spec = psi1.spec
+        p = 1.5
+        want = []
+        for scale in (1, 2):
+            sub = TorusSpec(n, spec.N * scale)
+            diff = (
+                evaluate(psi1, s_override=0.0, spec=sub).values
+                - evaluate(psi2, s_override=0.0, spec=sub).values
+            )
+            log_sum = logsumexp(p * diff) - sub.num_axes * np.log(sub.N)
+            want.append(float(np.exp(log_sum / p)))
+        got = density_lp_check(psi1, psi2, p)
+        assert got.norm == pytest.approx(want[0], rel=1e-13)
+        assert got.refined_norm == pytest.approx(want[1], rel=1e-13)
+
+    def test_n2_refinement_holds_no_whole_grid_field(self):
+        # The 2N grid is 32^4 = 1 M points, 8 MiB per real field; a
+        # whole-grid logsumexp needs several such temporaries at once.
+        psi1, psi2 = self._n2_factors()
+        tracemalloc.start()
+        try:
+            density_lp_check(psi1, psi2, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_rejects_bad_inputs(self):
         model = QuasiPshModel(SPEC64)
         with pytest.raises(ValueError, match="exponent must be > 1"):
