@@ -261,7 +261,7 @@ def rung_diagnostics(
     }
 
 
-def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[ContinuationState]:
+def run_continuation(scenario: Scenario) -> list[ContinuationState]:
     """Solve every rung of the schedule, warm-starting each from the last.
 
     Preconditions: the scenario is mass-balanced.  Each state carries the
@@ -280,7 +280,6 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
         )
     C = scenario.resolved_C()
     states: list[ContinuationState] = []
-    prev_phi: GridField | None = None
     for rung, eps in enumerate(scenario.eps_schedule):
         try:
             p1, p2, C_cert = smoothed_potentials(scenario, eps)
@@ -288,7 +287,7 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
             result = solve_ma_detailed(
                 scenario.alpha.coefficients(eps),
                 _rung_density(delta, p1, p2),
-                phi0=prev_phi,
+                phi0=states[-1].phi if states else None,
                 tol=scenario.tol,
             )
             Phi, diagnostics = rung_diagnostics(
@@ -308,7 +307,6 @@ def run_continuation(scenario: Scenario, warm_start: bool = True) -> list[Contin
                     },
                 )
             )
-            prev_phi = result.phi if warm_start else None
         except _RUNG_ERRORS as exc:
             raise ContinuationError(
                 f"rung {rung} (eps={eps:g}) failed: {exc}", states, rung, eps

@@ -25,13 +25,15 @@ import numpy as np
 from .geometry import (
     GridField,
     HermitianFormField,
+    _MetricData,
+    _frobenius,
     half_laplacian,
     complex_hessian,
     min_eigenvalue_field,
     scaled_identity,
     spectral_gradient,
 )
-from .ma import AlphaModel, _MetricData, PositivityError
+from .ma import PositivityError
 from .pluripotential import QuasiPshModel, evaluate, _periodic_delta
 
 __all__ = [
@@ -150,7 +152,7 @@ def siu_residual(Phi: GridField, f: GridField, eps: float, C: float) -> GridFiel
 
 def _siu_residual(m: _RungMetric, f: GridField, C: float) -> np.ndarray:
     logq = GridField(m.Phi.spec, np.log(m.q))
-    lhs = m.data.contract(complex_hessian(logq))
+    lhs = m.data.contract(complex_hessian(logq).parts)
     rhs = (half_laplacian(f).values / (1.0 + m.eps) - C) / m.q
     rhs = rhs - C * (1.0 + m.eps) * m.data.inverse_trace()
     return lhs - rhs
@@ -187,7 +189,7 @@ def _comparison_residual(m: _RungMetric, psi: GridField, C: float) -> np.ndarray
             f"weight is not curvature-bounded by C={C:.6g}: "
             f"grid minimum eigenvalue {min_eig:.3e}"
         )
-    lhs = C * m.data.inverse_trace() + m.data.contract(H)
+    lhs = C * m.data.inverse_trace() + m.data.contract(H.parts)
     rhs = (C * spec.n + half_laplacian(psi).values) / ((1.0 + m.eps) * m.q)
     return lhs - rhs
 
@@ -202,7 +204,7 @@ def trace_identity_defect(Phi: GridField, eps: float) -> float:
 
 
 def _trace_identity_defect(m: _RungMetric) -> float:
-    lhs = m.data.contract(m.hessian)
+    lhs = m.data.contract(m.hessian.parts)
     rhs = m.Phi.spec.n - (1.0 + m.eps) * m.data.inverse_trace()
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -306,25 +308,22 @@ def _exclusion_mask(spec, centers, radius: float) -> np.ndarray:
     return keep
 
 
-def c2_uniformity(
-    states, psi2: QuasiPshModel, alpha: AlphaModel, C: float
-) -> Verdict:
+def c2_uniformity(states, psi2: QuasiPshModel, C: float) -> Verdict:
     """Uniformity of the weighted second-order quantity down the ladder.
 
     Per rung the quantity is ``sup q * exp(psi2_hat - 2 C Phi)`` over grid
     points at least one spacing away from the singular centers, where
     ``psi2_hat`` is the sharp weight (grid-floored at its poles) held fixed
-    across rungs, and ``Phi = phi + rho`` is re-derived here from the raw
-    potentials rather than read off the states.  Holds when every rung stays
-    within a factor 2 of the first and the relative least-squares slope
-    against ``-log eps`` is at most 0.05 per e-fold.  The unweighted trace
-    blows up along the ladder in singular scenarios; only the weighted
+    across rungs, and ``Phi = phi + rho`` is each state's shifted potential,
+    as ``continuation.rung_diagnostics`` computed it.  Holds when every rung
+    stays within a factor 2 of the first and the relative least-squares
+    slope against ``-log eps`` is at most 0.05 per e-fold.  The unweighted
+    trace blows up along the ladder in singular scenarios; only the weighted
     quantity can stay uniform.
     """
     if len(states) < 3:
         return Verdict(INCONCLUSIVE, f"need at least 3 rungs, got {len(states)}")
     spec = states[0].phi.spec
-    rho = alpha.rho()
     weight = evaluate(psi2)
     centers = tuple(p.center for p in psi2.poles)
     keep = _exclusion_mask(spec, centers, spec.h)
@@ -332,9 +331,8 @@ def c2_uniformity(
         raise ValueError("every grid point is excluded by the singular centers")
     vals = []
     for s in states:
-        Phi = GridField(spec, s.phi.values + rho.values)
-        q = _q_values(Phi, s.eps)
-        S = np.log(q) + weight.values - 2.0 * C * Phi.values
+        q = _q_values(s.Phi, s.eps)
+        S = np.log(q) + weight.values - 2.0 * C * s.Phi.values
         vals.append(float(np.exp(np.max(S[keep]))))
     vals = np.array(vals)
     eps = np.array([s.eps for s in states])
@@ -482,15 +480,6 @@ def _admissible_pairs(spec, exclusion_radius: float, singular=()):
 def has_admissible_pairs(spec, exclusion_radius: float, singular=()) -> bool:
     """Whether :func:`holder_seminorm` has any stencil pair at this exclusion."""
     return next(_admissible_pairs(spec, exclusion_radius, singular), None) is not None
-
-
-def _frobenius(form: HermitianFormField) -> np.ndarray:
-    """Pointwise Frobenius norm, summed in the dense row-major entry order."""
-    if form.spec.n == 1:
-        return np.sqrt(form.parts[0] ** 2)
-    g00, g11, g01 = form.parts
-    b2 = np.abs(g01) ** 2
-    return np.sqrt(g00**2 + b2 + b2 + g11**2)
 
 
 @dataclass(frozen=True)

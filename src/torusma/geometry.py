@@ -20,7 +20,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -180,12 +180,13 @@ class GridField:
 
 class HermitianFormField:
     """A pointwise Hermitian ``n x n`` coefficient field, stored by its
-    independent components.
+    independent real components.
 
     ``parts`` follows the order of ``_hessian_parts``: ``(g00,)`` for
-    ``n = 1`` and ``(g00, g11, g01)`` for ``n = 2``, the diagonal real and
-    ``g01`` complex (``g10`` is its conjugate).  A form costs one real field
-    for ``n = 1`` and two real plus one complex field for ``n = 2``.
+    ``n = 1`` and ``(g00, g11, Re g01, Im g01)`` for ``n = 2``, each a real
+    float64 field of grid shape (``g10`` is the conjugate of ``g01``).  A
+    form costs one real field for ``n = 1`` and four for ``n = 2``.  Only
+    this module reads ``parts``.
 
     ``HermitianFormField(spec, values)`` takes a dense array of shape
     ``grid + (n, n)``: it is the one entry point that checks shape and
@@ -193,7 +194,7 @@ class HermitianFormField:
     propagates.  Forms built inside the library (Hessians, sums, the
     identity) are Hermitian by construction and enter through
     ``_from_parts`` unchecked.  ``values`` and ``entry`` assemble dense
-    entries on demand.
+    complex entries on demand.
     """
 
     __slots__ = ("spec", "parts")
@@ -212,18 +213,27 @@ class HermitianFormField:
         if not np.all(np.isfinite(v)):
             raise ValueError("form contains non-finite values")
         v = np.asarray(v, dtype=complex)
-        parts = [np.real(v[..., j, j]).copy() for j in range(n)]
+        parts = [v[..., j, j].real.copy() for j in range(n)]
         if n == 2:
-            parts.append(0.5 * (v[..., 0, 1] + np.conj(v[..., 1, 0])))
+            g01 = 0.5 * (v[..., 0, 1] + np.conj(v[..., 1, 0]))
+            parts += [g01.real.copy(), g01.imag.copy()]
         self.parts = tuple(parts)
 
     @classmethod
     def _from_parts(cls, spec: TorusSpec, parts) -> "HermitianFormField":
-        """A form from components already in ``parts`` order, unchecked."""
+        """A form from real components already in ``parts`` order, unchecked."""
         form = object.__new__(cls)
         form.spec = spec
         form.parts = tuple(parts)
         return form
+
+    @classmethod
+    def _from_diagonal(cls, spec: TorusSpec, diagonal) -> "HermitianFormField":
+        """The form with real diagonal fields ``diagonal`` and zero ``g01``."""
+        parts = list(diagonal)
+        if spec.n == 2:
+            parts += [np.zeros(spec.shape), np.zeros(spec.shape)]
+        return cls._from_parts(spec, parts)
 
     def __add__(self, other: "HermitianFormField") -> "HermitianFormField":
         if other.spec != self.spec:
@@ -245,7 +255,8 @@ class HermitianFormField:
     def entry(self, j: int, k: int) -> np.ndarray:
         if j == k:
             return self.parts[j].astype(complex)
-        return self.parts[2] if j < k else np.conj(self.parts[2])
+        re, im = self.parts[2:]
+        return re + 1j * (im if j < k else -im)
 
     def trace(self) -> np.ndarray:
         if self.spec.n == 1:
@@ -255,16 +266,59 @@ class HermitianFormField:
     def det(self) -> np.ndarray:
         if self.spec.n == 1:
             return self.parts[0]
-        g00, g11, g01 = self.parts
-        return g00 * g11 - np.abs(g01) ** 2
+        g00, g11, re, im = self.parts
+        return g00 * g11 - (re * re + im * im)
+
+
+def _frobenius(form: HermitianFormField) -> np.ndarray:
+    """Pointwise Frobenius norm, summed in the dense row-major entry order."""
+    if form.spec.n == 1:
+        return np.sqrt(form.parts[0] ** 2)
+    g00, g11, re, im = form.parts
+    b2 = re * re + im * im
+    return np.sqrt(g00**2 + b2 + b2 + g11**2)
+
+
+@dataclass
+class _MetricData:
+    """Determinant and adjugate of a form ``g``, for pointwise contractions.
+
+    ``weights`` pairs with the parts of a form ``M`` (or the raw output of
+    ``_hessian_parts``) so that ``trace(g^{-1} M) = sum(weights * parts) /
+    det``: ``(1,)`` for ``n = 1`` and ``(g11, g00, -2 Re g01, -2 Im g01)``
+    for ``n = 2``.
+    """
+
+    det: np.ndarray
+    weights: tuple
+    n: int
+
+    @classmethod
+    def from_form(cls, g: HermitianFormField) -> "_MetricData":
+        if g.spec.n == 1:
+            weights = (1.0,)
+        else:
+            g00, g11, re, im = g.parts
+            weights = (g11, g00, -2.0 * re, -2.0 * im)
+        return cls(det=g.det(), weights=weights, n=g.spec.n)
+
+    def contract(self, parts) -> np.ndarray:
+        """trace(g^{-1} M) pointwise from the parts of a Hermitian ``M``."""
+        num = self.weights[0] * parts[0]
+        for w, p in zip(self.weights[1:], parts[1:]):
+            num += w * p
+        return num / self.det
+
+    def inverse_trace(self) -> np.ndarray:
+        """trace(g^{-1}) pointwise."""
+        return sum(self.weights[: self.n]) / self.det
 
 
 def scaled_identity(spec: TorusSpec, scale: float = 1.0) -> HermitianFormField:
     """The constant coefficient field ``scale * I``."""
-    parts = [np.full(spec.shape, float(scale)) for _ in range(spec.n)]
-    if spec.n == 2:
-        parts.append(np.zeros(spec.shape, dtype=complex))
-    return HermitianFormField._from_parts(spec, parts)
+    return HermitianFormField._from_diagonal(
+        spec, [np.full(spec.shape, float(scale)) for _ in range(spec.n)]
+    )
 
 
 def _rfftn(values: np.ndarray) -> np.ndarray:
@@ -295,14 +349,10 @@ def _solve_half_laplacian(values: np.ndarray) -> np.ndarray:
 def complex_hessian(f: GridField) -> HermitianFormField:
     """Complex Hessian ``H(f)_{jk} = d^2 f / dz_j dzbar_k`` by spectral differentiation.
 
-    One forward transform of ``f`` is shared by all entries.  Each entry is
-    assembled from real inverse transforms, so the diagonal is exactly real
-    and the form is Hermitian by construction.
+    One forward transform of ``f`` is shared by one real inverse transform
+    per part, so the form is Hermitian by construction.
     """
-    parts = _hessian_parts(f.values)
-    if f.spec.n == 2:
-        parts = parts[:2] + [parts[2] + 1j * parts[3]]
-    return HermitianFormField._from_parts(f.spec, parts)
+    return HermitianFormField._from_parts(f.spec, _hessian_parts(f.values))
 
 
 def half_laplacian(f: GridField) -> GridField:
@@ -366,9 +416,9 @@ def min_eigenvalue_field(form: HermitianFormField) -> GridField:
     spec = form.spec
     if spec.n == 1:
         return GridField(spec, form.parts[0])
-    a, d, b = form.parts
+    a, d, re, im = form.parts
     mid = 0.5 * (a + d)
-    rad = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(b) ** 2)
+    rad = np.sqrt((0.5 * (a - d)) ** 2 + (re * re + im * im))
     return GridField(spec, mid - rad)
 
 

@@ -34,6 +34,7 @@ from .geometry import (
     GridField,
     HermitianFormField,
     TorusSpec,
+    _MetricData,
     _hessian_parts,
     _solve_half_laplacian,
     complex_hessian,
@@ -115,12 +116,10 @@ class AlphaModel:
     def coefficients(self, eps: float = 0.0) -> HermitianFormField:
         """Closed-form ``diag(1 - t cos(2 pi x_j)) + eps I``."""
         shape = self.spec.shape
-        parts = [
+        diagonal = [
             np.broadcast_to(1.0 - self.t * c + eps, shape).copy() for c in self._cosines()
         ]
-        if self.spec.n == 2:
-            parts.append(np.zeros(shape, dtype=complex))
-        return HermitianFormField._from_parts(self.spec, parts)
+        return HermitianFormField._from_diagonal(self.spec, diagonal)
 
 
 def _metric_form(a: HermitianFormField, phi: GridField) -> HermitianFormField:
@@ -150,49 +149,6 @@ def _positivity(form: HermitianFormField) -> PositivityReport:
 def positivity_check(a: HermitianFormField, phi: GridField) -> PositivityReport:
     """Grid minimum of the smallest eigenvalue of ``a + H(phi)``."""
     return _positivity(_metric_form(a, phi))
-
-
-@dataclass
-class _MetricData:
-    """Per-iterate cache: determinant and adjugate of g = a + H(phi).
-
-    ``weights`` pairs with the Hessian parts of ``geometry._hessian_parts``
-    so that ``trace(g^{-1} M) = sum(weights * parts(M)) / det``: ``(1,)``
-    for ``n = 1`` and ``(g11, g00, -2 Re g01, -2 Im g01)`` for ``n = 2``.
-    """
-
-    det: np.ndarray
-    weights: tuple
-    n: int
-
-    @classmethod
-    def from_form(cls, g: HermitianFormField) -> "_MetricData":
-        if g.spec.n == 1:
-            return cls(det=g.parts[0], weights=(1.0,), n=1)
-        g00, g11, g01 = g.parts
-        return cls(
-            det=g.det(),
-            weights=(g11, g00, -2.0 * np.real(g01), -2.0 * np.imag(g01)),
-            n=2,
-        )
-
-    def contract_parts(self, parts) -> np.ndarray:
-        """trace(g^{-1} M) pointwise from the independent real parts of M."""
-        num = self.weights[0] * parts[0]
-        for w, p in zip(self.weights[1:], parts[1:]):
-            num += w * p
-        return num / self.det
-
-    def contract(self, M: HermitianFormField) -> np.ndarray:
-        """trace(g^{-1} M) pointwise — real for Hermitian input."""
-        parts = M.parts
-        if self.n == 2:
-            parts = parts[:2] + (np.real(parts[2]), np.imag(parts[2]))
-        return self.contract_parts(parts)
-
-    def inverse_trace(self) -> np.ndarray:
-        """trace(g^{-1}) pointwise."""
-        return sum(self.weights[: self.n]) / self.det
 
 
 @dataclass(frozen=True)
@@ -279,7 +235,7 @@ def _newton_direction(
     sigma = data.inverse_trace() / spec.n
 
     def matvec(x):
-        hu = data.contract_parts(_hessian_parts(x.reshape(shape)))
+        hu = data.contract(_hessian_parts(x.reshape(shape)))
         return (hu + x.mean()).ravel()
 
     def precond(x):
@@ -399,10 +355,7 @@ def poisson_oracle_n1(
     spec = F.spec
     if spec.n != 1:
         raise ValueError("the linear-reduction oracle only exists in dimension one")
-    if a is None:
-        background = np.ones(spec.shape)
-    else:
-        background = a.parts[0]
+    background = np.ones(spec.shape) if a is None else a.trace()
     mass_f = float(F.values.mean())
     mass_a = float(background.mean())
     if abs(mass_f - mass_a) > 1e-10 * max(1.0, abs(mass_a)):

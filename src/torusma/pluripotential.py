@@ -169,25 +169,17 @@ def _values(
     return smooth + _pole_values(model, coords, s_override, floor)
 
 
-def evaluate(
-    model: QuasiPshModel,
-    s_override: float | None = None,
-    spec: TorusSpec | None = None,
-) -> GridField:
-    """Sample the model on a grid; ``s_override`` replaces every pole's smoothing.
+def evaluate(model: QuasiPshModel, s_override: float | None = None) -> GridField:
+    """Sample the model on its grid; ``s_override`` replaces every pole's smoothing.
 
-    With effective smoothing zero the pole argument is floored at the target
-    grid's cell scale, ``log(max(d^2, h^2))``, so all values are finite.
-    Passing ``spec`` samples the same closed-form model at another resolution.
+    With effective smoothing zero the pole argument is floored at the grid's
+    cell scale, ``log(max(d^2, h^2))``, so all values are finite.
     """
     if s_override is not None and s_override < 0:
         raise ValueError("smoothing override must be nonnegative")
-    target = spec if spec is not None else model.spec
-    if target.num_axes != model.spec.num_axes:
-        raise ValueError("resolution override must keep the same dimension")
-    coords = target.coordinates()
-    values = _values(model, coords, s_override, floor=target.h)
-    return GridField(target, np.broadcast_to(values, target.shape).copy())
+    spec = model.spec
+    values = _values(model, spec.coordinates(), s_override, floor=spec.h)
+    return GridField(spec, np.broadcast_to(values, spec.shape).copy())
 
 
 def hessian_lower_bound(model: QuasiPshModel, s_min: float | None = None) -> float:

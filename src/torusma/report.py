@@ -272,9 +272,7 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
     reports.append(
         estimates.EstimateReport(
             name="weighted-second-order",
-            verdict=estimates.c2_uniformity(
-                states, scenario.psi2, scenario.alpha, C
-            ),
+            verdict=estimates.c2_uniformity(states, scenario.psi2, C),
         )
     )
     trace_worst = max(s.diagnostics["trace_defect"] for s in states)

@@ -30,7 +30,7 @@ from torusma.geometry import (
     min_eigenvalue_field,
     scaled_identity,
 )
-from torusma.ma import AlphaModel, PositivityError, ma_density
+from torusma.ma import PositivityError, ma_density
 from torusma.pluripotential import Pole, QuasiPshModel, evaluate
 from conftest import trig_poly
 
@@ -214,12 +214,7 @@ class TestC0Uniformity:
 class TestC2Uniformity:
     def _run(self, amplitudes):
         spec = SPEC1
-        return c2_uniformity(
-            _ladder(spec, amplitudes),
-            QuasiPshModel(spec),
-            AlphaModel(spec, t=0.0),
-            0.0,
-        )
+        return c2_uniformity(_ladder(spec, amplitudes), QuasiPshModel(spec), 0.0)
 
     def test_steady_curvature_holds(self):
         verdict = self._run([0.01] * 5)

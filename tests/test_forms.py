@@ -3,7 +3,9 @@
 Every component-level operation is compared with a dense NumPy reference on
 random Hermitian fields at n = 1 and n = 2: the determinant, the smallest
 eigenvalue, the trace, the metric contraction ``trace(g^{-1} M)``, and the
-round trip of a dense array through the public constructor.
+round trip of a dense array through the public constructor.  Every form,
+however it is built, stores the real float64 parts that ``_hessian_parts``
+produces.
 """
 
 import numpy as np
@@ -16,11 +18,13 @@ from torusma.geometry import (  # noqa: E402
     GridField,
     HermitianFormField,
     TorusSpec,
+    _MetricData,
     _hessian_parts,
     complex_hessian,
     min_eigenvalue_field,
+    scaled_identity,
 )
-from torusma.ma import _MetricData  # noqa: E402
+from torusma.ma import AlphaModel  # noqa: E402
 
 SPECS = {1: TorusSpec(1, 8), 2: TorusSpec(2, 8)}
 
@@ -116,10 +120,7 @@ def test_contraction_matches_dense_inverse(n, seed, scale, field_seed):
     data = _MetricData.from_form(HermitianFormField(spec, g))
     tol = 1e-9 * np.max(np.abs(M)) / scale
     np.testing.assert_allclose(
-        data.contract_parts(_hessian_parts(u.values)), want, rtol=0, atol=tol
-    )
-    np.testing.assert_allclose(
-        data.contract(complex_hessian(u)), want, rtol=0, atol=tol
+        data.contract(complex_hessian(u).parts), want, rtol=0, atol=tol
     )
     np.testing.assert_allclose(
         data.inverse_trace(),
@@ -136,3 +137,27 @@ def test_sum_of_forms_is_the_dense_sum(n, seed, scale):
     b = _dense_hermitian(spec, seed + 1, 1.0)
     got = HermitianFormField(spec, a) + HermitianFormField(spec, b)
     assert np.array_equal(got.values, a + b)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, scale=scales)
+def test_every_form_stores_real_grid_fields(n, seed, scale):
+    spec = SPECS[n]
+    u = GridField(spec, np.random.default_rng(seed).normal(size=spec.shape))
+    H = complex_hessian(u)
+    forms = [
+        H,
+        scaled_identity(spec, scale),
+        AlphaModel(spec, t=0.5).coefficients(scale),
+        H + scaled_identity(spec, scale),
+        HermitianFormField(spec, _dense_hermitian(spec, seed, scale)),
+    ]
+    for form in forms:
+        assert len(form.parts) == (1 if n == 1 else 4)
+        for part in form.parts:
+            assert part.dtype == np.float64
+            assert part.shape == spec.shape
+    # The Hessian is the FFT output itself, bit for bit.
+    want = _hessian_parts(u.values)
+    assert [p.tobytes() for p in H.parts] == [p.tobytes() for p in want]

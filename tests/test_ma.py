@@ -14,6 +14,7 @@ from torusma.geometry import (
     GridField,
     HermitianFormField,
     TorusSpec,
+    _MetricData,
     _hessian_parts,
     complex_hessian,
     half_laplacian,
@@ -152,12 +153,12 @@ class TestSolve:
         spec = TorusSpec(1, 64)
         a = AlphaModel(spec, t=0.7).coefficients(0.05)
         g = ma._metric_form(a, _mode(spec, 0.03, axis=1))
-        data = ma._MetricData.from_form(g)
+        data = _MetricData.from_form(g)
         rng = np.random.default_rng(7)
         for _ in range(3):
             r = rng.standard_normal(spec.shape)
             u, info = ma._newton_direction(spec, data, r, 0.1)
-            lin = data.contract_parts(_hessian_parts(u)) + r
+            lin = data.contract(_hessian_parts(u)) + r
             assert info == 0
             assert abs(u.mean()) <= 1e-15
             assert np.ptp(lin) <= 1e-12 * np.max(np.abs(r))

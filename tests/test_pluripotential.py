@@ -108,7 +108,7 @@ class TestEvaluation:
     def test_resolution_override_is_exact_for_band_limited_models(self):
         model = QuasiPshModel(TorusSpec(1, 16), smooth=(SmoothMode(0.4, (2, 1), 0.7),))
         coarse = evaluate(model)
-        fine = evaluate(model, spec=TorusSpec(1, 32))
+        fine = evaluate(QuasiPshModel(TorusSpec(1, 32), model.smooth, model.poles))
         # The closed form is sampled, not interpolated: shared grid points agree.
         np.testing.assert_array_equal(fine.values[::2, ::2], coarse.values)
 
@@ -136,8 +136,6 @@ class TestValidation:
         model = QuasiPshModel(SPEC64)
         with pytest.raises(ValueError, match="nonnegative"):
             evaluate(model, s_override=-0.1)
-        with pytest.raises(ValueError, match="same dimension"):
-            evaluate(model, spec=TorusSpec(2, 16))
 
 
 class TestHessianLowerBound:
@@ -288,7 +286,7 @@ class TestSkodaDichotomy:
         out = []
         for N in (base_resolution, 2 * base_resolution, 4 * base_resolution):
             sub = TorusSpec(model.spec.n, N)
-            psi = evaluate(model, s_override=0.0, spec=sub)
+            psi = evaluate(QuasiPshModel(sub, model.smooth, model.poles), 0.0)
             d2 = 0.0
             for cj, aj in zip(sub.coordinates(), x):
                 d2 = d2 + (np.mod(cj - aj + 0.5, 1.0) - 0.5) ** 2
@@ -388,8 +386,8 @@ class TestDensityCheck:
         for scale in (1, 2):
             sub = TorusSpec(n, spec.N * scale)
             diff = (
-                evaluate(psi1, s_override=0.0, spec=sub).values
-                - evaluate(psi2, s_override=0.0, spec=sub).values
+                evaluate(QuasiPshModel(sub, psi1.smooth, psi1.poles), 0.0).values
+                - evaluate(QuasiPshModel(sub, psi2.smooth, psi2.poles), 0.0).values
             )
             log_sum = logsumexp(p * diff) - sub.num_axes * np.log(sub.N)
             want.append(float(np.exp(log_sum / p)))
