@@ -78,7 +78,6 @@ class Scenario:
     eps_schedule: tuple[float, ...]
     tol: float = 1e-10
     C_config: float | None = None
-    description: str = ""
 
     def __post_init__(self):
         if self.p <= 1:
@@ -253,8 +252,6 @@ def rung_diagnostics(
         "shift_defect": _shift_defect(phi, m.data.det, alpha, eps),
         "siu_min_residual": float(np.min(siu)),
         "weighted_c2_sup": probe.global_weighted_sup,
-        "sum_inverse_at_argmax": probe.sum_inverse_at_argmax,
-        "argmax": probe.argmax,
         "trace_defect": estimates._trace_identity_defect(m),
         "comparison_min": comparison,
         "q_sup": float(np.max(m.q)),

@@ -52,6 +52,7 @@ __all__ = [
     "max_principle_probe",
     "c2_uniformity",
     "delta_trend",
+    "holder_seminorms",
     "holder_seminorm",
     "has_admissible_pairs",
     "sobolev_holder_probe",
@@ -197,7 +198,8 @@ def _comparison_residual(m: _RungMetric, psi: GridField, C: float) -> np.ndarray
 def trace_identity_defect(Phi: GridField, eps: float) -> float:
     """Sup defect of ``trace(g^{-1} H(Phi)) = n - (1+eps) trace(g^{-1})``.
 
-    Both sides are computed independently from the same metric cache; the
+    Both sides are computed independently from one ``_RungMetric`` (the
+    Hessian of ``Phi`` and the adjugate data of ``g``, built once); the
     identity is pure linear algebra, so the defect is round-off only.
     """
     return _trace_identity_defect(_RungMetric.build(Phi, eps))
@@ -368,28 +370,31 @@ def c2_uniformity(states, psi2: QuasiPshModel, C: float) -> Verdict:
     )
 
 
-def delta_trend(states, final_bound: float = 1e-2) -> Verdict:
+_FINAL_DELTA_BOUND = 1e-2
+
+
+def delta_trend(states) -> Verdict:
     """Decay of the mass-restoring constants down the ladder.
 
-    Holds when the final ``|delta_eps|`` is below the bound and the absolute
-    values do not increase over the last three rungs.
+    Holds when the final ``|delta_eps|`` is at most ``1e-2`` and the
+    absolute values do not increase over the last three rungs.
     """
     if len(states) < 3:
         return Verdict(INCONCLUSIVE, f"need at least 3 rungs, got {len(states)}")
     deltas = [abs(s.delta_eps) for s in states]
     tail = deltas[-3:]
     decreasing = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(tail, tail[1:]))
-    small = deltas[-1] <= final_bound
+    small = deltas[-1] <= _FINAL_DELTA_BOUND
     if small and decreasing:
         return Verdict(
             HOLDS,
-            f"final |delta| {deltas[-1]:.3e} <= {final_bound:g}, "
+            f"final |delta| {deltas[-1]:.3e} <= {_FINAL_DELTA_BOUND:g}, "
             f"non-increasing over last 3 rungs",
             witness=(("final_delta", deltas[-1]),),
         )
     parts = []
     if not small:
-        parts.append(f"final |delta| {deltas[-1]:.3e} exceeds {final_bound:g}")
+        parts.append(f"final |delta| {deltas[-1]:.3e} exceeds {_FINAL_DELTA_BOUND:g}")
     if not decreasing:
         parts.append(f"|delta| not decreasing over last 3 rungs: {tail}")
     return Verdict(
@@ -399,87 +404,79 @@ def delta_trend(states, final_bound: float = 1e-2) -> Verdict:
     )
 
 
-def _stencil_offsets(num_axes: int) -> list[tuple[int, ...]]:
-    """One representative per antipodal pair of {-1,0,1}^d offsets."""
-    offsets = []
-    for v in product((-1, 0, 1), repeat=num_axes):
-        if all(c == 0 for c in v):
+def _stencil_legs(spec):
+    """Yield ``(shift, separation)`` for each Hoelder stencil leg.
+
+    Legs run along one representative of each antipodal pair of lattice
+    directions in ``{-1,0,1}^d`` at one, two and four grid spacings, capped
+    at separation 1/4, the injectivity scale of the periodic distance.
+    """
+    for v in product((-1, 0, 1), repeat=spec.num_axes):
+        if next((c for c in v if c != 0), 0) <= 0:  # zero, or an antipodal twin
             continue
-        first = next(c for c in v if c != 0)
-        if first > 0:
-            offsets.append(v)
-    return offsets
+        vnorm = float(np.linalg.norm(v))
+        for m in (1, 2, 4):
+            separation = m * spec.h * vnorm
+            if separation <= 0.25:
+                yield tuple(-m * c for c in v), separation
 
 
-def holder_seminorm(
-    phi: GridField,
-    gamma: float,
-    exclusion_radius: float,
-    singular=(),
-) -> float:
-    """Discrete Hoelder seminorm of the gradient away from the singular set.
+def holder_seminorms(
+    phi: GridField, gamma: float, radii, singular=()
+) -> tuple[float, ...]:
+    """Discrete Hoelder seminorms of the gradient, one per exclusion radius.
 
-    The seminorm is the maximum of ``|grad phi(x + d) - grad phi(x)| / |d|^gamma``
-    over a stencil of lattice directions at one, two, and four grid spacings
-    (separations capped at 1/4, the injectivity scale of the periodic
-    distance), restricted to pairs whose endpoints both keep the exclusion
-    distance from every singular center, given as a tuple of center
-    coordinates.  Monotone non-increasing in the exclusion radius by
-    construction.  Raises when the exclusion empties the
-    stencil; requires at least two grid spacings of exclusion radius so the
-    shortest stencil legs cannot straddle a pole.
+    Each is the maximum of ``|grad phi(x + d) - grad phi(x)| / |d|^gamma``
+    over the stencil legs ``d``, restricted to pairs whose endpoints both
+    keep that radius from every singular center (a tuple of center
+    coordinates), so it is monotone non-increasing in the radius.  The
+    gradient is taken once and each leg's difference formed once for all
+    radii.  Every radius must be at least two grid spacings, so the shortest
+    legs cannot straddle a pole; raises when a radius empties the stencil.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"Hoelder exponent must lie in (0,1), got {gamma}")
     spec = phi.spec
-    if exclusion_radius < 2.0 * spec.h * (1.0 - 1e-12):
+    if min(radii) < 2.0 * spec.h * (1.0 - 1e-12):
         raise ValueError(
             f"exclusion radius must be at least 2h = {2 * spec.h:g}, "
-            f"got {exclusion_radius:g}"
+            f"got {min(radii):g}"
         )
     grad = spectral_gradient(phi)
+    masks = [_exclusion_mask(spec, singular, radius) for radius in radii]
     axes = tuple(range(spec.num_axes))
-    best = -np.inf
-    for shift, separation, valid in _admissible_pairs(spec, exclusion_radius, singular):
-        diff2 = np.zeros(spec.shape)
-        for comp in grad:
-            diff2 += (np.roll(comp, shift, axis=axes) - comp) ** 2
-        quotient = np.sqrt(diff2[valid]) / separation**gamma
-        best = max(best, float(np.max(quotient)))
-    if best == -np.inf:
-        raise ValueError(
-            f"exclusion radius {exclusion_radius:g} leaves no admissible "
-            f"stencil pairs on an N={spec.N} grid"
-        )
-    return best
+    best = [-np.inf] * len(masks)
+    for shift, separation in _stencil_legs(spec):
+        valid = [keep & np.roll(keep, shift, axis=axes) for keep in masks]
+        if not any(v.any() for v in valid):
+            continue
+        diff2 = sum((np.roll(comp, shift, axis=axes) - comp) ** 2 for comp in grad)
+        for i, v in enumerate(valid):
+            if v.any():  # sqrt and division are monotone: take the top diff2
+                top = np.sqrt(np.max(diff2, where=v, initial=0.0)) / separation**gamma
+                best[i] = max(best[i], float(top))
+    for radius, value in zip(radii, best):
+        if value == -np.inf:
+            raise ValueError(
+                f"exclusion radius {radius:g} leaves no admissible "
+                f"stencil pairs on an N={spec.N} grid"
+            )
+    return tuple(best)
 
 
-def _admissible_pairs(spec, exclusion_radius: float, singular=()):
-    """Yield ``(shift, separation, valid)`` for each Hoelder stencil leg.
-
-    Legs run along one representative of each antipodal lattice direction at
-    one, two and four grid spacings, capped at separation 1/4; ``valid``
-    marks the grid points whose leg keeps both endpoints at least
-    ``exclusion_radius`` from every singular center.  Legs with no valid
-    point are skipped.
-    """
-    keep = _exclusion_mask(spec, singular, exclusion_radius)
-    axes = tuple(range(spec.num_axes))
-    for v in _stencil_offsets(spec.num_axes):
-        vnorm = float(np.linalg.norm(v))
-        for m in (1, 2, 4):
-            separation = m * spec.h * vnorm
-            if separation > 0.25:
-                continue
-            shift = tuple(-m * c for c in v)
-            valid = keep & np.roll(keep, shift, axis=axes)
-            if valid.any():
-                yield shift, separation, valid
+def holder_seminorm(
+    phi: GridField, gamma: float, exclusion_radius: float, singular=()
+) -> float:
+    """The Hoelder seminorm of :func:`holder_seminorms` at one exclusion radius."""
+    return holder_seminorms(phi, gamma, (exclusion_radius,), singular)[0]
 
 
 def has_admissible_pairs(spec, exclusion_radius: float, singular=()) -> bool:
     """Whether :func:`holder_seminorm` has any stencil pair at this exclusion."""
-    return next(_admissible_pairs(spec, exclusion_radius, singular), None) is not None
+    keep = _exclusion_mask(spec, singular, exclusion_radius)
+    axes = tuple(range(spec.num_axes))
+    legs = _stencil_legs(spec)
+    return any((keep & np.roll(keep, shift, axis=axes)).any() for shift, _ in legs)
 
 
 @dataclass(frozen=True)
@@ -499,16 +496,19 @@ def sobolev_holder_probe(
     q_exponent: float,
     exclusion_radius: float,
     singular=(),
+    *,
+    holder: float,
     d_override: float | None = None,
 ) -> SobolevHolderReport:
     """Second-order integrability versus Hoelder continuity on a patch.
 
     Computes the volume-weighted ``L^q`` norm of the complex Hessian
-    (Frobenius, pointwise) and the Hoelder-``gamma`` seminorm of the
-    gradient on the same patch — the two sides of the compactness embedding
-    — plus the condition margins ``q (1 - gamma) - d`` for both readings of
-    the dimension, the real ``2n`` and the complex ``n``, and an optional
-    configured value.  A positive margin is the condition under which
+    (Frobenius, pointwise) on the patch and sets it against ``holder``, the
+    Hoelder-``gamma`` seminorm of the gradient that the caller measured on
+    the same patch with :func:`holder_seminorms` — the two sides of the
+    compactness embedding — plus the condition margins ``q (1 - gamma) - d``
+    for both readings of the dimension, the real ``2n`` and the complex
+    ``n``, and an optional configured value.  A positive margin is the condition under which
     second-order integrability upgrades to Hoelder continuity of the
     gradient; the seminorm-to-norm ratio is the per-rung diagnostic.
     """
@@ -521,7 +521,6 @@ def sobolev_holder_probe(
     frob = _frobenius(complex_hessian(phi))
     cell = spec.h**spec.num_axes
     sobolev = float((np.sum(frob[keep] ** q_exponent) * cell) ** (1.0 / q_exponent))
-    holder = holder_seminorm(phi, gamma, exclusion_radius, singular)
     ratio = holder / sobolev if sobolev > 0 else (0.0 if holder == 0 else float("inf"))
     margins = [
         ("real_dimension", q_exponent * (1.0 - gamma) - 2 * spec.n),

@@ -154,10 +154,6 @@ def _hessian_multipliers(n: int, N: int) -> tuple[np.ndarray, ...]:
     return tuple(mults)
 
 
-def _as_spec(obj) -> TorusSpec:
-    return obj.spec if hasattr(obj, "spec") else obj
-
-
 @dataclass
 class GridField:
     """A real scalar field sampled on the torus grid."""

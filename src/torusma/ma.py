@@ -365,20 +365,21 @@ def poisson_oracle_n1(
     return invert_half_laplacian(GridField(spec, F.values - background))
 
 
-def degeneracy_integrability(
-    alpha: AlphaModel, eps0: float | None = None, refinements: tuple[int, ...] = (1, 2, 4)
-) -> list[float]:
+_DEGENERACY_REFINEMENTS = (1, 2, 4)
+
+
+def degeneracy_integrability(alpha: AlphaModel, eps0: float | None = None) -> list[float]:
     """Quasi-norm ``(int (1/det a)^{eps0})^{1/eps0}`` under grid refinement.
 
-    Uses midpoint sampling so the degenerate sheets ``{x_j = 0}`` at ``t = 1``
-    are never hit exactly; a stabilizing sequence is evidence of integrability
-    (true for this family whenever ``eps0 < 1/2``).
+    Midpoint samples on the grid refined by 1, 2 and 4 never hit the degenerate
+    sheets ``{x_j = 0}`` at ``t = 1``; a stabilizing sequence is evidence of
+    integrability (true for this family whenever ``eps0 < 1/2``).
     """
     if eps0 is None:
         eps0 = alpha.eps0
     out = []
     n, N0 = alpha.spec.n, alpha.spec.N
-    for scale in refinements:
+    for scale in _DEGENERACY_REFINEMENTS:
         N = N0 * scale
         x = (np.arange(N) + 0.5) / N
         det = 1.0

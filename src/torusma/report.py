@@ -141,7 +141,8 @@ def _holder_report(
     from the singular set (outer exclusion radius) settles down the ladder.
     The inner/outer concentration ratio and the embedding-probe numbers are
     reported as data — their magnitudes are resolution- and
-    geometry-dependent, so they are not gated here.
+    geometry-dependent, so they are not gated here.  The final rung is
+    measured at both radii in one stencil pass.
     """
     spec = scenario.spec
     centers = tuple(p.center for p in scenario.psi2.poles) + tuple(
@@ -154,16 +155,19 @@ def _holder_report(
         estimates.holder_seminorm(s.phi, gamma, outer_r, centers)
         for s in states[-3:-1]
     ]
+    outer_final, inner_final = estimates.holder_seminorms(
+        states[-1].phi, gamma, (outer_r, inner_r), centers
+    )
+    outer.append(outer_final)
     probe = estimates.sobolev_holder_probe(
         states[-1].phi,
         gamma,
         settings.sobolev_q,
         outer_r,
         centers,
+        holder=outer_final,
         d_override=settings.sobolev_d,
     )
-    outer.append(probe.holder_value)  # the final rung's outer seminorm
-    inner_final = estimates.holder_seminorm(states[-1].phi, gamma, inner_r, centers)
     lo, hi = min(outer), max(outer)
     if hi <= 1e-12:  # identically flat potential: nothing to measure
         spread = 1.0

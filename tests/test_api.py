@@ -83,6 +83,7 @@ PUBLIC = {
         "max_principle_probe",
         "c2_uniformity",
         "delta_trend",
+        "holder_seminorms",
         "holder_seminorm",
         "has_admissible_pairs",
         "sobolev_holder_probe",

@@ -244,8 +244,6 @@ class TestRunContinuation:
                 "shift_defect",
                 "siu_min_residual",
                 "weighted_c2_sup",
-                "sum_inverse_at_argmax",
-                "argmax",
                 "trace_defect",
             ):
                 assert key in s.diagnostics
@@ -332,8 +330,6 @@ _ESTIMATE_KEYS = (
     "shift_defect",
     "siu_min_residual",
     "weighted_c2_sup",
-    "sum_inverse_at_argmax",
-    "argmax",
     "trace_defect",
     "comparison_min",
     "q_sup",

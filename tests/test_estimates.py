@@ -2,10 +2,14 @@
 verdicts, and the interior-regularity probes, against closed forms.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from torusma.continuation import ContinuationState
+from torusma import estimates
+from torusma.config import make_experiment
+from torusma.continuation import ContinuationState, Scenario, run_continuation
 from torusma.estimates import (
     HOLDS,
     INCONCLUSIVE,
@@ -16,6 +20,7 @@ from torusma.estimates import (
     comparison_residual,
     delta_trend,
     holder_seminorm,
+    holder_seminorms,
     max_principle_probe,
     siu_residual,
     sobolev_holder_probe,
@@ -29,9 +34,11 @@ from torusma.geometry import (
     half_laplacian,
     min_eigenvalue_field,
     scaled_identity,
+    spectral_gradient,
 )
-from torusma.ma import PositivityError, ma_density
+from torusma.ma import AlphaModel, PositivityError, ma_density
 from torusma.pluripotential import Pole, QuasiPshModel, evaluate
+from torusma.report import build_record
 from conftest import trig_poly
 
 
@@ -306,22 +313,102 @@ class TestHolderSeminorm:
             holder_seminorm(field, 0.5, 0.75, ((0.5, 0.5),))
 
 
+def _one_radius_loop(phi, gamma, radius, centers):
+    """Reference: one exclusion radius, every leg rolled and compared anew."""
+    spec = phi.spec
+    coords = spec.coordinates()
+    keep = np.ones(spec.shape, dtype=bool)
+    for center in centers:
+        d2 = np.zeros(spec.shape)
+        for axis in range(spec.num_axes):
+            d2 = d2 + (np.mod(coords[axis] - center[axis] + 0.5, 1.0) - 0.5) ** 2
+        keep &= np.sqrt(d2) >= radius
+    grad = spectral_gradient(phi)
+    axes = tuple(range(spec.num_axes))
+    best = -np.inf
+    for v in product((-1, 0, 1), repeat=spec.num_axes):
+        if not any(v) or next(c for c in v if c != 0) < 0:
+            continue
+        for m in (1, 2, 4):
+            separation = m * spec.h * float(np.linalg.norm(v))
+            if separation > 0.25:
+                continue
+            shift = tuple(-m * c for c in v)
+            valid = keep & np.roll(keep, shift, axis=axes)
+            if not valid.any():
+                continue
+            diff2 = np.zeros(spec.shape)
+            for comp in grad:
+                diff2 += (np.roll(comp, shift, axis=axes) - comp) ** 2
+            quotient = np.sqrt(diff2[valid]) / separation**gamma
+            best = max(best, float(np.max(quotient)))
+    return best
+
+
+class TestHolderSeminorms:
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+    def test_one_pass_equals_the_one_radius_loop_bitwise(self, n, N):
+        spec = TorusSpec(n, N)
+        center = (0.5,) * spec.num_axes
+        pole = evaluate(QuasiPshModel(spec, poles=(Pole(center=center, weight=0.5),)))
+        field = GridField(spec, pole.values + 0.1 * trig_poly(spec, 3, seed=n).values)
+        radii = (8 * spec.h, 4 * spec.h, 2 * spec.h)
+        measured = holder_seminorms(field, 0.5, radii, (center,))
+        expected = tuple(_one_radius_loop(field, 0.5, r, (center,)) for r in radii)
+        assert measured == expected
+        assert measured[0] < measured[-1]  # the pole is felt at the inner radius
+
+    def test_an_empty_radius_is_named(self):
+        spec = TorusSpec(1, 16)
+        field = _mode(spec, 0.1)
+        with pytest.raises(
+            ValueError,
+            match="exclusion radius 0.75 leaves no admissible stencil pairs",
+        ):
+            holder_seminorms(field, 0.5, (2 * spec.h, 0.75), ((0.5, 0.5),))
+
+    def test_build_record_differentiates_each_measured_field_once(self, monkeypatch):
+        # Outer radius on the last three rungs, inner radius on the last:
+        # three fields, three gradients.
+        spec = TorusSpec(1, 32)
+        scenario = Scenario(
+            name="holder",
+            spec=spec,
+            alpha=AlphaModel(spec, t=0.5),
+            psi1=QuasiPshModel(spec),
+            psi2=QuasiPshModel(spec, poles=(Pole(center=(0.5, 0.5), weight=0.3),)),
+            p=2.0,
+            eps_schedule=(0.25, 0.125, 0.0625, 0.03125),
+        )
+        experiment = make_experiment("holder", scenario)
+        states = run_continuation(experiment.scenario)
+        measured = []
+
+        def counted(phi):
+            measured.append(phi)
+            return spectral_gradient(phi)
+
+        monkeypatch.setattr(estimates, "spectral_gradient", counted)
+        build_record(experiment, states)
+        assert len(measured) == 3
+        assert all(a is s.phi for a, s in zip(measured, states[-3:]))
+
+
 class TestSobolevHolderProbe:
     def test_single_mode_closed_forms_and_margins(self):
         spec = TorusSpec(1, 64)
         a = 0.3
+        field = _mode(spec, a)
+        holder = holder_seminorm(field, 0.5, 2 * spec.h)
         report = sobolev_holder_probe(
-            _mode(spec, a), 0.5, 4.0, 2 * spec.h, d_override=1.5
+            field, 0.5, 4.0, 2 * spec.h, holder=holder, d_override=1.5
         )
         # |H(phi)| = pi^2 a |cos|; the grid fourth-moment of the cosine is
         # exactly 3/8, so the L^4 norm is pi^2 a (3/8)^(1/4).
         assert report.sobolev_norm == pytest.approx(
             np.pi**2 * a * (3.0 / 8.0) ** 0.25, rel=1e-12
         )
-        expected_holder = (
-            4 * np.pi * a * np.sin(4 * np.pi * spec.h) / (4 * spec.h) ** 0.5
-        )
-        assert report.holder_value == pytest.approx(expected_holder, rel=1e-12)
+        assert report.holder_value == holder
         assert report.ratio == pytest.approx(
             report.holder_value / report.sobolev_norm, rel=1e-14
         )
@@ -342,6 +429,6 @@ class TestSobolevHolderProbe:
         spec = TorusSpec(1, 16)
         field = _mode(spec, 0.1)
         with pytest.raises(ValueError, match="must be positive"):
-            sobolev_holder_probe(field, 0.5, 0.0, 2 * spec.h)
+            sobolev_holder_probe(field, 0.5, 0.0, 2 * spec.h, holder=1.0)
         with pytest.raises(ValueError, match="removes the whole grid"):
-            sobolev_holder_probe(field, 0.5, 4.0, 0.75, ((0.5, 0.5),))
+            sobolev_holder_probe(field, 0.5, 4.0, 0.75, ((0.5, 0.5),), holder=1.0)

@@ -1,8 +1,11 @@
-"""No library module imports a name it never uses.
+"""No library module imports a name it never uses, or keeps a private one
+that nothing reads.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the stdlib ``ast``: every name an import binds must be read somewhere
-in the module, or be re-exported through its ``__all__``.
+in the module, or be re-exported through its ``__all__``; every module-level
+private name (``_x``, not a dunder) must be read by some module of the
+package, by name, as an attribute or through ``from ... import``.
 """
 
 import ast
@@ -49,3 +52,56 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree) - read
+    )
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {
+        "a": (
+            "__version__ = '1'\n"
+            "_LIMIT = 3\n"
+            "_unused: int = 0\n"
+            "def _helper(): return _LIMIT\n"
+            "def _orphan(): pass\n"
+            "class _Data: pass\n"
+        ),
+        "b": "from .a import _helper\nimport a\nx = a._Data\n",
+    }
+    assert _unread_private_names(sources) == ["a._orphan", "a._unused"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert _unread_private_names(sources) == []
