@@ -11,7 +11,8 @@ where ``psi_j_eps`` are the smoothed potentials at the same ``eps`` and the
 scalar ``delta_eps`` restores exact mass balance rung by rung.  Solutions are
 mean-zero, warm-started down the ladder, and carried with the shifted
 potential ``Phi = phi + rho`` in which the background becomes the constant
-form ``(1 + eps) I`` — the frame every curvature-type estimate uses.
+form ``(1 + eps) I`` — the frame every curvature-type estimate uses.  What
+does not depend on the rung is built once per ladder (``_Ladder``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimates
-from .geometry import GridField, TorusSpec, integrate, scaled_identity
+from .geometry import GridField, TorusSpec, _hessian_and_trace, integrate, scaled_identity
 from .ma import (
     AlphaModel,
     IterationLimitError,
@@ -198,60 +199,70 @@ def _shift_defect(
     return float(np.max(np.abs(lhs.values - det_g)))
 
 
-def smoothed_potentials(
-    scenario: Scenario, eps: float
-) -> tuple[GridField, GridField, float]:
-    """``psi1`` and ``psi2`` regularized at ``eps``, and the certified constant.
+@dataclass(frozen=True)
+class _Ladder:
+    """What every rung of a scenario shares; ``sharp``: the models at smoothing 0."""
 
-    The constant is ``hessian_lower_bound(psi2, s_min=sqrt(eps))``, taken
-    from the field ``regularize`` widens and checks ``psi2`` with, so each
-    rung certifies it once.
-    """
-    p1 = regularize(scenario.psi1, eps)
-    p2, C_cert = _regularize(scenario.psi2, eps, certify=True)
-    return p1, p2, C_cert
+    scenario: Scenario
+    C: float
+    sharp: tuple[GridField, GridField]
+    rho: np.ndarray
+    eta: tuple
+    weight: np.ndarray
+    keep: np.ndarray
+
+    @classmethod
+    def build(cls, scenario: Scenario) -> "_Ladder":
+        alpha, psi1, psi2 = scenario.alpha, scenario.psi1, scenario.psi2
+        return cls(
+            scenario,
+            scenario.resolved_C(),
+            (evaluate(psi1, s_override=0.0), evaluate(psi2, s_override=0.0)),
+            alpha.rho().values,
+            estimates._weight(_hessian_and_trace(alpha.eta()), alpha.t + 1e-6),
+            *estimates._sharp_weight(psi2),
+        )
+
+
+def smoothed_potentials(ladder: _Ladder, eps: float):
+    """``psi1`` and ``psi2`` regularized at ``eps``, and ``psi2``'s comparison
+    weight: its Hessian from guarantee (b), and the constant
+    ``hessian_lower_bound(psi2, s_min=sqrt(eps))`` certified while smoothing."""
+    scenario = ladder.scenario
+    p1 = _regularize(scenario.psi1, eps, ladder.sharp[0])[0]
+    p2, C_cert, calculus = _regularize(scenario.psi2, eps, ladder.sharp[1], certify=True)
+    return p1, p2, estimates._weight(calculus, C_cert)
 
 
 def rung_diagnostics(
-    scenario: Scenario,
-    eps: float,
-    delta: float,
-    phi: GridField,
-    p1: GridField,
-    p2: GridField,
-    C: float,
-    C_cert: float,
+    ladder: _Ladder, eps: float, delta: float, phi: GridField, p1, p2, weight2
 ) -> tuple[GridField, dict]:
     """The shifted potential and every per-rung estimate scalar of a solved rung.
 
-    ``p1`` and ``p2`` are the potentials smoothed at ``eps`` and ``C_cert``
-    the curvature constant of ``psi2`` certified at smoothing ``sqrt(eps)``,
-    all three as :func:`smoothed_potentials` returns them; ``delta`` is the
-    rung's mass-restoring constant and ``C`` the probe constant.  The metric
-    ``(1 + eps) I + H(Phi)`` is built once and shared by the shift and trace
-    identities, the log-trace inequality, the weighted second-order probe and
-    the convexity comparison for both weights (the rung-smoothed ``psi2``
-    with the constant certified at this smoothing scale, and the background
-    weight ``eta = -rho`` with its closed-form bound ``t``).  ``run`` and
-    ``verify`` both compute their diagnostics here.  Raises
+    ``p1``, ``p2`` and ``weight2`` come from :func:`smoothed_potentials` and
+    ``delta`` is the rung's mass-restoring constant.  One metric
+    ``(1 + eps) I + H(Phi)`` serves the shift and trace identities, the
+    log-trace inequality, both weighted second-order quantities and the
+    convexity comparison for both weights (``p2`` and ``eta = -rho``).
+    ``run`` and ``verify`` both compute their diagnostics here.  Raises
     ``EstimateError`` or ``PositivityError`` when a precondition fails.
     """
-    spec = scenario.spec
-    alpha = scenario.alpha
-    Phi = GridField(spec, phi.values + alpha.rho().values)
+    spec, C = ladder.scenario.spec, ladder.C
+    Phi = GridField(spec, phi.values + ladder.rho)
     m = estimates._RungMetric.build(Phi, eps)
     F = _rung_density(delta, p1, p2)
     f_log = GridField(spec, np.log(F.values) - spec.n * np.log1p(eps))
     siu = estimates._siu_residual(m, f_log, C)
     probe = estimates._max_principle_probe(m, p2, C)
     comparison = min(
-        float(np.min(estimates._comparison_residual(m, p2, C_cert))),
-        float(np.min(estimates._comparison_residual(m, alpha.eta(), alpha.t + 1e-6))),
+        float(np.min(estimates._comparison_residual(m, weight2))),
+        float(np.min(estimates._comparison_residual(m, ladder.eta))),
     )
     return Phi, {
-        "shift_defect": _shift_defect(phi, m.data.det, alpha, eps),
+        "shift_defect": _shift_defect(phi, m.data.det, ladder.scenario.alpha, eps),
         "siu_min_residual": float(np.min(siu)),
         "weighted_c2_sup": probe.global_weighted_sup,
+        "sharp_weighted_sup": estimates._weighted_sup(m, ladder.weight, ladder.keep, C),
         "trace_defect": estimates._trace_identity_defect(m),
         "comparison_min": comparison,
         "q_sup": float(np.max(m.q)),
@@ -275,11 +286,11 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
             f"scenario is not mass-balanced ({mass_d:.12g} vs {mass_a:.12g}); "
             f"apply enforce_mass_balance first"
         )
-    C = scenario.resolved_C()
+    ladder = _Ladder.build(scenario)
     states: list[ContinuationState] = []
     for rung, eps in enumerate(scenario.eps_schedule):
         try:
-            p1, p2, C_cert = smoothed_potentials(scenario, eps)
+            p1, p2, weight2 = smoothed_potentials(ladder, eps)
             delta = _delta(scenario.alpha, eps, p1, p2)
             result = solve_ma_detailed(
                 scenario.alpha.coefficients(eps),
@@ -288,7 +299,7 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
                 tol=scenario.tol,
             )
             Phi, diagnostics = rung_diagnostics(
-                scenario, eps, delta, result.phi, p1, p2, C, C_cert
+                ladder, eps, delta, result.phi, p1, p2, weight2
             )
             states.append(
                 ContinuationState(

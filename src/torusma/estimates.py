@@ -27,6 +27,7 @@ from .geometry import (
     HermitianFormField,
     _MetricData,
     _frobenius,
+    _hessian_and_trace,
     half_laplacian,
     complex_hessian,
     min_eigenvalue_field,
@@ -97,40 +98,35 @@ class EstimateError(ValueError):
     """An estimate's precondition fails on the fields it was handed."""
 
 
-def _q_values(Phi: GridField, eps: float) -> np.ndarray:
-    """Normalized metric trace ``n + trace H(Phi) / (1 + eps)``; must be > 0."""
-    q = Phi.spec.n + half_laplacian(Phi).values / (1.0 + eps)
-    qmin = float(np.min(q))
-    if qmin <= 0:
-        raise EstimateError(
-            f"normalized metric trace must be positive, grid minimum {qmin:.3e}"
-        )
-    return q
-
-
 @dataclass(frozen=True)
 class _RungMetric:
     """The metric ``g = (1 + eps) I + H(Phi)`` of one rung, built once.
 
-    Carries the normalized trace ``q``, the Hessian ``H(Phi)`` and the
-    determinant/adjugate data of ``g``; every per-rung estimate reads these
-    instead of differentiating ``Phi`` again.
+    Carries the normalized trace ``q = n + trace H(Phi) / (1 + eps) > 0`` and
+    its log, ``H(Phi)`` and the determinant/adjugate data of ``g``, from one
+    transform of ``Phi``; every per-rung estimate reads these.
     """
 
     Phi: GridField
     eps: float
     q: np.ndarray
+    log_q: np.ndarray
     hessian: HermitianFormField
     data: _MetricData
 
     @classmethod
     def build(cls, Phi: GridField, eps: float) -> "_RungMetric":
-        q = _q_values(Phi, eps)
-        H = complex_hessian(Phi)
+        H, trace = _hessian_and_trace(Phi)
+        q = Phi.spec.n + trace / (1.0 + eps)
+        qmin = float(np.min(q))
+        if qmin <= 0:
+            raise EstimateError(
+                f"normalized metric trace must be positive, grid minimum {qmin:.3e}"
+            )
         data = _MetricData.from_form(scaled_identity(Phi.spec, 1.0 + eps) + H)
         if float(np.min(data.det)) <= 0:
             raise PositivityError("metric is singular: determinant vanishes on the grid")
-        return cls(Phi=Phi, eps=eps, q=q, hessian=H, data=data)
+        return cls(Phi=Phi, eps=eps, q=q, log_q=np.log(q), hessian=H, data=data)
 
 
 def siu_residual(Phi: GridField, f: GridField, eps: float, C: float) -> GridField:
@@ -152,7 +148,7 @@ def siu_residual(Phi: GridField, f: GridField, eps: float, C: float) -> GridFiel
 
 
 def _siu_residual(m: _RungMetric, f: GridField, C: float) -> np.ndarray:
-    logq = GridField(m.Phi.spec, np.log(m.q))
+    logq = GridField(m.Phi.spec, m.log_q)
     lhs = m.data.contract(complex_hessian(logq).parts)
     rhs = (half_laplacian(f).values / (1.0 + m.eps) - C) / m.q
     rhs = rhs - C * (1.0 + m.eps) * m.data.inverse_trace()
@@ -178,20 +174,27 @@ def comparison_residual(
     to round-off whenever the precondition holds.
     """
     m = _RungMetric.build(Phi, eps)
-    return GridField(Phi.spec, _comparison_residual(m, psi, C))
+    weight = _weight(_hessian_and_trace(psi), C)
+    return GridField(Phi.spec, _comparison_residual(m, weight))
 
 
-def _comparison_residual(m: _RungMetric, psi: GridField, C: float) -> np.ndarray:
-    spec = m.Phi.spec
-    H = complex_hessian(psi)
-    min_eig = float(np.min(min_eigenvalue_field(scaled_identity(spec, C) + H).values))
+def _weight(calculus, C: float) -> tuple:
+    """A comparison weight ``psi`` with its constant, differentiated once:
+    ``(H(psi), Delta psi, C, min eig(C I + H(psi)))`` from its ``_hessian_and_trace``."""
+    H, laplacian = calculus
+    eig = min_eigenvalue_field(scaled_identity(H.spec, C) + H)
+    return H, laplacian, C, float(np.min(eig.values))
+
+
+def _comparison_residual(m: _RungMetric, weight: tuple) -> np.ndarray:
+    H, laplacian, C, min_eig = weight
     if min_eig < _COMPARISON_PRECONDITION:
         raise EstimateError(
             f"weight is not curvature-bounded by C={C:.6g}: "
             f"grid minimum eigenvalue {min_eig:.3e}"
         )
     lhs = C * m.data.inverse_trace() + m.data.contract(H.parts)
-    rhs = (C * spec.n + half_laplacian(psi).values) / ((1.0 + m.eps) * m.q)
+    rhs = (C * m.Phi.spec.n + laplacian) / ((1.0 + m.eps) * m.q)
     return lhs - rhs
 
 
@@ -233,7 +236,7 @@ def max_principle_probe(state, psi2_eps: GridField, C: float) -> ProbeResult:
 
 
 def _max_principle_probe(m: _RungMetric, psi2_eps: GridField, C: float) -> ProbeResult:
-    S = -2.0 * C * m.Phi.values + psi2_eps.values + np.log(m.q)
+    S = -2.0 * C * m.Phi.values + psi2_eps.values + m.log_q
     flat = int(np.argmax(S))
     idx = tuple(int(i) for i in np.unravel_index(flat, m.Phi.spec.shape))
     sum_inv = float(((1.0 + m.eps) * m.data.inverse_trace())[idx])
@@ -310,13 +313,28 @@ def _exclusion_mask(spec, centers, radius: float) -> np.ndarray:
     return keep
 
 
-def c2_uniformity(states, psi2: QuasiPshModel, C: float) -> Verdict:
+def _sharp_weight(psi2: QuasiPshModel) -> tuple[np.ndarray, np.ndarray]:
+    """The weight ``evaluate(psi2)`` of :func:`_weighted_sup` and its mask of
+    grid points at least one spacing from every pole, the same on every rung."""
+    keep = _exclusion_mask(psi2.spec, tuple(p.center for p in psi2.poles), psi2.spec.h)
+    if not keep.any():
+        raise ValueError("every grid point is excluded by the singular centers")
+    return evaluate(psi2).values, keep
+
+
+def _weighted_sup(m: _RungMetric, weight, keep, C: float) -> float:
+    """``sup q * exp(weight - 2 C Phi)`` over the grid points ``keep`` marks."""
+    S = m.log_q + weight - 2.0 * C * m.Phi.values
+    return float(np.exp(np.max(S[keep])))
+
+
+def c2_uniformity(states) -> Verdict:
     """Uniformity of the weighted second-order quantity down the ladder.
 
     Per rung the quantity is ``sup q * exp(psi2_hat - 2 C Phi)`` over grid
     points at least one spacing away from the singular centers, where
     ``psi2_hat`` is the sharp weight (grid-floored at its poles) held fixed
-    across rungs, and ``Phi = phi + rho`` is each state's shifted potential,
+    across rungs and ``Phi = phi + rho``: each state's ``sharp_weighted_sup``,
     as ``continuation.rung_diagnostics`` computed it.  Holds when every rung
     stays within a factor 2 of the first and the relative least-squares
     slope against ``-log eps`` is at most 0.05 per e-fold.  The unweighted
@@ -325,18 +343,7 @@ def c2_uniformity(states, psi2: QuasiPshModel, C: float) -> Verdict:
     """
     if len(states) < 3:
         return Verdict(INCONCLUSIVE, f"need at least 3 rungs, got {len(states)}")
-    spec = states[0].phi.spec
-    weight = evaluate(psi2)
-    centers = tuple(p.center for p in psi2.poles)
-    keep = _exclusion_mask(spec, centers, spec.h)
-    if not keep.any():
-        raise ValueError("every grid point is excluded by the singular centers")
-    vals = []
-    for s in states:
-        q = _q_values(s.Phi, s.eps)
-        S = np.log(q) + weight.values - 2.0 * C * s.Phi.values
-        vals.append(float(np.exp(np.max(S[keep]))))
-    vals = np.array(vals)
+    vals = np.array([s.diagnostics["sharp_weighted_sup"] for s in states])
     eps = np.array([s.eps for s in states])
     first = vals[0]
     ratio = vals / first

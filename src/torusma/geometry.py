@@ -125,6 +125,10 @@ def _k_squared(n: int, N: int) -> np.ndarray:
     return sum(k**2 for k in _half_wavenumbers(n, N, False))
 
 
+def _heat_multiplier(n: int, N: int, eps: float) -> np.ndarray:
+    return np.exp(-eps * 4.0 * np.pi**2 * _k_squared(n, N))
+
+
 @lru_cache(maxsize=32)
 def _inverse_k_squared(n: int, N: int) -> np.ndarray:
     """Multiplier of the mean-zero inverse half-Laplacian (zero on the mean mode)."""
@@ -325,21 +329,36 @@ def _irfftn(values_hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return scipy.fft.irfftn(values_hat, s=shape)
 
 
+def _spectral(values: np.ndarray, mults) -> list[np.ndarray]:
+    """``irfftn(m * rfftn(values))`` for each multiplier ``m``: one forward transform."""
+    fhat = _rfftn(values)
+    out = [_irfftn(m * fhat, values.shape) for m in mults[:-1]]
+    fhat *= mults[-1]  # the last product reuses the spectrum's buffer
+    return out + [_irfftn(fhat, values.shape)]
+
+
 def _hessian_parts(values: np.ndarray) -> list[np.ndarray]:
     """Independent real parts of the complex Hessian of a raw grid array.
 
     ``[H_00]`` for ``n = 1`` and ``[H_00, H_11, Re H_01, Im H_01]`` for
     ``n = 2``: one forward transform shared by one real inverse per part.
     """
-    fhat = _rfftn(values)
-    mults = _hessian_multipliers(values.ndim // 2, values.shape[0])
-    return [_irfftn(m * fhat, values.shape) for m in mults]
+    return _spectral(values, _hessian_multipliers(values.ndim // 2, values.shape[0]))
+
+
+def _hessian_and_trace(f: GridField) -> tuple[HermitianFormField, np.ndarray]:
+    """``complex_hessian(f)`` and ``half_laplacian(f).values`` from one forward
+    transform; at ``n = 1`` the trace multiplier is the ``H_00`` one, bit for bit."""
+    spec = f.spec
+    mults = _hessian_multipliers(spec.n, spec.N)
+    trace = () if spec.n == 1 else (-np.pi**2 * _k_squared(spec.n, spec.N),)
+    out = _spectral(f.values, mults + trace)
+    return HermitianFormField._from_parts(spec, out[: len(mults)]), out[-1]
 
 
 def _solve_half_laplacian(values: np.ndarray) -> np.ndarray:
     """Mean-zero ``u`` with ``trace H(u)`` equal to ``values`` minus its mean."""
-    mult = _inverse_k_squared(values.ndim // 2, values.shape[0])
-    return _irfftn(mult * _rfftn(values), values.shape)
+    return _spectral(values, (_inverse_k_squared(values.ndim // 2, values.shape[0]),))[0]
 
 
 def complex_hessian(f: GridField) -> HermitianFormField:
@@ -357,9 +376,8 @@ def half_laplacian(f: GridField) -> GridField:
     Equals one quarter of the ordinary flat Laplacian; the mean mode is
     annihilated exactly, so ``integrate(half_laplacian(f)) = 0``.
     """
-    spec = f.spec
-    mult = -np.pi**2 * _k_squared(spec.n, spec.N)
-    return GridField(spec, _irfftn(mult * _rfftn(f.values), spec.shape))
+    mult = -np.pi**2 * _k_squared(f.spec.n, f.spec.N)
+    return GridField(f.spec, _spectral(f.values, (mult,))[0])
 
 
 def spectral_gradient(f: GridField) -> np.ndarray:
@@ -367,13 +385,8 @@ def spectral_gradient(f: GridField) -> np.ndarray:
 
     The Nyquist mode has no real derivative on the grid and contributes zero.
     """
-    spec = f.spec
-    fhat = _rfftn(f.values)
-    ks = _half_wavenumbers(spec.n, spec.N, True)
-    out = np.empty((spec.num_axes,) + spec.shape)
-    for a in range(spec.num_axes):
-        out[a] = _irfftn(2j * np.pi * ks[a] * fhat, spec.shape)
-    return out
+    ks = _half_wavenumbers(f.spec.n, f.spec.N, True)
+    return np.stack(_spectral(f.values, [2j * np.pi * k for k in ks]))
 
 
 def invert_half_laplacian(f: GridField) -> GridField:
@@ -393,9 +406,8 @@ def heat_smooth(f: GridField, eps: float) -> GridField:
     """
     if eps < 0:
         raise ValueError("smoothing time must be nonnegative")
-    spec = f.spec
-    mult = np.exp(-eps * 4.0 * np.pi**2 * _k_squared(spec.n, spec.N))
-    return GridField(spec, _irfftn(mult * _rfftn(f.values), spec.shape))
+    mult = _heat_multiplier(f.spec.n, f.spec.N, eps)
+    return GridField(f.spec, _spectral(f.values, (mult,))[0])
 
 
 def integrate(f: GridField) -> float:

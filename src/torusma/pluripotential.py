@@ -31,9 +31,13 @@ from scipy.special import logsumexp
 
 from .geometry import (
     GridField,
+    HermitianFormField,
     TorusSpec,
+    _hessian_and_trace,
+    _hessian_multipliers,
+    _heat_multiplier,
+    _spectral,
     complex_hessian,
-    heat_smooth,
     min_eigenvalue_field,
 )
 
@@ -192,12 +196,12 @@ def hessian_lower_bound(model: QuasiPshModel, s_min: float | None = None) -> flo
     inequality checks rely on that strictness.  The bound grows as ``s_min``
     approaches the grid scale.
     """
-    return _curvature_bound(evaluate(model, s_override=s_min))
+    return _curvature_bound(complex_hessian(evaluate(model, s_override=s_min)))
 
 
-def _curvature_bound(psi: GridField) -> float:
-    """``hessian_lower_bound`` of a model already sampled at its smoothing."""
-    lam = float(np.min(min_eigenvalue_field(complex_hessian(psi)).values))
+def _curvature_bound(hessian: HermitianFormField) -> float:
+    """``hessian_lower_bound`` from the Hessian of the model at its smoothing."""
+    lam = float(np.min(min_eigenvalue_field(hessian).values))
     return max(0.0, -lam + 1e-6)
 
 
@@ -222,42 +226,46 @@ def regularize(
         smoothing — exact in principle because the heat multiplier commutes
         with the complex-Hessian multiplier and averages matrices pointwise.
     """
-    return _regularize(model, eps, check)[0]
+    guarded = check and eps <= _GUARANTEE_EPS_MAX
+    return _regularize(model, eps, evaluate(model, s_override=0.0) if guarded else None)[0]
 
 
 def _regularize(
-    model: QuasiPshModel, eps: float, check: bool = True, certify: bool = False
-) -> tuple[GridField, float | None]:
-    """:func:`regularize` plus the constant it certifies.
-
-    The constant is ``hessian_lower_bound(model, s_min=sqrt(eps))``, taken
-    from the widened model that the smoothing starts from.  It is computed
-    when guarantee (b) needs it or ``certify`` asks for it, else ``None``.
+    model: QuasiPshModel, eps: float, sharp: GridField | None, certify: bool = False
+) -> tuple[GridField, float | None, tuple | None]:
+    """:func:`regularize`, checked when ``sharp`` (the model at smoothing 0)
+    is given, plus what it certifies: the constant ``hessian_lower_bound(model,
+    s_min=sqrt(eps))`` of the widened model the smoothing starts from, and the
+    Hessian and (with ``certify``) half-Laplacian of the output, each from one
+    forward transform; ``None`` unless guarantee (b) or ``certify`` needs them.
     """
     if eps <= 0:
         raise ValueError(f"regularization parameter must be positive, got {eps}")
-    s = float(np.sqrt(eps))
-    base = evaluate(model, s_override=s)
-    out = heat_smooth(base, eps)
-    guarded = check and eps <= _GUARANTEE_EPS_MAX
-    c_bound = _curvature_bound(base) if guarded or certify else None
+    spec = model.spec
+    base = evaluate(model, s_override=float(np.sqrt(eps)))
+    guarded = sharp is not None and eps <= _GUARANTEE_EPS_MAX
+    hessian_mults = _hessian_multipliers(spec.n, spec.N) if guarded or certify else ()
+    heat = _heat_multiplier(spec.n, spec.N, eps)
+    smoothed, *base_hessian = _spectral(base.values, (heat, *hessian_mults))
+    out = GridField(spec, smoothed)
+    if not base_hessian:
+        return out, None, None
+    c_bound = _curvature_bound(HermitianFormField._from_parts(spec, base_hessian))
+    hessian, trace = _hessian_and_trace(out) if certify else (complex_hessian(out), None)
     if guarded:
-        sharp = evaluate(model, s_override=0.0)
         short = float(np.min(out.values - (sharp.values - 1.0)))
         if short < -1e-12:
             raise RegularizationContractError(
                 f"smoothed field drops {-short:.3e} below the sharp field minus 1 "
                 f"(eps={eps:g}); pole or cutoff configuration is inconsistent"
             )
-        lam = float(
-            np.min(min_eigenvalue_field(complex_hessian(out)).values) + c_bound
-        )
+        lam = float(np.min(min_eigenvalue_field(hessian).values) + c_bound)
         if lam < -1e-8:
             raise RegularizationContractError(
                 f"curvature bound fails after smoothing: min eig {lam:.3e} < -1e-8 "
                 f"(eps={eps:g}, C={c_bound:.3e})"
             )
-    return out, c_bound
+    return out, c_bound, (hessian, trace)
 
 
 def _match_center(center: tuple[float, ...], x, tol: float = 1e-9) -> bool:

@@ -10,13 +10,13 @@ byte-identical records.
 Column semantics: ``weighted_c2_sup`` is the global supremum of the weighted
 trace ``q * exp(psi2_eps - 2 C Phi)`` with the rung-smoothed weight, and
 ``min_siu_residual`` uses the scenario's resolved constant ``C``; the
-ladder-level verdicts recompute their own sharp-weight variants.
+weighted-second-order verdict reads each rung's ``sharp_weighted_sup``.
 
 Per-rung scalars — the CSV columns and the inputs of the identity,
-inequality and unweighted-growth verdicts — are read from each state's
-``diagnostics``, which ``continuation.rung_diagnostics`` fills both when a
-ladder is solved and when :func:`rebuild_states` re-checks stored fields, so
-``verify`` re-runs the very code ``run`` ran.
+inequality, weighted-second-order and unweighted-growth verdicts — are read
+from each state's ``diagnostics``, which ``continuation.rung_diagnostics``
+fills both when a ladder is solved and when :func:`rebuild_states`
+re-checks stored fields, so ``verify`` re-runs the very code ``run`` ran.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .config import ExperimentConfig, parse_config
 from .continuation import (
     ContinuationState,
     Scenario,
+    _Ladder,
     run_continuation,
     rung_diagnostics,
     smoothed_potentials,
@@ -276,7 +278,7 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
     reports.append(
         estimates.EstimateReport(
             name="weighted-second-order",
-            verdict=estimates.c2_uniformity(states, scenario.psi2, C),
+            verdict=estimates.c2_uniformity(states),
         )
     )
     trace_worst = max(s.diagnostics["trace_defect"] for s in states)
@@ -399,23 +401,26 @@ def write_artifacts(outdir: str, experiment: ExperimentConfig, record: RunRecord
         with open(os.path.join(outdir, "report.csv"), "w", newline="") as f:
             f.write(render_csv(record))
     if "states" in formats:
-        phi = np.stack([s.phi.values for s in states])
-        np.savez_compressed(
-            os.path.join(outdir, "states.npz"),
-            eps=np.array([s.eps for s in states]),
-            delta=np.array([s.delta_eps for s in states]),
-            newton_steps=np.array([s.newton_steps for s in states]),
-            phi=phi,
-            meta=np.array(
-                json.dumps(
-                    {
-                        "name": record.name,
-                        "config_hash": record.config_hash,
-                        "tool_version": record.tool_version,
-                    }
-                )
-            ),
-        )
+        _write_states(os.path.join(outdir, "states.npz"), record, states)
+
+
+def _write_states(path: str, record: RunRecord, states) -> None:
+    """The ``states.npz`` of ``np.savez_compressed``, but ``phi.npy`` gets its
+    header and then each rung's buffer: the stack is never built in memory."""
+    meta = {key: getattr(record, key) for key in ("name", "config_hash", "tool_version")}
+    header = np.lib.format.header_data_from_array_1_0(states[0].phi.values)
+    header["shape"] = (len(states),) + header["shape"]
+    columns = {"eps": "eps", "delta": "delta_eps", "newton_steps": "newton_steps"}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, allowZip64=True) as zf:
+        for name, key in columns.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, np.array([getattr(s, key) for s in states]))
+        with zf.open("phi.npy", "w", force_zip64=True) as f:
+            np.lib.format.write_array_header_1_0(f, header)
+            for s in states:
+                f.write(np.ascontiguousarray(s.phi.values))
+        with zf.open("meta.npy", "w", force_zip64=True) as f:
+            np.lib.format.write_array(f, np.array(json.dumps(meta)))
 
 
 def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationState]:
@@ -459,16 +464,13 @@ def rebuild_states(
     called when the fields were solved, so a faithful record reproduces them
     exactly.  ``residual_sup`` is not stored and reads NaN.
     """
-    spec = scenario.spec
-    C = scenario.resolved_C()
-    fields = [GridField(spec, values) for values in phi]
+    fields = [GridField(scenario.spec, values) for values in phi]
+    ladder = _Ladder.build(scenario)
     states = []
     for k, phi_k in enumerate(fields):
         e, d = float(eps[k]), float(delta[k])
-        p1, p2, C_cert = smoothed_potentials(scenario, e)
-        Phi_k, diagnostics = rung_diagnostics(
-            scenario, e, d, phi_k, p1, p2, C, C_cert
-        )
+        p1, p2, weight2 = smoothed_potentials(ladder, e)
+        Phi_k, diagnostics = rung_diagnostics(ladder, e, d, phi_k, p1, p2, weight2)
         states.append(
             ContinuationState(
                 eps=e,

@@ -5,6 +5,7 @@ acceptance suite exercises the installed console script in subprocesses.
 """
 
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -218,6 +219,30 @@ class TestRunVerb:
             a = open(os.path.join(dir_a, artifact), "rb").read()
             b = open(os.path.join(dir_b, artifact), "rb").read()
             assert a == b, f"{artifact} differs between identical runs"
+
+    def test_states_are_stored_as_savez_compressed_stores_them(self, tmp_path, capsys):
+        # The potentials are streamed rung by rung into ``phi.npy``; every
+        # member must read back, and compress, as np.savez_compressed's would.
+        cfg = _write(tmp_path, MINI)
+        out = str(tmp_path / "runs")
+        assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
+        path = os.path.join(_run_record_dir(out, capsys.readouterr().out), "states.npz")
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        assert list(arrays) == ["eps", "delta", "newton_steps", "phi", "meta"]
+        assert arrays["phi"].shape == (3, 32, 32)
+        reference = str(tmp_path / "reference.npz")
+        np.savez_compressed(reference, **arrays)
+        with zipfile.ZipFile(path) as got, zipfile.ZipFile(reference) as want:
+            assert got.namelist() == want.namelist()
+            for name in want.namelist():
+                a, b = got.getinfo(name), want.getinfo(name)
+                assert (a.CRC, a.compress_size, a.file_size) == (
+                    b.CRC,
+                    b.compress_size,
+                    b.file_size,
+                ), name
+                assert got.read(name) == want.read(name), name
 
     def test_violating_scenario_exits_one_with_fail_banner(self, tmp_path, capsys):
         cfg = _write(tmp_path, CHEAP_ABOVE)

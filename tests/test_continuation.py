@@ -6,21 +6,30 @@ diagnostics shared by solving and re-checking.
 import numpy as np
 import pytest
 
+from torusma import continuation, estimates, geometry, pluripotential
 from torusma.continuation import (
     ContinuationError,
     ContinuationState,
     Scenario,
+    _Ladder,
     delta_eps,
     enforce_mass_balance,
     run_continuation,
+    rung_diagnostics,
     shift_defect,
     smoothed_potentials,
 )
-from torusma.estimates import comparison_residual
+from torusma.estimates import (
+    comparison_residual,
+    max_principle_probe,
+    siu_residual,
+    trace_identity_defect,
+)
 from torusma.geometry import (
     GridField,
     HermitianFormField,
     TorusSpec,
+    complex_hessian,
     half_laplacian,
     integrate,
 )
@@ -244,6 +253,7 @@ class TestRunContinuation:
                 "shift_defect",
                 "siu_min_residual",
                 "weighted_c2_sup",
+                "sharp_weighted_sup",
                 "trace_defect",
             ):
                 assert key in s.diagnostics
@@ -330,6 +340,7 @@ _ESTIMATE_KEYS = (
     "shift_defect",
     "siu_min_residual",
     "weighted_c2_sup",
+    "sharp_weighted_sup",
     "trace_defect",
     "comparison_min",
     "q_sup",
@@ -385,14 +396,19 @@ class TestOneDiagnosticsPath:
 
     @pytest.mark.parametrize("eps", [0.25, 0.1, 0.01])
     def test_smoothed_potentials_certify_psi2_once(self, eps):
-        # One rung's smoothing yields the same fields as ``regularize`` and
-        # the constant ``hessian_lower_bound`` certifies at sqrt(eps), both
-        # inside the guaranteed range (eps <= 0.1) and above it.
+        # One rung's smoothing yields the same fields as ``regularize``, the
+        # constant ``hessian_lower_bound`` certifies at sqrt(eps), and the
+        # Hessian and half-Laplacian of the smoothed psi2, both inside the
+        # guaranteed range (eps <= 0.1) and above it.
         scenario = enforce_mass_balance(_LADDERS[0])
-        p1, p2, C_cert = smoothed_potentials(scenario, eps)
+        p1, p2, weight2 = smoothed_potentials(_Ladder.build(scenario), eps)
         np.testing.assert_array_equal(p1.values, regularize(scenario.psi1, eps).values)
         np.testing.assert_array_equal(p2.values, regularize(scenario.psi2, eps).values)
+        H, laplacian, C_cert, _ = weight2
         assert C_cert == hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
+        for got, want in zip(H.parts, complex_hessian(p2).parts):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(laplacian, half_laplacian(p2).values)
 
     def test_rebuilt_diagnostics_equal_the_solved_ones(self, ladder):
         scenario, states = ladder
@@ -422,4 +438,102 @@ class TestOneDiagnosticsPath:
             )
             q = scenario.spec.n + half_laplacian(s.Phi).values / (1 + s.eps)
             assert s.diagnostics["q_sup"] == float(np.max(q))
+
+    def test_every_diagnostic_is_its_public_one_off(self, ladder):
+        scenario, states = ladder
+        spec, C = scenario.spec, scenario.resolved_C()
+        weight = evaluate(scenario.psi2).values
+        keep = _away_from_poles(scenario.psi2)
+        for s in states:
+            F = _rhs(scenario, s)
+            f = GridField(spec, np.log(F.values) - spec.n * np.log1p(s.eps))
+            siu = siu_residual(s.Phi, f, s.eps, C)
+            assert s.diagnostics["siu_min_residual"] == float(np.min(siu.values))
+            assert s.diagnostics["trace_defect"] == trace_identity_defect(s.Phi, s.eps)
+            psi2_eps = regularize(scenario.psi2, s.eps)
+            probe = max_principle_probe(s, psi2_eps, C)
+            assert s.diagnostics["weighted_c2_sup"] == probe.global_weighted_sup
+            assert s.diagnostics["shift_defect"] == shift_defect(s, scenario.alpha)
+            # the sharp-weight supremum away from the poles, from scratch
+            q = spec.n + half_laplacian(s.Phi).values / (1 + s.eps)
+            S = np.log(q) + weight - 2.0 * C * s.Phi.values
+            assert s.diagnostics["sharp_weighted_sup"] == float(np.exp(np.max(S[keep])))
+
+
+def _away_from_poles(model):
+    """Grid points at least one spacing from every pole of ``model``."""
+    spec = model.spec
+    keep = np.ones(spec.shape, dtype=bool)
+    for pole in model.poles:
+        d2 = sum(
+            (np.mod(c - a + 0.5, 1.0) - 0.5) ** 2
+            for c, a in zip(spec.coordinates(), pole.center)
+        )
+        keep &= np.sqrt(d2) >= spec.h
+    return keep
+
+
+_POLE_LADDERS = {
+    1: _scenario(
+        N=32,
+        t=0.5,
+        psi1=(SmoothMode(0.08, (1, 0), 0.3),),
+        poles2=(Pole(center=(0.5, 0.5), weight=0.3),),
+        schedule=(0.1, 0.05, 0.025),
+    ),
+    2: _scenario(
+        n=2,
+        N=8,
+        t=0.5,
+        psi1=(SmoothMode(0.05, (1, 0, 0, 0), 0.3),),
+        poles2=(Pole(center=(0.5,) * 4, weight=0.3),),
+        schedule=(0.1, 0.05),
+    ),
+}
+
+
+class TestRungWork:
+    """Each field of a rung is transformed once; the sharp models once per ladder."""
+
+    @pytest.mark.parametrize("n, limit", [(1, 20), (2, 42)])
+    def test_transforms_per_guarded_rung(self, n, limit, monkeypatch):
+        scenario = enforce_mass_balance(_POLE_LADDERS[n])
+        ladder = _Ladder.build(scenario)
+        eps = scenario.eps_schedule[-1]
+        phi = GridField(scenario.spec, scenario.spec.zeros())
+        count = []
+        for name in ("_rfftn", "_irfftn"):
+            real = getattr(geometry, name)
+
+            def counted(*args, real=real):
+                count.append(1)
+                return real(*args)
+
+            monkeypatch.setattr(geometry, name, counted)
+        p1, p2, weight2 = smoothed_potentials(ladder, eps)
+        rung_diagnostics(ladder, eps, 0.0, phi, p1, p2, weight2)
+        assert len(count) <= limit
+
+    def test_sharp_models_are_sampled_once_per_ladder(self, monkeypatch):
+        scenario = enforce_mass_balance(_POLE_LADDERS[1])
+        sharp = []
+        real = pluripotential.evaluate
+
+        def counted(model, s_override=None):
+            if s_override == 0.0:
+                sharp.append(model)
+            return real(model, s_override)
+
+        for module in (pluripotential, continuation, estimates):
+            monkeypatch.setattr(module, "evaluate", counted)
+        states = run_continuation(scenario)
+        assert sharp == [scenario.psi1, scenario.psi2]
+        rebuild_states(
+            scenario,
+            np.array([s.eps for s in states]),
+            np.array([s.delta_eps for s in states]),
+            np.array([s.newton_steps for s in states]),
+            np.stack([s.phi.values for s in states]),
+        )
+        assert sharp == [scenario.psi1, scenario.psi2] * 2
 

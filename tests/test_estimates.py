@@ -2,6 +2,7 @@
 verdicts, and the interior-regularity probes, against closed forms.
 """
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -220,8 +221,19 @@ class TestC0Uniformity:
 
 class TestC2Uniformity:
     def _run(self, amplitudes):
-        spec = SPEC1
-        return c2_uniformity(_ladder(spec, amplitudes), QuasiPshModel(spec), 0.0)
+        # With a pole-free zero weight and C = 0 the per-rung quantity is
+        # the maximum principle probe's global weighted supremum.
+        zero = _zero(SPEC1)
+        states = [
+            replace(
+                s,
+                diagnostics={
+                    "sharp_weighted_sup": max_principle_probe(s, zero, 0.0).global_weighted_sup
+                },
+            )
+            for s in _ladder(SPEC1, amplitudes)
+        ]
+        return c2_uniformity(states)
 
     def test_steady_curvature_holds(self):
         verdict = self._run([0.01] * 5)

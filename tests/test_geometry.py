@@ -7,6 +7,7 @@ from torusma.geometry import (
     GridField,
     HermitianFormField,
     TorusSpec,
+    _hessian_and_trace,
     complex_hessian,
     half_laplacian,
     heat_smooth,
@@ -240,6 +241,17 @@ class TestRealSpectralCore:
         lap = half_laplacian(f).values
         trace = complex_hessian(f).trace()
         assert np.max(np.abs(lap - trace)) <= 1e-12 * np.max(np.abs(lap))
+
+    @pytest.mark.parametrize("n,N,seed", CASES + [(1, 512, 23)])
+    def test_shared_transform_keeps_the_bits(self, n, N, seed):
+        # One forward transform feeds the Hessian and the half-Laplacian;
+        # both equal the one-off operators bit for bit (at n = 1 the trace
+        # multiplier is the H_00 multiplier, so H_00 is the half-Laplacian).
+        f = self.noise(n, N, seed)
+        H, trace = _hessian_and_trace(f)
+        for got, want in zip(H.parts, complex_hessian(f).parts, strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(trace, half_laplacian(f).values)
 
     @pytest.mark.parametrize("n,N,seed", CASES)
     def test_inverse_half_laplacian_round_trip(self, n, N, seed):

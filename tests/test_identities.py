@@ -16,6 +16,7 @@ from torusma.config import parse_config  # noqa: E402
 from torusma.continuation import (  # noqa: E402
     ContinuationState,
     Scenario,
+    _Ladder,
     enforce_mass_balance,
     run_continuation,
     rung_diagnostics,
@@ -141,10 +142,9 @@ def test_rung_diagnostics_shift_by_rho(n, t, seed, amplitude):
     scenario = _smooth_scenario(n, t, seed, (eps,))
     spec = scenario.spec
     phi = GridField(spec, amplitude * trig_poly(spec, 1, seed).values)
-    p1, p2, C_cert = smoothed_potentials(scenario, eps)
-    Phi, _ = rung_diagnostics(
-        scenario, eps, 0.0, phi, p1, p2, scenario.resolved_C(), C_cert
-    )
+    ladder = _Ladder.build(scenario)
+    p1, p2, weight2 = smoothed_potentials(ladder, eps)
+    Phi, _ = rung_diagnostics(ladder, eps, 0.0, phi, p1, p2, weight2)
     np.testing.assert_array_equal(Phi.values, phi.values + scenario.alpha.rho().values)
 
 

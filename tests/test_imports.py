@@ -1,11 +1,12 @@
-"""No library module imports a name it never uses, or keeps a private one
-that nothing reads.
+"""No library module imports a name it never uses, keeps a private one
+that nothing reads, or caches a field.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the stdlib ``ast``: every name an import binds must be read somewhere
 in the module, or be re-exported through its ``__all__``; every module-level
 private name (``_x``, not a dunder) must be read by some module of the
-package, by name, as an attribute or through ``from ... import``.
+package, by name, as an attribute or through ``from ... import``; every
+``functools`` cache is keyed by ``int`` and ``bool`` parameters only.
 """
 
 import ast
@@ -105,3 +106,66 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert _unread_private_names(sources) == []
+
+
+# A cache keyed by ints and bools holds multipliers of a grid size, never a
+# field: fields must not be cached at module level.
+_CACHE_DECORATORS = {"lru_cache", "cache"}
+_CACHE_KEY_TYPES = {"int", "bool"}
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _cached_functions_with_field_keys(source: str) -> list[str]:
+    """Cached functions with a parameter not annotated ``int`` or ``bool``."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not any(_decorator_name(d) in _CACHE_DECORATORS for d in node.decorator_list):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        if args.vararg or args.kwarg or not all(
+            isinstance(a.annotation, ast.Name) and a.annotation.id in _CACHE_KEY_TYPES
+            for a in params
+        ):
+            bad.append(node.name)
+    return sorted(bad)
+
+
+def test_the_check_finds_a_cache_keyed_by_a_field():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, cache\n"
+        "@lru_cache(maxsize=8)\n"
+        "def _ok(n: int, N: int, flag: bool): pass\n"
+        "@functools.lru_cache\n"
+        "def _field(f: GridField): pass\n"
+        "@cache\n"
+        "def _unannotated(n): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def _scale(n: int, eps: float): pass\n"
+        "@lru_cache\n"
+        "def _star(*args: int): pass\n"
+        "def _plain(f: GridField): pass\n"
+    )
+    assert _cached_functions_with_field_keys(source) == [
+        "_field",
+        "_scale",
+        "_star",
+        "_unannotated",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_caches_are_keyed_by_ints_and_bools(path):
+    assert _cached_functions_with_field_keys(path.read_text()) == []
