@@ -9,10 +9,11 @@ the solved equation is
 
 where ``psi_j_eps`` are the smoothed potentials at the same ``eps`` and the
 scalar ``delta_eps`` restores exact mass balance rung by rung.  Solutions are
-mean-zero, warm-started down the ladder, and carried with the shifted
-potential ``Phi = phi + rho`` in which the background becomes the constant
-form ``(1 + eps) I`` — the frame every curvature-type estimate uses.  What
-does not depend on the rung is built once per ladder (``_Ladder``).
+mean-zero, warm-started down the ladder, and read in the shifted potential
+``Phi = phi + rho`` in which the background becomes the constant form
+``(1 + eps) I`` — the frame every curvature-type estimate uses.  What does
+not depend on the rung is built once per ladder (``_Ladder``); a state keeps
+``phi`` and the ladder's ``rho`` and derives ``Phi``.
 """
 
 from __future__ import annotations
@@ -108,14 +109,20 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ContinuationState:
-    """One solved rung of the ladder."""
+    """One solved rung of the ladder; ``rho`` is shared by every rung, so a
+    state holds one grid field of its own and ``Phi`` is derived on access."""
 
     eps: float
     delta_eps: float
     phi: GridField
-    Phi: GridField
+    rho: np.ndarray
     newton_steps: int
     diagnostics: dict
+
+    @property
+    def Phi(self) -> GridField:
+        """The shifted potential ``phi + rho``."""
+        return GridField(self.phi.spec, self.phi.values + self.rho)
 
 
 class ContinuationError(RuntimeError):
@@ -236,16 +243,17 @@ def smoothed_potentials(ladder: _Ladder, eps: float):
 
 def rung_diagnostics(
     ladder: _Ladder, eps: float, delta: float, phi: GridField, p1, p2, weight2
-) -> tuple[GridField, dict]:
-    """The shifted potential and every per-rung estimate scalar of a solved rung.
+) -> dict:
+    """Every per-rung estimate scalar of a solved rung, measured on ``phi + rho``.
 
     ``p1``, ``p2`` and ``weight2`` come from :func:`smoothed_potentials` and
     ``delta`` is the rung's mass-restoring constant.  One metric
     ``(1 + eps) I + H(Phi)`` serves the shift and trace identities, the
     log-trace inequality, both weighted second-order quantities and the
     convexity comparison for both weights (``p2`` and ``eta = -rho``).
-    ``run`` and ``verify`` both compute their diagnostics here.  Raises
-    ``EstimateError`` or ``PositivityError`` when a precondition fails.
+    ``run`` and ``verify`` both compute their diagnostics here, through
+    ``_rung_state``.  Raises ``EstimateError`` or ``PositivityError`` when a
+    precondition fails.
     """
     spec, C = ladder.scenario.spec, ladder.C
     Phi = GridField(spec, phi.values + ladder.rho)
@@ -258,7 +266,7 @@ def rung_diagnostics(
         float(np.min(estimates._comparison_residual(m, weight2))),
         float(np.min(estimates._comparison_residual(m, ladder.eta))),
     )
-    return Phi, {
+    return {
         "shift_defect": _shift_defect(phi, m.data.det, ladder.scenario.alpha, eps),
         "siu_min_residual": float(np.min(siu)),
         "weighted_c2_sup": probe.global_weighted_sup,
@@ -269,15 +277,30 @@ def rung_diagnostics(
     }
 
 
+def _rung_state(
+    ladder: _Ladder, eps: float, delta: float, phi: GridField, steps: int, smoothed, solver
+) -> ContinuationState:
+    """The one constructor of states, solved or stored: ``smoothed`` is the
+    rung's :func:`smoothed_potentials`, ``solver`` the solver's own keys."""
+    return ContinuationState(
+        eps=eps,
+        delta_eps=delta,
+        phi=phi,
+        rho=ladder.rho,
+        newton_steps=steps,
+        diagnostics={**solver, **rung_diagnostics(ladder, eps, delta, phi, *smoothed)},
+    )
+
+
 def run_continuation(scenario: Scenario) -> list[ContinuationState]:
     """Solve every rung of the schedule, warm-starting each from the last.
 
     Preconditions: the scenario is mass-balanced.  Each state carries the
-    solver diagnostics (``residual_sup``, ``gmres_info_nonzero``) and the
-    per-rung estimate scalars of :func:`rung_diagnostics`, the same function
-    that ``report.rebuild_states`` calls on stored fields.  A rung that
-    fails by design (see ``_RUNG_ERRORS``) raises ``ContinuationError`` with
-    all completed states attached; any other exception propagates as is.
+    solver's ``gmres_info_nonzero`` count and the per-rung estimate scalars
+    of :func:`rung_diagnostics`, through the constructor that
+    ``report.rebuild_states`` uses on stored fields.  A rung that fails by
+    design (see ``_RUNG_ERRORS``) raises ``ContinuationError`` with all
+    completed states attached; any other exception propagates as is.
     """
     mass_a = _mass_alpha(scenario.alpha)
     mass_d = _mass_density(scenario.psi1, scenario.psi2)
@@ -298,21 +321,10 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
                 phi0=states[-1].phi if states else None,
                 tol=scenario.tol,
             )
-            Phi, diagnostics = rung_diagnostics(
-                ladder, eps, delta, result.phi, p1, p2, weight2
-            )
             states.append(
-                ContinuationState(
-                    eps=eps,
-                    delta_eps=delta,
-                    phi=result.phi,
-                    Phi=Phi,
-                    newton_steps=result.newton_steps,
-                    diagnostics={
-                        "residual_sup": result.residual_sup,
-                        "gmres_info_nonzero": result.gmres_info_nonzero,
-                        **diagnostics,
-                    },
+                _rung_state(
+                    ladder, eps, delta, result.phi, result.newton_steps, (p1, p2, weight2),
+                    {"gmres_info_nonzero": result.gmres_info_nonzero},
                 )
             )
         except _RUNG_ERRORS as exc:
@@ -320,4 +332,3 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
                 f"rung {rung} (eps={eps:g}) failed: {exc}", states, rung, eps
             ) from exc
     return states
-

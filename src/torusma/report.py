@@ -14,9 +14,11 @@ weighted-second-order verdict reads each rung's ``sharp_weighted_sup``.
 
 Per-rung scalars — the CSV columns and the inputs of the identity,
 inequality, weighted-second-order and unweighted-growth verdicts — are read
-from each state's ``diagnostics``, which ``continuation.rung_diagnostics``
-fills both when a ladder is solved and when :func:`rebuild_states`
-re-checks stored fields, so ``verify`` re-runs the very code ``run`` ran.
+from each state's ``diagnostics``.  One constructor in ``continuation``
+builds every state, when a ladder is solved and when :func:`rebuild_states`
+re-checks the stored ``phi`` fields, so ``verify`` re-runs the very code
+``run`` ran.  An unreadable ``states.npz`` raises ``ValueError``, an
+unreadable ``report.csv`` ``SchemaMismatch``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import io
 import json
 import os
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +39,8 @@ from .continuation import (
     ContinuationState,
     Scenario,
     _Ladder,
+    _rung_state,
     run_continuation,
-    rung_diagnostics,
     smoothed_potentials,
 )
 from .geometry import GridField
@@ -67,6 +70,8 @@ _COLUMNS = (
     "trace_defect",
 )
 
+# The CSV columns read from each state's ``diagnostics``, in column order.
+_DIAGNOSTIC_COLUMNS = ("weighted_c2_sup", "siu_min_residual", "trace_defect")
 _TRACE_DEFECT_BOUND = 1e-10
 _SIU_FLOOR = -1e-4
 _COMPARISON_FLOOR = -1e-8
@@ -101,20 +106,11 @@ class RunRecord:
 
 
 def _rung_rows(states) -> tuple:
-    rows = []
-    for s in states:
-        rows.append(
-            (
-                s.eps,
-                s.delta_eps,
-                float(np.max(np.abs(s.phi.values))),
-                int(s.newton_steps),
-                s.diagnostics["weighted_c2_sup"],
-                s.diagnostics["siu_min_residual"],
-                s.diagnostics["trace_defect"],
-            )
-        )
-    return tuple(rows)
+    return tuple(
+        (s.eps, s.delta_eps, float(np.max(np.abs(s.phi.values))), int(s.newton_steps))
+        + tuple(s.diagnostics[key] for key in _DIAGNOSTIC_COLUMNS)
+        for s in states
+    )
 
 
 def _bound_report(
@@ -263,42 +259,24 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
     scenario = experiment.scenario
     settings = experiment.settings
     C = scenario.resolved_C()
-    reports: list[estimates.EstimateReport] = []
-
-    reports.append(
-        estimates.EstimateReport(
-            name="normalization", verdict=estimates.delta_trend(states)
+    reports = [
+        estimates.EstimateReport(name=name, verdict=verdict(states))
+        for name, verdict in (
+            ("normalization", estimates.delta_trend),
+            ("uniform-bound", estimates.c0_uniformity),
+            ("weighted-second-order", estimates.c2_uniformity),
         )
-    )
-    reports.append(
-        estimates.EstimateReport(
-            name="uniform-bound", verdict=estimates.c0_uniformity(states)
-        )
-    )
-    reports.append(
-        estimates.EstimateReport(
-            name="weighted-second-order",
-            verdict=estimates.c2_uniformity(states),
-        )
-    )
-    trace_worst = max(s.diagnostics["trace_defect"] for s in states)
-    reports.append(
-        _bound_report("trace-identity", trace_worst, _TRACE_DEFECT_BOUND, "max")
-    )
-    shift_worst = max(s.diagnostics["shift_defect"] for s in states)
-    # Exact algebra, but spectral round-off scales with the largest Hessian
-    # multiplier (~ N^2); ten solver tolerances is the operative bound.
-    reports.append(
-        _bound_report("shift-identity", shift_worst, 10.0 * scenario.tol, "max")
-    )
-    siu_worst = min(s.diagnostics["siu_min_residual"] for s in states)
-    reports.append(_bound_report("inequality-main", siu_worst, _SIU_FLOOR, "min"))
-    comparison_worst = min(s.diagnostics["comparison_min"] for s in states)
-    reports.append(
-        _bound_report(
-            "inequality-comparison", comparison_worst, _COMPARISON_FLOOR, "min"
-        )
-    )
+    ]
+    for name, key, bound, kind in (
+        ("trace-identity", "trace_defect", _TRACE_DEFECT_BOUND, "max"),
+        # Exact algebra, but spectral round-off scales with the largest Hessian
+        # multiplier (~ N^2); ten solver tolerances is the operative bound.
+        ("shift-identity", "shift_defect", 10.0 * scenario.tol, "max"),
+        ("inequality-main", "siu_min_residual", _SIU_FLOOR, "min"),
+        ("inequality-comparison", "comparison_min", _COMPARISON_FLOOR, "min"),
+    ):
+        worst = (max if kind == "max" else min)(s.diagnostics[key] for s in states)
+        reports.append(_bound_report(name, worst, bound, kind))
 
     reports.append(_holder_report(scenario, settings, states))
 
@@ -345,18 +323,9 @@ def render_csv(record: RunRecord) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_COLUMNS)
-    for eps, delta, sup_phi, steps, wc2, siu, trace in record.rows:
-        writer.writerow(
-            [
-                _fmt(eps),
-                _fmt(delta),
-                _fmt(sup_phi),
-                str(steps),
-                _fmt(wc2),
-                _fmt(siu),
-                _fmt(trace),
-            ]
-        )
+    for eps, delta, sup_phi, steps, *diagnostics in record.rows:
+        cells = [_fmt(eps), _fmt(delta), _fmt(sup_phi), str(steps)]
+        writer.writerow(cells + [_fmt(v) for v in diagnostics])
     return buf.getvalue()
 
 
@@ -423,33 +392,44 @@ def _write_states(path: str, record: RunRecord, states) -> None:
             np.lib.format.write_array(f, np.array(json.dumps(meta)))
 
 
+_STORED_MEMBERS = ("meta", "eps", "delta", "newton_steps", "phi")
+
+
 def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationState]:
     """Rebuild continuation states from a stored record (no solving).
 
-    The stored fields are trusted for ``phi``; everything derived — the
-    shifted potential and all per-rung diagnostics — is recomputed by
-    :func:`rebuild_states`, which is exactly what an estimates-only
-    verification needs.  Raises ``FileNotFoundError`` for missing states,
-    ``ValueError`` for a foreign config hash or malformed arrays, and
-    ``EstimateError`` or ``PositivityError`` when an estimate's precondition
-    fails on the stored fields.
+    The stored fields are trusted for ``phi``; all per-rung diagnostics are
+    recomputed by :func:`rebuild_states`, which is exactly what an
+    estimates-only verification needs.  Raises ``FileNotFoundError`` for
+    missing states, ``ValueError`` for an archive that is not a readable
+    record (damaged, missing a member or the config hash, no rungs, or
+    per-rung arrays of different lengths), for a foreign config hash and for
+    non-finite fields, and ``EstimateError`` or ``PositivityError`` when an
+    estimate's precondition fails on the stored fields.
     """
     path = os.path.join(outdir, "states.npz")
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"no stored states at {path}; run with 'states' in output formats first"
         )
-    with np.load(path) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta["config_hash"] != experiment.config_hash:
-            raise ValueError(
-                f"stored states were produced by config {meta['config_hash'][:12]}, "
-                f"expected {experiment.config_hash[:12]}"
-            )
-        eps = data["eps"]
-        delta = data["delta"]
-        steps = data["newton_steps"]
-        phi = data["phi"]
+    try:
+        with np.load(path) as data:
+            missing = [name for name in _STORED_MEMBERS if name not in data.files]
+            if missing:
+                raise ValueError(f"stored states at {path} lack {', '.join(missing)}")
+            meta = json.loads(str(data["meta"]))
+            eps, delta, steps, phi = (data[name] for name in _STORED_MEMBERS[1:])
+    except (zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(
+            f"stored states at {path} are not a readable archive: {exc}"
+        ) from None
+    if not isinstance(meta, dict) or "config_hash" not in meta:
+        raise ValueError(f"stored states at {path} carry no config hash")
+    if meta["config_hash"] != experiment.config_hash:
+        raise ValueError(
+            f"stored states were produced by config {str(meta['config_hash'])[:12]}, "
+            f"expected {experiment.config_hash[:12]}"
+        )
     return rebuild_states(experiment.scenario, eps, delta, steps, phi)
 
 
@@ -458,29 +438,24 @@ def rebuild_states(
 ) -> list[ContinuationState]:
     """Continuation states from stored per-rung arrays, without solving.
 
-    Every stored potential is validated as a grid field before any estimate
-    runs; each rung's diagnostics then come from
-    ``continuation.rung_diagnostics``, the function ``run_continuation``
-    called when the fields were solved, so a faithful record reproduces them
-    exactly.  ``residual_sup`` is not stored and reads NaN.
+    The arrays must describe the same positive number of rungs, and every
+    stored potential is validated as a grid field before any estimate runs
+    (``ValueError`` otherwise); each state is then built by the constructor
+    ``run_continuation`` used when the fields were solved, so a faithful
+    record reproduces its diagnostics exactly.
     """
+    rungs = (len(eps), len(delta), len(steps), len(phi))
+    if len(set(rungs)) > 1 or not rungs[0]:
+        raise ValueError(
+            f"stored eps, delta, newton_steps and phi must hold the same positive "
+            f"number of rungs, got {rungs}"
+        )
     fields = [GridField(scenario.spec, values) for values in phi]
     ladder = _Ladder.build(scenario)
     states = []
-    for k, phi_k in enumerate(fields):
-        e, d = float(eps[k]), float(delta[k])
-        p1, p2, weight2 = smoothed_potentials(ladder, e)
-        Phi_k, diagnostics = rung_diagnostics(ladder, e, d, phi_k, p1, p2, weight2)
-        states.append(
-            ContinuationState(
-                eps=e,
-                delta_eps=d,
-                phi=phi_k,
-                Phi=Phi_k,
-                newton_steps=int(steps[k]),
-                diagnostics={"residual_sup": float("nan"), **diagnostics},
-            )
-        )
+    for e, d, n, phi_k in zip(eps, delta, steps, fields):
+        smoothed = smoothed_potentials(ladder, float(e))
+        states.append(_rung_state(ladder, float(e), float(d), phi_k, int(n), smoothed, {}))
     return states
 
 
@@ -513,9 +488,16 @@ def _read_csv_record(outdir: str):
     if not os.path.exists(path):
         raise FileNotFoundError(f"no report.csv under {outdir}")
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = tuple(next(reader))
-        rows = [tuple(row) for row in reader]
+        lines = list(csv.reader(f))
+    if not lines:
+        raise SchemaMismatch(f"{path} is empty")
+    header, body = tuple(lines[0]), lines[1:]
+    if any(len(row) != len(header) for row in body):
+        raise SchemaMismatch(f"{path}: a row does not have {len(header)} cells")
+    try:
+        rows = [tuple(float(cell) for cell in row) for row in body]
+    except ValueError as exc:
+        raise SchemaMismatch(f"{path}: {exc}") from None
     cfg_path = os.path.join(outdir, "config.ini")
     if not os.path.exists(cfg_path):
         raise FileNotFoundError(f"no config.ini under {outdir}")
@@ -553,8 +535,8 @@ def compare_records(dir_a: str, dir_b: str) -> CompareResult:
     ok = True
     lines = []
     for j, col in enumerate(_COLUMNS):
-        va = np.array([float(r[j]) for r in rows_a])
-        vb = np.array([float(r[j]) for r in rows_b])
+        va = np.array([r[j] for r in rows_a])
+        vb = np.array([r[j] for r in rows_b])
         worst = float(np.max(np.abs(va - vb))) if len(va) else 0.0
         tol = _COMPARE_TOLERANCES[col]
         if tol is None:

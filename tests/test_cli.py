@@ -4,7 +4,9 @@ Everything here runs the CLI in-process through ``main(argv)``; the
 acceptance suite exercises the installed console script in subprocesses.
 """
 
+import io
 import os
+import struct
 import zipfile
 
 import numpy as np
@@ -85,6 +87,19 @@ def _write(tmp_path, text, name="config.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _truncated(data):
+    return data[: len(data) // 2]
+
+
+def _scrambled_phi_stream(data):
+    # flip the first bytes of phi.npy's deflate stream, after its local header
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        offset = zf.getinfo("phi.npy").header_offset
+    name_len, extra_len = struct.unpack("<HH", data[offset + 26 : offset + 30])
+    start = offset + 30 + name_len + extra_len
+    return data[:start] + bytes(b ^ 0xFF for b in data[start : start + 8]) + data[start + 8 :]
 
 
 def _run_record_dir(parent, stdout):
@@ -453,12 +468,16 @@ class TestVerifyVerb:
         assert "stored states were produced by config" in capsys.readouterr().err
 
     @staticmethod
-    def _doctor_phi(rundir, change):
+    def _doctor_states(rundir, change):
         path = os.path.join(rundir, "states.npz")
         with np.load(path) as data:
             arrays = dict(data)
-        arrays["phi"] = change(arrays["phi"])
+        change(arrays)
         np.savez_compressed(path, **arrays)
+
+    @classmethod
+    def _doctor_phi(cls, rundir, change):
+        cls._doctor_states(rundir, lambda a: a.update(phi=change(a["phi"])))
 
     def test_estimate_failure_on_valid_fields_exits_two(self, mini_run, capsys):
         _, _, rundir = mini_run
@@ -486,15 +505,49 @@ class TestVerifyVerb:
         assert main(["verify", rundir]) == EXIT_CONFIG
         assert "config error: field contains non-finite values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda a: a.pop("meta"), "lack meta"),
+            (lambda a: a.update(meta=np.array('{"name": "mini"}')), "carry no config hash"),
+            (lambda a: a.update(eps=a["eps"][:-1]), "same positive number of rungs"),
+            (
+                lambda a: a.update({k: v[:0] for k, v in a.items() if k != "meta"}),
+                "same positive number of rungs, got (0, 0, 0, 0)",
+            ),
+        ],
+        ids=["missing-meta", "meta-without-hash", "short-eps", "no-rungs"],
+    )
+    def test_malformed_states_exit_three(self, mini_run, capsys, change, message):
+        _, _, rundir = mini_run
+        capsys.readouterr()
+        self._doctor_states(rundir, change)
+        assert main(["verify", rundir]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: ") and message in err[0]
+
+    @pytest.mark.parametrize(
+        "damage", [_truncated, _scrambled_phi_stream], ids=["truncated", "scrambled"]
+    )
+    def test_unreadable_states_archive_exits_three(self, mini_run, capsys, damage):
+        _, _, rundir = mini_run
+        capsys.readouterr()
+        path = os.path.join(rundir, "states.npz")
+        data = open(path, "rb").read()
+        open(path, "wb").write(damage(data))
+        assert main(["verify", rundir]) == EXIT_CONFIG
+        assert "not a readable archive" in capsys.readouterr().err
+
     def test_programming_error_exits_four(self, mini_run, capsys, monkeypatch):
-        import torusma.report as report
+        import torusma.continuation as continuation
 
         def broken(*args, **kwargs):
             raise TypeError("unexpected argument")
 
         _, _, rundir = mini_run
         capsys.readouterr()
-        monkeypatch.setattr(report, "rung_diagnostics", broken)
+        monkeypatch.setattr(continuation, "rung_diagnostics", broken)
         assert main(["verify", rundir]) == EXIT_INTERNAL
         assert capsys.readouterr().err == (
             "internal error: TypeError: unexpected argument\n"
@@ -562,6 +615,31 @@ class TestCompareVerb:
         a = self._run(tmp_path, capsys, MINI, "a")
         assert main(["compare", a, str(tmp_path / "nowhere")]) == EXIT_CONFIG
         assert "no report.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda rows: [], "is empty"),
+            (
+                lambda rows: [rows[0], b"abc," + rows[1].split(b",", 1)[1], *rows[2:]],
+                "could not convert string to float: 'abc'",
+            ),
+            (
+                lambda rows: [rows[0], rows[1].rsplit(b",", 1)[0], *rows[2:]],
+                "a row does not have 7 cells",
+            ),
+        ],
+        ids=["empty", "non-numeric", "short-row"],
+    )
+    def test_malformed_csv_exits_three(self, tmp_path, capsys, change, message):
+        a = self._run(tmp_path, capsys, MINI, "a")
+        b = self._run(tmp_path, capsys, MINI, "b")
+        path = os.path.join(b, "report.csv")
+        rows = open(path, "rb").read().split(b"\r\n")
+        open(path, "wb").write(b"\r\n".join(change(rows)))
+        assert main(["compare", a, b]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     def test_compare_records_api_schema_checks(self, tmp_path, capsys):
         a = self._run(tmp_path, capsys, MINI, "a")

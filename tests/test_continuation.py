@@ -3,6 +3,9 @@ continuation, the constant-background change of frame, and the per-rung
 diagnostics shared by solving and re-checking.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,6 +227,25 @@ class TestRunContinuation:
             assert s.delta_eps == pytest.approx(s.eps, abs=1e-12)
             np.testing.assert_array_equal(s.Phi.values, s.phi.values)
 
+    def test_states_hold_one_field_per_rung(self):
+        # A state keeps its solved ``phi``; ``Phi`` is derived from ``rho``,
+        # one array every rung shares.  A first run fills the grid-size
+        # caches, so what the second leaves allocated is its states.
+        scenario = _smooth_scenario(N=64)
+        run_continuation(scenario)
+        tracemalloc.start()
+        try:
+            states = run_continuation(scenario)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        field = scenario.spec.zeros().nbytes
+        assert len(states) >= 5
+        # one field per rung, ``rho``, and a quarter field for the small objects
+        assert held <= (len(states) + 1) * field + field // 4
+        assert all(s.rho is states[0].rho for s in states)
+
     def test_unbalanced_scenario_is_rejected(self):
         with pytest.raises(ValueError, match="not mass-balanced"):
             run_continuation(_scenario(psi1=(SmoothMode(0.3, (0, 0)),)))
@@ -249,7 +271,7 @@ class TestRunContinuation:
             )
             # diagnostics are filled by the estimates layer
             for key in (
-                "residual_sup",
+                "gmres_info_nonzero",
                 "shift_defect",
                 "siu_min_residual",
                 "weighted_c2_sup",
@@ -329,7 +351,7 @@ class TestShiftFrame:
             eps=0.1,
             delta_eps=0.0,
             phi=phi,
-            Phi=GridField(spec, phi.values + alpha.rho().values),
+            rho=alpha.rho().values,
             newton_steps=0,
             diagnostics={},
         )

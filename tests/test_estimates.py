@@ -54,7 +54,8 @@ def _zero(spec):
 
 def _state(phi, eps=0.1, delta=0.0):
     return ContinuationState(
-        eps=eps, delta_eps=delta, phi=phi, Phi=phi, newton_steps=0, diagnostics={}
+        eps=eps, delta_eps=delta, phi=phi, rho=phi.spec.zeros(), newton_steps=0,
+        diagnostics={},
     )
 
 

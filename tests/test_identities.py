@@ -28,6 +28,7 @@ from torusma.geometry import (  # noqa: E402
     GridField,
     TorusSpec,
     complex_hessian,
+    half_laplacian,
     min_eigenvalue_field,
 )
 from torusma.ma import AlphaModel, ma_density  # noqa: E402
@@ -88,7 +89,7 @@ def test_shift_identity_cancels_to_round_off(n, kmax, seed, amplitude, t, eps):
         eps=eps,
         delta_eps=0.0,
         phi=phi,
-        Phi=GridField(spec, phi.values + alpha.rho().values),
+        rho=alpha.rho().values,
         newton_steps=0,
         diagnostics={},
     )
@@ -144,8 +145,11 @@ def test_rung_diagnostics_shift_by_rho(n, t, seed, amplitude):
     phi = GridField(spec, amplitude * trig_poly(spec, 1, seed).values)
     ladder = _Ladder.build(scenario)
     p1, p2, weight2 = smoothed_potentials(ladder, eps)
-    Phi, _ = rung_diagnostics(ladder, eps, 0.0, phi, p1, p2, weight2)
-    np.testing.assert_array_equal(Phi.values, phi.values + scenario.alpha.rho().values)
+    diagnostics = rung_diagnostics(ladder, eps, 0.0, phi, p1, p2, weight2)
+    Phi = GridField(spec, phi.values + scenario.alpha.rho().values)
+    assert diagnostics["trace_defect"] == trace_identity_defect(Phi, eps)
+    q = spec.n + half_laplacian(Phi).values / (1 + eps)
+    assert diagnostics["q_sup"] == float(np.max(q))
 
 
 # -- config echo round trip ------------------------------------------------

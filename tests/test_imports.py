@@ -1,12 +1,14 @@
 """No library module imports a name it never uses, keeps a private one
-that nothing reads, or caches a field.
+that nothing reads, or caches a field, and continuation states are built at
+one site.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the stdlib ``ast``: every name an import binds must be read somewhere
 in the module, or be re-exported through its ``__all__``; every module-level
 private name (``_x``, not a dunder) must be read by some module of the
 package, by name, as an attribute or through ``from ... import``; every
-``functools`` cache is keyed by ``int`` and ``bool`` parameters only.
+``functools`` cache is keyed by ``int`` and ``bool`` parameters only; and
+``ContinuationState(...)`` is called exactly once in the package.
 """
 
 import ast
@@ -169,3 +171,39 @@ def test_the_check_finds_a_cache_keyed_by_a_field():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_caches_are_keyed_by_ints_and_bools(path):
     assert _cached_functions_with_field_keys(path.read_text()) == []
+
+
+# One constructor builds every continuation state, so ``run`` and ``verify``
+# cannot drift into two state paths again.
+def _call_sites(sources: dict[str, str], name: str) -> list[str]:
+    """``module:line`` of every call of ``name``, bare or as an attribute."""
+    sites = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                sites.append(f"{module}:{node.lineno}")
+    return sorted(sites)
+
+
+def test_the_check_finds_every_call_site():
+    sources = {
+        "a": (
+            "from .c import ContinuationState\n"
+            "def build(): return ContinuationState(1, 2)\n"
+            "ok = isinstance(x, ContinuationState)\n"
+        ),
+        "b": (
+            "from . import c\n"
+            "s = c.ContinuationState(eps=1)\n"
+            "t = ContinuationStateView(s)\n"
+        ),
+    }
+    assert _call_sites(sources, "ContinuationState") == ["a:2", "b:2"]
+
+
+def test_continuation_states_are_built_at_one_site():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert len(_call_sites(sources, "ContinuationState")) == 1
