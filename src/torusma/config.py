@@ -51,7 +51,6 @@ _SCHEMA = {
         "exclusion_inner",
         "exclusion_outer",
         "sobolev_q",
-        "sobolev_d",
     },
     "output": {"name", "directory", "formats"},
 }
@@ -70,19 +69,19 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EstimateSettings:
-    """Knobs for the ladder-level regularity checks.
+    """Knobs for the ladder-level regularity checks: the Hoelder exponent,
+    the two exclusion radii and the integrability exponent of the Sobolev
+    embedding check, whose margin is reported in both the real and the
+    complex reading of the dimension.
 
     Exclusion radii are in units of the grid spacing, so a setting means the
-    same thing at every resolution.  ``sobolev_d`` selects the dimension used
-    in the embedding margin; when ``None`` both the real and the complex
-    reading are reported.
+    same thing at every resolution.
     """
 
     holder_gamma: float = 0.5
     exclusion_inner: float = 2.0
     exclusion_outer: float = 8.0
     sobolev_q: float = 4.0
-    sobolev_d: float | None = None
 
     def __post_init__(self):
         if not 0 < self.holder_gamma < 1:
@@ -236,10 +235,6 @@ def canonical_text(
         f"exclusion_inner = {settings.exclusion_inner!r}",
         f"exclusion_outer = {settings.exclusion_outer!r}",
         f"sobolev_q = {settings.sobolev_q!r}",
-    ]
-    if settings.sobolev_d is not None:
-        lines.append(f"sobolev_d = {settings.sobolev_d!r}")
-    lines += [
         "[output]",
         f"name = {s.name}",
         f"directory = {output.directory}",

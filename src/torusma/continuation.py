@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimates
-from .geometry import GridField, TorusSpec, _hessian_and_trace, integrate, scaled_identity
+from .geometry import GridField, TorusSpec, _hessian_and_trace, integrate
 from .ma import (
     AlphaModel,
     IterationLimitError,
@@ -49,7 +49,6 @@ __all__ = [
     "run_continuation",
     "rung_diagnostics",
     "smoothed_potentials",
-    "shift_defect",
 ]
 
 _BALANCE_RTOL = 1e-10
@@ -97,7 +96,8 @@ class Scenario:
         object.__setattr__(self, "eps_schedule", sched)
 
     def resolved_C(self) -> float:
-        """The uniform constant for the maximum-principle probes.
+        """The constant ``C`` of the log-trace inequality and of the weighted
+        second-order quantities ``sup q * exp(psi2 - 2 C Phi)``.
 
         Defaults to the certified curvature bound of ``psi2`` (the flat torus
         contributes no curvature of its own); a configured override wins.
@@ -188,20 +188,15 @@ def _rung_density(delta: float, p1: GridField, p2: GridField) -> GridField:
     return GridField(p1.spec, (1.0 + delta) * np.exp(p1.values - p2.values))
 
 
-def shift_defect(state: ContinuationState, alpha: AlphaModel) -> float:
-    """Sup difference of the two independently computed rung determinants.
-
-    ``det(a + eps I + H(phi))`` uses the closed-form coefficients,
-    ``det((1+eps) I + H(Phi))`` the spectral Hessian of the shifted
-    potential; exact algebra says they agree, so the defect is round-off.
-    """
-    rhs = ma_density(scaled_identity(state.phi.spec, 1.0 + state.eps), state.Phi)
-    return _shift_defect(state.phi, rhs.values, alpha, state.eps)
-
-
 def _shift_defect(
     phi: GridField, det_g: np.ndarray, alpha: AlphaModel, eps: float
 ) -> float:
+    """Sup difference of the two independently computed rung determinants.
+
+    ``det(a + eps I + H(phi))`` uses the closed-form coefficients, ``det_g``
+    is ``det((1+eps) I + H(Phi))`` from the spectral Hessian of the shifted
+    potential; exact algebra says they agree, so the defect is round-off.
+    """
     lhs = ma_density(alpha.coefficients(eps), phi)
     return float(np.max(np.abs(lhs.values - det_g)))
 
@@ -261,7 +256,6 @@ def rung_diagnostics(
     F = _rung_density(delta, p1, p2)
     f_log = GridField(spec, np.log(F.values) - spec.n * np.log1p(eps))
     siu = estimates._siu_residual(m, f_log, C)
-    probe = estimates._max_principle_probe(m, p2, C)
     comparison = min(
         float(np.min(estimates._comparison_residual(m, weight2))),
         float(np.min(estimates._comparison_residual(m, ladder.eta))),
@@ -269,8 +263,8 @@ def rung_diagnostics(
     return {
         "shift_defect": _shift_defect(phi, m.data.det, ladder.scenario.alpha, eps),
         "siu_min_residual": float(np.min(siu)),
-        "weighted_c2_sup": probe.global_weighted_sup,
-        "sharp_weighted_sup": estimates._weighted_sup(m, ladder.weight, ladder.keep, C),
+        "weighted_c2_sup": estimates._weighted_sup(m, p2.values, C),
+        "sharp_weighted_sup": estimates._weighted_sup(m, ladder.weight, C, ladder.keep),
         "trace_defect": estimates._trace_identity_defect(m),
         "comparison_min": comparison,
         "q_sup": float(np.max(m.q)),

@@ -35,7 +35,7 @@ from .geometry import (
     spectral_gradient,
 )
 from .ma import PositivityError
-from .pluripotential import QuasiPshModel, evaluate, _periodic_delta
+from .pluripotential import QuasiPshModel, evaluate, _periodic_d2
 
 __all__ = [
     "HOLDS",
@@ -44,13 +44,10 @@ __all__ = [
     "Verdict",
     "EstimateReport",
     "EstimateError",
-    "ProbeResult",
     "SobolevHolderReport",
     "c0_uniformity",
     "siu_residual",
     "comparison_residual",
-    "trace_identity_defect",
-    "max_principle_probe",
     "c2_uniformity",
     "delta_trend",
     "holder_seminorms",
@@ -198,55 +195,16 @@ def _comparison_residual(m: _RungMetric, weight: tuple) -> np.ndarray:
     return lhs - rhs
 
 
-def trace_identity_defect(Phi: GridField, eps: float) -> float:
+def _trace_identity_defect(m: _RungMetric) -> float:
     """Sup defect of ``trace(g^{-1} H(Phi)) = n - (1+eps) trace(g^{-1})``.
 
     Both sides are computed independently from one ``_RungMetric`` (the
-    Hessian of ``Phi`` and the adjugate data of ``g``, built once); the
-    identity is pure linear algebra, so the defect is round-off only.
+    Hessian of ``Phi`` and the adjugate data of ``g``); the identity is pure
+    linear algebra, so the defect is round-off only.
     """
-    return _trace_identity_defect(_RungMetric.build(Phi, eps))
-
-
-def _trace_identity_defect(m: _RungMetric) -> float:
     lhs = m.data.contract(m.hessian.parts)
     rhs = m.Phi.spec.n - (1.0 + m.eps) * m.data.inverse_trace()
     return float(np.max(np.abs(lhs - rhs)))
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Where the weighted trace peaks and what the metric looks like there."""
-
-    argmax: tuple[int, ...]
-    S_max: float
-    sum_inverse_at_argmax: float
-    global_weighted_sup: float
-
-
-def max_principle_probe(state, psi2_eps: GridField, C: float) -> ProbeResult:
-    """Locate the maximum of ``S = -2 C Phi + psi2_eps + log q``.
-
-    ``exp(S)`` is the weighted trace whose supremum the maximum-principle
-    argument controls; at the discrete argmax the probe also records
-    ``(1+eps) trace(g^{-1})`` — the sum of reciprocal normalized eigenvalues
-    that the argument bounds by a dimensional constant.
-    """
-    return _max_principle_probe(_RungMetric.build(state.Phi, state.eps), psi2_eps, C)
-
-
-def _max_principle_probe(m: _RungMetric, psi2_eps: GridField, C: float) -> ProbeResult:
-    S = -2.0 * C * m.Phi.values + psi2_eps.values + m.log_q
-    flat = int(np.argmax(S))
-    idx = tuple(int(i) for i in np.unravel_index(flat, m.Phi.spec.shape))
-    sum_inv = float(((1.0 + m.eps) * m.data.inverse_trace())[idx])
-    s_max = float(S[idx])
-    return ProbeResult(
-        argmax=idx,
-        S_max=s_max,
-        sum_inverse_at_argmax=sum_inv,
-        global_weighted_sup=float(np.exp(s_max)),
-    )
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -301,15 +259,10 @@ def c0_uniformity(states) -> Verdict:
 
 def _exclusion_mask(spec, centers, radius: float) -> np.ndarray:
     """True where the periodic distance to every center is at least ``radius``."""
-    if not centers:
-        return np.ones(spec.shape, dtype=bool)
     coords = spec.coordinates()
     keep = np.ones(spec.shape, dtype=bool)
     for center in centers:
-        d2 = np.zeros(spec.shape)
-        for axis in range(spec.num_axes):
-            d2 = d2 + _periodic_delta(coords[axis], center[axis]) ** 2
-        keep &= np.sqrt(d2) >= radius
+        keep &= np.sqrt(_periodic_d2(coords, center)) >= radius
     return keep
 
 
@@ -322,10 +275,12 @@ def _sharp_weight(psi2: QuasiPshModel) -> tuple[np.ndarray, np.ndarray]:
     return evaluate(psi2).values, keep
 
 
-def _weighted_sup(m: _RungMetric, weight, keep, C: float) -> float:
-    """``sup q * exp(weight - 2 C Phi)`` over the grid points ``keep`` marks."""
+def _weighted_sup(m: _RungMetric, weight, C: float, keep=None) -> float:
+    """``sup q * exp(weight - 2 C Phi)`` over the grid, or over the points
+    ``keep`` marks: the weighted trace that the maximum principle controls
+    where the unweighted trace cannot be bounded."""
     S = m.log_q + weight - 2.0 * C * m.Phi.values
-    return float(np.exp(np.max(S[keep])))
+    return float(np.exp(np.max(S if keep is None else S[keep])))
 
 
 def c2_uniformity(states) -> Verdict:
@@ -491,10 +446,8 @@ class SobolevHolderReport:
     """Embedding-condition bookkeeping on a patch away from the centers."""
 
     sobolev_norm: float
-    holder_value: float
     ratio: float
     margins: tuple[tuple[str, float], ...]
-    condition_ok: tuple[tuple[str, bool], ...]
 
 
 def sobolev_holder_probe(
@@ -505,7 +458,6 @@ def sobolev_holder_probe(
     singular=(),
     *,
     holder: float,
-    d_override: float | None = None,
 ) -> SobolevHolderReport:
     """Second-order integrability versus Hoelder continuity on a patch.
 
@@ -515,7 +467,7 @@ def sobolev_holder_probe(
     the same patch with :func:`holder_seminorms` — the two sides of the
     compactness embedding — plus the condition margins ``q (1 - gamma) - d``
     for both readings of the dimension, the real ``2n`` and the complex
-    ``n``, and an optional configured value.  A positive margin is the condition under which
+    ``n``.  A positive margin is the condition under which
     second-order integrability upgrades to Hoelder continuity of the
     gradient; the seminorm-to-norm ratio is the per-rung diagnostic.
     """
@@ -529,16 +481,12 @@ def sobolev_holder_probe(
     cell = spec.h**spec.num_axes
     sobolev = float((np.sum(frob[keep] ** q_exponent) * cell) ** (1.0 / q_exponent))
     ratio = holder / sobolev if sobolev > 0 else (0.0 if holder == 0 else float("inf"))
-    margins = [
+    margins = (
         ("real_dimension", q_exponent * (1.0 - gamma) - 2 * spec.n),
         ("complex_dimension", q_exponent * (1.0 - gamma) - spec.n),
-    ]
-    if d_override is not None:
-        margins.append(("configured", q_exponent * (1.0 - gamma) - d_override))
+    )
     return SobolevHolderReport(
         sobolev_norm=sobolev,
-        holder_value=holder,
         ratio=float(ratio),
         margins=tuple((k, float(v)) for k, v in margins),
-        condition_ok=tuple((k, v > 0) for k, v in margins),
     )

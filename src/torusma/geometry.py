@@ -35,10 +35,8 @@ __all__ = [
     "half_laplacian",
     "spectral_gradient",
     "invert_half_laplacian",
-    "heat_smooth",
     "integrate",
     "min_eigenvalue_field",
-    "lp_norm",
 ]
 
 
@@ -398,18 +396,6 @@ def invert_half_laplacian(f: GridField) -> GridField:
     return GridField(f.spec, _solve_half_laplacian(f.values))
 
 
-def heat_smooth(f: GridField, eps: float) -> GridField:
-    """Heat-kernel smoothing: damp mode ``k`` by ``exp(-eps * 4 pi^2 |k|^2)``.
-
-    Spectral multiplication by a positive-kernel convolution; commutes with
-    every other spectral operator in this module.
-    """
-    if eps < 0:
-        raise ValueError("smoothing time must be nonnegative")
-    mult = _heat_multiplier(f.spec.n, f.spec.N, eps)
-    return GridField(f.spec, _spectral(f.values, (mult,))[0])
-
-
 def integrate(f: GridField) -> float:
     """Trapezoidal (= midpoint = spectral) quadrature on the periodic grid."""
     return float(f.values.mean() * f.spec.volume)
@@ -428,12 +414,3 @@ def min_eigenvalue_field(form: HermitianFormField) -> GridField:
     mid = 0.5 * (a + d)
     rad = np.sqrt((0.5 * (a - d)) ** 2 + (re * re + im * im))
     return GridField(spec, mid - rad)
-
-
-def lp_norm(f: GridField, p: float) -> float:
-    """``L^p`` norm for ``1 <= p < inf``, or the sup-norm for ``p = inf``."""
-    if p == np.inf:
-        return float(np.max(np.abs(f.values)))
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((np.abs(f.values) ** p).mean() * f.spec.volume) ** (1.0 / p)

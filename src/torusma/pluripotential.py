@@ -131,6 +131,14 @@ def _periodic_delta(coord: np.ndarray, center: float) -> np.ndarray:
     return np.mod(coord - center + 0.5, 1.0) - 0.5
 
 
+def _periodic_d2(coords, center) -> np.ndarray:
+    """Squared periodic distance from broadcastable ``coords`` to ``center``."""
+    d2 = 0.0
+    for cj, aj in zip(coords, center):
+        d2 = d2 + _periodic_delta(cj, aj) ** 2
+    return d2
+
+
 def _smooth_values(model: QuasiPshModel, coords: list[np.ndarray]) -> np.ndarray:
     out = 0.0
     for m in model.smooth:
@@ -149,10 +157,7 @@ def _pole_values(
 ) -> np.ndarray:
     out = 0.0
     for pole in model.poles:
-        d2 = 0.0
-        for cj, aj in zip(coords, pole.center):
-            delta = _periodic_delta(cj, aj)
-            d2 = d2 + delta**2
+        d2 = _periodic_d2(coords, pole.center)
         s = pole.smoothing if s_override is None else s_override
         if s > 0:
             arg = d2 + s * s
@@ -327,9 +332,7 @@ def skoda_integrability(
             c = sub.axis_coordinate(axis)
             inside = (_periodic_delta(c, aj) ** 2 <= radius**2).ravel()
             coords.append(np.compress(inside, c, axis=axis))
-        d2 = 0.0
-        for cj, aj in zip(coords, center):
-            d2 = d2 + _periodic_delta(cj, aj) ** 2
+        d2 = _periodic_d2(coords, center)
         window = np.broadcast_shapes(*(c.shape for c in coords))
         psi = _values(model, coords, 0.0, floor=sub.h)
         mask = np.broadcast_to(d2 <= radius**2, window)

@@ -164,7 +164,6 @@ def _holder_report(
         outer_r,
         centers,
         holder=outer_final,
-        d_override=settings.sobolev_d,
     )
     lo, hi = min(outer), max(outer)
     if hi <= 1e-12:  # identically flat potential: nothing to measure

@@ -23,10 +23,8 @@ PUBLIC = {
         "half_laplacian",
         "spectral_gradient",
         "invert_half_laplacian",
-        "heat_smooth",
         "integrate",
         "min_eigenvalue_field",
-        "lp_norm",
     },
     "pluripotential": {
         "Pole",
@@ -65,7 +63,6 @@ PUBLIC = {
         "run_continuation",
         "rung_diagnostics",
         "smoothed_potentials",
-        "shift_defect",
     },
     "estimates": {
         "HOLDS",
@@ -74,13 +71,10 @@ PUBLIC = {
         "Verdict",
         "EstimateReport",
         "EstimateError",
-        "ProbeResult",
         "SobolevHolderReport",
         "c0_uniformity",
         "siu_residual",
         "comparison_residual",
-        "trace_identity_defect",
-        "max_principle_probe",
         "c2_uniformity",
         "delta_trend",
         "holder_seminorms",

@@ -146,6 +146,10 @@ class TestConfigParsing:
         [
             ("[torus]\nn = 1\nN = 16\n[bogus]\n", "line 4: unknown section [bogus]"),
             ("[torus]\nn = 1\nN = 16\nem = 3\n", "line 4: unknown key 'em'"),
+            (
+                "[torus]\nn = 1\nN = 16\n[estimates]\nsobolev_d = 2\n",
+                "line 5: unknown key 'sobolev_d'",
+            ),
             ("[torus]\nn = one\nN = 16\n", "line 2: torus n: not an integer: 'one'"),
             ("[torus]\nN = 16\n", "missing required key 'n' in [torus]"),
             ("[torus]\nn = 1\nN = 16\nN = 32\n", "line 4: key 'N' given more than once"),

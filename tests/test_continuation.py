@@ -12,21 +12,20 @@ import pytest
 from torusma import continuation, estimates, geometry, pluripotential
 from torusma.continuation import (
     ContinuationError,
-    ContinuationState,
     Scenario,
     _Ladder,
+    _shift_defect,
     delta_eps,
     enforce_mass_balance,
     run_continuation,
     rung_diagnostics,
-    shift_defect,
     smoothed_potentials,
 )
 from torusma.estimates import (
+    _RungMetric,
+    _trace_identity_defect,
     comparison_residual,
-    max_principle_probe,
     siu_residual,
-    trace_identity_defect,
 )
 from torusma.geometry import (
     GridField,
@@ -35,6 +34,7 @@ from torusma.geometry import (
     complex_hessian,
     half_laplacian,
     integrate,
+    scaled_identity,
 )
 from torusma.ma import AlphaModel, ma_density, poisson_oracle_n1, solve_ma_detailed
 from torusma.pluripotential import (
@@ -347,15 +347,9 @@ class TestShiftFrame:
         coords = spec.coordinates()
         vals = 0.01 * sum(np.cos(2 * np.pi * c) for c in coords)
         phi = GridField(spec, vals * np.ones(spec.shape))
-        state = ContinuationState(
-            eps=0.1,
-            delta_eps=0.0,
-            phi=phi,
-            rho=alpha.rho().values,
-            newton_steps=0,
-            diagnostics={},
-        )
-        assert shift_defect(state, alpha) <= 1e-12
+        Phi = GridField(spec, phi.values + alpha.rho().values)
+        det_g = ma_density(scaled_identity(spec, 1.1), Phi).values
+        assert _shift_defect(phi, det_g, alpha, 0.1) <= 1e-12
 
 
 _ESTIMATE_KEYS = (
@@ -471,13 +465,18 @@ class TestOneDiagnosticsPath:
             f = GridField(spec, np.log(F.values) - spec.n * np.log1p(s.eps))
             siu = siu_residual(s.Phi, f, s.eps, C)
             assert s.diagnostics["siu_min_residual"] == float(np.min(siu.values))
-            assert s.diagnostics["trace_defect"] == trace_identity_defect(s.Phi, s.eps)
-            psi2_eps = regularize(scenario.psi2, s.eps)
-            probe = max_principle_probe(s, psi2_eps, C)
-            assert s.diagnostics["weighted_c2_sup"] == probe.global_weighted_sup
-            assert s.diagnostics["shift_defect"] == shift_defect(s, scenario.alpha)
-            # the sharp-weight supremum away from the poles, from scratch
+            m = _RungMetric.build(s.Phi, s.eps)
+            assert s.diagnostics["trace_defect"] == _trace_identity_defect(m)
+            det_g = ma_density(scaled_identity(spec, 1 + s.eps), s.Phi).values
+            assert s.diagnostics["shift_defect"] == _shift_defect(
+                s.phi, det_g, scenario.alpha, s.eps
+            )
+            # both weighted second-order suprema, from scratch: the smoothed
+            # weight over the grid, the sharp one away from the poles
             q = spec.n + half_laplacian(s.Phi).values / (1 + s.eps)
+            psi2_eps = regularize(scenario.psi2, s.eps).values
+            S = np.log(q) + psi2_eps - 2.0 * C * s.Phi.values
+            assert s.diagnostics["weighted_c2_sup"] == float(np.exp(np.max(S)))
             S = np.log(q) + weight - 2.0 * C * s.Phi.values
             assert s.diagnostics["sharp_weighted_sup"] == float(np.exp(np.max(S[keep])))
 

@@ -14,22 +14,22 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from torusma.config import parse_config  # noqa: E402
 from torusma.continuation import (  # noqa: E402
-    ContinuationState,
     Scenario,
     _Ladder,
+    _shift_defect,
     enforce_mass_balance,
     run_continuation,
     rung_diagnostics,
-    shift_defect,
     smoothed_potentials,
 )
-from torusma.estimates import trace_identity_defect  # noqa: E402
+from torusma.estimates import _RungMetric, _trace_identity_defect  # noqa: E402
 from torusma.geometry import (  # noqa: E402
     GridField,
     TorusSpec,
     complex_hessian,
     half_laplacian,
     min_eigenvalue_field,
+    scaled_identity,
 )
 from torusma.ma import AlphaModel, ma_density  # noqa: E402
 from torusma.pluripotential import QuasiPshModel, SmoothMode  # noqa: E402
@@ -67,7 +67,7 @@ def _positive_metric_potential(spec, kmax, seed, eps, fraction):
 )
 def test_trace_identity_cancels_to_round_off(n, kmax, seed, eps, fraction):
     Phi = _positive_metric_potential(SPECS[n], kmax, seed, eps, fraction)
-    assert trace_identity_defect(Phi, eps) <= 1e-10
+    assert _trace_identity_defect(_RungMetric.build(Phi, eps)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,16 +85,10 @@ def test_shift_identity_cancels_to_round_off(n, kmax, seed, amplitude, t, eps):
     spec = SPECS[n]
     alpha = AlphaModel(spec, t=t)
     phi = GridField(spec, amplitude * trig_poly(spec, kmax, seed).values)
-    state = ContinuationState(
-        eps=eps,
-        delta_eps=0.0,
-        phi=phi,
-        rho=alpha.rho().values,
-        newton_steps=0,
-        diagnostics={},
-    )
+    Phi = GridField(spec, phi.values + alpha.rho().values)
+    det_g = ma_density(scaled_identity(spec, 1 + eps), Phi).values
     size = float(np.max(np.abs(ma_density(alpha.coefficients(eps), phi).values)))
-    assert shift_defect(state, alpha) <= 1e-13 * max(1.0, size)
+    assert _shift_defect(phi, det_g, alpha, eps) <= 1e-13 * max(1.0, size)
 
 
 def _smooth_scenario(n, t, seed, schedule):
@@ -147,7 +141,8 @@ def test_rung_diagnostics_shift_by_rho(n, t, seed, amplitude):
     p1, p2, weight2 = smoothed_potentials(ladder, eps)
     diagnostics = rung_diagnostics(ladder, eps, 0.0, phi, p1, p2, weight2)
     Phi = GridField(spec, phi.values + scenario.alpha.rho().values)
-    assert diagnostics["trace_defect"] == trace_identity_defect(Phi, eps)
+    m = _RungMetric.build(Phi, eps)
+    assert diagnostics["trace_defect"] == _trace_identity_defect(m)
     q = spec.n + half_laplacian(Phi).values / (1 + eps)
     assert diagnostics["q_sup"] == float(np.max(q))
 
@@ -210,7 +205,6 @@ def _configs(draw):
         lines.append(f"exclusion_inner = {inner!r}")
         lines.append(f"exclusion_outer = {inner + draw(st.floats(0.5, 4.0))!r}")
     lines += draw(_optional("sobolev_q", st.floats(min_value=0.5, max_value=8.0)))
-    lines += draw(_optional("sobolev_d", st.floats(min_value=0.5, max_value=8.0)))
     lines.append("[output]")
     lines += draw(_words.map(lambda w: [f"name = {w}"]) | st.just([]))
     lines += draw(_words.map(lambda w: [f"directory = {w}"]) | st.just([]))

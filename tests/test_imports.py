@@ -1,12 +1,14 @@
 """No library module imports a name it never uses, keeps a private one
-that nothing reads, or caches a field, and continuation states are built at
-one site.
+that nothing reads, exports a function that only unit tests call, or caches
+a field, and continuation states are built at one site.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the stdlib ``ast``: every name an import binds must be read somewhere
 in the module, or be re-exported through its ``__all__``; every module-level
 private name (``_x``, not a dunder) must be read by some module of the
 package, by name, as an attribute or through ``from ... import``; every
+function in an ``__all__`` must be read the same way by the package outside
+its own ``def``, by the acceptance suite or by the benchmark; every
 ``functools`` cache is keyed by ``int`` and ``bool`` parameters only; and
 ``ContinuationState(...)`` is called exactly once in the package.
 """
@@ -16,28 +18,35 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "torusma"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "torusma"
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in its ``__all__``."""
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return exported
 
 
 def _unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     bound = set()
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(a.asname or a.name for a in node.names)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
     read = {
         n.id
         for n in ast.walk(tree)
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     }
-    return sorted(bound - read - exported)
+    return sorted(bound - read - _exported(tree))
 
 
 def test_the_check_finds_an_unused_import():
@@ -108,6 +117,59 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert _unread_private_names(sources) == []
+
+
+# A public function is one the package, the acceptance suite or the
+# benchmark calls; one that only unit tests call is a second path to what
+# the record already computes.  The tracer's span names are strings, not
+# reads.  ``degeneracy_integrability`` is the only check of the background's
+# degeneracy, which no record reports yet: whether the record reports it or
+# it goes is decided on its own (ROADMAP item 4).
+_CALLERS = (ROOT / "tests" / "test_acceptance.py", *sorted(ROOT.glob("perfbench/*.py")))
+_UNREAD_PUBLIC_ALLOWED = ["ma.degeneracy_integrability"]
+
+
+def _unread_public_functions(sources: dict[str, str], callers=()) -> list[str]:
+    """Each exported function of ``sources`` read nowhere but in its own ``def``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    outside = set().union(*(_reads(ast.parse(source)) for source in callers))
+    unread = []
+    for module, tree in trees.items():
+        exported = _exported(tree)
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in exported:
+                continue
+            rest = ast.Module([other for other in tree.body if other is not node], [])
+            others = (_reads(t) for m, t in trees.items() if m != module)
+            if node.name not in outside.union(_reads(rest), *others):
+                unread.append(f"{module}.{node.name}")
+    return sorted(unread)
+
+
+def test_the_check_finds_an_unread_public_function():
+    sources = {
+        "a": (
+            "__all__ = ['used', 'attr', 'imported', 'recursive', 'orphan', 'Cls', 'K']\n"
+            "def used(): pass\n"
+            "def attr(): pass\n"
+            "def imported(): pass\n"
+            "def recursive(): return recursive()\n"
+            "def orphan(): pass\n"
+            "def _private(): pass\n"
+            "class Cls: pass\n"
+            "K = 1\n"
+            "x = used()\n"
+        ),
+        "b": "from . import a\ny = a.attr\n",
+    }
+    callers = ("from torusma.a import imported\nspan = 'a.orphan'\n",)
+    assert _unread_public_functions(sources, callers) == ["a.orphan", "a.recursive"]
+
+
+def test_every_public_function_is_read_outside_the_unit_tests():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    callers = [path.read_text() for path in _CALLERS]
+    assert _unread_public_functions(sources, callers) == _UNREAD_PUBLIC_ALLOWED
 
 
 # A cache keyed by ints and bools holds multipliers of a grid size, never a
