@@ -10,8 +10,9 @@ Every parse produces a *canonical echo*: the same document re-rendered with
 all defaults resolved, the mass-balance shift baked in, and a fixed key
 order.  The SHA-256 of the echo keys the output directory, so identical
 inputs land in identical places and the echo itself documents exactly what
-ran.  Bundled scenarios flow through the same resolution path as parsed
-files.
+ran.  Every experiment is built by :func:`parse_config`: the bundled
+scenarios are config documents, and :func:`with_resolution` re-parses an
+experiment's echo at another grid size.
 """
 
 from __future__ import annotations
@@ -151,9 +152,8 @@ def _hypothesis_notes(scenario: Scenario) -> tuple[bool, tuple[str, ...]]:
 def _check_exclusion(scenario: Scenario, settings: EstimateSettings) -> None:
     """The interior-regularity verdict needs Hoelder stencil pairs at the
     outer exclusion radius (the inner one is smaller and keeps more)."""
-    centers = tuple(p.center for p in scenario.psi2.poles + scenario.psi1.poles)
     radius = settings.exclusion_outer * scenario.spec.h
-    if not has_admissible_pairs(scenario.spec, radius, centers):
+    if not has_admissible_pairs(scenario.spec, radius, scenario.singular_centers):
         raise ConfigError(
             f"exclusion_outer = {settings.exclusion_outer!r} grid spacings "
             f"(radius {radius:g}) leaves no admissible Hoelder stencil pairs "
@@ -341,9 +341,7 @@ def _parse_model(entries, section: str, spec: TorusSpec) -> QuasiPshModel:
             r0 = _to_float(parts[2], i, "pole r0")
             r1 = _to_float(parts[3], i, "pole r1")
             try:
-                poles.append(
-                    Pole(center=center, weight=weight, smoothing=0.0, r0=r0, r1=r1)
-                )
+                poles.append(Pole(center=center, weight=weight, r0=r0, r1=r1))
             except ValueError as exc:
                 raise ConfigError(str(exc), line=i) from None
     return QuasiPshModel(spec=spec, smooth=tuple(modes), poles=tuple(poles))
@@ -437,20 +435,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def with_resolution(experiment: ExperimentConfig, N: int) -> ExperimentConfig:
-    """The same experiment on an ``N``-point grid (resolution studies)."""
-    old = experiment.scenario
-    spec = TorusSpec(n=old.spec.n, N=N)
-    scenario = Scenario(
-        name=old.name,
-        spec=spec,
-        alpha=AlphaModel(spec=spec, t=old.alpha.t, eps0=old.alpha.eps0),
-        psi1=QuasiPshModel(spec=spec, smooth=old.psi1.smooth, poles=old.psi1.poles),
-        psi2=QuasiPshModel(spec=spec, smooth=old.psi2.smooth, poles=old.psi2.poles),
-        p=old.p,
-        eps_schedule=old.eps_schedule,
-        tol=old.tol,
-        C_config=old.C_config,
-    )
-    return make_experiment(
-        old.name, scenario, experiment.settings, experiment.output
-    )
+    """The same experiment on an ``N``-point grid (resolution studies): its
+    canonical echo re-parsed with only the ``N = ...`` line changed."""
+    spec = experiment.scenario.spec
+    # Rejected here, so the message names no line of an echo the user never wrote.
+    TorusSpec(n=spec.n, N=N)
+    echo = experiment.echo.replace(f"\nN = {spec.N}\n", f"\nN = {N}\n", 1)
+    return parse_config(echo)

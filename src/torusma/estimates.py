@@ -35,7 +35,7 @@ from .geometry import (
     spectral_gradient,
 )
 from .ma import PositivityError
-from .pluripotential import QuasiPshModel, evaluate, _periodic_d2
+from .pluripotential import QuasiPshModel, _periodic_d2
 
 __all__ = [
     "HOLDS",
@@ -266,13 +266,13 @@ def _exclusion_mask(spec, centers, radius: float) -> np.ndarray:
     return keep
 
 
-def _sharp_weight(psi2: QuasiPshModel) -> tuple[np.ndarray, np.ndarray]:
-    """The weight ``evaluate(psi2)`` of :func:`_weighted_sup` and its mask of
-    grid points at least one spacing from every pole, the same on every rung."""
+def _pole_mask(psi2: QuasiPshModel) -> np.ndarray:
+    """The grid points at least one spacing from every pole of ``psi2``, where
+    :func:`_weighted_sup` reads the sharp weight; the same on every rung."""
     keep = _exclusion_mask(psi2.spec, tuple(p.center for p in psi2.poles), psi2.spec.h)
     if not keep.any():
         raise ValueError("every grid point is excluded by the singular centers")
-    return evaluate(psi2).values, keep
+    return keep
 
 
 def _weighted_sup(m: _RungMetric, weight, C: float, keep=None) -> float:

@@ -3,17 +3,19 @@
 A model potential is a closed-form trigonometric polynomial plus a finite sum
 of cutoff logarithmic poles
 
-    psi(z) = smooth(z) + sum_k  c_k * chi_k(d_k) * log(d_k^2 + s_k^2),
+    psi(z) = smooth(z) + sum_k  c_k * chi_k(d_k) * log(d_k^2 + s^2),
 
 where ``d_k`` is the periodic Euclidean distance to the pole center, ``c_k > 0``
-the pole weight (= its Lelong number), ``s_k >= 0`` a smoothing width, and
-``chi_k`` a quintic cutoff that is 1 on ``[0, r0]`` and 0 beyond ``r1 < 1/4``.
-Coefficients are stored in closed form, so a model can be sampled on any grid
-resolution — refinement studies of singular integrals depend on this.
+the pole weight (= its Lelong number), ``chi_k`` a quintic cutoff that is 1 on
+``[0, r0]`` and 0 beyond ``r1 < 1/4``, and ``s >= 0`` a smoothing width that
+is not part of the model: the caller of ``evaluate`` chooses it for all poles
+at once (``regularize`` uses ``sqrt(eps)``).  Coefficients are stored in
+closed form, so a model can be sampled on any grid resolution — refinement
+studies of singular integrals depend on this.
 
-When the effective smoothing is zero the pole argument is floored at the grid
-scale: ``log(max(d^2, h^2))`` with ``h = 1/N``.  This keeps every grid value
-finite while preserving the pole profile at all resolved distances.
+At width zero, the default, the pole argument is floored at the grid scale:
+``log(max(d^2, h^2))`` with ``h = 1/N``.  This sharp field keeps every grid
+value finite while preserving the pole profile at all resolved distances.
 
 The module also provides: heat-kernel regularization with its two per-call
 guarantees (lower bound and curvature bound), analytic Lelong numbers, the
@@ -24,7 +26,7 @@ numeric evidence), and the L^p hypothesis check for a density
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -72,19 +74,18 @@ class SmoothMode:
 
 @dataclass(frozen=True)
 class Pole:
-    """A cutoff logarithmic pole ``c * chi(d) * log(d^2 + s^2)``."""
+    """A cutoff logarithmic pole ``c * chi(d) * log(d^2 + s^2)``; the width
+    ``s`` is the caller's, passed to :func:`evaluate`, not stored here."""
 
     center: tuple[float, ...]
     weight: float
-    smoothing: float = 0.0
+    _: KW_ONLY
     r0: float = 0.1
     r1: float = 0.2
 
     def __post_init__(self):
         if self.weight <= 0:
             raise ValueError(f"pole weight must be positive, got {self.weight}")
-        if self.smoothing < 0:
-            raise ValueError("pole smoothing must be nonnegative")
         if not 0 < self.r0 < self.r1 < 0.25:
             raise ValueError(
                 f"cutoff radii must satisfy 0 < r0 < r1 < 1/4, got ({self.r0}, {self.r1})"
@@ -152,15 +153,14 @@ def _smooth_values(model: QuasiPshModel, coords: list[np.ndarray]) -> np.ndarray
 def _pole_values(
     model: QuasiPshModel,
     coords: list[np.ndarray],
-    s_override: float | None,
+    smoothing: float,
     floor: float,
 ) -> np.ndarray:
     out = 0.0
     for pole in model.poles:
         d2 = _periodic_d2(coords, pole.center)
-        s = pole.smoothing if s_override is None else s_override
-        if s > 0:
-            arg = d2 + s * s
+        if smoothing > 0:
+            arg = d2 + smoothing * smoothing
         else:
             arg = np.maximum(d2, floor * floor)
         out = out + pole.weight * _cutoff(np.sqrt(d2), pole.r0, pole.r1) * np.log(arg)
@@ -170,38 +170,38 @@ def _pole_values(
 def _values(
     model: QuasiPshModel,
     coords: list[np.ndarray],
-    s_override: float | None,
+    smoothing: float,
     floor: float,
 ) -> np.ndarray:
     """The model at broadcastable ``coords``, possibly of a smaller shape."""
     smooth = _smooth_values(model, coords)
-    return smooth + _pole_values(model, coords, s_override, floor)
+    return smooth + _pole_values(model, coords, smoothing, floor)
 
 
-def evaluate(model: QuasiPshModel, s_override: float | None = None) -> GridField:
-    """Sample the model on its grid; ``s_override`` replaces every pole's smoothing.
+def evaluate(model: QuasiPshModel, smoothing: float = 0.0) -> GridField:
+    """Sample the model on its grid, every pole widened by ``smoothing``.
 
-    With effective smoothing zero the pole argument is floored at the grid's
-    cell scale, ``log(max(d^2, h^2))``, so all values are finite.
+    At width zero, the sharp field, the pole argument is floored at the
+    grid's cell scale, ``log(max(d^2, h^2))``, so all values are finite.
     """
-    if s_override is not None and s_override < 0:
-        raise ValueError("smoothing override must be nonnegative")
+    if smoothing < 0:
+        raise ValueError("smoothing width must be nonnegative")
     spec = model.spec
-    values = _values(model, spec.coordinates(), s_override, floor=spec.h)
+    values = _values(model, spec.coordinates(), smoothing, floor=spec.h)
     return GridField(spec, np.broadcast_to(values, spec.shape).copy())
 
 
-def hessian_lower_bound(model: QuasiPshModel, s_min: float | None = None) -> float:
+def hessian_lower_bound(model: QuasiPshModel, s_min: float = 0.0) -> float:
     """Smallest ``C >= 0`` with ``C*I + H(psi)`` nonnegative on the grid.
 
-    The bound is certified at smoothing ``s_min`` (default: each pole's own
-    width); since adding ``C*I`` shifts every eigenvalue by exactly ``C``, the
+    The bound is certified at smoothing ``s_min`` (default: the sharp field);
+    since adding ``C*I`` shifts every eigenvalue by exactly ``C``, the
     optimum is ``-min lambda_min`` and needs no search.  A margin of ``1e-6``
     is added so the certified form is strictly nonnegative; downstream
     inequality checks rely on that strictness.  The bound grows as ``s_min``
     approaches the grid scale.
     """
-    return _curvature_bound(complex_hessian(evaluate(model, s_override=s_min)))
+    return _curvature_bound(complex_hessian(evaluate(model, s_min)))
 
 
 def _curvature_bound(hessian: HermitianFormField) -> float:
@@ -226,13 +226,13 @@ def regularize(
     for ``eps <= _GUARANTEE_EPS_MAX`` (0.1); above it both are skipped,
     since larger times are outside the contractual range:
 
-    (a) output >= evaluate(model, 0) - 1 pointwise (grid-floored pole values);
+    (a) output >= evaluate(model) - 1 pointwise (grid-floored pole values);
     (b) min eig(C*I + H(output)) >= -1e-8 with ``C`` certified at the same
         smoothing — exact in principle because the heat multiplier commutes
         with the complex-Hessian multiplier and averages matrices pointwise.
     """
     guarded = check and eps <= _GUARANTEE_EPS_MAX
-    return _regularize(model, eps, evaluate(model, s_override=0.0) if guarded else None)[0]
+    return _regularize(model, eps, evaluate(model) if guarded else None)[0]
 
 
 def _regularize(
@@ -247,7 +247,7 @@ def _regularize(
     if eps <= 0:
         raise ValueError(f"regularization parameter must be positive, got {eps}")
     spec = model.spec
-    base = evaluate(model, s_override=float(np.sqrt(eps)))
+    base = evaluate(model, float(np.sqrt(eps)))
     guarded = sharp is not None and eps <= _GUARANTEE_EPS_MAX
     hessian_mults = _hessian_multipliers(spec.n, spec.N) if guarded or certify else ()
     heat = _heat_multiplier(spec.n, spec.N, eps)

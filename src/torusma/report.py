@@ -143,9 +143,7 @@ def _holder_report(
     measured at both radii in one stencil pass.
     """
     spec = scenario.spec
-    centers = tuple(p.center for p in scenario.psi2.poles) + tuple(
-        p.center for p in scenario.psi1.poles
-    )
+    centers = scenario.singular_centers
     gamma = settings.holder_gamma
     outer_r = settings.exclusion_outer * spec.h
     inner_r = settings.exclusion_inner * spec.h

@@ -1,6 +1,10 @@
 """Bundled scenario library.
 
-Seven ready-to-run experiments spanning the design space:
+Seven ready-to-run experiments spanning the design space, each a config
+document that :func:`torusma.config.parse_config` resolves like any user
+file, so ``torusma run`` of the same text gives the same record.  Keys a
+document leaves out take the parser's defaults (``t = 0``, ``p = 2``, eight
+rungs halving from ``eps = 0.25``), as in any other file:
 
 * ``trivial`` — flat background, unit density; every column of the run
   record is known in closed form (the solution is identically zero and the
@@ -25,186 +29,122 @@ Seven ready-to-run experiments spanning the design space:
 
 from __future__ import annotations
 
-import numpy as np
-
-from .config import ExperimentConfig, make_experiment
-from .continuation import Scenario
-from .geometry import TorusSpec
-from .ma import AlphaModel
-from .pluripotential import Pole, QuasiPshModel, SmoothMode
+from .config import ExperimentConfig, parse_config
 
 __all__ = ["bundled_names", "bundled_experiment", "bundled_descriptions"]
 
-
-def _geometric(start: float, count: int) -> tuple[float, ...]:
-    return tuple(start * 0.5**k for k in range(count))
-
-
-def _trivial() -> ExperimentConfig:
-    spec = TorusSpec(n=1, N=32)
-    empty = QuasiPshModel(spec=spec)
-    scenario = Scenario(
-        name="trivial",
-        spec=spec,
-        alpha=AlphaModel(spec=spec, t=0.0),
-        psi1=empty,
-        psi2=empty,
-        p=2.0,
-        eps_schedule=_geometric(0.25, 8),
-    )
-    return make_experiment("trivial", scenario)
-
-
-def _smooth() -> ExperimentConfig:
-    spec = TorusSpec(n=1, N=32)
-    scenario = Scenario(
-        name="smooth",
-        spec=spec,
-        alpha=AlphaModel(spec=spec, t=0.5),
-        psi1=QuasiPshModel(
-            spec=spec,
-            smooth=(
-                SmoothMode(0.05, (1, 0), 0.0),
-                SmoothMode(0.03, (1, 1), 1.0),
-            ),
-        ),
-        psi2=QuasiPshModel(spec=spec, smooth=(SmoothMode(0.04, (0, 1), 0.5),)),
-        p=2.0,
-        eps_schedule=_geometric(0.25, 8),
-    )
-    return make_experiment("smooth", scenario)
-
-
-def _smooth_degenerate() -> ExperimentConfig:
-    spec = TorusSpec(n=1, N=64)
-    scenario = Scenario(
-        name="smooth-degenerate",
-        spec=spec,
-        alpha=AlphaModel(spec=spec, t=1.0),
-        psi1=QuasiPshModel(
-            spec=spec,
-            smooth=(
-                SmoothMode(0.05, (1, 0), 0.0),
-                SmoothMode(0.03, (1, 1), 1.0),
-            ),
-        ),
-        psi2=QuasiPshModel(spec=spec, smooth=(SmoothMode(0.04, (0, 1), 0.5),)),
-        p=2.0,
-        eps_schedule=_geometric(0.25, 8),
-    )
-    return make_experiment("smooth-degenerate", scenario)
-
-
-def _pole_below() -> ExperimentConfig:
-    spec = TorusSpec(n=1, N=512)
-    scenario = Scenario(
-        name="pole-below",
-        spec=spec,
-        alpha=AlphaModel(spec=spec, t=0.0),
-        psi1=QuasiPshModel(
-            spec=spec,
-            smooth=(
-                SmoothMode(0.75, (1, 0), 0.0),
-                SmoothMode(0.75, (0, 1), 0.0),
-            ),
-        ),
-        psi2=QuasiPshModel(
-            spec=spec,
-            poles=(
-                Pole(center=(0.5, 0.5), weight=0.5, smoothing=0.0, r0=0.1, r1=0.2),
-            ),
-        ),
-        p=1.5,
-        # The ladder starts once the pole smoothing sqrt(eps) is inside the
-        # glue radius (16h) and descends to the cell scale (s = h), where the
-        # exclusion-radius seminorms have saturated.
-        eps_schedule=_geometric(2.0**-8, 11),
-        C_config=2.0,
-    )
-    return make_experiment("pole-below", scenario)
-
-
-def _pole_above() -> ExperimentConfig:
-    spec = TorusSpec(n=1, N=256)
-    scenario = Scenario(
-        name="pole-above",
-        spec=spec,
-        alpha=AlphaModel(spec=spec, t=0.0),
-        psi1=QuasiPshModel(
-            spec=spec,
-            smooth=(
-                SmoothMode(0.75, (1, 0), 0.0),
-                SmoothMode(0.75, (0, 1), 0.0),
-            ),
-        ),
-        psi2=QuasiPshModel(
-            spec=spec,
-            poles=(
-                Pole(center=(0.5, 0.5), weight=1.4, smoothing=0.0, r0=0.1, r1=0.2),
-            ),
-        ),
-        p=1.5,
-        # A weight this far past the threshold carries enough negative mass
-        # that mid-range smoothing widths violate the smoothing-family lower
-        # guarantee; the ladder starts below that window and descends to the
-        # cell scale so the run completes and the verdicts do the failing.
-        eps_schedule=_geometric(2.0**-11, 6),
-        # Density peaks reach the thousands here and the sup-norm round-off
-        # floor grows with them down the ladder (past 1e-8 by the last rung);
-        # the verdicts this scenario exists to trip are O(0.1) effects, so a
-        # loose solve tolerance loses nothing.
-        tol=1e-6,
-        C_config=2.0,
-    )
-    return make_experiment("pole-above", scenario)
-
-
-def _oracle_n1() -> ExperimentConfig:
-    spec = TorusSpec(n=1, N=256)
-    scenario = Scenario(
-        name="oracle-n1",
-        spec=spec,
-        alpha=AlphaModel(spec=spec, t=0.5),
-        psi1=QuasiPshModel(
-            spec=spec,
-            smooth=(
-                SmoothMode(0.08, (1, 0), 0.3),
-                SmoothMode(0.05, (2, 1), 1.2),
-            ),
-        ),
-        psi2=QuasiPshModel(spec=spec, smooth=(SmoothMode(0.06, (0, 1), 0.7),)),
-        p=2.0,
-        eps_schedule=_geometric(0.25, 8),
-    )
-    return make_experiment("oracle-n1", scenario)
-
-
-def _manufactured_n2() -> ExperimentConfig:
-    spec = TorusSpec(n=2, N=16)
-    empty = QuasiPshModel(spec=spec)
-    scenario = Scenario(
-        name="manufactured-n2",
-        spec=spec,
-        # t = 0.1 pi^2 makes phi = -rho = -0.1(cos 2 pi x_1 + cos 2 pi x_2)
-        # the exact solution of every rung: the background potential cancels
-        # and the shifted form is the constant (1+eps) I.
-        alpha=AlphaModel(spec=spec, t=0.1 * np.pi**2),
-        psi1=empty,
-        psi2=empty,
-        p=2.0,
-        eps_schedule=_geometric(0.25, 7),
-    )
-    return make_experiment("manufactured-n2", scenario)
-
-
-_BUILDERS = {
-    "trivial": _trivial,
-    "smooth": _smooth,
-    "smooth-degenerate": _smooth_degenerate,
-    "pole-below": _pole_below,
-    "pole-above": _pole_above,
-    "oracle-n1": _oracle_n1,
-    "manufactured-n2": _manufactured_n2,
+_DOCUMENTS = {
+    "trivial": """\
+[torus]
+n = 1
+N = 32
+[output]
+name = trivial
+""",
+    "smooth": """\
+[torus]
+n = 1
+N = 32
+[alpha]
+t = 0.5
+[psi1]
+mode = 0.05, 1 0, 0.0
+mode = 0.03, 1 1, 1.0
+[psi2]
+mode = 0.04, 0 1, 0.5
+[output]
+name = smooth
+""",
+    "smooth-degenerate": """\
+[torus]
+n = 1
+N = 64
+[alpha]
+t = 1.0
+[psi1]
+mode = 0.05, 1 0, 0.0
+mode = 0.03, 1 1, 1.0
+[psi2]
+mode = 0.04, 0 1, 0.5
+[output]
+name = smooth-degenerate
+""",
+    "pole-below": """\
+[torus]
+n = 1
+N = 512
+[psi1]
+mode = 0.75, 1 0, 0.0
+mode = 0.75, 0 1, 0.0
+[psi2]
+pole = 0.5 0.5, 0.5, 0.1, 0.2
+[hypothesis]
+p = 1.5
+[continuation]
+# The ladder starts once the pole smoothing sqrt(eps) is inside the glue
+# radius (16h) and descends to the cell scale (s = h), where the
+# exclusion-radius seminorms have saturated.
+schedule = 0.00390625 0.001953125 0.0009765625 0.00048828125 0.000244140625 0.0001220703125 6.103515625e-05 3.0517578125e-05 1.52587890625e-05 7.62939453125e-06 3.814697265625e-06
+[estimates]
+C = 2.0
+[output]
+name = pole-below
+""",
+    "pole-above": """\
+[torus]
+n = 1
+N = 256
+[psi1]
+mode = 0.75, 1 0, 0.0
+mode = 0.75, 0 1, 0.0
+[psi2]
+pole = 0.5 0.5, 1.4, 0.1, 0.2
+[hypothesis]
+p = 1.5
+[continuation]
+# A weight this far past the threshold carries enough negative mass that
+# mid-range smoothing widths violate the smoothing-family lower guarantee;
+# the ladder starts below that window and descends to the cell scale so the
+# run completes and the verdicts do the failing.
+schedule = 0.00048828125 0.000244140625 0.0001220703125 6.103515625e-05 3.0517578125e-05 1.52587890625e-05
+# Density peaks reach the thousands here and the sup-norm round-off floor
+# grows with them down the ladder (past 1e-8 by the last rung); the verdicts
+# this scenario exists to trip are O(0.1) effects, so a loose solve
+# tolerance loses nothing.
+tol = 1e-06
+[estimates]
+C = 2.0
+[output]
+name = pole-above
+""",
+    "oracle-n1": """\
+[torus]
+n = 1
+N = 256
+[alpha]
+t = 0.5
+[psi1]
+mode = 0.08, 1 0, 0.3
+mode = 0.05, 2 1, 1.2
+[psi2]
+mode = 0.06, 0 1, 0.7
+[output]
+name = oracle-n1
+""",
+    "manufactured-n2": """\
+[torus]
+n = 2
+N = 16
+[alpha]
+# t = 0.1 pi^2 makes phi = -rho = -0.1(cos 2 pi x_1 + cos 2 pi x_2) the
+# exact solution of every rung: the background potential cancels and the
+# shifted form is the constant (1+eps) I.
+t = 0.9869604401089358
+[continuation]
+schedule = 0.25 0.125 0.0625 0.03125 0.015625 0.0078125 0.00390625
+[output]
+name = manufactured-n2
+""",
 }
 
 _DESCRIPTIONS = {
@@ -219,7 +159,7 @@ _DESCRIPTIONS = {
 
 
 def bundled_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_DOCUMENTS)
 
 
 def bundled_descriptions() -> dict[str, str]:
@@ -227,11 +167,11 @@ def bundled_descriptions() -> dict[str, str]:
 
 
 def bundled_experiment(name: str) -> ExperimentConfig:
-    """Build a bundled experiment by name (fresh object every call)."""
+    """Parse a bundled scenario's config document (fresh object every call)."""
     try:
-        builder = _BUILDERS[name]
+        document = _DOCUMENTS[name]
     except KeyError:
         raise KeyError(
-            f"unknown scenario {name!r}; bundled: {', '.join(_BUILDERS)}"
+            f"unknown scenario {name!r}; bundled: {', '.join(_DOCUMENTS)}"
         ) from None
-    return builder()
+    return parse_config(document)

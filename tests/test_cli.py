@@ -211,6 +211,11 @@ class TestConfigParsing:
         assert refined.scenario.eps_schedule == exp.scenario.eps_schedule
         assert refined.config_hash != exp.config_hash
 
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_with_resolution_at_the_same_grid_keeps_the_echo(self, name):
+        exp = bundled_experiment(name)
+        assert with_resolution(exp, exp.scenario.spec.N).echo == exp.echo
+
 
 class TestRunVerb:
     def test_clean_run_writes_all_artifacts(self, tmp_path, capsys):
@@ -384,7 +389,10 @@ class TestRunVerb:
         cfg = _write(tmp_path, MINI)
         code = main(["run", cfg, "--resolution-override", "15"])
         assert code == EXIT_CONFIG
-        assert "resolution override:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: resolution override: "
+            "grid size must be even and >= 8, got 15\n"
+        )
 
     def test_unusable_exclusion_outer_exits_three_before_solving(
         self, tmp_path, capsys
@@ -662,6 +670,20 @@ class TestListVerb:
                 line.startswith(name + " ") for line in stdout.splitlines()
             ), name
         assert len(stdout.splitlines()) == len(bundled_names())
+
+    def test_bundled_config_hashes_are_pinned(self):
+        # The record directory names of the bundled scenarios: however the
+        # library builds them, earlier records must keep their place.
+        got = {name: bundled_experiment(name).config_hash[:12] for name in bundled_names()}
+        assert got == {
+            "trivial": "65b23b061579",
+            "smooth": "a651f1a84f78",
+            "smooth-degenerate": "786d4d4bb586",
+            "pole-below": "7f67fc8e5738",
+            "pole-above": "b069537e498a",
+            "oracle-n1": "f9acafe12359",
+            "manufactured-n2": "88e4591dcb3e",
+        }
 
     def test_bundled_library_is_the_documented_seven(self):
         assert bundled_names() == (

@@ -9,8 +9,9 @@ private name (``_x``, not a dunder) must be read by some module of the
 package, by name, as an attribute or through ``from ... import``; every
 function in an ``__all__`` must be read the same way by the package outside
 its own ``def``, by the acceptance suite or by the benchmark; every
-``functools`` cache is keyed by ``int`` and ``bool`` parameters only; and
-``ContinuationState(...)`` is called exactly once in the package.
+``functools`` cache is keyed by ``int`` and ``bool`` parameters only;
+``ContinuationState(...)`` is called exactly once in the package; and the
+scenario library imports nothing of the package but ``config``.
 """
 
 import ast
@@ -269,3 +270,46 @@ def test_the_check_finds_every_call_site():
 def test_continuation_states_are_built_at_one_site():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert len(_call_sites(sources, "ContinuationState")) == 1
+
+
+# The bundled scenarios are config documents: the library reaches the
+# package only through the parser, never through the objects it builds.
+def _package_imports(source: str) -> list[str]:
+    """The package modules a module imports, relatively or as ``torusma.x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("torusma" if node.level else "", node.module)))
+            if module == "torusma":
+                found.update(f"torusma.{a.name}" for a in node.names)
+            else:
+                found.add(module)
+    return sorted({m.split(".")[1] for m in found if m.startswith("torusma.")})
+
+
+def test_the_check_finds_package_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from .config import parse_config\n"
+        "from .pluripotential import Pole\n"
+        "from . import geometry, ma\n"
+        "import torusma.continuation\n"
+        "from torusma.estimates import Verdict\n"
+        "from torusma import report\n"
+    )
+    assert _package_imports(source) == [
+        "config",
+        "continuation",
+        "estimates",
+        "geometry",
+        "ma",
+        "pluripotential",
+        "report",
+    ]
+
+
+def test_scenarios_import_only_the_config_parser():
+    assert _package_imports((SRC / "scenarios.py").read_text()) == ["config"]

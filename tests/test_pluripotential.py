@@ -64,7 +64,7 @@ class TestEvaluation:
             smooth=(SmoothMode(0.3, (1, 0)),),
             poles=(Pole(center=(0.5, 0.5), weight=0.7, r0=0.1, r1=0.2),),
         )
-        field = evaluate(model, s_override=0.0)
+        field = evaluate(model, smoothing=0.0)
         want = 0.3 * np.cos(np.pi) + 0.7 * np.log(SPEC64.h**2)
         assert field.values[32, 32] == pytest.approx(want, abs=1e-12)
 
@@ -76,7 +76,7 @@ class TestEvaluation:
             smooth=(SmoothMode(0.3, (1, 0)),),
             poles=(Pole(center=(0.5, 0.5), weight=0.7, r0=0.1, r1=0.2),),
         )
-        field = evaluate(model, s_override=0.0)
+        field = evaluate(model, smoothing=0.0)
         got = field.values[[35, 32, 61], [32, 46, 32]]
         want = np.array(
             [
@@ -94,7 +94,7 @@ class TestEvaluation:
         model = QuasiPshModel(
             SPEC64, poles=(Pole(center=(0.95, 0.5), weight=0.6, r0=0.1, r1=0.2),)
         )
-        got = evaluate(model, s_override=0.0).values[2, 32]
+        got = evaluate(model, smoothing=0.0).values[2, 32]
         # periodic distance |2/64 - 0.95| -> 0.08125 through the seam
         assert got == pytest.approx(0.6 * np.log(0.08125**2), abs=1e-12)
 
@@ -102,7 +102,7 @@ class TestEvaluation:
         model = QuasiPshModel(
             SPEC64, poles=(Pole(center=(0.5, 0.5), weight=0.7, r0=0.1, r1=0.2),)
         )
-        got = evaluate(model, s_override=0.05).values[33, 32]
+        got = evaluate(model, smoothing=0.05).values[33, 32]
         assert got == pytest.approx(0.7 * np.log((1 / 64) ** 2 + 0.05**2), abs=1e-12)
 
     def test_resolution_override_is_exact_for_band_limited_models(self):
@@ -117,8 +117,6 @@ class TestValidation:
     def test_pole_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="weight must be positive"):
             Pole(center=(0.5, 0.5), weight=0.0)
-        with pytest.raises(ValueError, match="smoothing must be nonnegative"):
-            Pole(center=(0.5, 0.5), weight=0.5, smoothing=-0.1)
         with pytest.raises(ValueError, match="cutoff radii"):
             Pole(center=(0.5, 0.5), weight=0.5, r0=0.2, r1=0.1)
         with pytest.raises(ValueError, match="cutoff radii"):
@@ -135,7 +133,7 @@ class TestValidation:
     def test_evaluate_rejects_bad_overrides(self):
         model = QuasiPshModel(SPEC64)
         with pytest.raises(ValueError, match="nonnegative"):
-            evaluate(model, s_override=-0.1)
+            evaluate(model, smoothing=-0.1)
 
 
 class TestHessianLowerBound:
@@ -173,7 +171,7 @@ class TestRegularize:
         np.testing.assert_allclose(out.values, want, atol=1e-13)
 
     def test_lower_guarantee_against_the_sharp_field(self):
-        sharp = evaluate(self.MODEL, s_override=0.0)
+        sharp = evaluate(self.MODEL, smoothing=0.0)
         for eps in (0.1, 0.025, 0.00390625):
             out = regularize(self.MODEL, eps)
             assert float(np.min(out.values - sharp.values)) >= -1.0 - 1e-9
@@ -186,7 +184,7 @@ class TestRegularize:
         assert lam + C >= -1e-8
 
     def test_l1_distance_to_sharp_decreases_with_eps(self):
-        sharp = evaluate(self.MODEL, s_override=0.0)
+        sharp = evaluate(self.MODEL, smoothing=0.0)
         dists = [
             float(np.mean(np.abs(regularize(self.MODEL, eps).values - sharp.values)))
             for eps in (0.05, 0.0125, 0.003125, 0.00078125)
