@@ -162,6 +162,13 @@ def _cmd_run(args) -> int:
                 f"stopped short of the inner tolerance",
                 file=sys.stderr,
             )
+        count = state.diagnostics["nested_fallbacks"]
+        if count:
+            print(
+                f"warning: rung {rung} (eps={state.eps:g}): {count} nested-grid "
+                f"start(s) rejected; Newton started without the coarse correction",
+                file=sys.stderr,
+            )
     write_artifacts(outdir, experiment, record, states)
     sys.stdout.write(render_verdicts(record))
     print(f"artifacts: {outdir}")

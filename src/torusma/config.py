@@ -18,7 +18,7 @@ experiment's echo at another grid size.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .continuation import Scenario, enforce_mass_balance
 from .estimates import has_admissible_pairs
@@ -32,7 +32,6 @@ __all__ = [
     "OutputSettings",
     "ExperimentConfig",
     "parse_config",
-    "make_experiment",
     "canonical_text",
     "with_resolution",
 ]
@@ -159,39 +158,6 @@ def _check_exclusion(scenario: Scenario, settings: EstimateSettings) -> None:
             f"(radius {radius:g}) leaves no admissible Hoelder stencil pairs "
             f"around the pole centers on an N={scenario.spec.N} grid"
         )
-
-
-def make_experiment(
-    name: str,
-    scenario: Scenario,
-    settings: EstimateSettings | None = None,
-    output: OutputSettings | None = None,
-) -> ExperimentConfig:
-    """Resolve a scenario into a runnable experiment.
-
-    Rejects an outer exclusion radius that leaves the Hoelder stencil no
-    admissible pair on this grid, enforces mass balance (idempotent),
-    computes the hypothesis flags, and renders the canonical echo whose hash
-    keys the output directory.
-    """
-    settings = settings or EstimateSettings()
-    output = output or OutputSettings()
-    _check_exclusion(scenario, settings)
-    scenario = enforce_mass_balance(scenario)
-    if scenario.name != name:
-        scenario = replace(scenario, name=name)
-    satisfied, notes = _hypothesis_notes(scenario)
-    echo = canonical_text(scenario, settings, output)
-    digest = hashlib.sha256(echo.encode()).hexdigest()
-    return ExperimentConfig(
-        scenario=scenario,
-        settings=settings,
-        output=output,
-        hypothesis_satisfied=satisfied,
-        hypothesis_notes=notes,
-        echo=echo,
-        config_hash=digest,
-    )
 
 
 def _render_model(section: str, model: QuasiPshModel) -> list[str]:
@@ -428,10 +394,26 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
+    # Reject an outer exclusion radius that leaves the Hoelder stencil no
+    # admissible pair on this grid, balance the masses, compute the
+    # hypothesis flags, and render the canonical echo whose hash keys the
+    # output directory.
     try:
-        return make_experiment(name, scenario, settings, output)
+        _check_exclusion(scenario, settings)
+        scenario = enforce_mass_balance(scenario)
+        satisfied, notes = _hypothesis_notes(scenario)
+        echo = canonical_text(scenario, settings, output)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return ExperimentConfig(
+        scenario=scenario,
+        settings=settings,
+        output=output,
+        hypothesis_satisfied=satisfied,
+        hypothesis_notes=notes,
+        echo=echo,
+        config_hash=hashlib.sha256(echo.encode()).hexdigest(),
+    )
 
 
 def with_resolution(experiment: ExperimentConfig, N: int) -> ExperimentConfig:

@@ -23,7 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimates
-from .geometry import GridField, TorusSpec, _hessian_and_trace, integrate
+from .geometry import (
+    GridField,
+    TorusSpec,
+    _hessian_and_trace,
+    complex_hessian,
+    integrate,
+)
 from .ma import (
     AlphaModel,
     IterationLimitError,
@@ -34,6 +40,7 @@ from .ma import (
 from .pluripotential import (
     QuasiPshModel,
     RegularizationContractError,
+    _curvature_bound,
     _regularize,
     evaluate,
     hessian_lower_bound,
@@ -226,15 +233,17 @@ class _Ladder:
         # The sharp fields are sampled last, above the temporaries of ``eta``
         # in glibc's heap: a verify of pole-below then takes 201k minor page
         # faults, against 264k with them sampled before ``rho``.
+        # ``C`` defaults to ``resolved_C``'s curvature bound, taken here from
+        # the sharp ``psi2`` already sampled: the same bits, one sampling.
         alpha, psi1, psi2 = scenario.alpha, scenario.psi1, scenario.psi2
-        return cls(
-            scenario,
-            scenario.resolved_C(),
-            alpha.rho().values,
-            estimates._weight(_hessian_and_trace(alpha.eta()), alpha.t + 1e-6),
-            estimates._pole_mask(psi2),
-            (evaluate(psi1), evaluate(psi2)),
-        )
+        rho = alpha.rho().values
+        eta = estimates._weight(_hessian_and_trace(alpha.eta()), alpha.t + 1e-6)
+        keep = estimates._pole_mask(psi2)
+        sharp = (evaluate(psi1), evaluate(psi2))
+        C = scenario.C_config
+        if C is None:
+            C = _curvature_bound(complex_hessian(sharp[1]))
+        return cls(scenario, C, rho, eta, keep, sharp)
 
 
 def smoothed_potentials(ladder: _Ladder, eps: float):
@@ -303,11 +312,12 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
     """Solve every rung of the schedule, warm-starting each from the last.
 
     Preconditions: the scenario is mass-balanced.  Each state carries the
-    solver's ``gmres_info_nonzero`` count and the per-rung estimate scalars
-    of :func:`rung_diagnostics`, through the constructor that
-    ``report.rebuild_states`` uses on stored fields.  A rung that fails by
-    design (see ``_RUNG_ERRORS``) raises ``ContinuationError`` with all
-    completed states attached; any other exception propagates as is.
+    solver's counts (``gmres_info_nonzero``, ``coarse_newton_steps`` and
+    ``nested_fallbacks``, see :class:`~torusma.ma.SolveResult`) and the
+    per-rung estimate scalars of :func:`rung_diagnostics`, through the
+    constructor that ``report.rebuild_states`` uses on stored fields.  A rung
+    that fails by design (see ``_RUNG_ERRORS``) raises ``ContinuationError``
+    with all completed states attached; any other exception propagates as is.
     """
     ladder = _Ladder.build(scenario)
     mass_a = _mass_alpha(scenario.alpha)
@@ -331,7 +341,11 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
             states.append(
                 _rung_state(
                     ladder, eps, delta, result.phi, result.newton_steps, (p1, p2, weight2),
-                    {"gmres_info_nonzero": result.gmres_info_nonzero},
+                    {
+                        "gmres_info_nonzero": result.gmres_info_nonzero,
+                        "coarse_newton_steps": result.coarse_newton_steps,
+                        "nested_fallbacks": result.nested_fallbacks,
+                    },
                 )
             )
         except _RUNG_ERRORS as exc:

@@ -335,6 +335,40 @@ def _spectral(values: np.ndarray, mults) -> list[np.ndarray]:
     return out + [_irfftn(fhat, values.shape)]
 
 
+def _restrict(values: np.ndarray) -> np.ndarray:
+    """Injection onto the ``N/2`` grid: every second sample along every axis."""
+    return np.ascontiguousarray(values[(slice(None, None, 2),) * values.ndim])
+
+
+def _restrict_form(form: HermitianFormField) -> HermitianFormField:
+    """The form sampled by injection on the ``N/2`` grid."""
+    coarse = TorusSpec(form.spec.n, form.spec.N // 2)
+    return HermitianFormField._from_parts(coarse, (_restrict(p) for p in form.parts))
+
+
+def _prolong(values: np.ndarray, N: int) -> np.ndarray:
+    """Trigonometric interpolation of a coarse grid array onto the ``N``-point grid.
+
+    The coarse spectrum is zero-padded to the fine one.  Its Nyquist planes
+    are dropped, since on the ``M``-point grid the frequencies ``+M/2`` and
+    ``-M/2`` are one mode that no single fine frequency stands for.  So
+    ``_restrict(_prolong(u, N))`` gives back ``u`` less its Nyquist part, and
+    a field band-limited below the coarse Nyquist frequency is reproduced up
+    to round-off.
+    """
+    M, d = values.shape[0], values.ndim
+    half = M // 2
+    full = np.r_[0:half, half + 1 : M]
+    padded = np.r_[0:half, N - half + 1 : N]
+    fine = np.zeros((N,) * (d - 1) + (N // 2 + 1,), dtype=complex)
+    coarse_hat = _rfftn(values)
+    fine[np.ix_(*[padded] * (d - 1), np.arange(half))] = coarse_hat[
+        np.ix_(*[full] * (d - 1), np.arange(half))
+    ]
+    fine *= (N / M) ** d
+    return _irfftn(fine, (N,) * d)
+
+
 def _hessian_parts(values: np.ndarray) -> list[np.ndarray]:
     """Independent real parts of the complex Hessian of a raw grid array.
 

@@ -17,6 +17,16 @@ tolerance set by Eisenstat–Walker forcing.  Step lengths are halved until
 both positivity of the perturbed form and strict sup-norm residual decrease
 hold.  Solutions are normalized to zero mean.
 
+Every ``n = 2`` solve whose ``N/2`` is itself a grid (even and at least 8)
+starts from a nested-grid start (Brandt's nested iteration): the same
+problem, restricted by injection to the ``N/2`` grid, is solved first with
+the same tolerance (nesting again where it can), and its correction to the
+restricted start is prolonged by spectral zero-padding and added to the
+fine start.  When the coarse solve fails, or the corrected start leaves the
+form indefinite, Newton starts from the given start as it would without
+nesting, and the rejection is counted in ``SolveResult.nested_fallbacks``.
+``n = 1`` never nests: its Newton directions are exact spectral solves.
+
 ``AlphaModel`` is the family of degenerate background forms: a product-cosine
 potential ``rho = (t/pi^2) sum_j cos(2 pi x_j)`` whose coefficient matrix is
 exactly ``diag(1 - t cos(2 pi x_j))`` — nonnegative for all ``t <= 1``, with
@@ -36,6 +46,9 @@ from .geometry import (
     TorusSpec,
     _MetricData,
     _hessian_parts,
+    _prolong,
+    _restrict,
+    _restrict_form,
     _solve_half_laplacian,
     complex_hessian,
     integrate,
@@ -153,11 +166,20 @@ def positivity_check(a: HermitianFormField, phi: GridField) -> PositivityReport:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A converged solve.  ``newton_steps`` and ``residual_history`` are
+    those of the solve's own grid; ``coarse_newton_steps`` counts the
+    accepted steps of every coarser grid of its nested start,
+    ``nested_fallbacks`` the nested starts rejected on any of its grids, and
+    ``gmres_info_nonzero`` the GMRES shortfalls of the solve and of its
+    successful coarse solves."""
+
     phi: GridField
     newton_steps: int
     residual_sup: float
     residual_history: tuple[float, ...]
     gmres_info_nonzero: int = 0
+    coarse_newton_steps: int = 0
+    nested_fallbacks: int = 0
 
 
 _MAX_NEWTON_STEPS = 200
@@ -260,8 +282,10 @@ def solve_ma_detailed(
 
     Requires ``F > 0``, mass compatibility ``|int F - int det a| <= 1e-8 int det a``
     (no silent rescaling here — normalization constants belong to the caller),
-    and an initial iterate keeping ``a + H(phi0)`` positive.  Returns the
-    mean-zero solution with the accepted-step count and residual history.
+    and an initial iterate keeping ``a + H(phi0)`` positive (``phi0 = 0`` by
+    default).  At ``n = 2`` Newton starts from the nested-grid start instead
+    when the ``N/2`` solve succeeds and the corrected start is positive.
+    Returns the mean-zero solution and its counts (:class:`SolveResult`).
     """
     spec = a.spec
     if float(np.min(F.values)) <= 0:
@@ -275,12 +299,21 @@ def solve_ma_detailed(
         )
 
     phi = GridField(spec, _mean_zero(phi0.values if phi0 is not None else spec.zeros()))
-    form = _metric_form(a, phi)
-    report = _positivity(form)
-    if not report.ok:
-        raise PositivityError(
-            f"initial iterate leaves the form indefinite (min eig {report.min_eig:.3e})"
-        )
+    coarse, fallbacks, form = None, 0, None
+    if spec.n == 2 and spec.N % 4 == 0 and spec.N >= 16:
+        nested, coarse = _nested_start(a, F, phi, tol)
+        form = None if nested is None else _metric_form(a, nested)
+        if form is not None and _positivity(form).ok:
+            phi = nested
+        else:
+            form, fallbacks = None, 1
+    if form is None:
+        form = _metric_form(a, phi)
+        report = _positivity(form)
+        if not report.ok:
+            raise PositivityError(
+                f"initial iterate leaves the form indefinite (min eig {report.min_eig:.3e})"
+            )
 
     logF = np.log(F.values)
     data = _MetricData.from_form(form)
@@ -289,6 +322,11 @@ def solve_ma_detailed(
     history = [r_sup]
     steps = 0
     gmres_info_nonzero = 0
+    coarse_steps = 0
+    if coarse is not None:
+        gmres_info_nonzero = coarse.gmres_info_nonzero
+        coarse_steps = coarse.newton_steps + coarse.coarse_newton_steps
+        fallbacks += coarse.nested_fallbacks
     forcing = None
 
     while r_sup > tol:
@@ -330,7 +368,36 @@ def solve_ma_detailed(
         residual_sup=r_sup,
         residual_history=tuple(history),
         gmres_info_nonzero=gmres_info_nonzero,
+        coarse_newton_steps=coarse_steps,
+        nested_fallbacks=fallbacks,
     )
+
+
+def _nested_start(
+    a: HermitianFormField, F: GridField, phi: GridField, tol: float
+) -> tuple[GridField | None, SolveResult | None]:
+    """The start ``phi`` corrected by the same problem solved on the ``N/2`` grid.
+
+    ``a``, ``F`` and ``phi`` are restricted by injection; the coarse density
+    is rescaled to the coarse background mass, which injection does not
+    preserve exactly.  The coarse solve starts from the restricted ``phi``
+    with the same ``tol`` (and nests again when it can), and its correction
+    is prolonged spectrally and added to ``phi``.  Returns the corrected
+    start and the coarse result, or ``(None, None)`` when the coarse solve
+    fails; the caller still gates the corrected start on positivity.
+    """
+    a_c = _restrict_form(a)
+    start = _restrict(phi.values)
+    F_c = _restrict(F.values)
+    F_c *= a_c.det().mean() / F_c.mean()
+    try:
+        coarse = solve_ma_detailed(
+            a_c, GridField(a_c.spec, F_c), GridField(a_c.spec, start), tol
+        )
+    except (PositivityError, IterationLimitError):
+        return None, None
+    correction = _prolong(coarse.phi.values - start, a.spec.N)
+    return GridField(a.spec, _mean_zero(phi.values + correction)), coarse
 
 
 def solve_ma(

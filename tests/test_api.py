@@ -88,7 +88,6 @@ PUBLIC = {
         "OutputSettings",
         "ExperimentConfig",
         "parse_config",
-        "make_experiment",
         "canonical_text",
         "with_resolution",
     },

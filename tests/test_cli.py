@@ -326,6 +326,31 @@ class TestRunVerb:
         ]
         assert expected and warnings == expected
 
+    def test_rejected_nested_starts_are_reported_per_rung(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # At N = 16 every n = 2 rung nests once; a prolongation that leaves
+        # the form indefinite is rejected and the rung solves without it.
+        import torusma.ma as ma
+
+        def indefinite(values, N):
+            x = np.arange(N) / N
+            return np.broadcast_to(np.cos(2 * np.pi * x)[:, None, None, None], (N,) * 4)
+
+        monkeypatch.setattr(ma, "_prolong", indefinite)
+        cfg = _write(tmp_path, MINI_N2.replace("N = 8", "N = 16"))
+        out = str(tmp_path / "runs")
+        assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert warnings == [
+            f"warning: rung {k} (eps={eps:g}): 1 nested-grid start(s) rejected; "
+            f"Newton started without the coarse correction"
+            for k, eps in enumerate((0.2, 0.02, 0.002))
+        ]
+
     def test_non_finite_newton_direction_exits_two(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -521,10 +521,11 @@ class TestRungWork:
 
     def test_sharp_models_are_sampled_once_per_ladder(self, monkeypatch):
         # Every sampling at width 0 counts, the default argument included.
-        # The ladder samples each model once; the one extra psi2 is the
-        # curvature bound of ``resolved_C``, needed only when C is not set.
+        # The ladder samples each model once, and takes the curvature bound
+        # of ``resolved_C``, needed when C is not set, from the sharp psi2.
         scenario = enforce_mass_balance(_POLE_LADDERS[1])
         assert scenario.C_config is None
+        assert _Ladder.build(scenario).C == scenario.resolved_C()
         sharp = []
         real = pluripotential.evaluate
 
@@ -535,7 +536,7 @@ class TestRungWork:
 
         for module in (pluripotential, continuation, estimates):
             monkeypatch.setattr(module, "evaluate", counted, raising=False)
-        once = [scenario.psi2, scenario.psi1, scenario.psi2]
+        once = [scenario.psi1, scenario.psi2]
         states = run_continuation(scenario)
         assert sharp == once
         rebuild_states(

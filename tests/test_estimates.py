@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from torusma import estimates
-from torusma.config import make_experiment
-from torusma.continuation import ContinuationState, Scenario, run_continuation
+from torusma.config import parse_config
+from torusma.continuation import ContinuationState, run_continuation
 from torusma.estimates import (
     HOLDS,
     INCONCLUSIVE,
@@ -38,7 +38,7 @@ from torusma.geometry import (
     scaled_identity,
     spectral_gradient,
 )
-from torusma.ma import AlphaModel, PositivityError, ma_density
+from torusma.ma import PositivityError, ma_density
 from torusma.pluripotential import Pole, QuasiPshModel, evaluate
 from torusma.report import build_record
 from conftest import trig_poly
@@ -386,17 +386,13 @@ class TestHolderSeminorms:
     def test_build_record_differentiates_each_measured_field_once(self, monkeypatch):
         # Outer radius on the last three rungs, inner radius on the last:
         # three fields, three gradients.
-        spec = TorusSpec(1, 32)
-        scenario = Scenario(
-            name="holder",
-            spec=spec,
-            alpha=AlphaModel(spec, t=0.5),
-            psi1=QuasiPshModel(spec),
-            psi2=QuasiPshModel(spec, poles=(Pole(center=(0.5, 0.5), weight=0.3),)),
-            p=2.0,
-            eps_schedule=(0.25, 0.125, 0.0625, 0.03125),
+        experiment = parse_config(
+            "[torus]\nn = 1\nN = 32\n"
+            "[alpha]\nt = 0.5\n"
+            "[psi2]\npole = 0.5 0.5, 0.3, 0.1, 0.2\n"
+            "[continuation]\nschedule = 0.25 0.125 0.0625 0.03125\n"
+            "[output]\nname = holder\n"
         )
-        experiment = make_experiment("holder", scenario)
         states = run_continuation(experiment.scenario)
         measured = []
 

@@ -16,9 +16,12 @@ from torusma.geometry import (
     TorusSpec,
     _MetricData,
     _hessian_parts,
+    _prolong,
+    _restrict,
     complex_hessian,
     half_laplacian,
     integrate,
+    min_eigenvalue_field,
     scaled_identity,
 )
 from torusma.ma import (
@@ -259,6 +262,114 @@ class TestSolve:
         monkeypatch.setattr(ma, "_solve_half_laplacian", broken)
         with pytest.raises(ValueError, match="non-finite"):
             solve_ma_detailed(scaled_identity(SPEC1), F)
+
+
+def _indefinite(values, N):
+    """A prolongation whose correction leaves ``a + H`` indefinite near I."""
+    x = np.arange(N) / N
+    shape = (N,) + (1,) * (values.ndim - 1)
+    return np.broadcast_to(np.cos(2 * np.pi * x).reshape(shape), (N,) * values.ndim)
+
+
+class TestNestedStart:
+    @pytest.mark.parametrize("n, M", [(1, 16), (2, 8)])
+    def test_prolongation_is_exact_on_band_limited_fields(self, n, M):
+        # Every mode below the coarse Nyquist frequency is kept, so the
+        # prolonged samples are the fine samples of the same polynomial, and
+        # injection gives the coarse samples back.
+        coarse, fine = TorusSpec(n, M), TorusSpec(n, 2 * M)
+        u = trig_poly(coarse, M // 2 - 1, seed=3).values
+        scale = 1.0 / np.max(np.abs(u))
+        u *= scale
+        want = trig_poly(fine, M // 2 - 1, seed=3).values * scale
+        up = _prolong(u, 2 * M)
+        assert float(np.max(np.abs(up - want))) <= 1e-14
+        assert float(np.max(np.abs(_restrict(up) - u))) <= 1e-14
+
+    def test_band_limited_cold_solve_needs_no_fine_step(self):
+        # |k| <= 1 is resolved on the N = 12 grid, so the coarse solution
+        # prolongs to the fine one and the fine start already meets tol.
+        spec, phi_star, F = _manufactured_n2(N=24, amplitude=0.05)
+        result = solve_ma_detailed(scaled_identity(spec), F)
+        assert result.newton_steps == 0
+        assert result.coarse_newton_steps > 0
+        assert result.nested_fallbacks == 0
+        assert result.residual_sup <= 1e-10
+        assert float(np.max(np.abs(result.phi.values - phi_star.values))) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "failure",
+        [PositivityError("stalled"), IterationLimitError("capped", steps=3, residual=1.0)],
+        ids=["positivity", "iteration-limit"],
+    )
+    def test_failed_coarse_solve_falls_back_to_the_given_start(self, failure, monkeypatch):
+        spec, phi_star, F = _manufactured_n2(N=16, amplitude=0.05)
+        a = scaled_identity(spec)
+        real = ma.solve_ma_detailed
+
+        def coarse_fails(a, F, phi0=None, tol=1e-10):
+            if a.spec.N < spec.N:
+                raise failure
+            return real(a, F, phi0, tol)
+
+        monkeypatch.setattr(ma, "solve_ma_detailed", coarse_fails)
+        result = ma.solve_ma_detailed(a, F)
+        zero_start = np.max(np.abs(np.log(a.det()) - np.log(F.values)))
+        assert result.residual_history[0] == zero_start
+        assert result.newton_steps > 0
+        assert result.coarse_newton_steps == 0
+        assert result.nested_fallbacks == 1
+        assert float(np.max(np.abs(result.phi.values - phi_star.values))) <= 1e-10
+
+    def test_indefinite_corrected_start_falls_back(self, monkeypatch):
+        spec, phi_star, F = _manufactured_n2(N=16, amplitude=0.05)
+        a = scaled_identity(spec)
+        monkeypatch.setattr(ma, "_prolong", _indefinite)
+        result = solve_ma_detailed(a, F)
+        zero_start = np.max(np.abs(np.log(a.det()) - np.log(F.values)))
+        assert result.residual_history[0] == zero_start
+        assert result.coarse_newton_steps > 0
+        assert result.nested_fallbacks == 1
+        assert float(np.max(np.abs(result.phi.values - phi_star.values))) <= 1e-10
+
+    def test_coarse_counts_add_up_through_every_level(self, monkeypatch):
+        # N = 32 nests at 16 and again at 8.  |k| <= 3 is resolved at N = 8,
+        # so only the N = 8 solve takes steps; its steps and GMRES shortfalls
+        # reach the N = 32 result through the N = 16 one.
+        spec = TorusSpec(2, 32)
+        f = trig_poly(spec, 3, seed=1)
+        lam = float(np.min(min_eigenvalue_field(complex_hessian(f)).values))
+        a = scaled_identity(spec)
+        F = ma_density(a, GridField(spec, f.values * (0.2 / -lam)))
+        grids = []
+        real_gmres = ma.gmres
+
+        def short(A, b, **kwargs):
+            grids.append(round(b.size**0.25))
+            x, _ = real_gmres(A, b, **kwargs)
+            return x, 1
+
+        monkeypatch.setattr(ma, "gmres", short)
+        result = solve_ma_detailed(a, F)
+        assert result.newton_steps == 0
+        assert grids and set(grids) == {8}
+        assert result.coarse_newton_steps == result.gmres_info_nonzero == len(grids)
+        assert result.nested_fallbacks == 0
+
+    def test_no_coarse_solve_at_n1_or_where_half_the_grid_is_too_small(
+        self, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("coarse solve where none applies")
+
+        monkeypatch.setattr(ma, "_nested_start", refuse)
+        spec, _, F = _manufactured_n2(N=12, amplitude=0.05)
+        assert solve_ma_detailed(scaled_identity(spec), F).coarse_newton_steps == 0
+        for N in (32, 64):
+            phi_star, F = _manufactured_n1(TorusSpec(1, N))
+            result = solve_ma_detailed(scaled_identity(phi_star.spec), F)
+            assert result.newton_steps > 0
+            assert result.coarse_newton_steps == result.nested_fallbacks == 0
 
 
 class TestForcing:
