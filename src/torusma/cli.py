@@ -7,7 +7,8 @@ Verbs:
   directory keyed by the config hash.
 * ``verify <scenario|config|rundir>`` — recompute every estimate verdict
   from the stored potential fields of an earlier run, without solving
-  anything, and check the stored CSV still matches.  A run directory is
+  anything, and check the stored CSV still matches byte for byte (a
+  mismatch names its first differing line on stderr).  A run directory is
   verified in place; a scenario name or config path is located under the
   configured output directory.
 * ``compare <dirA> <dirB>`` — column-wise record comparison with
@@ -28,6 +29,7 @@ import argparse
 import ctypes
 import os
 import sys
+from itertools import zip_longest
 
 from .config import ConfigError, ExperimentConfig, parse_config, with_resolution
 from .continuation import ContinuationError
@@ -178,6 +180,20 @@ def _cmd_run(args) -> int:
     return _verdict_exit(record, args.strict)
 
 
+def _first_difference(stored: str, recomputed: str) -> str:
+    """The number and both texts of the first line where two texts differ."""
+    lines = zip_longest(stored.splitlines(True), recomputed.splitlines(True))
+    number, texts = next((i, pair) for i, pair in enumerate(lines, 1) if pair[0] != pair[1])
+    stored_line, recomputed_line = (
+        "(end of file)" if line is None else line.rstrip("\r\n") for line in texts
+    )
+    return (
+        f"  first difference at line {number}:\n"
+        f"    stored:     {stored_line}\n"
+        f"    recomputed: {recomputed_line}"
+    )
+
+
 def _cmd_verify(args) -> int:
     experiment = _resolve(args.target, args.resolution_override)
     if os.path.isdir(args.target):
@@ -199,11 +215,13 @@ def _cmd_verify(args) -> int:
     if os.path.exists(csv_path):
         with open(csv_path, newline="") as f:
             stored = f.read()
-        if stored == render_csv(record):
+        recomputed = render_csv(record)
+        if stored == recomputed:
             print("stored report.csv is consistent with the recomputed record")
         else:
             print(
-                "stored report.csv DIFFERS from the recomputed record",
+                "stored report.csv DIFFERS from the recomputed record\n"
+                + _first_difference(stored, recomputed),
                 file=sys.stderr,
             )
             return EXIT_VERDICT

@@ -44,7 +44,6 @@ __all__ = [
     "Verdict",
     "EstimateReport",
     "EstimateError",
-    "SobolevHolderReport",
     "c0_uniformity",
     "siu_residual",
     "comparison_residual",
@@ -53,7 +52,7 @@ __all__ = [
     "holder_seminorms",
     "holder_seminorm",
     "has_admissible_pairs",
-    "sobolev_holder_probe",
+    "interior_regularity",
 ]
 
 HOLDS = "holds"
@@ -76,10 +75,6 @@ class Verdict:
     def __post_init__(self):
         if self.status not in (HOLDS, VIOLATED, INCONCLUSIVE):
             raise ValueError(f"unknown verdict status {self.status!r}")
-
-    @property
-    def ok(self) -> bool:
-        return self.status == HOLDS
 
 
 @dataclass(frozen=True)
@@ -366,21 +361,58 @@ def delta_trend(states) -> Verdict:
     )
 
 
-def _stencil_legs(spec):
-    """Yield ``(shift, separation)`` for each Hoelder stencil leg.
+def _admissible_legs(spec, masks):
+    """Yield ``(shift, separation, pairs)`` for each Hoelder stencil leg that
+    some exclusion mask admits.
 
     Legs run along one representative of each antipodal pair of lattice
     directions in ``{-1,0,1}^d`` at one, two and four grid spacings, capped
     at separation 1/4, the injectivity scale of the periodic distance.
+    ``pairs[i]`` marks the points ``x`` whose pair ``(x, x + d)`` keeps
+    ``masks[i]`` at both ends, or is ``None`` where that mask admits no pair.
     """
+    axes = tuple(range(spec.num_axes))
     for v in product((-1, 0, 1), repeat=spec.num_axes):
         if next((c for c in v if c != 0), 0) <= 0:  # zero, or an antipodal twin
             continue
         vnorm = float(np.linalg.norm(v))
         for m in (1, 2, 4):
             separation = m * spec.h * vnorm
-            if separation <= 0.25:
-                yield tuple(-m * c for c in v), separation
+            if separation > 0.25:
+                continue
+            shift = tuple(-m * c for c in v)
+            pairs = [keep & np.roll(keep, shift, axis=axes) for keep in masks]
+            pairs = [p if p.any() else None for p in pairs]
+            if any(p is not None for p in pairs):
+                yield shift, separation, pairs
+
+
+def _seminorms(phi: GridField, gamma: float, radii, masks) -> tuple[float, ...]:
+    """The seminorms of :func:`holder_seminorms` on the exclusion masks of
+    ``radii``, already built: one gradient, one difference per leg."""
+    if not 0 < gamma < 1:
+        raise ValueError(f"Hoelder exponent must lie in (0,1), got {gamma}")
+    if min(radii) < 2.0 * phi.spec.h * (1.0 - 1e-12):
+        raise ValueError(
+            f"exclusion radius must be at least 2h = {2 * phi.spec.h:g}, "
+            f"got {min(radii):g}"
+        )
+    grad = spectral_gradient(phi)
+    axes = tuple(range(phi.spec.num_axes))
+    best = [-np.inf] * len(masks)
+    for shift, separation, pairs in _admissible_legs(phi.spec, masks):
+        diff2 = sum((np.roll(comp, shift, axis=axes) - comp) ** 2 for comp in grad)
+        for i, valid in enumerate(pairs):
+            if valid is not None:  # sqrt and division are monotone: take the top diff2
+                top = np.sqrt(np.max(diff2, where=valid, initial=0.0)) / separation**gamma
+                best[i] = max(best[i], float(top))
+    for radius, value in zip(radii, best):
+        if value == -np.inf:
+            raise ValueError(
+                f"exclusion radius {radius:g} leaves no admissible "
+                f"stencil pairs on an N={phi.spec.N} grid"
+            )
+    return tuple(best)
 
 
 def holder_seminorms(
@@ -396,34 +428,8 @@ def holder_seminorms(
     radii.  Every radius must be at least two grid spacings, so the shortest
     legs cannot straddle a pole; raises when a radius empties the stencil.
     """
-    if not 0 < gamma < 1:
-        raise ValueError(f"Hoelder exponent must lie in (0,1), got {gamma}")
-    spec = phi.spec
-    if min(radii) < 2.0 * spec.h * (1.0 - 1e-12):
-        raise ValueError(
-            f"exclusion radius must be at least 2h = {2 * spec.h:g}, "
-            f"got {min(radii):g}"
-        )
-    grad = spectral_gradient(phi)
-    masks = [_exclusion_mask(spec, singular, radius) for radius in radii]
-    axes = tuple(range(spec.num_axes))
-    best = [-np.inf] * len(masks)
-    for shift, separation in _stencil_legs(spec):
-        valid = [keep & np.roll(keep, shift, axis=axes) for keep in masks]
-        if not any(v.any() for v in valid):
-            continue
-        diff2 = sum((np.roll(comp, shift, axis=axes) - comp) ** 2 for comp in grad)
-        for i, v in enumerate(valid):
-            if v.any():  # sqrt and division are monotone: take the top diff2
-                top = np.sqrt(np.max(diff2, where=v, initial=0.0)) / separation**gamma
-                best[i] = max(best[i], float(top))
-    for radius, value in zip(radii, best):
-        if value == -np.inf:
-            raise ValueError(
-                f"exclusion radius {radius:g} leaves no admissible "
-                f"stencil pairs on an N={spec.N} grid"
-            )
-    return tuple(best)
+    masks = [_exclusion_mask(phi.spec, singular, radius) for radius in radii]
+    return _seminorms(phi, gamma, radii, masks)
 
 
 def holder_seminorm(
@@ -436,57 +442,79 @@ def holder_seminorm(
 def has_admissible_pairs(spec, exclusion_radius: float, singular=()) -> bool:
     """Whether :func:`holder_seminorm` has any stencil pair at this exclusion."""
     keep = _exclusion_mask(spec, singular, exclusion_radius)
-    axes = tuple(range(spec.num_axes))
-    legs = _stencil_legs(spec)
-    return any((keep & np.roll(keep, shift, axis=axes)).any() for shift, _ in legs)
+    return next(_admissible_legs(spec, (keep,)), None) is not None
 
 
-@dataclass(frozen=True)
-class SobolevHolderReport:
-    """Embedding-condition bookkeeping on a patch away from the centers."""
-
-    sobolev_norm: float
-    ratio: float
-    margins: tuple[tuple[str, float], ...]
+_SPREAD_BOUND = 1.5
 
 
-def sobolev_holder_probe(
-    phi: GridField,
+def interior_regularity(
+    phis,
     gamma: float,
+    outer_radius: float,
+    inner_radius: float,
     q_exponent: float,
-    exclusion_radius: float,
     singular=(),
-    *,
-    holder: float,
-) -> SobolevHolderReport:
-    """Second-order integrability versus Hoelder continuity on a patch.
+) -> EstimateReport:
+    """Interior regularity over the last three potentials of a ladder.
 
-    Computes the volume-weighted ``L^q`` norm of the complex Hessian
-    (Frobenius, pointwise) on the patch and sets it against ``holder``, the
-    Hoelder-``gamma`` seminorm of the gradient that the caller measured on
-    the same patch with :func:`holder_seminorms` — the two sides of the
-    compactness embedding — plus the condition margins ``q (1 - gamma) - d``
-    for both readings of the dimension, the real ``2n`` and the complex
-    ``n``.  A positive margin is the condition under which
-    second-order integrability upgrades to Hoelder continuity of the
-    gradient; the seminorm-to-norm ratio is the per-rung diagnostic.
+    Holds when the Hoelder seminorm of the gradient outside ``outer_radius``
+    (:func:`holder_seminorms`) spreads by at most a factor 1.5 over those
+    rungs.  Reported as data, not gated, since their magnitudes depend on
+    resolution and geometry: the final rung's seminorm at both radii and
+    their ratio; the volume-weighted ``L^q`` norm of its complex Hessian
+    (pointwise Frobenius) outside ``outer_radius`` and the seminorm-to-norm
+    ratio, the two sides of the compactness embedding; and the margins
+    ``q (1 - gamma) - d`` for the real dimension ``2n`` and the complex
+    ``n``, positive where second-order integrability upgrades to Hoelder
+    continuity of the gradient.  Each exclusion mask is built once; each
+    rung gets its own stencil pass, the final one at both radii.
     """
     if q_exponent <= 0:
         raise ValueError(f"integrability exponent must be positive, got {q_exponent}")
-    spec = phi.spec
-    keep = _exclusion_mask(spec, singular, exclusion_radius)
-    if not keep.any():
-        raise ValueError("exclusion radius removes the whole grid")
-    frob = _frobenius(complex_hessian(phi))
+    phis = phis[-3:]
+    spec = phis[-1].spec
+    radii = (outer_radius, inner_radius)
+    masks = [_exclusion_mask(spec, singular, radius) for radius in radii]
+    outer = [_seminorms(phi, gamma, radii[:1], masks[:1])[0] for phi in phis[:-1]]
+    outer_final, inner_final = _seminorms(phis[-1], gamma, radii, masks)
+    outer.append(outer_final)
+
+    frob = _frobenius(complex_hessian(phis[-1]))
     cell = spec.h**spec.num_axes
-    sobolev = float((np.sum(frob[keep] ** q_exponent) * cell) ** (1.0 / q_exponent))
-    ratio = holder / sobolev if sobolev > 0 else (0.0 if holder == 0 else float("inf"))
-    margins = (
-        ("real_dimension", q_exponent * (1.0 - gamma) - 2 * spec.n),
-        ("complex_dimension", q_exponent * (1.0 - gamma) - spec.n),
+    sobolev = float((np.sum(frob[masks[0]] ** q_exponent) * cell) ** (1.0 / q_exponent))
+    if sobolev > 0:
+        to_sobolev = outer_final / sobolev
+    else:
+        to_sobolev = 0.0 if outer_final == 0 else float("inf")
+    lo, hi = min(outer), max(outer)
+    if hi <= 1e-12:  # identically flat potential: nothing to measure
+        spread = 1.0
+    elif lo == 0.0:
+        spread = float("inf")
+    else:
+        spread = hi / lo
+    if outer_final > 0:
+        concentration = inner_final / outer_final
+    else:
+        concentration = 1.0 if inner_final <= 1e-12 else float("inf")
+
+    stable = spread <= _SPREAD_BOUND
+    verdict = Verdict(
+        HOLDS if stable else VIOLATED,
+        f"outer-radius seminorm stable over last 3 rungs "
+        f"(spread {spread:.3g} <= {_SPREAD_BOUND:g})"
+        if stable
+        else f"outer-radius seminorm spread {spread:.3g} exceeds {_SPREAD_BOUND:g}",
+        witness=(("spread", float(spread)),),
     )
-    return SobolevHolderReport(
-        sobolev_norm=sobolev,
-        ratio=float(ratio),
-        margins=tuple((k, float(v)) for k, v in margins),
+    data = (
+        ("outer_seminorm_final", float(outer_final)),
+        ("inner_seminorm_final", float(inner_final)),
+        ("concentration_ratio", float(concentration)),
+        ("sobolev_norm_final", sobolev),
+        ("holder_to_sobolev_ratio", float(to_sobolev)),
+        ("embedding_margin_real_dimension", float(q_exponent * (1.0 - gamma) - 2 * spec.n)),
+        ("embedding_margin_complex_dimension", float(q_exponent * (1.0 - gamma) - spec.n)),
     )
+    return EstimateReport(name="interior-regularity", verdict=verdict, data=data)

@@ -19,6 +19,10 @@ builds every state, when a ladder is solved and when :func:`rebuild_states`
 re-checks the stored ``phi`` fields, so ``verify`` re-runs the very code
 ``run`` ran.  An unreadable ``states.npz`` raises ``ValueError``, an
 unreadable ``report.csv`` ``SchemaMismatch``.
+
+The ladder-level verdicts, interior regularity included, are each decided
+by one function of ``estimates``; here they are collected beside the
+one-sided bounds on the per-rung scalars and the ``pluripotential`` checks.
 """
 
 from __future__ import annotations
@@ -130,75 +134,6 @@ def _bound_report(
     return estimates.EstimateReport(name=name, verdict=verdict)
 
 
-def _holder_report(
-    scenario: Scenario, settings, states
-) -> estimates.EstimateReport:
-    """Interior-regularity verdict plus concentration diagnostics.
-
-    The verdict is the stability clause alone: the gradient seminorm away
-    from the singular set (outer exclusion radius) settles down the ladder.
-    The inner/outer concentration ratio and the embedding-probe numbers are
-    reported as data — their magnitudes are resolution- and
-    geometry-dependent, so they are not gated here.  The final rung is
-    measured at both radii in one stencil pass.
-    """
-    spec = scenario.spec
-    centers = scenario.singular_centers
-    gamma = settings.holder_gamma
-    outer_r = settings.exclusion_outer * spec.h
-    inner_r = settings.exclusion_inner * spec.h
-    outer = [
-        estimates.holder_seminorm(s.phi, gamma, outer_r, centers)
-        for s in states[-3:-1]
-    ]
-    outer_final, inner_final = estimates.holder_seminorms(
-        states[-1].phi, gamma, (outer_r, inner_r), centers
-    )
-    outer.append(outer_final)
-    probe = estimates.sobolev_holder_probe(
-        states[-1].phi,
-        gamma,
-        settings.sobolev_q,
-        outer_r,
-        centers,
-        holder=outer_final,
-    )
-    lo, hi = min(outer), max(outer)
-    if hi <= 1e-12:  # identically flat potential: nothing to measure
-        spread = 1.0
-    elif lo == 0.0:
-        spread = float("inf")
-    else:
-        spread = hi / lo
-    if outer[-1] > 0:
-        ratio = inner_final / outer[-1]
-    else:
-        ratio = 1.0 if inner_final <= 1e-12 else float("inf")
-    if spread <= 1.5:
-        verdict = estimates.Verdict(
-            estimates.HOLDS,
-            f"outer-radius seminorm stable over last 3 rungs "
-            f"(spread {spread:.3g} <= 1.5)",
-            witness=(("spread", float(spread)),),
-        )
-    else:
-        verdict = estimates.Verdict(
-            estimates.VIOLATED,
-            f"outer-radius seminorm spread {spread:.3g} exceeds 1.5",
-            witness=(("spread", float(spread)),),
-        )
-    data = (
-        ("outer_seminorm_final", float(outer[-1])),
-        ("inner_seminorm_final", float(inner_final)),
-        ("concentration_ratio", float(ratio)),
-        ("sobolev_norm_final", probe.sobolev_norm),
-        ("holder_to_sobolev_ratio", probe.ratio),
-    ) + tuple((f"embedding_margin_{k}", v) for k, v in probe.margins)
-    return estimates.EstimateReport(
-        name="interior-regularity", verdict=verdict, data=data
-    )
-
-
 def _skoda_report(scenario: Scenario) -> estimates.EstimateReport | None:
     if not scenario.psi2.poles:
         return None
@@ -275,7 +210,16 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
         worst = (max if kind == "max" else min)(s.diagnostics[key] for s in states)
         reports.append(_bound_report(name, worst, bound, kind))
 
-    reports.append(_holder_report(scenario, settings, states))
+    reports.append(
+        estimates.interior_regularity(
+            [s.phi for s in states],
+            settings.holder_gamma,
+            settings.exclusion_outer * scenario.spec.h,
+            settings.exclusion_inner * scenario.spec.h,
+            settings.sobolev_q,
+            scenario.singular_centers,
+        )
+    )
 
     if scenario.psi2.poles:
         q_sups = [s.diagnostics["q_sup"] for s in states]

@@ -71,7 +71,6 @@ PUBLIC = {
         "Verdict",
         "EstimateReport",
         "EstimateError",
-        "SobolevHolderReport",
         "c0_uniformity",
         "siu_residual",
         "comparison_residual",
@@ -80,7 +79,7 @@ PUBLIC = {
         "holder_seminorms",
         "holder_seminorm",
         "has_admissible_pairs",
-        "sobolev_holder_probe",
+        "interior_regularity",
     },
     "config": {
         "ConfigError",

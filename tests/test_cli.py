@@ -483,10 +483,32 @@ class TestVerifyVerb:
     def test_corrupted_csv_is_caught(self, mini_run, capsys):
         _, _, rundir = mini_run
         path = os.path.join(rundir, "report.csv")
-        with open(path, "ab") as f:
-            f.write(b"9,9,9,9,9,9,9\r\n")
+        with open(path, "rb") as f:
+            original = f.read()
+        lines = original.decode().split("\r\n")
+        appended = "9,9,9,9,9,9,9\r\n"
+        with open(path, "w", newline="") as f:
+            f.write(original.decode() + appended)
         assert main(["verify", rundir]) == EXIT_VERDICT
-        assert "DIFFERS from the recomputed record" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "consistent" not in captured.out
+        # The stored text runs on past the end of the recomputed one.
+        assert captured.err.splitlines()[-4:] == [
+            "stored report.csv DIFFERS from the recomputed record",
+            f"  first difference at line {len(lines)}:",
+            "    stored:     9,9,9,9,9,9,9",
+            "    recomputed: (end of file)",
+        ]
+        # A changed cell is named by its line, with both texts.
+        changed = lines[2].replace(",", ";", 1)
+        with open(path, "w", newline="") as f:
+            f.write("\r\n".join(lines[:2] + [changed] + lines[3:]))
+        assert main(["verify", rundir]) == EXIT_VERDICT
+        assert capsys.readouterr().err.splitlines()[-3:] == [
+            "  first difference at line 3:",
+            f"    stored:     {changed}",
+            f"    recomputed: {lines[2]}",
+        ]
 
     def test_missing_states_exits_three(self, tmp_path, capsys):
         slim = MINI.replace("name = mini", "name = mini\nformats = csv,verdicts")

@@ -25,8 +25,9 @@ from torusma.estimates import (
     delta_trend,
     holder_seminorm,
     holder_seminorms,
+    has_admissible_pairs,
+    interior_regularity,
     siu_residual,
-    sobolev_holder_probe,
 )
 from torusma.geometry import (
     GridField,
@@ -81,11 +82,6 @@ class TestVerdict:
     def test_status_vocabulary_is_closed(self):
         with pytest.raises(ValueError, match="unknown verdict status"):
             Verdict("maybe", "nope")
-
-    def test_ok_reads_the_status(self):
-        assert Verdict(HOLDS, "yes").ok
-        assert not Verdict(VIOLATED, "no").ok
-        assert not Verdict(INCONCLUSIVE, "dunno").ok
 
 
 class TestSiuResidual:
@@ -383,9 +379,32 @@ class TestHolderSeminorms:
         ):
             holder_seminorms(field, 0.5, (2 * spec.h, 0.75), ((0.5, 0.5),))
 
+    @pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
+    def test_the_parse_time_check_agrees_with_the_seminorms(self, n, N):
+        # Radii from 2h (the smallest any setting allows) to past the
+        # half-diagonal; one pole, or two at varying distance.
+        spec = TorusSpec(n, N)
+        field = GridField(spec, trig_poly(spec, 2, seed=N).values)
+        center = (0.5,) * spec.num_axes
+        placements = [()] + [
+            (center, tuple((c + k * spec.h) % 1.0 for c in center))
+            for k in (0, 1, N // 4, N // 2)
+        ]
+        outcomes = set()
+        for singular in placements:
+            for r in np.linspace(2 * spec.h, 0.8, 13):
+                try:
+                    holder_seminorms(field, 0.5, (r,), singular)
+                    measured = True
+                except ValueError:
+                    measured = False
+                assert has_admissible_pairs(spec, r, singular) == measured, (r, singular)
+                outcomes.add(measured)
+        assert outcomes == {True, False}
+
     def test_build_record_differentiates_each_measured_field_once(self, monkeypatch):
         # Outer radius on the last three rungs, inner radius on the last:
-        # three fields, three gradients.
+        # three fields, three gradients, and one mask per radius.
         experiment = parse_config(
             "[torus]\nn = 1\nN = 32\n"
             "[alpha]\nt = 0.5\n"
@@ -395,41 +414,69 @@ class TestHolderSeminorms:
         )
         states = run_continuation(experiment.scenario)
         measured = []
+        masks = []
+        exclusion_mask = estimates._exclusion_mask
 
         def counted(phi):
             measured.append(phi)
             return spectral_gradient(phi)
 
+        def counted_mask(spec, centers, radius):
+            masks.append(radius)
+            return exclusion_mask(spec, centers, radius)
+
         monkeypatch.setattr(estimates, "spectral_gradient", counted)
+        monkeypatch.setattr(estimates, "_exclusion_mask", counted_mask)
         build_record(experiment, states)
         assert len(measured) == 3
         assert all(a is s.phi for a, s in zip(measured, states[-3:]))
+        h = experiment.scenario.spec.h
+        assert masks == [8 * h, 2 * h]
 
 
-class TestSobolevHolderProbe:
+class TestInteriorRegularity:
+    @staticmethod
+    def _data(report):
+        return dict(report.data)
+
     def test_single_mode_closed_forms_and_margins(self):
         spec = TorusSpec(1, 64)
         a = 0.3
         field = _mode(spec, a)
-        holder = holder_seminorm(field, 0.5, 2 * spec.h)
-        report = sobolev_holder_probe(field, 0.5, 4.0, 2 * spec.h, holder=holder)
+        report = interior_regularity([field], 0.5, 4 * spec.h, 2 * spec.h, 4.0)
+        data = self._data(report)
+        holder = holder_seminorm(field, 0.5, 4 * spec.h)
+        assert data["outer_seminorm_final"] == holder
         # |H(phi)| = pi^2 a |cos|; the grid fourth-moment of the cosine is
         # exactly 3/8, so the L^4 norm is pi^2 a (3/8)^(1/4).
-        assert report.sobolev_norm == pytest.approx(
+        assert data["sobolev_norm_final"] == pytest.approx(
             np.pi**2 * a * (3.0 / 8.0) ** 0.25, rel=1e-12
         )
-        assert report.ratio == pytest.approx(holder / report.sobolev_norm, rel=1e-14)
+        assert data["holder_to_sobolev_ratio"] == pytest.approx(
+            holder / data["sobolev_norm_final"], rel=1e-14
+        )
         # q(1-gamma) = 2: zero margin in real dimension 2n = 2, positive
         # margin in complex dimension n = 1.
-        assert dict(report.margins) == {
-            "real_dimension": pytest.approx(0.0, abs=1e-14),
-            "complex_dimension": pytest.approx(1.0, abs=1e-14),
-        }
+        assert data["embedding_margin_real_dimension"] == pytest.approx(0.0, abs=1e-14)
+        assert data["embedding_margin_complex_dimension"] == pytest.approx(1.0, abs=1e-14)
+        # one rung cannot spread
+        assert report.verdict.status == HOLDS
+        assert dict(report.verdict.witness) == {"spread": 1.0}
+
+    def test_the_spread_reads_the_last_three_rungs(self):
+        spec = TorusSpec(1, 32)
+        ladder = [_mode(spec, a) for a in (0.4, 0.1, 0.1, 0.1)]
+        stable = interior_regularity(ladder, 0.5, 8 * spec.h, 2 * spec.h, 4.0)
+        assert stable.verdict.status == HOLDS
+        ladder[-1] = _mode(spec, 0.2)
+        rising = interior_regularity(ladder, 0.5, 8 * spec.h, 2 * spec.h, 4.0)
+        assert rising.verdict.status == VIOLATED
+        assert dict(rising.verdict.witness)["spread"] == pytest.approx(2.0, rel=1e-12)
 
     def test_parameter_validation(self):
         spec = TorusSpec(1, 16)
         field = _mode(spec, 0.1)
         with pytest.raises(ValueError, match="must be positive"):
-            sobolev_holder_probe(field, 0.5, 0.0, 2 * spec.h, holder=1.0)
-        with pytest.raises(ValueError, match="removes the whole grid"):
-            sobolev_holder_probe(field, 0.5, 4.0, 0.75, ((0.5, 0.5),), holder=1.0)
+            interior_regularity([field], 0.5, 4 * spec.h, 2 * spec.h, 0.0)
+        with pytest.raises(ValueError, match="no admissible stencil pairs"):
+            interior_regularity([field], 0.5, 0.75, 2 * spec.h, 4.0, ((0.5, 0.5),))

@@ -10,7 +10,8 @@ package, by name, as an attribute or through ``from ... import``; every
 function in an ``__all__`` must be read the same way by the package outside
 its own ``def``, by the acceptance suite or by the benchmark; every
 ``functools`` cache is keyed by ``int`` and ``bool`` parameters only;
-``ContinuationState(...)`` is called exactly once in the package; the
+``ContinuationState(...)`` is called exactly once in the package, and so
+is the lattice walk of the Hoelder stencil legs; the
 scenario library imports nothing of the package but ``config``; and only the
 command-line module imports ``ctypes``.
 """
@@ -271,6 +272,22 @@ def test_the_check_finds_every_call_site():
 def test_continuation_states_are_built_at_one_site():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert len(_call_sites(sources, "ContinuationState")) == 1
+
+
+# The Hoelder stencil legs are walked at one site, the lattice ``product``
+# inside ``estimates._admissible_legs``, so the seminorms and the parse-time
+# admissibility check cannot drift into two walks again.
+def test_stencil_legs_are_walked_at_one_site():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    walker = next(
+        node
+        for node in ast.walk(ast.parse(sources["estimates"]))
+        if isinstance(node, ast.FunctionDef) and node.name == "_admissible_legs"
+    )
+    [site] = _call_sites(sources, "product")
+    module, line = site.split(":")
+    assert module == "estimates"
+    assert walker.lineno < int(line) <= walker.end_lineno
 
 
 # The bundled scenarios are config documents: the library reaches the
