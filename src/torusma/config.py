@@ -3,8 +3,8 @@
 The configuration format is a line-oriented INI dialect: ``[section]``
 headers, ``key = value`` assignments, ``#``/``;`` full-line comments.
 Unknown sections and keys are rejected with the offending line number, as
-are malformed values — a config either parses to a fully validated,
-mass-balanced scenario or fails loudly.
+are malformed and out-of-range values — a config either parses to a fully
+validated, mass-balanced scenario or fails loudly.
 
 Every parse produces a *canonical echo*: the same document re-rendered with
 all defaults resolved, the mass-balance shift baked in, and a fixed key
@@ -209,9 +209,11 @@ def canonical_text(
     return "\n".join(lines) + "\n"
 
 
-def _parse_lines(text: str) -> dict[str, list[tuple[int, str, str]]]:
-    """Raw pass: section -> [(line number, key, value)], schema-checked."""
+def _parse_lines(text: str):
+    """Raw pass: section -> [(line number, key, value)], schema-checked, and
+    section -> the line number of its header."""
     sections: dict[str, list[tuple[int, str, str]]] = {}
+    headers: dict[str, int] = {}
     current: str | None = None
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -226,6 +228,7 @@ def _parse_lines(text: str) -> dict[str, list[tuple[int, str, str]]]:
                     line=i,
                 )
             sections.setdefault(current, [])
+            headers.setdefault(current, i)
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", line=i)
@@ -241,7 +244,7 @@ def _parse_lines(text: str) -> dict[str, list[tuple[int, str, str]]]:
                 line=i,
             )
         sections[current].append((i, key, value))
-    return sections
+    return sections, headers
 
 
 def _single(entries, section: str, key: str, default=None, required=False):
@@ -269,6 +272,21 @@ def _to_int(value: str, line: int, what: str) -> int:
         return int(value)
     except ValueError:
         raise ConfigError(f"{what}: not an integer: {value!r}", line=line) from None
+
+
+def _build(cls, steps, **given):
+    """``cls`` built from ``given`` with the keys of each ``(line, keys)``
+    step added in turn.  Each build differs from the last one that passed
+    only by its step's keys, so a rejection is a ``ConfigError`` at that
+    step's line: a key's own line, or its section header's where a check
+    spans two keys."""
+    for line, keys in steps:
+        given.update(keys)
+        try:
+            built = cls(**given)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=line) from None
+    return built
 
 
 def _parse_model(entries, section: str, spec: TorusSpec) -> QuasiPshModel:
@@ -315,40 +333,35 @@ def _parse_model(entries, section: str, spec: TorusSpec) -> QuasiPshModel:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse, validate, balance, and resolve a configuration document."""
-    entries = _parse_lines(text)
+    entries, headers = _parse_lines(text)
 
-    line, value = _single(entries, "torus", "n", required=True)
-    n = _to_int(value, line, "torus n")
-    line, value = _single(entries, "torus", "N", required=True)
-    N = _to_int(value, line, "torus N")
-    try:
-        spec = TorusSpec(n=n, N=N)
-    except ValueError as exc:
-        raise ConfigError(str(exc), line=line) from None
+    line_n, value = _single(entries, "torus", "n", required=True)
+    n = _to_int(value, line_n, "torus n")
+    line_N, value = _single(entries, "torus", "N", required=True)
+    N = _to_int(value, line_N, "torus N")
+    # The smallest grid stands in for N while n is judged.
+    spec = _build(TorusSpec, ((line_n, {"n": n}), (line_N, {"N": N})), N=8)
 
     # Optional keys are passed only when the document sets them, so every
     # default has one source: the constructor that receives the value.
-    line, value = _single(entries, "alpha", "t", default="0.0")
-    t = _to_float(value, line, "alpha t")
+    line_t, value = _single(entries, "alpha", "t", default="0.0")
+    t = _to_float(value, line_t, "alpha t")
     line, value = _single(entries, "alpha", "eps0")
     alpha_kw = {} if value is None else {"eps0": _to_float(value, line, "alpha eps0")}
-    try:
-        alpha = AlphaModel(spec=spec, t=t, **alpha_kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc), line=line) from None
+    alpha = _build(AlphaModel, ((line_t, {"t": t}), (line, alpha_kw)), spec=spec)
 
     psi1 = _parse_model(entries, "psi1", spec)
     psi2 = _parse_model(entries, "psi2", spec)
 
-    line, value = _single(entries, "hypothesis", "p", default="2.0")
-    p = _to_float(value, line, "hypothesis p")
+    line_p, value = _single(entries, "hypothesis", "p", default="2.0")
+    p = _to_float(value, line_p, "hypothesis p")
 
-    line, value = _single(entries, "continuation", "schedule")
+    line_s, value = _single(entries, "continuation", "schedule")
     if value is None:
         schedule = _DEFAULT_SCHEDULE
     else:
         schedule = tuple(
-            _to_float(x, line, "schedule entry") for x in value.split()
+            _to_float(x, line_s, "schedule entry") for x in value.split()
         )
     line, value = _single(entries, "continuation", "tol")
     scenario_kw = {} if value is None else {"tol": _to_float(value, line, "tol")}
@@ -356,43 +369,42 @@ def parse_config(text: str) -> ExperimentConfig:
     line_c, value = _single(entries, "estimates", "C")
     C_config = None if value is None else _to_float(value, line_c, "estimates C")
 
-    settings_kw = {}
+    lines, settings_kw = {}, {}
     for key in (f.name for f in fields(EstimateSettings)):
-        line, value = _single(entries, "estimates", key)
+        lines[key], value = _single(entries, "estimates", key)
         if value is not None:
-            settings_kw[key] = _to_float(value, line, f"estimates {key}")
-    try:
-        settings = EstimateSettings(**settings_kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+            settings_kw[key] = _to_float(value, lines[key], f"estimates {key}")
+    # The two exclusion radii are judged together, at the section header.
+    radii = {k: settings_kw.pop(k) for k in ("exclusion_inner", "exclusion_outer")
+             if k in settings_kw}
+    settings = _build(
+        EstimateSettings,
+        [(lines[k], {k: v}) for k, v in settings_kw.items()]
+        + [(headers.get("estimates"), radii)],
+    )
 
     _, name = _single(entries, "output", "name", default="custom")
     output_kw = {}
     _, value = _single(entries, "output", "directory")
     if value is not None:
         output_kw["directory"] = value
-    line_f, value = _single(entries, "output", "formats")
+    line, value = _single(entries, "output", "formats")
     if value is not None:
         output_kw["formats"] = tuple(f.strip() for f in value.split(",") if f.strip())
-    try:
-        output = OutputSettings(**output_kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc), line=line_f) from None
+    output = _build(OutputSettings, ((line, output_kw),))
 
-    try:
-        scenario = Scenario(
-            name=name,
-            spec=spec,
-            alpha=alpha,
-            psi1=psi1,
-            psi2=psi2,
-            p=p,
-            eps_schedule=schedule,
-            C_config=C_config,
-            **scenario_kw,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scenario = _build(
+        Scenario,
+        ((line_p, {"p": p}), (line_s, {"eps_schedule": schedule})),
+        name=name,
+        spec=spec,
+        alpha=alpha,
+        psi1=psi1,
+        psi2=psi2,
+        eps_schedule=_DEFAULT_SCHEDULE,
+        C_config=C_config,
+        **scenario_kw,
+    )
 
     # Reject an outer exclusion radius that leaves the Hoelder stencil no
     # admissible pair on this grid, balance the masses, compute the

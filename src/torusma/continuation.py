@@ -43,7 +43,6 @@ from .pluripotential import (
     _curvature_bound,
     _regularize,
     evaluate,
-    hessian_lower_bound,
     regularize,
 )
 
@@ -108,27 +107,18 @@ class Scenario:
         Hoelder stencil keeps its exclusion radius from."""
         return tuple(p.center for p in self.psi2.poles + self.psi1.poles)
 
-    def resolved_C(self) -> float:
-        """The constant ``C`` of the log-trace inequality and of the weighted
-        second-order quantities ``sup q * exp(psi2 - 2 C Phi)``.
-
-        Defaults to the certified curvature bound of ``psi2`` (the flat torus
-        contributes no curvature of its own); a configured override wins.
-        """
-        if self.C_config is not None:
-            return self.C_config
-        return hessian_lower_bound(self.psi2)
-
 
 @dataclass(frozen=True)
 class ContinuationState:
-    """One solved rung of the ladder; ``rho`` is shared by every rung, so a
-    state holds one grid field of its own and ``Phi`` is derived on access."""
+    """One solved rung of the ladder; ``rho`` and the constant ``C`` are the
+    ladder's, shared by every rung, so a state holds one grid field of its
+    own and ``Phi`` is derived on access."""
 
     eps: float
     delta_eps: float
     phi: GridField
     rho: np.ndarray
+    C: float
     newton_steps: int
     diagnostics: dict
 
@@ -233,8 +223,9 @@ class _Ladder:
         # The sharp fields are sampled last, above the temporaries of ``eta``
         # in glibc's heap: a verify of pole-below then takes 201k minor page
         # faults, against 264k with them sampled before ``rho``.
-        # ``C`` defaults to ``resolved_C``'s curvature bound, taken here from
-        # the sharp ``psi2`` already sampled: the same bits, one sampling.
+        # ``C`` is the configured constant, else ``hessian_lower_bound(psi2)``
+        # taken from the sharp ``psi2`` already sampled: the same bits, one
+        # sampling.
         alpha, psi1, psi2 = scenario.alpha, scenario.psi1, scenario.psi2
         rho = alpha.rho().values
         eta = estimates._weight(_hessian_and_trace(alpha.eta()), alpha.t + 1e-6)
@@ -259,7 +250,8 @@ def smoothed_potentials(ladder: _Ladder, eps: float):
 def rung_diagnostics(
     ladder: _Ladder, eps: float, delta: float, phi: GridField, p1, p2, weight2
 ) -> dict:
-    """Every per-rung estimate scalar of a solved rung, measured on ``phi + rho``.
+    """Every per-rung estimate scalar of a solved rung, measured on ``phi + rho``,
+    and ``sup |phi|``.
 
     ``p1``, ``p2`` and ``weight2`` come from :func:`smoothed_potentials` and
     ``delta`` is the rung's mass-restoring constant.  One metric
@@ -290,6 +282,7 @@ def rung_diagnostics(
         "trace_defect": estimates._trace_identity_defect(m),
         "comparison_min": comparison,
         "q_sup": float(np.max(m.q)),
+        "sup_phi": float(np.max(np.abs(phi.values))),
     }
 
 
@@ -303,6 +296,7 @@ def _rung_state(
         delta_eps=delta,
         phi=phi,
         rho=ladder.rho,
+        C=ladder.C,
         newton_steps=steps,
         diagnostics={**solver, **rung_diagnostics(ladder, eps, delta, phi, *smoothed)},
     )

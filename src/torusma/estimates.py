@@ -5,7 +5,7 @@ Every check works in the constant-background frame: the metric at rung
 and the normalized trace is ``q = n + trace H(Phi) / (1 + eps)``.  Pointwise
 inequalities are returned as residual fields (claimed sign: nonnegative up
 to round-off or discretization); ladder-level uniformity claims are returned
-as verdicts carrying witnesses.
+as named verdicts carrying witnesses, each decided by one rule.
 
 Two checks are exact identities — the trace identity and the determinant
 shift — and must cancel to round-off: they guard the algebra everything else
@@ -42,14 +42,12 @@ __all__ = [
     "VIOLATED",
     "INCONCLUSIVE",
     "Verdict",
-    "EstimateReport",
     "EstimateError",
     "c0_uniformity",
     "siu_residual",
     "comparison_residual",
     "c2_uniformity",
     "delta_trend",
-    "holder_seminorms",
     "holder_seminorm",
     "has_admissible_pairs",
     "interior_regularity",
@@ -62,28 +60,40 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one ladder-level check.
+    """Outcome of one named record check.
 
-    ``status`` is one of the three module constants; a violated verdict
-    always carries a witness — the named scalars that broke the bound.
+    ``status`` is one of the three module constants; ``witness`` holds the
+    named scalars the status was decided on, ``data`` those reported beside
+    it.  Checks decide through :func:`_decide`, ladders of fewer than three
+    rungs through :func:`_too_short`, so each states only its own clauses.
     """
 
+    name: str
     status: str
     summary: str
     witness: tuple[tuple[str, float], ...] = ()
+    data: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if self.status not in (HOLDS, VIOLATED, INCONCLUSIVE):
             raise ValueError(f"unknown verdict status {self.status!r}")
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """A named verdict plus the scalars that support it."""
+def _decide(name: str, holds: str, *clauses, witness=(), data=()) -> Verdict:
+    """HOLDS, summarized by ``holds``, when every ``(ok, failure)`` clause is
+    ok; VIOLATED otherwise, summarized by the failure phrases of the clauses
+    that are not."""
+    failures = [failure for ok, failure in clauses if not ok]
+    status = VIOLATED if failures else HOLDS
+    return Verdict(name, status, "; ".join(failures) or holds, witness, data)
 
-    name: str
-    verdict: Verdict
-    data: tuple[tuple[str, float], ...] = ()
+
+def _too_short(name: str, ladder) -> Verdict | None:
+    """INCONCLUSIVE for a ladder of fewer than three rungs, which no trend
+    check can judge; ``None`` for a longer one."""
+    if len(ladder) < 3:
+        return Verdict(name, INCONCLUSIVE, f"need at least 3 rungs, got {len(ladder)}")
+    return None
 
 
 class EstimateError(ValueError):
@@ -207,42 +217,31 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def c0_uniformity(states) -> Verdict:
-    """Uniform boundedness of ``sup |phi_eps|`` down the ladder.
+    """``uniform-bound``: uniform boundedness of ``sup |phi_eps|`` down the
+    ladder, each rung's ``sup_phi`` diagnostic.
 
     Holds when every rung's sup norm stays within 25 percent of the first
     rung's and the least-squares slope against ``-log eps`` does not exceed
     0.01 per e-fold.  Unbounded potentials fail the slope test long before
     the ladder ends.
     """
-    if len(states) < 3:
-        return Verdict(
-            INCONCLUSIVE, f"need at least 3 rungs, got {len(states)}"
-        )
-    sups = np.array([float(np.max(np.abs(s.phi.values))) for s in states])
+    if short := _too_short("uniform-bound", states):
+        return short
+    sups = np.array([s.diagnostics["sup_phi"] for s in states])
     eps = np.array([s.eps for s in states])
     first = sups[0]
     deviation = np.abs(sups - first)
     worst = int(np.argmax(deviation))
     slope = _fit_slope(-np.log(eps), sups)
-    within = bool(np.all(deviation <= 0.25 * first + 1e-15))
-    flat = slope <= 0.01
-    if within and flat:
-        return Verdict(
-            HOLDS,
-            f"sup norms within 25% of first rung ({first:.6g}), "
-            f"slope {slope:.3e} per e-fold",
-            witness=(("first_sup", float(first)), ("slope", slope)),
-        )
-    parts = []
-    if not within:
-        parts.append(
-            f"rung eps={eps[worst]:g} has sup {sups[worst]:.6g} vs first {first:.6g}"
-        )
-    if not flat:
-        parts.append(f"slope {slope:.3e} exceeds 0.01 per e-fold")
-    return Verdict(
-        VIOLATED,
-        "; ".join(parts),
+    return _decide(
+        "uniform-bound",
+        f"sup norms within 25% of first rung ({first:.6g}), "
+        f"slope {slope:.3e} per e-fold",
+        (
+            bool(np.all(deviation <= 0.25 * first + 1e-15)),
+            f"rung eps={eps[worst]:g} has sup {sups[worst]:.6g} vs first {first:.6g}",
+        ),
+        (slope <= 0.01, f"slope {slope:.3e} exceeds 0.01 per e-fold"),
         witness=(
             ("worst_eps", float(eps[worst])),
             ("worst_sup", float(sups[worst])),
@@ -279,7 +278,8 @@ def _weighted_sup(m: _RungMetric, weight, C: float, keep=None) -> float:
 
 
 def c2_uniformity(states) -> Verdict:
-    """Uniformity of the weighted second-order quantity down the ladder.
+    """``weighted-second-order``: uniformity of the weighted second-order
+    quantity down the ladder.
 
     Per rung the quantity is ``sup q * exp(psi2_hat - 2 C Phi)`` over grid
     points at least one spacing away from the singular centers, where
@@ -291,33 +291,23 @@ def c2_uniformity(states) -> Verdict:
     trace blows up along the ladder in singular scenarios; only the weighted
     quantity can stay uniform.
     """
-    if len(states) < 3:
-        return Verdict(INCONCLUSIVE, f"need at least 3 rungs, got {len(states)}")
+    if short := _too_short("weighted-second-order", states):
+        return short
     vals = np.array([s.diagnostics["sharp_weighted_sup"] for s in states])
     eps = np.array([s.eps for s in states])
     first = vals[0]
     ratio = vals / first
     worst = int(np.argmax(ratio))
     slope = _fit_slope(-np.log(eps), ratio)
-    bounded = bool(np.all(ratio <= 2.0))
-    flat = slope <= 0.05
-    if bounded and flat:
-        return Verdict(
-            HOLDS,
-            f"weighted second-order supremum within factor 2 of first rung "
-            f"({first:.6g}), relative slope {slope:.3e} per e-fold",
-            witness=(("first_sup", float(first)), ("relative_slope", slope)),
-        )
-    parts = []
-    if not bounded:
-        parts.append(
-            f"rung eps={eps[worst]:g} reaches {ratio[worst]:.3g} x first rung"
-        )
-    if not flat:
-        parts.append(f"relative slope {slope:.3e} exceeds 0.05 per e-fold")
-    return Verdict(
-        VIOLATED,
-        "; ".join(parts),
+    return _decide(
+        "weighted-second-order",
+        f"weighted second-order supremum within factor 2 of first rung "
+        f"({first:.6g}), relative slope {slope:.3e} per e-fold",
+        (
+            bool(np.all(ratio <= 2.0)),
+            f"rung eps={eps[worst]:g} reaches {ratio[worst]:.3g} x first rung",
+        ),
+        (slope <= 0.05, f"relative slope {slope:.3e} exceeds 0.05 per e-fold"),
         witness=(
             ("worst_eps", float(eps[worst])),
             ("worst_ratio", float(ratio[worst])),
@@ -331,32 +321,28 @@ _FINAL_DELTA_BOUND = 1e-2
 
 
 def delta_trend(states) -> Verdict:
-    """Decay of the mass-restoring constants down the ladder.
+    """``normalization``: decay of the mass-restoring constants down the
+    ladder.
 
     Holds when the final ``|delta_eps|`` is at most ``1e-2`` and the
     absolute values do not increase over the last three rungs.
     """
-    if len(states) < 3:
-        return Verdict(INCONCLUSIVE, f"need at least 3 rungs, got {len(states)}")
+    if short := _too_short("normalization", states):
+        return short
     deltas = [abs(s.delta_eps) for s in states]
     tail = deltas[-3:]
-    decreasing = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(tail, tail[1:]))
-    small = deltas[-1] <= _FINAL_DELTA_BOUND
-    if small and decreasing:
-        return Verdict(
-            HOLDS,
-            f"final |delta| {deltas[-1]:.3e} <= {_FINAL_DELTA_BOUND:g}, "
-            f"non-increasing over last 3 rungs",
-            witness=(("final_delta", deltas[-1]),),
-        )
-    parts = []
-    if not small:
-        parts.append(f"final |delta| {deltas[-1]:.3e} exceeds {_FINAL_DELTA_BOUND:g}")
-    if not decreasing:
-        parts.append(f"|delta| not decreasing over last 3 rungs: {tail}")
-    return Verdict(
-        VIOLATED,
-        "; ".join(parts),
+    return _decide(
+        "normalization",
+        f"final |delta| {deltas[-1]:.3e} <= {_FINAL_DELTA_BOUND:g}, "
+        f"non-increasing over last 3 rungs",
+        (
+            deltas[-1] <= _FINAL_DELTA_BOUND,
+            f"final |delta| {deltas[-1]:.3e} exceeds {_FINAL_DELTA_BOUND:g}",
+        ),
+        (
+            all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(tail, tail[1:])),
+            f"|delta| not decreasing over last 3 rungs: {tail}",
+        ),
         witness=(("final_delta", deltas[-1]), ("tail_start", tail[0])),
     )
 
@@ -388,8 +374,9 @@ def _admissible_legs(spec, masks):
 
 
 def _seminorms(phi: GridField, gamma: float, radii, masks) -> tuple[float, ...]:
-    """The seminorms of :func:`holder_seminorms` on the exclusion masks of
-    ``radii``, already built: one gradient, one difference per leg."""
+    """The seminorms of :func:`holder_seminorm`, one per radius of ``radii``
+    on its exclusion mask, already built: one gradient, one difference per
+    leg for all radii."""
     if not 0 < gamma < 1:
         raise ValueError(f"Hoelder exponent must lie in (0,1), got {gamma}")
     if min(radii) < 2.0 * phi.spec.h * (1.0 - 1e-12):
@@ -415,28 +402,20 @@ def _seminorms(phi: GridField, gamma: float, radii, masks) -> tuple[float, ...]:
     return tuple(best)
 
 
-def holder_seminorms(
-    phi: GridField, gamma: float, radii, singular=()
-) -> tuple[float, ...]:
-    """Discrete Hoelder seminorms of the gradient, one per exclusion radius.
-
-    Each is the maximum of ``|grad phi(x + d) - grad phi(x)| / |d|^gamma``
-    over the stencil legs ``d``, restricted to pairs whose endpoints both
-    keep that radius from every singular center (a tuple of center
-    coordinates), so it is monotone non-increasing in the radius.  The
-    gradient is taken once and each leg's difference formed once for all
-    radii.  Every radius must be at least two grid spacings, so the shortest
-    legs cannot straddle a pole; raises when a radius empties the stencil.
-    """
-    masks = [_exclusion_mask(phi.spec, singular, radius) for radius in radii]
-    return _seminorms(phi, gamma, radii, masks)
-
-
 def holder_seminorm(
     phi: GridField, gamma: float, exclusion_radius: float, singular=()
 ) -> float:
-    """The Hoelder seminorm of :func:`holder_seminorms` at one exclusion radius."""
-    return holder_seminorms(phi, gamma, (exclusion_radius,), singular)[0]
+    """Discrete Hoelder seminorm of the gradient at one exclusion radius.
+
+    The maximum of ``|grad phi(x + d) - grad phi(x)| / |d|^gamma`` over the
+    stencil legs ``d``, restricted to pairs whose endpoints both keep
+    ``exclusion_radius`` from every singular center (a tuple of center
+    coordinates), so it is monotone non-increasing in the radius.  The
+    radius must be at least two grid spacings, so the shortest legs cannot
+    straddle a pole; raises when it empties the stencil.
+    """
+    mask = _exclusion_mask(phi.spec, singular, exclusion_radius)
+    return _seminorms(phi, gamma, (exclusion_radius,), (mask,))[0]
 
 
 def has_admissible_pairs(spec, exclusion_radius: float, singular=()) -> bool:
@@ -455,11 +434,11 @@ def interior_regularity(
     inner_radius: float,
     q_exponent: float,
     singular=(),
-) -> EstimateReport:
-    """Interior regularity over the last three potentials of a ladder.
+) -> Verdict:
+    """``interior-regularity`` over the last three potentials of a ladder.
 
     Holds when the Hoelder seminorm of the gradient outside ``outer_radius``
-    (:func:`holder_seminorms`) spreads by at most a factor 1.5 over those
+    (:func:`holder_seminorm`) spreads by at most a factor 1.5 over those
     rungs.  Reported as data, not gated, since their magnitudes depend on
     resolution and geometry: the final rung's seminorm at both radii and
     their ratio; the volume-weighted ``L^q`` norm of its complex Hessian
@@ -472,6 +451,8 @@ def interior_regularity(
     """
     if q_exponent <= 0:
         raise ValueError(f"integrability exponent must be positive, got {q_exponent}")
+    if short := _too_short("interior-regularity", phis):
+        return short
     phis = phis[-3:]
     spec = phis[-1].spec
     radii = (outer_radius, inner_radius)
@@ -499,22 +480,22 @@ def interior_regularity(
     else:
         concentration = 1.0 if inner_final <= 1e-12 else float("inf")
 
-    stable = spread <= _SPREAD_BOUND
-    verdict = Verdict(
-        HOLDS if stable else VIOLATED,
+    return _decide(
+        "interior-regularity",
         f"outer-radius seminorm stable over last 3 rungs "
-        f"(spread {spread:.3g} <= {_SPREAD_BOUND:g})"
-        if stable
-        else f"outer-radius seminorm spread {spread:.3g} exceeds {_SPREAD_BOUND:g}",
+        f"(spread {spread:.3g} <= {_SPREAD_BOUND:g})",
+        (
+            spread <= _SPREAD_BOUND,
+            f"outer-radius seminorm spread {spread:.3g} exceeds {_SPREAD_BOUND:g}",
+        ),
         witness=(("spread", float(spread)),),
+        data=(
+            ("outer_seminorm_final", float(outer_final)),
+            ("inner_seminorm_final", float(inner_final)),
+            ("concentration_ratio", float(concentration)),
+            ("sobolev_norm_final", sobolev),
+            ("holder_to_sobolev_ratio", float(to_sobolev)),
+            ("embedding_margin_real_dimension", float(q_exponent * (1.0 - gamma) - 2 * spec.n)),
+            ("embedding_margin_complex_dimension", float(q_exponent * (1.0 - gamma) - spec.n)),
+        ),
     )
-    data = (
-        ("outer_seminorm_final", float(outer_final)),
-        ("inner_seminorm_final", float(inner_final)),
-        ("concentration_ratio", float(concentration)),
-        ("sobolev_norm_final", sobolev),
-        ("holder_to_sobolev_ratio", float(to_sobolev)),
-        ("embedding_margin_real_dimension", float(q_exponent * (1.0 - gamma) - 2 * spec.n)),
-        ("embedding_margin_complex_dimension", float(q_exponent * (1.0 - gamma) - spec.n)),
-    )
-    return EstimateReport(name="interior-regularity", verdict=verdict, data=data)

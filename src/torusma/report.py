@@ -9,20 +9,23 @@ byte-identical records.
 
 Column semantics: ``weighted_c2_sup`` is the global supremum of the weighted
 trace ``q * exp(psi2_eps - 2 C Phi)`` with the rung-smoothed weight, and
-``min_siu_residual`` uses the scenario's resolved constant ``C``; the
-weighted-second-order verdict reads each rung's ``sharp_weighted_sup``.
+``min_siu_residual`` uses the ladder's constant ``C`` that every state
+carries; the weighted-second-order verdict reads each rung's
+``sharp_weighted_sup``.
 
-Per-rung scalars — the CSV columns and the inputs of the identity,
-inequality, weighted-second-order and unweighted-growth verdicts — are read
-from each state's ``diagnostics``.  One constructor in ``continuation``
+Per-rung scalars — the CSV columns and the inputs of the uniform-bound,
+identity, inequality, weighted-second-order and unweighted-growth verdicts —
+are read from each state's ``diagnostics``.  One constructor in ``continuation``
 builds every state, when a ladder is solved and when :func:`rebuild_states`
 re-checks the stored ``phi`` fields, so ``verify`` re-runs the very code
 ``run`` ran.  An unreadable ``states.npz`` raises ``ValueError``, an
 unreadable ``report.csv`` ``SchemaMismatch``.
 
-The ladder-level verdicts, interior regularity included, are each decided
-by one function of ``estimates``; here they are collected beside the
-one-sided bounds on the per-rung scalars and the ``pluripotential`` checks.
+Every check of the record is one named ``estimates.Verdict``.  The
+ladder-level verdicts, interior regularity included, are each one function
+of ``estimates``; the one-sided bounds on the per-rung scalars and the
+``pluripotential`` checks are decided here by the same rule, and
+:func:`build_record` lists them all in one fixed order.
 """
 
 from __future__ import annotations
@@ -90,114 +93,98 @@ class RunRecord:
     C_used: float
     C_source: str
     rows: tuple[tuple[float, float, float, int, float, float, float], ...]
-    reports: tuple[estimates.EstimateReport, ...]
+    verdicts: tuple[estimates.Verdict, ...]
     hypothesis_satisfied: bool
     hypothesis_notes: tuple[str, ...]
 
     @property
     def violated(self) -> tuple[str, ...]:
-        return tuple(
-            r.name for r in self.reports if r.verdict.status == estimates.VIOLATED
-        )
+        return tuple(v.name for v in self.verdicts if v.status == estimates.VIOLATED)
 
     @property
     def inconclusive(self) -> tuple[str, ...]:
-        return tuple(
-            r.name
-            for r in self.reports
-            if r.verdict.status == estimates.INCONCLUSIVE
-        )
+        return tuple(v.name for v in self.verdicts if v.status == estimates.INCONCLUSIVE)
 
 
 def _rung_rows(states) -> tuple:
     return tuple(
-        (s.eps, s.delta_eps, float(np.max(np.abs(s.phi.values))), int(s.newton_steps))
+        (s.eps, s.delta_eps, s.diagnostics["sup_phi"], int(s.newton_steps))
         + tuple(s.diagnostics[key] for key in _DIAGNOSTIC_COLUMNS)
         for s in states
     )
 
 
-def _bound_report(
-    name: str, value: float, bound: float, kind: str
-) -> estimates.EstimateReport:
-    """Verdict for a scalar against a one-sided bound (``max``: value<=bound,
-    ``min``: value>=bound)."""
-    ok = value <= bound if kind == "max" else value >= bound
+def _bound(name: str, value: float, bound: float, kind: str) -> estimates.Verdict:
+    """A scalar against a one-sided bound (``max``: value <= bound, ``min``:
+    value >= bound)."""
     rel = "<=" if kind == "max" else ">="
-    verdict = estimates.Verdict(
-        estimates.HOLDS if ok else estimates.VIOLATED,
-        f"{value:.6g} {rel} {bound:g}"
-        if ok
-        else f"{value:.6g} violates {rel} {bound:g}",
+    return estimates._decide(
+        name,
+        f"{value:.6g} {rel} {bound:g}",
+        (
+            value <= bound if kind == "max" else value >= bound,
+            f"{value:.6g} violates {rel} {bound:g}",
+        ),
         witness=((name, float(value)),),
     )
-    return estimates.EstimateReport(name=name, verdict=verdict)
 
 
-def _skoda_report(scenario: Scenario) -> estimates.EstimateReport | None:
-    if not scenario.psi2.poles:
-        return None
-    statuses = []
+def _skoda(scenario: Scenario) -> estimates.Verdict:
+    """The numeric integrability verdict at each pole of ``psi2`` against the
+    analytic dichotomy; a contradiction at any pole outweighs a borderline
+    margin at another."""
     data = []
+    borderline = contradicted = False
     for i, pole in enumerate(scenario.psi2.poles):
         result = skoda_integrability(scenario.psi2, scenario.p, pole.center)
         data.append((f"margin_{i}", float(result.margin)))
         data.append((f"increment_ratio_{i}", float(result.increment_ratio)))
         if result.borderline or result.numeric_verdict == "marginal":
-            statuses.append(estimates.INCONCLUSIVE)
-        elif (result.numeric_verdict == "integrable") == result.integrable:
-            statuses.append(estimates.HOLDS)
-        else:
-            statuses.append(estimates.VIOLATED)
-    if estimates.VIOLATED in statuses:
-        status, summary = estimates.VIOLATED, "numeric verdict contradicts analytic dichotomy"
-    elif estimates.INCONCLUSIVE in statuses:
-        status, summary = estimates.INCONCLUSIVE, "borderline dichotomy margin"
-    else:
-        status, summary = estimates.HOLDS, "numeric verdict matches analytic dichotomy at every pole"
-    return estimates.EstimateReport(
-        name="singular-integrability",
-        verdict=estimates.Verdict(status, summary),
-        data=tuple(data),
+            borderline = True
+        elif (result.numeric_verdict == "integrable") != result.integrable:
+            contradicted = True
+    name, data = "singular-integrability", tuple(data)
+    if borderline and not contradicted:
+        return estimates.Verdict(
+            name, estimates.INCONCLUSIVE, "borderline dichotomy margin", data=data
+        )
+    return estimates._decide(
+        name,
+        "numeric verdict matches analytic dichotomy at every pole",
+        (not contradicted, "numeric verdict contradicts analytic dichotomy"),
+        data=data,
     )
 
 
-def _density_report(scenario: Scenario) -> estimates.EstimateReport:
+def _density(scenario: Scenario) -> estimates.Verdict:
     check = density_lp_check(scenario.psi1, scenario.psi2, scenario.p)
     data = (
         ("lp_norm", float(check.norm)),
         ("refined_lp_norm", float(check.refined_norm)),
         ("refinement_ratio", float(check.refinement_ratio)),
     )
-    if check.flagged:
-        verdict = estimates.Verdict(
-            estimates.VIOLATED,
+    return estimates._decide(
+        "density-hypothesis",
+        f"L^p norm stable under refinement (ratio {check.refinement_ratio:.4g})",
+        (
+            not check.flagged,
             f"L^p norm grows by {check.refinement_ratio:.3g} under refinement — "
             f"density hypothesis at risk",
-            witness=data,
-        )
-    else:
-        verdict = estimates.Verdict(
-            estimates.HOLDS,
-            f"L^p norm stable under refinement (ratio {check.refinement_ratio:.4g})",
-        )
-    return estimates.EstimateReport(
-        name="density-hypothesis", verdict=verdict, data=data
+        ),
+        witness=data,
+        data=data,
     )
 
 
 def build_record(experiment: ExperimentConfig, states) -> RunRecord:
-    """All ladder-level verdicts and per-rung rows for solved states."""
+    """Every verdict of the record, in its one fixed order, and the per-rung
+    rows of solved states."""
     scenario = experiment.scenario
     settings = experiment.settings
-    C = scenario.resolved_C()
-    reports = [
-        estimates.EstimateReport(name=name, verdict=verdict(states))
-        for name, verdict in (
-            ("normalization", estimates.delta_trend),
-            ("uniform-bound", estimates.c0_uniformity),
-            ("weighted-second-order", estimates.c2_uniformity),
-        )
+    verdicts = [
+        estimates.delta_trend(states),
+        estimates.c0_uniformity(states),
+        estimates.c2_uniformity(states),
     ]
     for name, key, bound, kind in (
         ("trace-identity", "trace_defect", _TRACE_DEFECT_BOUND, "max"),
@@ -208,9 +195,8 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
         ("inequality-comparison", "comparison_min", _COMPARISON_FLOOR, "min"),
     ):
         worst = (max if kind == "max" else min)(s.diagnostics[key] for s in states)
-        reports.append(_bound_report(name, worst, bound, kind))
-
-    reports.append(
+        verdicts.append(_bound(name, worst, bound, kind))
+    verdicts.append(
         estimates.interior_regularity(
             [s.phi for s in states],
             settings.holder_gamma,
@@ -220,31 +206,21 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
             scenario.singular_centers,
         )
     )
-
     if scenario.psi2.poles:
         q_sups = [s.diagnostics["q_sup"] for s in states]
         growth = max(q_sups) / q_sups[0]
-        reports.append(
-            _bound_report(
-                "unweighted-growth",
-                growth,
-                _UNWEIGHTED_GROWTH_FACTOR,
-                "min",
-            )
-        )
-        skoda_rep = _skoda_report(scenario)
-        if skoda_rep is not None:
-            reports.append(skoda_rep)
-    reports.append(_density_report(scenario))
+        verdicts.append(_bound("unweighted-growth", growth, _UNWEIGHTED_GROWTH_FACTOR, "min"))
+        verdicts.append(_skoda(scenario))
+    verdicts.append(_density(scenario))
 
     return RunRecord(
         name=scenario.name,
         config_hash=experiment.config_hash,
         tool_version=__version__,
-        C_used=float(C),
+        C_used=float(states[0].C),
         C_source="configured" if scenario.C_config is not None else "certified",
         rows=_rung_rows(states),
-        reports=tuple(reports),
+        verdicts=tuple(verdicts),
         hypothesis_satisfied=experiment.hypothesis_satisfied,
         hypothesis_notes=experiment.hypothesis_notes,
     )
@@ -281,9 +257,9 @@ def render_verdicts(record: RunRecord) -> str:
     for note in record.hypothesis_notes:
         lines.append(f"  note: {note}")
     lines.append("")
-    for rep in record.reports:
-        lines.append(f"[{rep.verdict.status}] {rep.name}: {rep.verdict.summary}")
-        for key, value in rep.data:
+    for verdict in record.verdicts:
+        lines.append(f"[{verdict.status}] {verdict.name}: {verdict.summary}")
+        for key, value in verdict.data:
             lines.append(f"    {key} = {value:.10g}")
     lines.append("")
     if record.violated:

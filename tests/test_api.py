@@ -69,14 +69,12 @@ PUBLIC = {
         "VIOLATED",
         "INCONCLUSIVE",
         "Verdict",
-        "EstimateReport",
         "EstimateError",
         "c0_uniformity",
         "siu_residual",
         "comparison_residual",
         "c2_uniformity",
         "delta_trend",
-        "holder_seminorms",
         "holder_seminorm",
         "has_admissible_pairs",
         "interior_regularity",

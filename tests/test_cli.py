@@ -175,11 +175,11 @@ class TestConfigParsing:
             ),
             (
                 "[torus]\nn = 1\nN = 16\n[estimates]\nholder_gamma = 1.5\n",
-                "holder_gamma must be in (0,1)",
+                "line 5: holder_gamma must be in (0,1)",
             ),
             (
                 "[torus]\nn = 1\nN = 16\n[estimates]\nexclusion_inner = 1.0\n",
-                "need 2 <= exclusion_inner < exclusion_outer",
+                "line 4: need 2 <= exclusion_inner < exclusion_outer",
             ),
             (
                 "[torus]\nn = 1\nN = 32\n[psi2]\npole = 0.5 0.5, 0.5, 0.1, 0.2\n"
@@ -192,7 +192,38 @@ class TestConfigParsing:
             ),
             (
                 "[torus]\nn = 1\nN = 16\n[continuation]\nschedule = 0.1 0.2\n",
-                "strictly decreasing",
+                "line 5: schedule must be strictly decreasing",
+            ),
+            # A value is rejected at its own line, never at a valid neighbour's;
+            # a check that spans two keys names the section header.
+            ("[torus]\nn = 3\nN = 16\n", "line 2: complex dimension must be 1 or 2"),
+            ("[torus]\nn = 1\nN = 7\n", "line 3: grid size must be even"),
+            (
+                "[torus]\nn = 1\nN = 16\n[alpha]\nt = 1.5\neps0 = 0.4\n",
+                "line 5: degeneracy parameter must be in [0,1]",
+            ),
+            (
+                "[torus]\nn = 1\nN = 16\n[alpha]\nt = 1.5\n",
+                "line 5: degeneracy parameter must be in [0,1]",
+            ),
+            (
+                "[torus]\nn = 1\nN = 16\n[alpha]\nt = 0.5\neps0 = 0\n",
+                "line 6: integrability exponent must be positive",
+            ),
+            (
+                "[torus]\nn = 1\nN = 16\n[hypothesis]\np = 0.5\n"
+                "[continuation]\nschedule = 0.2 0.1\n",
+                "line 5: integrability exponent must exceed 1",
+            ),
+            (
+                "[torus]\nn = 1\nN = 16\n[estimates]\n"
+                "exclusion_inner = 10.0\nexclusion_outer = 12.0\nsobolev_q = 0\n",
+                "line 7: sobolev_q must be positive",
+            ),
+            (
+                "[torus]\nn = 1\nN = 16\n[estimates]\nholder_gamma = 0.5\n"
+                "exclusion_outer = 4.0\nexclusion_inner = 6.0\n",
+                "line 4: need 2 <= exclusion_inner < exclusion_outer",
             ),
         ],
     )

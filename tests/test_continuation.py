@@ -124,11 +124,11 @@ class TestScenarioValidation:
                 eps_schedule=(0.1,),
             )
 
-    def test_resolved_constant_prefers_the_configured_value(self):
-        assert _scenario(C=2.5).resolved_C() == 2.5
+    def test_the_ladder_constant_prefers_the_configured_value(self):
+        assert _Ladder.build(_scenario(C=2.5)).C == 2.5
         # Without an override the constant is certified from psi2: a single
         # cosine of amplitude a needs C = pi^2 a plus the strictness margin.
-        certified = _scenario(psi2=(SmoothMode(0.1, (1, 0)),)).resolved_C()
+        certified = _Ladder.build(_scenario(psi2=(SmoothMode(0.1, (1, 0)),))).C
         assert certified == pytest.approx(0.1 * np.pi**2 + 1e-6, abs=1e-10)
 
 
@@ -344,6 +344,7 @@ _ESTIMATE_KEYS = (
     "trace_defect",
     "comparison_min",
     "q_sup",
+    "sup_phi",
 )
 
 
@@ -423,6 +424,7 @@ class TestOneDiagnosticsPath:
         for solved, again in zip(states, rebuilt):
             for key in _ESTIMATE_KEYS:
                 assert again.diagnostics[key] == solved.diagnostics[key], key
+            assert again.C == solved.C
             np.testing.assert_array_equal(again.Phi.values, solved.Phi.values)
 
     def test_comparison_min_is_the_worse_public_residual(self, ladder):
@@ -441,10 +443,12 @@ class TestOneDiagnosticsPath:
 
     def test_every_diagnostic_is_its_public_one_off(self, ladder):
         scenario, states = ladder
-        spec, C = scenario.spec, scenario.resolved_C()
+        spec, C = scenario.spec, hessian_lower_bound(scenario.psi2)
         weight = evaluate(scenario.psi2).values
         keep = _away_from_poles(scenario.psi2)
         for s in states:
+            assert s.C == C
+            assert s.diagnostics["sup_phi"] == float(np.max(np.abs(s.phi.values)))
             F = _rhs(scenario, s)
             f = GridField(spec, np.log(F.values) - spec.n * np.log1p(s.eps))
             siu = siu_residual(s.Phi, f, s.eps, C)
@@ -522,10 +526,11 @@ class TestRungWork:
     def test_sharp_models_are_sampled_once_per_ladder(self, monkeypatch):
         # Every sampling at width 0 counts, the default argument included.
         # The ladder samples each model once, and takes the curvature bound
-        # of ``resolved_C``, needed when C is not set, from the sharp psi2.
+        # ``hessian_lower_bound(psi2)``, needed when C is not set, from the
+        # sharp psi2.
         scenario = enforce_mass_balance(_POLE_LADDERS[1])
         assert scenario.C_config is None
-        assert _Ladder.build(scenario).C == scenario.resolved_C()
+        assert _Ladder.build(scenario).C == hessian_lower_bound(scenario.psi2)
         sharp = []
         real = pluripotential.evaluate
 

@@ -24,7 +24,6 @@ from torusma.estimates import (
     comparison_residual,
     delta_trend,
     holder_seminorm,
-    holder_seminorms,
     has_admissible_pairs,
     interior_regularity,
     siu_residual,
@@ -56,8 +55,8 @@ def _zero(spec):
 
 def _state(phi, eps=0.1, delta=0.0):
     return ContinuationState(
-        eps=eps, delta_eps=delta, phi=phi, rho=phi.spec.zeros(), newton_steps=0,
-        diagnostics={},
+        eps=eps, delta_eps=delta, phi=phi, rho=phi.spec.zeros(), C=0.0,
+        newton_steps=0, diagnostics={"sup_phi": float(np.max(np.abs(phi.values)))},
     )
 
 
@@ -81,7 +80,55 @@ SPEC1 = TorusSpec(1, 32)
 class TestVerdict:
     def test_status_vocabulary_is_closed(self):
         with pytest.raises(ValueError, match="unknown verdict status"):
-            Verdict("maybe", "nope")
+            Verdict("check", "maybe", "nope")
+
+    LADDER_VERDICTS = {
+        "normalization": delta_trend,
+        "uniform-bound": c0_uniformity,
+        "weighted-second-order": c2_uniformity,
+        "interior-regularity": lambda states: interior_regularity(
+            [s.phi for s in states], 0.5, 4 * SPEC1.h, 2 * SPEC1.h, 4.0
+        ),
+    }
+
+    @pytest.mark.parametrize("name", LADDER_VERDICTS)
+    @pytest.mark.parametrize("rungs", [0, 1, 2])
+    def test_each_ladder_verdict_needs_three_rungs(self, name, rungs):
+        # Nothing but the rung count is read, so the diagnostics may be absent.
+        states = [replace(s, diagnostics={}) for s in _ladder(SPEC1, [0.1] * rungs)]
+        assert self.LADDER_VERDICTS[name](states) == Verdict(
+            name, INCONCLUSIVE, f"need at least 3 rungs, got {rungs}"
+        )
+
+
+_RECORD_VERDICTS = (
+    "normalization",
+    "uniform-bound",
+    "weighted-second-order",
+    "trace-identity",
+    "shift-identity",
+    "inequality-main",
+    "inequality-comparison",
+    "interior-regularity",
+    "unweighted-growth",
+    "singular-integrability",
+    "density-hypothesis",
+)
+_POLE_ONLY = ("unweighted-growth", "singular-integrability")
+
+
+@pytest.mark.parametrize("psi2", ["pole = 0.5 0.5, 0.3, 0.1, 0.2", "mode = 0.04, 0 1, 0.5"])
+def test_build_record_lists_each_verdict_once_in_order(psi2):
+    experiment = parse_config(
+        "[torus]\nn = 1\nN = 32\n[alpha]\nt = 0.5\n"
+        f"[psi2]\n{psi2}\n"
+        "[continuation]\nschedule = 0.25 0.125 0.0625\n"
+    )
+    poles = bool(experiment.scenario.psi2.poles)
+    record = build_record(experiment, run_continuation(experiment.scenario))
+    assert tuple(v.name for v in record.verdicts) == tuple(
+        name for name in _RECORD_VERDICTS if poles or name not in _POLE_ONLY
+    )
 
 
 class TestSiuResidual:
@@ -365,7 +412,8 @@ class TestHolderSeminorms:
         pole = evaluate(QuasiPshModel(spec, poles=(Pole(center=center, weight=0.5),)))
         field = GridField(spec, pole.values + 0.1 * trig_poly(spec, 3, seed=n).values)
         radii = (8 * spec.h, 4 * spec.h, 2 * spec.h)
-        measured = holder_seminorms(field, 0.5, radii, (center,))
+        masks = [estimates._exclusion_mask(spec, (center,), r) for r in radii]
+        measured = estimates._seminorms(field, 0.5, radii, masks)
         expected = tuple(_one_radius_loop(field, 0.5, r, (center,)) for r in radii)
         assert measured == expected
         assert measured[0] < measured[-1]  # the pole is felt at the inner radius
@@ -377,7 +425,7 @@ class TestHolderSeminorms:
             ValueError,
             match="exclusion radius 0.75 leaves no admissible stencil pairs",
         ):
-            holder_seminorms(field, 0.5, (2 * spec.h, 0.75), ((0.5, 0.5),))
+            holder_seminorm(field, 0.5, 0.75, ((0.5, 0.5),))
 
     @pytest.mark.parametrize("n, N", [(1, 16), (2, 8)])
     def test_the_parse_time_check_agrees_with_the_seminorms(self, n, N):
@@ -394,7 +442,7 @@ class TestHolderSeminorms:
         for singular in placements:
             for r in np.linspace(2 * spec.h, 0.8, 13):
                 try:
-                    holder_seminorms(field, 0.5, (r,), singular)
+                    holder_seminorm(field, 0.5, r, singular)
                     measured = True
                 except ValueError:
                     measured = False
@@ -443,7 +491,7 @@ class TestInteriorRegularity:
         spec = TorusSpec(1, 64)
         a = 0.3
         field = _mode(spec, a)
-        report = interior_regularity([field], 0.5, 4 * spec.h, 2 * spec.h, 4.0)
+        report = interior_regularity([field] * 3, 0.5, 4 * spec.h, 2 * spec.h, 4.0)
         data = self._data(report)
         holder = holder_seminorm(field, 0.5, 4 * spec.h)
         assert data["outer_seminorm_final"] == holder
@@ -459,24 +507,24 @@ class TestInteriorRegularity:
         # margin in complex dimension n = 1.
         assert data["embedding_margin_real_dimension"] == pytest.approx(0.0, abs=1e-14)
         assert data["embedding_margin_complex_dimension"] == pytest.approx(1.0, abs=1e-14)
-        # one rung cannot spread
-        assert report.verdict.status == HOLDS
-        assert dict(report.verdict.witness) == {"spread": 1.0}
+        # one field three times cannot spread
+        assert report.status == HOLDS
+        assert dict(report.witness) == {"spread": 1.0}
 
     def test_the_spread_reads_the_last_three_rungs(self):
         spec = TorusSpec(1, 32)
         ladder = [_mode(spec, a) for a in (0.4, 0.1, 0.1, 0.1)]
         stable = interior_regularity(ladder, 0.5, 8 * spec.h, 2 * spec.h, 4.0)
-        assert stable.verdict.status == HOLDS
+        assert stable.status == HOLDS
         ladder[-1] = _mode(spec, 0.2)
         rising = interior_regularity(ladder, 0.5, 8 * spec.h, 2 * spec.h, 4.0)
-        assert rising.verdict.status == VIOLATED
-        assert dict(rising.verdict.witness)["spread"] == pytest.approx(2.0, rel=1e-12)
+        assert rising.status == VIOLATED
+        assert dict(rising.witness)["spread"] == pytest.approx(2.0, rel=1e-12)
 
     def test_parameter_validation(self):
         spec = TorusSpec(1, 16)
         field = _mode(spec, 0.1)
         with pytest.raises(ValueError, match="must be positive"):
-            interior_regularity([field], 0.5, 4 * spec.h, 2 * spec.h, 0.0)
+            interior_regularity([field] * 3, 0.5, 4 * spec.h, 2 * spec.h, 0.0)
         with pytest.raises(ValueError, match="no admissible stencil pairs"):
-            interior_regularity([field], 0.5, 0.75, 2 * spec.h, 4.0, ((0.5, 0.5),))
+            interior_regularity([field] * 3, 0.5, 0.75, 2 * spec.h, 4.0, ((0.5, 0.5),))

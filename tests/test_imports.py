@@ -11,7 +11,8 @@ function in an ``__all__`` must be read the same way by the package outside
 its own ``def``, by the acceptance suite or by the benchmark; every
 ``functools`` cache is keyed by ``int`` and ``bool`` parameters only;
 ``ContinuationState(...)`` is called exactly once in the package, and so
-is the lattice walk of the Hoelder stencil legs; the
+is the lattice walk of the Hoelder stencil legs; ``Verdict(...)`` is called
+only in the two deciding rules and the integrability check; the
 scenario library imports nothing of the package but ``config``; and only the
 command-line module imports ``ctypes``.
 """
@@ -127,7 +128,7 @@ def test_every_private_name_is_read():
 # the record already computes.  The tracer's span names are strings, not
 # reads.  ``degeneracy_integrability`` is the only check of the background's
 # degeneracy, which no record reports yet: whether the record reports it or
-# it goes is decided on its own (ROADMAP item 4).
+# it goes is decided on its own (ROADMAP item 5).
 _CALLERS = (ROOT / "tests" / "test_acceptance.py", *sorted(ROOT.glob("perfbench/*.py")))
 _UNREAD_PUBLIC_ALLOWED = ["ma.degeneracy_integrability"]
 
@@ -288,6 +289,41 @@ def test_stencil_legs_are_walked_at_one_site():
     module, line = site.split(":")
     assert module == "estimates"
     assert walker.lineno < int(line) <= walker.end_lineno
+
+
+# Every record check is one named ``Verdict``: ``estimates._decide`` makes
+# it HOLDS or VIOLATED from failure phrases, ``estimates._too_short`` makes
+# a ladder below three rungs INCONCLUSIVE, and only the integrability
+# check's borderline margin is a status of its own.  A new check goes
+# through these, not through a branch of its own.
+def _enclosing_functions(sources: dict[str, str], sites) -> list[str]:
+    """``module.function`` of the top-level function around each ``module:line``."""
+    found = []
+    for site in sites:
+        module, line = site.split(":")
+        found += [
+            f"{module}.{node.name}"
+            for node in ast.parse(sources[module]).body
+            if isinstance(node, ast.FunctionDef)
+            and node.lineno <= int(line) <= node.end_lineno
+        ]
+    return sorted(found)
+
+
+def test_the_check_finds_the_enclosing_function():
+    sources = {"a": "x = V(0)\ndef f():\n    return V(1)\n\ndef g(): pass\n"}
+    assert _enclosing_functions(sources, _call_sites(sources, "V")) == ["a.f"]
+
+
+def test_verdicts_are_built_at_three_sites():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    sites = _call_sites(sources, "Verdict")
+    assert len(sites) == 3
+    assert _enclosing_functions(sources, sites) == [
+        "estimates._decide",
+        "estimates._too_short",
+        "report._skoda",
+    ]
 
 
 # The bundled scenarios are config documents: the library reaches the
