@@ -24,7 +24,8 @@ from .continuation import Scenario, enforce_mass_balance
 from .estimates import has_admissible_pairs
 from .geometry import TorusSpec
 from .ma import AlphaModel
-from .pluripotential import Pole, QuasiPshModel, SmoothMode, lelong_number
+from .pluripotential import Pole, QuasiPshModel, SmoothMode
+from .pluripotential import _BORDERLINE_MARGIN, _integrability_margin
 
 __all__ = [
     "ConfigError",
@@ -128,17 +129,15 @@ def _hypothesis_notes(scenario: Scenario) -> tuple[bool, tuple[str, ...]]:
     """
     notes = []
     satisfied = True
-    n, p = scenario.spec.n, scenario.p
     for pole in scenario.psi2.poles:
-        nu = lelong_number(scenario.psi2, pole.center)
-        margin = n - p * nu
+        nu, margin = _integrability_margin(scenario.psi2, scenario.p, pole.center)
         if margin <= 0:
             satisfied = False
             notes.append(
                 f"hypothesis (i) at risk: density {nu:.6g} at center "
                 f"{pole.center} gives margin n - p*nu = {margin:.6g} <= 0"
             )
-        elif margin < 0.05:
+        elif margin < _BORDERLINE_MARGIN:
             notes.append(
                 f"hypothesis (i) borderline: margin {margin:.6g} at center "
                 f"{pole.center}"

@@ -221,8 +221,9 @@ class _Ladder:
     @classmethod
     def build(cls, scenario: Scenario) -> "_Ladder":
         # The sharp fields are sampled last, above the temporaries of ``eta``
-        # in glibc's heap: a verify of pole-below then takes 201k minor page
-        # faults, against 264k with them sampled before ``rho``.
+        # in glibc's heap: the verify work of pole-below, imports left out,
+        # then takes 14.9k minor page faults, against 15.4k with them sampled
+        # before ``rho``.
         # ``C`` is the configured constant, else ``hessian_lower_bound(psi2)``
         # taken from the sharp ``psi2`` already sampled: the same bits, one
         # sampling.

@@ -151,7 +151,7 @@ def siu_residual(Phi: GridField, f: GridField, eps: float, C: float) -> GridFiel
 
 def _siu_residual(m: _RungMetric, f: GridField, C: float) -> np.ndarray:
     logq = GridField(m.Phi.spec, m.log_q)
-    lhs = m.data.contract(complex_hessian(logq).parts)
+    lhs = m.data.contract(complex_hessian(logq))
     rhs = (half_laplacian(f).values / (1.0 + m.eps) - C) / m.q
     rhs = rhs - C * (1.0 + m.eps) * m.data.inverse_trace()
     return lhs - rhs
@@ -195,7 +195,7 @@ def _comparison_residual(m: _RungMetric, weight: tuple) -> np.ndarray:
             f"weight is not curvature-bounded by C={C:.6g}: "
             f"grid minimum eigenvalue {min_eig:.3e}"
         )
-    lhs = C * m.data.inverse_trace() + m.data.contract(H.parts)
+    lhs = C * m.data.inverse_trace() + m.data.contract(H)
     rhs = (C * m.Phi.spec.n + laplacian) / ((1.0 + m.eps) * m.q)
     return lhs - rhs
 
@@ -207,7 +207,7 @@ def _trace_identity_defect(m: _RungMetric) -> float:
     Hessian of ``Phi`` and the adjugate data of ``g``); the identity is pure
     linear algebra, so the defect is round-off only.
     """
-    lhs = m.data.contract(m.hessian.parts)
+    lhs = m.data.contract(m.hessian)
     rhs = m.Phi.spec.n - (1.0 + m.eps) * m.data.inverse_trace()
     return float(np.max(np.abs(lhs - rhs)))
 

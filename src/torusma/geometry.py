@@ -172,58 +172,31 @@ class GridField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def copy(self) -> "GridField":
-        return GridField(self.spec, self.values.copy())
 
-
+@dataclass(frozen=True, slots=True, eq=False)
 class HermitianFormField:
     """A pointwise Hermitian ``n x n`` coefficient field, stored by its
     independent real components.
 
     ``parts`` follows the order of ``_hessian_parts``: ``(g00,)`` for
     ``n = 1`` and ``(g00, g11, Re g01, Im g01)`` for ``n = 2``, each a real
-    float64 field of grid shape (``g10`` is the conjugate of ``g01``).  A
-    form costs one real field for ``n = 1`` and four for ``n = 2``.  Only
-    this module reads ``parts``.
-
-    ``HermitianFormField(spec, values)`` takes a dense array of shape
-    ``grid + (n, n)``: it is the one entry point that checks shape and
-    finiteness and Hermitian-symmetrises, so asymmetry from outside never
-    propagates.  Forms built inside the library (Hessians, sums, the
-    identity) are Hermitian by construction and enter through
-    ``_from_parts`` unchecked.  ``values`` and ``entry`` assemble dense
-    complex entries on demand.
+    field of grid shape (``g10`` is the conjugate of ``g01``), so a form is
+    Hermitian by construction.  A form costs one real field for ``n = 1``
+    and four for ``n = 2``.  The constructor checks the part count and
+    shapes and reads no values.  Only this module reads ``parts``.
     """
 
-    __slots__ = ("spec", "parts")
+    spec: TorusSpec
+    parts: tuple
 
-    def __init__(self, spec: TorusSpec, values: np.ndarray):
-        self.spec = spec
-        self.__post_init__(values)
-
-    def __post_init__(self, values: np.ndarray):
-        v = np.asarray(values)
-        n = self.spec.n
-        if v.shape != self.spec.shape + (n, n):
-            raise ValueError(
-                f"form shape {v.shape} does not match grid {self.spec.shape} + ({n},{n})"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("form contains non-finite values")
-        v = np.asarray(v, dtype=complex)
-        parts = [v[..., j, j].real.copy() for j in range(n)]
-        if n == 2:
-            g01 = 0.5 * (v[..., 0, 1] + np.conj(v[..., 1, 0]))
-            parts += [g01.real.copy(), g01.imag.copy()]
-        self.parts = tuple(parts)
-
-    @classmethod
-    def _from_parts(cls, spec: TorusSpec, parts) -> "HermitianFormField":
-        """A form from real components already in ``parts`` order, unchecked."""
-        form = object.__new__(cls)
-        form.spec = spec
-        form.parts = tuple(parts)
-        return form
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+        n, count = self.spec.n, len(self.parts)
+        if count != n * n:  # the real parameters of a Hermitian n x n matrix
+            raise ValueError(f"a form at n = {n} has {n * n} parts, got {count}")
+        shapes = {np.shape(p) for p in self.parts}
+        if shapes != {self.spec.shape}:
+            raise ValueError(f"form part shapes {shapes} do not match grid {self.spec.shape}")
 
     @classmethod
     def _from_diagonal(cls, spec: TorusSpec, diagonal) -> "HermitianFormField":
@@ -231,30 +204,13 @@ class HermitianFormField:
         parts = list(diagonal)
         if spec.n == 2:
             parts += [np.zeros(spec.shape), np.zeros(spec.shape)]
-        return cls._from_parts(spec, parts)
+        return cls(spec, parts)
 
     def __add__(self, other: "HermitianFormField") -> "HermitianFormField":
         if other.spec != self.spec:
             raise ValueError("forms live on different grids")
-        return HermitianFormField._from_parts(
-            self.spec, (x + y for x, y in zip(self.parts, other.parts))
-        )
-
-    @property
-    def values(self) -> np.ndarray:
-        """The dense ``grid + (n, n)`` complex array, assembled on demand."""
-        n = self.spec.n
-        out = np.empty(self.spec.shape + (n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                out[..., j, k] = self.entry(j, k)
-        return out
-
-    def entry(self, j: int, k: int) -> np.ndarray:
-        if j == k:
-            return self.parts[j].astype(complex)
-        re, im = self.parts[2:]
-        return re + 1j * (im if j < k else -im)
+        parts = [x + y for x, y in zip(self.parts, other.parts)]
+        return HermitianFormField(self.spec, parts)
 
     def trace(self) -> np.ndarray:
         if self.spec.n == 1:
@@ -281,10 +237,9 @@ def _frobenius(form: HermitianFormField) -> np.ndarray:
 class _MetricData:
     """Determinant and adjugate of a form ``g``, for pointwise contractions.
 
-    ``weights`` pairs with the parts of a form ``M`` (or the raw output of
-    ``_hessian_parts``) so that ``trace(g^{-1} M) = sum(weights * parts) /
-    det``: ``(1,)`` for ``n = 1`` and ``(g11, g00, -2 Re g01, -2 Im g01)``
-    for ``n = 2``.
+    ``weights`` pairs with the parts of a form ``M`` so that ``trace(g^{-1}
+    M) = sum(weights * parts) / det``: ``(1,)`` for ``n = 1`` and ``(g11,
+    g00, -2 Re g01, -2 Im g01)`` for ``n = 2``.
     """
 
     det: np.ndarray
@@ -300,10 +255,10 @@ class _MetricData:
             weights = (g11, g00, -2.0 * re, -2.0 * im)
         return cls(det=g.det(), weights=weights, n=g.spec.n)
 
-    def contract(self, parts) -> np.ndarray:
-        """trace(g^{-1} M) pointwise from the parts of a Hermitian ``M``."""
-        num = self.weights[0] * parts[0]
-        for w, p in zip(self.weights[1:], parts[1:]):
+    def contract(self, M: HermitianFormField) -> np.ndarray:
+        """trace(g^{-1} M) pointwise for a Hermitian form ``M``."""
+        num = self.weights[0] * M.parts[0]
+        for w, p in zip(self.weights[1:], M.parts[1:]):
             num += w * p
         return num / self.det
 
@@ -343,7 +298,7 @@ def _restrict(values: np.ndarray) -> np.ndarray:
 def _restrict_form(form: HermitianFormField) -> HermitianFormField:
     """The form sampled by injection on the ``N/2`` grid."""
     coarse = TorusSpec(form.spec.n, form.spec.N // 2)
-    return HermitianFormField._from_parts(coarse, (_restrict(p) for p in form.parts))
+    return HermitianFormField(coarse, [_restrict(p) for p in form.parts])
 
 
 def _prolong(values: np.ndarray, N: int) -> np.ndarray:
@@ -385,7 +340,7 @@ def _hessian_and_trace(f: GridField) -> tuple[HermitianFormField, np.ndarray]:
     mults = _hessian_multipliers(spec.n, spec.N)
     trace = () if spec.n == 1 else (-np.pi**2 * _k_squared(spec.n, spec.N),)
     out = _spectral(f.values, mults + trace)
-    return HermitianFormField._from_parts(spec, out[: len(mults)]), out[-1]
+    return HermitianFormField(spec, out[: len(mults)]), out[-1]
 
 
 def _solve_half_laplacian(values: np.ndarray) -> np.ndarray:
@@ -399,7 +354,7 @@ def complex_hessian(f: GridField) -> HermitianFormField:
     One forward transform of ``f`` is shared by one real inverse transform
     per part, so the form is Hermitian by construction.
     """
-    return HermitianFormField._from_parts(f.spec, _hessian_parts(f.values))
+    return HermitianFormField(f.spec, _hessian_parts(f.values))
 
 
 def half_laplacian(f: GridField) -> GridField:

@@ -257,7 +257,7 @@ def _newton_direction(
     sigma = data.inverse_trace() / spec.n
 
     def matvec(x):
-        hu = data.contract(_hessian_parts(x.reshape(shape)))
+        hu = data.contract(HermitianFormField(spec, _hessian_parts(x.reshape(shape))))
         return (hu + x.mean()).ravel()
 
     def precond(x):

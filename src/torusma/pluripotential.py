@@ -255,7 +255,7 @@ def _regularize(
     out = GridField(spec, smoothed)
     if not base_hessian:
         return out, None, None
-    c_bound = _curvature_bound(HermitianFormField._from_parts(spec, base_hessian))
+    c_bound = _curvature_bound(HermitianFormField(spec, base_hessian))
     hessian, trace = _hessian_and_trace(out) if certify else (complex_hessian(out), None)
     if guarded:
         short = float(np.min(out.values - (sharp.values - 1.0)))
@@ -286,13 +286,23 @@ def lelong_number(model: QuasiPshModel, x) -> float:
     return sum(p.weight for p in model.poles if _match_center(p.center, x))
 
 
+# Integrability margins ``n - p nu`` nearer zero than this are borderline.
+_BORDERLINE_MARGIN = 0.05
+
+
+def _integrability_margin(model: QuasiPshModel, p: float, x) -> tuple[float, float]:
+    """The Lelong number ``nu`` of ``model`` at ``x`` and the margin ``n - p nu``."""
+    nu = lelong_number(model, x)
+    return nu, model.spec.n - p * nu
+
+
 @dataclass(frozen=True)
 class SkodaResult:
     """Exponential integrability of ``exp(-p psi)`` near a point."""
 
     integrable: bool
     margin: float  # n - p * nu
-    borderline: bool  # |margin| < 0.05: reported, not guessed
+    borderline: bool  # |margin| < _BORDERLINE_MARGIN: reported, not guessed
     numeric_verdict: str  # "integrable" | "non-integrable" | "marginal"
     integrals: tuple[float, float, float]  # ball quadrature at N, 2N, 4N
     increment_ratio: float  # (I_4N - I_2N) / (I_2N - I_N)
@@ -304,18 +314,17 @@ def skoda_integrability(
     """Dichotomy for local integrability of ``exp(-p psi)`` at ``x``.
 
     Analytically, integrability holds iff ``p * nu(psi, x) < n``; the margin
-    ``n - p nu`` is reported and values within ``0.05`` of zero are flagged
-    borderline.  Numeric evidence: the ball quadrature of ``exp(-p psi)`` with
-    the resolution-dependent pole floor has increments between successive
-    refinements that shrink geometrically when the integral converges and grow
-    geometrically when it diverges; the increment ratio is the classifier
-    (below 0.95 / above 1.05, else marginal).
+    ``n - p nu`` is reported and values within ``_BORDERLINE_MARGIN`` of zero
+    are flagged borderline.  Numeric evidence: the ball quadrature of
+    ``exp(-p psi)`` with the resolution-dependent pole floor has increments
+    between successive refinements that shrink geometrically when the integral
+    converges and grow geometrically when it diverges; the increment ratio is
+    the classifier (below 0.95 / above 1.05, else marginal).
     """
     if p < 1:
         raise ValueError(f"exponent must be >= 1, got {p}")
     n = model.spec.n
-    nu = lelong_number(model, x)
-    margin = n - p * nu
+    _, margin = _integrability_margin(model, p, x)
     radius = min((pl.r1 for pl in model.poles), default=0.2)
     if base_resolution is None:
         base_resolution = 64 if n == 1 else 12
@@ -356,7 +365,7 @@ def skoda_integrability(
     return SkodaResult(
         integrable=margin > 0,
         margin=float(margin),
-        borderline=abs(margin) < 0.05,
+        borderline=abs(margin) < _BORDERLINE_MARGIN,
         numeric_verdict=numeric,
         integrals=tuple(float(np.exp(l)) for l in log_integrals),
         increment_ratio=ratio,

@@ -276,13 +276,15 @@ def render_verdicts(record: RunRecord) -> str:
 
 
 def write_artifacts(outdir: str, experiment: ExperimentConfig, record: RunRecord, states) -> None:
-    """Write config echo, CSV, verdict block, and states under ``outdir``."""
+    """Write the config echo under ``outdir``, and the CSV, verdict block and
+    states that ``[output] formats`` lists."""
     os.makedirs(outdir, exist_ok=True)
     formats = experiment.output.formats
     with open(os.path.join(outdir, "config.ini"), "w", newline="") as f:
         f.write(experiment.echo)
-    with open(os.path.join(outdir, "verdicts.txt"), "w", newline="") as f:
-        f.write(render_verdicts(record))
+    if "verdicts" in formats:
+        with open(os.path.join(outdir, "verdicts.txt"), "w", newline="") as f:
+            f.write(render_verdicts(record))
     if "csv" in formats:
         with open(os.path.join(outdir, "report.csv"), "w", newline="") as f:
             f.write(render_csv(record))

@@ -265,6 +265,15 @@ class TestRunVerb:
         raw = open(os.path.join(rundir, "report.csv"), "rb").read()
         assert raw.count(b"\r\n") == 4  # header + 3 rungs
 
+    def test_formats_choose_the_written_files(self, tmp_path, capsys):
+        cfg = _write(tmp_path, MINI.replace("name = mini", "name = mini\nformats = csv"))
+        out = str(tmp_path / "runs")
+        assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "overall: pass" in stdout
+        rundir = _run_record_dir(out, stdout)
+        assert sorted(os.listdir(rundir)) == ["config.ini", "report.csv"]
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         cfg = _write(tmp_path, MINI)
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -29,7 +29,6 @@ from torusma.estimates import (
 )
 from torusma.geometry import (
     GridField,
-    HermitianFormField,
     TorusSpec,
     complex_hessian,
     half_laplacian,
@@ -375,25 +374,6 @@ class TestOneDiagnosticsPath:
     def ladder(self, request):
         scenario = enforce_mass_balance(request.param)
         return scenario, run_continuation(scenario)
-
-    @pytest.mark.parametrize("scenario", _LADDERS, ids=["n1", "n2"])
-    def test_no_dense_form_is_built(self, scenario, monkeypatch):
-        # Solving and re-checking a ladder touch only component forms.
-        scenario = enforce_mass_balance(scenario)
-
-        def refuse(*args):
-            raise AssertionError("dense Hermitian form built on the ladder")
-
-        monkeypatch.setattr(HermitianFormField, "__post_init__", refuse)
-        monkeypatch.setattr(HermitianFormField, "values", property(refuse))
-        states = run_continuation(scenario)
-        rebuild_states(
-            scenario,
-            np.array([s.eps for s in states]),
-            np.array([s.delta_eps for s in states]),
-            np.array([s.newton_steps for s in states]),
-            np.stack([s.phi.values for s in states]),
-        )
 
     @pytest.mark.parametrize("eps", [0.25, 0.1, 0.01])
     def test_smoothed_potentials_certify_psi2_once(self, eps):

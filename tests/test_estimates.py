@@ -30,7 +30,6 @@ from torusma.estimates import (
 )
 from torusma.geometry import (
     GridField,
-    HermitianFormField,
     TorusSpec,
     complex_hessian,
     half_laplacian,
@@ -68,9 +67,7 @@ def _ladder(spec, amplitudes, eps_start=0.25):
 
 
 def _certified_C(psi):
-    eig = min_eigenvalue_field(
-        HermitianFormField(psi.spec, complex_hessian(psi).values)
-    )
+    eig = min_eigenvalue_field(complex_hessian(psi))
     return -float(np.min(eig.values)) + 1e-3
 
 

@@ -18,7 +18,7 @@ from torusma.geometry import (
     spectral_gradient,
 )
 
-from conftest import trig_poly
+from conftest import dense, form_from_dense, trig_poly
 
 
 def coord_field(spec, expr):
@@ -37,7 +37,7 @@ class TestSingleModeOracles:
         expected = -np.pi**2 * np.broadcast_to(
             np.cos(2 * np.pi * spec.axis_coordinate(0)), spec.shape
         )
-        np.testing.assert_allclose(H.entry(0, 0), expected, atol=1e-11)
+        np.testing.assert_allclose(dense(H)[..., 0, 0], expected, atol=1e-11)
 
     def test_h11_of_cos_y1_n1(self):
         spec = TorusSpec(1, 32)
@@ -46,7 +46,7 @@ class TestSingleModeOracles:
         expected = -np.pi**2 * np.broadcast_to(
             np.cos(2 * np.pi * spec.axis_coordinate(1)), spec.shape
         )
-        np.testing.assert_allclose(H.entry(0, 0), expected, atol=1e-11)
+        np.testing.assert_allclose(dense(H)[..., 0, 0], expected, atol=1e-11)
 
     def test_mixed_entry_of_diagonal_mode_n2(self):
         # f = cos(theta), theta = 2 pi (x1 + y2):
@@ -60,10 +60,11 @@ class TestSingleModeOracles:
         theta = np.broadcast_to(
             2 * np.pi * (spec.axis_coordinate(0) + spec.axis_coordinate(3)), spec.shape
         )
-        np.testing.assert_allclose(H.entry(0, 1), -1j * np.pi**2 * np.cos(theta), atol=1e-11)
-        np.testing.assert_allclose(H.entry(1, 0), 1j * np.pi**2 * np.cos(theta), atol=1e-11)
-        np.testing.assert_allclose(H.entry(0, 0), -np.pi**2 * np.cos(theta), atol=1e-11)
-        np.testing.assert_allclose(H.entry(1, 1), -np.pi**2 * np.cos(theta), atol=1e-11)
+        D = dense(H)
+        np.testing.assert_allclose(D[..., 0, 1], -1j * np.pi**2 * np.cos(theta), atol=1e-11)
+        np.testing.assert_allclose(D[..., 1, 0], 1j * np.pi**2 * np.cos(theta), atol=1e-11)
+        np.testing.assert_allclose(D[..., 0, 0], -np.pi**2 * np.cos(theta), atol=1e-11)
+        np.testing.assert_allclose(D[..., 1, 1], -np.pi**2 * np.cos(theta), atol=1e-11)
 
     def test_gradient_of_single_mode(self):
         spec = TorusSpec(1, 32)
@@ -109,7 +110,7 @@ class TestFiniteDifferenceOracle:
         for j in range(n):
             for k in range(j, n):
                 fd = self.fd_hessian_entry(f, j, k)
-                assert np.max(np.abs(H.entry(j, k) - fd)) < bound
+                assert np.max(np.abs(dense(H)[..., j, k] - fd)) < bound
 
     def test_fd_error_shrinks_at_second_order(self):
         errs = []
@@ -118,7 +119,7 @@ class TestFiniteDifferenceOracle:
             f = trig_poly(spec, kmax=2, seed=7)
             H = complex_hessian(f)
             fd = self.fd_hessian_entry(f, 0, 0)
-            errs.append(np.max(np.abs(H.entry(0, 0) - fd)))
+            errs.append(np.max(np.abs(dense(H)[..., 0, 0] - fd)))
         rate = errs[0] / errs[1]
         assert 3.0 < rate < 5.0  # second order: factor 4 per halving of h
 
@@ -131,8 +132,8 @@ class TestSpectralExactness:
         fine = TorusSpec(1, 64)
         fc = trig_poly(coarse, kmax=8, seed=3)
         ff = trig_poly(fine, kmax=8, seed=3)
-        Hc = complex_hessian(fc).entry(0, 0)
-        Hf = complex_hessian(ff).entry(0, 0)[::2, ::2]
+        Hc = dense(complex_hessian(fc))[..., 0, 0]
+        Hf = dense(complex_hessian(ff))[::2, ::2, 0, 0]
         np.testing.assert_allclose(Hc, Hf, atol=1e-10)
 
     def test_half_laplacian_integrates_to_zero(self):
@@ -153,13 +154,13 @@ class TestSpectralExactness:
         spec = TorusSpec(2, 12)
         f = trig_poly(spec, kmax=2, seed=10)
         g = trig_poly(spec, kmax=2, seed=11)
-        lhs = complex_hessian(GridField(spec, 2.5 * f.values - 0.5 * g.values)).values
-        rhs = 2.5 * complex_hessian(f).values - 0.5 * complex_hessian(g).values
+        lhs = dense(complex_hessian(GridField(spec, 2.5 * f.values - 0.5 * g.values)))
+        rhs = 2.5 * dense(complex_hessian(f)) - 0.5 * dense(complex_hessian(g))
         np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
     def test_hessian_output_is_hermitian(self):
         spec = TorusSpec(2, 12)
-        H = complex_hessian(trig_poly(spec, kmax=3, seed=2)).values
+        H = dense(complex_hessian(trig_poly(spec, kmax=3, seed=2)))
         np.testing.assert_allclose(H, np.conj(np.swapaxes(H, -1, -2)), atol=0)
 
 
@@ -214,7 +215,7 @@ class TestRealSpectralCore:
 
     @pytest.mark.parametrize("n,N,seed", CASES)
     def test_hessian_is_exactly_hermitian(self, n, N, seed):
-        H = complex_hessian(self.noise(n, N, seed)).values
+        H = dense(complex_hessian(self.noise(n, N, seed)))
         for j in range(n):
             assert np.all(np.imag(H[..., j, j]) == 0.0)
         if n == 2:
@@ -223,7 +224,7 @@ class TestRealSpectralCore:
     @pytest.mark.parametrize("n,N,seed", CASES)
     def test_hessian_matches_complex_reference(self, n, N, seed):
         f = self.noise(n, N, seed)
-        H = complex_hessian(f).values
+        H = dense(complex_hessian(f))
         ref = reference_hessian(f)
         scale = np.max(np.abs(H))
         assert scale > 0
@@ -302,24 +303,24 @@ class TestEigenvaluesAndNorms:
     def test_min_eigenvalue_matches_dense_solver(self, rng):
         spec = TorusSpec(2, 8)
         A = rng.normal(size=spec.shape + (2, 2)) + 1j * rng.normal(size=spec.shape + (2, 2))
-        form = HermitianFormField(spec, A + np.conj(np.swapaxes(A, -1, -2)))
+        form = form_from_dense(spec, A + np.conj(np.swapaxes(A, -1, -2)))
         lam = min_eigenvalue_field(form)
         np.testing.assert_allclose(
-            lam.values, np.linalg.eigvalsh(form.values)[..., 0], atol=1e-12
+            lam.values, np.linalg.eigvalsh(dense(form))[..., 0], atol=1e-12
         )
 
     def test_min_eigenvalue_n1_is_the_entry(self):
         spec = TorusSpec(1, 16)
         f = trig_poly(spec, kmax=2, seed=6)
-        form = HermitianFormField(spec, f.values[..., None, None].astype(complex))
+        form = HermitianFormField(spec, (f.values,))
         np.testing.assert_allclose(min_eigenvalue_field(form).values, f.values, atol=0)
 
     def test_det_matches_dense_solver(self, rng):
         spec = TorusSpec(2, 8)
         A = rng.normal(size=spec.shape + (2, 2)) + 1j * rng.normal(size=spec.shape + (2, 2))
-        form = HermitianFormField(spec, A + np.conj(np.swapaxes(A, -1, -2)))
+        form = form_from_dense(spec, A + np.conj(np.swapaxes(A, -1, -2)))
         np.testing.assert_allclose(
-            form.det(), np.real(np.linalg.det(form.values)), atol=1e-11
+            form.det(), np.real(np.linalg.det(dense(form))), atol=1e-11
         )
 
     def test_integrate_constant(self):
@@ -353,6 +354,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             GridField(spec, vals)
 
-    def test_form_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            HermitianFormField(TorusSpec(2, 8), np.zeros((8, 8, 8, 8, 2, 3)))
+    @pytest.mark.parametrize("n,count", [(1, 4), (2, 1), (2, 3)])
+    def test_form_rejects_a_wrong_part_count(self, n, count):
+        spec = TorusSpec(n, 8)
+        with pytest.raises(ValueError, match=f"has {n * n} parts, got {count}"):
+            HermitianFormField(spec, [spec.zeros() for _ in range(count)])
+
+    def test_form_rejects_a_part_off_the_grid(self):
+        spec = TorusSpec(2, 8)
+        parts = [spec.zeros(), spec.zeros(), spec.zeros(), np.zeros((8, 8, 8, 4))]
+        with pytest.raises(ValueError, match="do not match grid"):
+            HermitianFormField(spec, parts)
+
+    def test_form_stores_its_parts_as_a_tuple(self):
+        spec = TorusSpec(1, 8)
+        part = spec.zeros()
+        form = HermitianFormField(spec, [part])
+        assert type(form.parts) is tuple
+        assert len(form.parts) == 1 and form.parts[0] is part

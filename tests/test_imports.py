@@ -13,8 +13,9 @@ its own ``def``, by the acceptance suite or by the benchmark; every
 ``ContinuationState(...)`` is called exactly once in the package, and so
 is the lattice walk of the Hoelder stencil legs; ``Verdict(...)`` is called
 only in the two deciding rules and the integrability check; the
-scenario library imports nothing of the package but ``config``; and only the
-command-line module imports ``ctypes``.
+scenario library imports nothing of the package but ``config``; only the
+command-line module imports ``ctypes``; and only ``geometry`` reads the
+``parts`` of a Hermitian form.
 """
 
 import ast
@@ -401,3 +402,31 @@ def test_only_the_command_line_imports_ctypes():
         if "ctypes" in _top_level_imports(path.read_text())
     ]
     assert importers == ["cli.py"]
+
+
+# The layout of a Hermitian form, its independent real parts, is known to
+# ``geometry`` alone; every other module goes through the form's methods.
+def _attribute_reads(source: str, attribute: str) -> int:
+    """How many times a module reads ``<expr>.<attribute>``."""
+    return sum(
+        isinstance(node, ast.Attribute) and node.attr == attribute
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_the_check_finds_attribute_reads():
+    source = (
+        "def f(form, parts):\n"
+        "    g = form.parts[0]\n"
+        "    return parts, g.parts, form.trace()\n"
+    )
+    assert _attribute_reads(source, "parts") == 2
+
+
+def test_only_geometry_reads_form_parts():
+    readers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if _attribute_reads(path.read_text(), "parts")
+    ]
+    assert readers == ["geometry.py"]
