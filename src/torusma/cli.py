@@ -34,7 +34,7 @@ from itertools import zip_longest
 from .config import ConfigError, ExperimentConfig, parse_config, with_resolution
 from .continuation import ContinuationError
 from .estimates import EstimateError
-from .ma import CompatibilityError, IterationLimitError, PositivityError
+from .ma import PositivityError
 from .pluripotential import RegularizationContractError
 from .report import (
     SchemaMismatch,
@@ -55,14 +55,6 @@ EXIT_VERDICT = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 3
 EXIT_INTERNAL = 4
-
-_SOLVER_ERRORS = (
-    ContinuationError,
-    PositivityError,
-    IterationLimitError,
-    CompatibilityError,
-    RegularizationContractError,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,24 +148,23 @@ def _cmd_run(args) -> int:
     outdir = _run_dir(experiment, args.output_dir)
     try:
         states, record = run_experiment(experiment)
-    except _SOLVER_ERRORS as exc:
+    except ContinuationError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     for rung, state in enumerate(states):
-        count = state.diagnostics["gmres_info_nonzero"]
-        if count:
-            print(
-                f"warning: rung {rung} (eps={state.eps:g}): {count} GMRES solve(s) "
-                f"stopped short of the inner tolerance",
-                file=sys.stderr,
-            )
-        count = state.diagnostics["nested_fallbacks"]
-        if count:
-            print(
-                f"warning: rung {rung} (eps={state.eps:g}): {count} nested-grid "
-                f"start(s) rejected; Newton started without the coarse correction",
-                file=sys.stderr,
-            )
+        solve = state.solve
+        for count, what in (
+            (solve.gmres_info_nonzero, "GMRES solve(s) stopped short of the inner tolerance"),
+            (
+                solve.nested_fallbacks,
+                "nested-grid start(s) rejected; Newton started without the coarse correction",
+            ),
+        ):
+            if count:
+                print(
+                    f"warning: rung {rung} (eps={state.eps:g}): {count} {what}",
+                    file=sys.stderr,
+                )
     write_artifacts(outdir, experiment, record, states)
     sys.stdout.write(render_verdicts(record))
     print(f"artifacts: {outdir}")
@@ -204,7 +195,7 @@ def _cmd_verify(args) -> int:
     try:
         states = load_states(outdir, experiment)
         record = build_record(experiment, states)
-    except (*_SOLVER_ERRORS, EstimateError) as exc:
+    except (EstimateError, PositivityError, RegularizationContractError) as exc:
         print(f"estimate error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
@@ -273,10 +264,7 @@ def main(argv=None) -> int:
         if args.verb == "compare":
             return _cmd_compare(args)
         return _cmd_list(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, SchemaMismatch) as exc:
+    except (ConfigError, OSError, SchemaMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

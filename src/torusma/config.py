@@ -18,6 +18,7 @@ experiment's echo at another grid size.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .continuation import Scenario, enforce_mass_balance
@@ -261,9 +262,12 @@ def _single(entries, section: str, key: str, default=None, required=False):
 
 def _to_float(value: str, line: int, what: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"{what}: not a number: {value!r}", line=line) from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{what}: not a finite number: {value!r}", line=line)
+    return x
 
 
 def _to_int(value: str, line: int, what: str) -> int:
@@ -362,11 +366,11 @@ def parse_config(text: str) -> ExperimentConfig:
         schedule = tuple(
             _to_float(x, line_s, "schedule entry") for x in value.split()
         )
-    line, value = _single(entries, "continuation", "tol")
-    scenario_kw = {} if value is None else {"tol": _to_float(value, line, "tol")}
+    line_tol, value = _single(entries, "continuation", "tol")
+    tol_kw = {} if value is None else {"tol": _to_float(value, line_tol, "tol")}
 
     line_c, value = _single(entries, "estimates", "C")
-    C_config = None if value is None else _to_float(value, line_c, "estimates C")
+    C_kw = {} if value is None else {"C_config": _to_float(value, line_c, "estimates C")}
 
     lines, settings_kw = {}, {}
     for key in (f.name for f in fields(EstimateSettings)):
@@ -394,15 +398,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
     scenario = _build(
         Scenario,
-        ((line_p, {"p": p}), (line_s, {"eps_schedule": schedule})),
+        ((line_p, {"p": p}), (line_s, {"eps_schedule": schedule}),
+         (line_tol, tol_kw), (line_c, C_kw)),
         name=name,
         spec=spec,
         alpha=alpha,
         psi1=psi1,
         psi2=psi2,
         eps_schedule=_DEFAULT_SCHEDULE,
-        C_config=C_config,
-        **scenario_kw,
     )
 
     # Reject an outer exclusion radius that leaves the Hoelder stencil no

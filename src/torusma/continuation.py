@@ -34,6 +34,7 @@ from .ma import (
     AlphaModel,
     IterationLimitError,
     PositivityError,
+    SolveResult,
     ma_density,
     solve_ma_detailed,
 )
@@ -87,15 +88,19 @@ class Scenario:
     C_config: float | None = None
 
     def __post_init__(self):
-        if self.p <= 1:
+        if not self.p > 1:
             raise ValueError(f"integrability exponent must exceed 1, got {self.p}")
         sched = tuple(float(e) for e in self.eps_schedule)
         if not sched:
             raise ValueError("schedule must contain at least one value")
-        if sched[0] > 0.5 or any(e <= 0 for e in sched):
+        if not all(0 < e <= 0.5 for e in sched):
             raise ValueError("schedule values must lie in (0, 0.5]")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("schedule must be strictly decreasing")
+        if not self.tol > 0:
+            raise ValueError(f"solver tolerance must be positive, got {self.tol}")
+        if self.C_config is not None and not self.C_config >= 0:
+            raise ValueError(f"configured C must be nonnegative, got {self.C_config}")
         for part in (self.alpha.spec, self.psi1.spec, self.psi2.spec):
             if part != self.spec:
                 raise ValueError("all scenario components must share one grid")
@@ -112,7 +117,9 @@ class Scenario:
 class ContinuationState:
     """One solved rung of the ladder; ``rho`` and the constant ``C`` are the
     ladder's, shared by every rung, so a state holds one grid field of its
-    own and ``Phi`` is derived on access."""
+    own and ``Phi`` is derived on access.  ``solve`` is the rung's
+    :class:`~torusma.ma.SolveResult`, sharing ``phi``; it is ``None`` for a
+    state rebuilt from stored fields."""
 
     eps: float
     delta_eps: float
@@ -121,6 +128,7 @@ class ContinuationState:
     C: float
     newton_steps: int
     diagnostics: dict
+    solve: SolveResult | None = None
 
     @property
     def Phi(self) -> GridField:
@@ -275,7 +283,7 @@ def rung_diagnostics(
     )
     return {
         "shift_defect": _shift_defect(phi, m.data.det, ladder.scenario.alpha, eps),
-        "siu_min_residual": float(np.min(siu)),
+        "min_siu_residual": float(np.min(siu)),
         "weighted_c2_sup": estimates._weighted_sup(m, p2.values, C),
         "sharp_weighted_sup": estimates._weighted_sup(
             m, ladder.sharp[1].values, C, ladder.keep
@@ -288,10 +296,10 @@ def rung_diagnostics(
 
 
 def _rung_state(
-    ladder: _Ladder, eps: float, delta: float, phi: GridField, steps: int, smoothed, solver
+    ladder: _Ladder, eps: float, delta: float, phi: GridField, steps: int, smoothed, solve
 ) -> ContinuationState:
     """The one constructor of states, solved or stored: ``smoothed`` is the
-    rung's :func:`smoothed_potentials`, ``solver`` the solver's own keys."""
+    rung's :func:`smoothed_potentials`, ``solve`` its ``SolveResult`` or ``None``."""
     return ContinuationState(
         eps=eps,
         delta_eps=delta,
@@ -299,20 +307,21 @@ def _rung_state(
         rho=ladder.rho,
         C=ladder.C,
         newton_steps=steps,
-        diagnostics={**solver, **rung_diagnostics(ladder, eps, delta, phi, *smoothed)},
+        diagnostics=rung_diagnostics(ladder, eps, delta, phi, *smoothed),
+        solve=solve,
     )
 
 
 def run_continuation(scenario: Scenario) -> list[ContinuationState]:
     """Solve every rung of the schedule, warm-starting each from the last.
 
-    Preconditions: the scenario is mass-balanced.  Each state carries the
-    solver's counts (``gmres_info_nonzero``, ``coarse_newton_steps`` and
-    ``nested_fallbacks``, see :class:`~torusma.ma.SolveResult`) and the
-    per-rung estimate scalars of :func:`rung_diagnostics`, through the
-    constructor that ``report.rebuild_states`` uses on stored fields.  A rung
-    that fails by design (see ``_RUNG_ERRORS``) raises ``ContinuationError``
-    with all completed states attached; any other exception propagates as is.
+    Preconditions: the scenario is mass-balanced.  Each state keeps the
+    rung's :class:`~torusma.ma.SolveResult` as ``solve``, with its counts and
+    ``residual_history``, and the per-rung estimate scalars of
+    :func:`rung_diagnostics`, through the constructor that
+    ``report.rebuild_states`` uses on stored fields.  A rung that fails by
+    design (see ``_RUNG_ERRORS``) raises ``ContinuationError`` with all
+    completed states attached; any other exception propagates as is.
     """
     ladder = _Ladder.build(scenario)
     mass_a = _mass_alpha(scenario.alpha)
@@ -336,11 +345,7 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
             states.append(
                 _rung_state(
                     ladder, eps, delta, result.phi, result.newton_steps, (p1, p2, weight2),
-                    {
-                        "gmres_info_nonzero": result.gmres_info_nonzero,
-                        "coarse_newton_steps": result.coarse_newton_steps,
-                        "nested_fallbacks": result.nested_fallbacks,
-                    },
+                    result,
                 )
             )
         except _RUNG_ERRORS as exc:

@@ -186,39 +186,32 @@ _MAX_NEWTON_STEPS = 200
 _MIN_STEP_LENGTH = 2.0**-20
 
 # Eisenstat–Walker forcing, choice 2 (SIAM J. Sci. Comput. 17(1), 1996):
-# eta_k = gamma * (r_k / r_{k-1})**2, safeguarded, and capped at _FORCING_MAX,
-# which is also eta_0.  A cap of 0.1 costs the near-degenerate manufactured
-# n = 2 solve (lambda_min(a + H) = 0.013) an extra damped Newton step, where
-# 0.05 does not; on band-limited data and the pole ladders both caps do the
-# same Krylov work.
+# eta_k = gamma * (r_k / r_{k-1})**2, capped at _FORCING_MAX, which is also
+# eta_0.  Their safeguard gamma * eta_{k-1}**2 is left out: it acts only when
+# the floor set eta_{k-1} > 1/3, and then the floor tol / (2 r_k) > 1/3
+# decides eta_k, as r_k < r_{k-1}.  A cap of 0.1 costs the near-degenerate
+# manufactured n = 2 solve (lambda_min(a + H) = 0.013) an extra damped Newton
+# step, where 0.05 does not; on band-limited data and the pole ladders both
+# caps do the same Krylov work.
 _FORCING_MAX = 0.05
 _FORCING_GAMMA = 0.9
-_FORCING_SAFEGUARD = 0.1
 
 
 def _mean_zero(values: np.ndarray) -> np.ndarray:
     return values - values.mean()
 
 
-def _forcing(
-    r_sup: float, r_prev: float | None, eta_prev: float | None, tol: float
-) -> float:
+def _forcing(r_sup: float, r_prev: float | None, tol: float) -> float:
     """Relative GMRES tolerance for the next Newton direction.
 
-    ``r_prev`` and ``eta_prev`` are the previous step's residual and forcing
-    (``None`` before the first step).  The safeguard keeps a sudden residual
-    drop from tightening the inner solve before the outer iteration has shown
-    fast convergence; the floor ``tol / (2 r)`` stops the last step from
-    being solved far below what the outer tolerance needs.
+    ``r_prev`` is the previous step's residual (``None`` before the first
+    step).  The floor ``tol / (2 r)`` stops the last step from being solved
+    far below what the outer tolerance needs.
     """
     if r_prev is None:
         eta = _FORCING_MAX
     else:
-        eta = _FORCING_GAMMA * (r_sup / r_prev) ** 2
-        safeguard = _FORCING_GAMMA * eta_prev**2
-        if safeguard > _FORCING_SAFEGUARD:
-            eta = max(eta, safeguard)
-        eta = min(eta, _FORCING_MAX)
+        eta = min(_FORCING_GAMMA * (r_sup / r_prev) ** 2, _FORCING_MAX)
     return max(eta, 0.5 * tol / r_sup)
 
 
@@ -320,16 +313,10 @@ def solve_ma_detailed(
     r = np.log(data.det) - logF
     r_sup = float(np.max(np.abs(r)))
     history = [r_sup]
-    steps = 0
     gmres_info_nonzero = 0
-    coarse_steps = 0
-    if coarse is not None:
-        gmres_info_nonzero = coarse.gmres_info_nonzero
-        coarse_steps = coarse.newton_steps + coarse.coarse_newton_steps
-        fallbacks += coarse.nested_fallbacks
-    forcing = None
 
     while r_sup > tol:
+        steps = len(history) - 1
         if steps >= _MAX_NEWTON_STEPS:
             raise IterationLimitError(
                 f"no convergence in {_MAX_NEWTON_STEPS} Newton steps "
@@ -339,8 +326,9 @@ def solve_ma_detailed(
             )
         # Inexact Newton (n = 2): loose inner solves while the residual falls
         # slowly, tightening as it starts to fall quadratically.
-        forcing = _forcing(r_sup, history[-2] if steps else None, forcing, tol)
-        direction, info = _newton_direction(spec, data, r, forcing)
+        direction, info = _newton_direction(
+            spec, data, r, _forcing(r_sup, history[-2] if steps else None, tol)
+        )
         gmres_info_nonzero += int(info != 0)
         lam = 1.0
         positive = False
@@ -367,15 +355,19 @@ def solve_ma_detailed(
                 )
         phi, data, r, r_sup = cand, cand_data, cand_r, cand_sup
         history.append(r_sup)
-        steps += 1
 
+    if coarse is not None:
+        gmres_info_nonzero += coarse.gmres_info_nonzero
+        fallbacks += coarse.nested_fallbacks
     return SolveResult(
         phi=phi,
-        newton_steps=steps,
+        newton_steps=len(history) - 1,
         residual_sup=r_sup,
         residual_history=tuple(history),
         gmres_info_nonzero=gmres_info_nonzero,
-        coarse_newton_steps=coarse_steps,
+        coarse_newton_steps=(
+            0 if coarse is None else coarse.newton_steps + coarse.coarse_newton_steps
+        ),
         nested_fallbacks=fallbacks,
     )
 

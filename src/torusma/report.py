@@ -77,8 +77,6 @@ _COLUMNS = (
     "trace_defect",
 )
 
-# The CSV columns read from each state's ``diagnostics``, in column order.
-_DIAGNOSTIC_COLUMNS = ("weighted_c2_sup", "siu_min_residual", "trace_defect")
 _TRACE_DEFECT_BOUND = 1e-10
 _SIU_FLOOR = -1e-4
 _COMPARISON_FLOOR = -1e-8
@@ -107,9 +105,10 @@ class RunRecord:
 
 
 def _rung_rows(states) -> tuple:
+    """The CSV rows; each column after ``newton_steps`` is a diagnostic."""
     return tuple(
         (s.eps, s.delta_eps, s.diagnostics["sup_phi"], int(s.newton_steps))
-        + tuple(s.diagnostics[key] for key in _DIAGNOSTIC_COLUMNS)
+        + tuple(s.diagnostics[key] for key in _COLUMNS[4:])
         for s in states
     )
 
@@ -191,7 +190,7 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
         # Exact algebra, but spectral round-off scales with the largest Hessian
         # multiplier (~ N^2); ten solver tolerances is the operative bound.
         ("shift-identity", "shift_defect", 10.0 * scenario.tol, "max"),
-        ("inequality-main", "siu_min_residual", _SIU_FLOOR, "min"),
+        ("inequality-main", "min_siu_residual", _SIU_FLOOR, "min"),
         ("inequality-comparison", "comparison_min", _COMPARISON_FLOOR, "min"),
     ):
         worst = (max if kind == "max" else min)(s.diagnostics[key] for s in states)
@@ -374,7 +373,7 @@ def rebuild_states(
     states = []
     for e, d, n, phi_k in zip(eps, delta, steps, fields):
         smoothed = smoothed_potentials(ladder, float(e))
-        states.append(_rung_state(ladder, float(e), float(d), phi_k, int(n), smoothed, {}))
+        states.append(_rung_state(ladder, float(e), float(d), phi_k, int(n), smoothed, None))
     return states
 
 

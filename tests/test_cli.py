@@ -84,6 +84,10 @@ tol = 1e-6
 name = window
 """
 
+# n = 1, N = 16, t = 0.5 and one psi1 mode: a ladder that runs in a second.
+# A section appended to it has its header at line 8 and its first key at 9.
+TINY = "[torus]\nn = 1\nN = 16\n[alpha]\nt = 0.5\n[psi1]\nmode = 0.1, 1 0, 0.0\n"
+
 
 def _write(tmp_path, text, name="config.ini"):
     path = tmp_path / name
@@ -225,12 +229,44 @@ class TestConfigParsing:
                 "exclusion_outer = 4.0\nexclusion_inner = 6.0\n",
                 "line 4: need 2 <= exclusion_inner < exclusion_outer",
             ),
+            # Every number is finite, tol > 0 and C >= 0, each judged at its line.
+            (TINY + "[continuation]\ntol = nan\n", "line 9: tol: not a finite number: 'nan'"),
+            (TINY + "[continuation]\ntol = -1.0\n", "line 9: solver tolerance must be positive"),
+            (TINY + "[continuation]\ntol = 0.0\n", "line 9: solver tolerance must be positive"),
+            (
+                TINY + "[continuation]\ntol = 0.0\nschedule = 0.2 0.1\n",
+                "line 9: solver tolerance must be positive",
+            ),
+            (TINY + "[hypothesis]\np = nan\n", "line 9: hypothesis p: not a finite number"),
+            (
+                TINY + "[continuation]\nschedule = 0.2 nan 0.002\n",
+                "line 9: schedule entry: not a finite number",
+            ),
+            (TINY + "[estimates]\nC = nan\n", "line 9: estimates C: not a finite number"),
+            (TINY + "[estimates]\nC = -1.0\n", "line 9: configured C must be nonnegative"),
+            (
+                TINY + "[estimates]\nsobolev_q = nan\n",
+                "line 9: estimates sobolev_q: not a finite number",
+            ),
+            (
+                TINY + "[estimates]\nexclusion_outer = nan\n",
+                "line 9: estimates exclusion_outer: not a finite number",
+            ),
+            (
+                TINY + "[psi2]\npole = 0.5 0.5, nan, 0.1, 0.2\n",
+                "line 9: pole weight: not a finite number",
+            ),
         ],
     )
     def test_rejections_carry_the_offending_line(self, text, fragment):
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert fragment in str(info.value)
+
+    def test_a_zero_constant_is_accepted_and_runs(self, tmp_path, capsys):
+        cfg = _write(tmp_path, TINY + "[estimates]\nC = 0.0\n")
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "runs")]) == EXIT_OK
+        assert "constant C = 0 (configured)" in capsys.readouterr().out
 
     def test_comments_and_blank_lines_are_ignored(self):
         noisy = "# top\n\n[torus]\n; mid\nn = 1\n\nN = 16\n# done\n"

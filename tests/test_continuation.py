@@ -102,12 +102,25 @@ class TestScenarioValidation:
             _scenario(schedule=(0.6, 0.1))
         with pytest.raises(ValueError, match=r"\(0, 0.5\]"):
             _scenario(schedule=(0.1, -0.01))
+        with pytest.raises(ValueError, match=r"\(0, 0.5\]"):
+            _scenario(schedule=(0.2, float("nan")))
         with pytest.raises(ValueError, match="at least one value"):
             _scenario(schedule=())
 
     def test_exponent_must_exceed_one(self):
         with pytest.raises(ValueError, match="exceed 1"):
             _scenario(p=1.0)
+        with pytest.raises(ValueError, match="exceed 1"):
+            _scenario(p=float("nan"))
+
+    def test_tolerance_is_positive_and_the_constant_nonnegative(self):
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                _scenario(tol=tol)
+        for C in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="C must be nonnegative"):
+                _scenario(C=C)
+        assert _scenario(C=0.0).C_config == 0.0
 
     def test_components_must_share_the_grid(self):
         spec = TorusSpec(1, 32)
@@ -254,9 +267,8 @@ class TestRunContinuation:
             )
             # diagnostics are filled by the estimates layer
             for key in (
-                "gmres_info_nonzero",
                 "shift_defect",
-                "siu_min_residual",
+                "min_siu_residual",
                 "weighted_c2_sup",
                 "sharp_weighted_sup",
                 "trace_defect",
@@ -337,7 +349,7 @@ class TestShiftFrame:
 
 _ESTIMATE_KEYS = (
     "shift_defect",
-    "siu_min_residual",
+    "min_siu_residual",
     "weighted_c2_sup",
     "sharp_weighted_sup",
     "trace_defect",
@@ -367,6 +379,17 @@ _LADDERS = [
 ]
 
 
+def _rebuilt(scenario, states):
+    """``states`` rebuilt from their stored per-rung arrays."""
+    return rebuild_states(
+        scenario,
+        np.array([s.eps for s in states]),
+        np.array([s.delta_eps for s in states]),
+        np.array([s.newton_steps for s in states]),
+        np.stack([s.phi.values for s in states]),
+    )
+
+
 class TestOneDiagnosticsPath:
     """``run`` and ``verify`` compute per-rung estimates through one function."""
 
@@ -393,19 +416,25 @@ class TestOneDiagnosticsPath:
 
     def test_rebuilt_diagnostics_equal_the_solved_ones(self, ladder):
         scenario, states = ladder
-        rebuilt = rebuild_states(
-            scenario,
-            np.array([s.eps for s in states]),
-            np.array([s.delta_eps for s in states]),
-            np.array([s.newton_steps for s in states]),
-            np.stack([s.phi.values for s in states]),
-        )
+        rebuilt = _rebuilt(scenario, states)
         assert len(rebuilt) == len(states)
         for solved, again in zip(states, rebuilt):
             for key in _ESTIMATE_KEYS:
                 assert again.diagnostics[key] == solved.diagnostics[key], key
             assert again.C == solved.C
             np.testing.assert_array_equal(again.Phi.values, solved.Phi.values)
+
+    def test_solved_and_rebuilt_states_differ_only_by_the_solve(self, ladder):
+        # A solved state keeps its solver result beside the estimate scalars;
+        # a rebuilt one has no solve, and the same diagnostics keys.
+        scenario, states = ladder
+        rebuilt = _rebuilt(scenario, states)
+        for solved, again in zip(states, rebuilt):
+            assert solved.diagnostics.keys() == again.diagnostics.keys()
+            assert solved.solve.phi is solved.phi
+            assert solved.solve.newton_steps == solved.newton_steps
+            assert solved.solve.residual_history[-1] <= scenario.tol
+            assert again.solve is None
 
     def test_comparison_min_is_the_worse_public_residual(self, ladder):
         scenario, states = ladder
@@ -432,7 +461,7 @@ class TestOneDiagnosticsPath:
             F = _rhs(scenario, s)
             f = GridField(spec, np.log(F.values) - spec.n * np.log1p(s.eps))
             siu = siu_residual(s.Phi, f, s.eps, C)
-            assert s.diagnostics["siu_min_residual"] == float(np.min(siu.values))
+            assert s.diagnostics["min_siu_residual"] == float(np.min(siu.values))
             m = _RungMetric.build(s.Phi, s.eps)
             assert s.diagnostics["trace_defect"] == _trace_identity_defect(m)
             det_g = ma_density(scaled_identity(spec, 1 + s.eps), s.Phi).values
@@ -524,12 +553,6 @@ class TestRungWork:
         once = [scenario.psi1, scenario.psi2]
         states = run_continuation(scenario)
         assert sharp == once
-        rebuild_states(
-            scenario,
-            np.array([s.eps for s in states]),
-            np.array([s.delta_eps for s in states]),
-            np.array([s.newton_steps for s in states]),
-            np.stack([s.phi.values for s in states]),
-        )
+        _rebuilt(scenario, states)
         assert sharp == once * 2
 

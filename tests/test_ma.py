@@ -376,37 +376,51 @@ class TestForcing:
     TOL = 1e-10
 
     @pytest.mark.parametrize(
-        "r, r_prev, eta_prev",
+        "r, r_prev",
         [
-            (8.0, None, None),
-            (3.0, 8.0, 0.05),
-            (0.9, 1.0, 0.05),
-            (1e-3, 1.0, 0.05),
-            (1e-9, 1e-4, 1e-3),
-            (1.1e-10, 1e-9, 0.4),
-            (2e-10, 1e-3, 0.9),
+            (8.0, None),
+            (3.0, 8.0),
+            (0.9, 1.0),
+            (1e-3, 1.0),
+            (1e-9, 1e-4),
+            (1.1e-10, 1e-9),
+            (2e-10, 1e-3),
         ],
     )
-    def test_forcing_lies_between_the_floor_and_the_cap(self, r, r_prev, eta_prev):
-        eta = ma._forcing(r, r_prev, eta_prev, self.TOL)
+    def test_forcing_lies_between_the_floor_and_the_cap(self, r, r_prev):
+        eta = ma._forcing(r, r_prev, self.TOL)
         floor = 0.5 * self.TOL / r
         assert floor <= eta <= max(0.1, floor)
 
     def test_first_step_uses_the_cap(self):
-        assert ma._forcing(1.0, None, None, self.TOL) == ma._FORCING_MAX
+        assert ma._forcing(1.0, None, self.TOL) == ma._FORCING_MAX
 
     def test_choice_two_tracks_the_squared_residual_ratio(self):
-        eta = ma._forcing(1e-3, 1e-1, 0.05, self.TOL)
+        eta = ma._forcing(1e-3, 1e-1, self.TOL)
         assert eta == pytest.approx(0.9 * 1e-4, rel=1e-12)
 
-    def test_safeguard_keeps_a_large_previous_forcing(self):
-        # 0.9 * 0.5^2 > 0.1: a sudden residual drop after a loose solve
-        # does not tighten the next one below the cap.
-        assert ma._forcing(1e-6, 1.0, 0.5, 1e-20) == ma._FORCING_MAX
-        assert ma._forcing(1e-6, 1.0, 0.3, 1e-20) == pytest.approx(0.9e-12, rel=1e-12)
-
     def test_floor_stops_over_solving_the_last_step(self):
-        assert ma._forcing(4e-10, 1e-5, 0.05, self.TOL) == 0.5 * self.TOL / 4e-10
+        assert ma._forcing(4e-10, 1e-5, self.TOL) == 0.5 * self.TOL / 4e-10
+
+    def test_the_solver_passes_gmres_the_forcing_of_its_residuals(self, monkeypatch):
+        # N = 12 does not nest, so every GMRES call is a fine-grid Newton
+        # direction, in step order: Eisenstat–Walker choice 2, capped at 0.05
+        # and floored at tol / (2 r).
+        spec, _, F = _manufactured_n2(N=12, amplitude=0.05)
+        rtols = []
+        real_gmres = ma.gmres
+
+        def spy(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return real_gmres(*args, **kwargs)
+
+        monkeypatch.setattr(ma, "gmres", spy)
+        result = solve_ma_detailed(scaled_identity(spec), F, tol=self.TOL)
+        history = result.residual_history
+        assert result.newton_steps == len(rtols) > 1
+        for k, rtol in enumerate(rtols):
+            eta = 0.05 if k == 0 else min(0.9 * (history[k] / history[k - 1]) ** 2, 0.05)
+            assert rtol == pytest.approx(max(eta, self.TOL / (2 * history[k])), rel=1e-12)
 
 
 class TestPoissonOracle:
