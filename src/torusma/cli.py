@@ -152,11 +152,14 @@ def _cmd_run(args) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     for rung, state in enumerate(states):
-        solve = state.solve
+        grids = list(state.solve.grids())
         for count, what in (
-            (solve.gmres_info_nonzero, "GMRES solve(s) stopped short of the inner tolerance"),
             (
-                solve.nested_fallbacks,
+                sum(g.gmres_info_nonzero for g in grids),
+                "GMRES solve(s) stopped short of the inner tolerance",
+            ),
+            (
+                sum(g.nested_rejected for g in grids),
                 "nested-grid start(s) rejected; Newton started without the coarse correction",
             ),
         ):

@@ -89,9 +89,9 @@ class EstimateSettings:
         if not 0 < self.holder_gamma < 1:
             raise ValueError(f"holder_gamma must be in (0,1), got {self.holder_gamma}")
         # Radii are in grid spacings; the Hoelder stencil needs at least two.
-        if self.exclusion_inner < 2 or self.exclusion_outer <= self.exclusion_inner:
+        if not 2 <= self.exclusion_inner < self.exclusion_outer:
             raise ValueError("need 2 <= exclusion_inner < exclusion_outer")
-        if self.sobolev_q <= 0:
+        if not self.sobolev_q > 0:
             raise ValueError(f"sobolev_q must be positive, got {self.sobolev_q}")
 
 

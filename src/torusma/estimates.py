@@ -449,7 +449,7 @@ def interior_regularity(
     continuity of the gradient.  Each exclusion mask is built once; each
     rung gets its own stencil pass, the final one at both radii.
     """
-    if q_exponent <= 0:
+    if not q_exponent > 0:
         raise ValueError(f"integrability exponent must be positive, got {q_exponent}")
     if short := _too_short("interior-regularity", phis):
         return short

@@ -72,11 +72,6 @@ class TorusSpec:
         return 1.0 / self.N
 
     @property
-    def volume(self) -> float:
-        """Lebesgue volume of the fundamental domain."""
-        return 1.0
-
-    @property
     def num_axes(self) -> int:
         return 2 * self.n
 
@@ -387,7 +382,7 @@ def invert_half_laplacian(f: GridField) -> GridField:
 
 def integrate(f: GridField) -> float:
     """Trapezoidal (= midpoint = spectral) quadrature on the periodic grid."""
-    return float(f.values.mean() * f.spec.volume)
+    return float(f.values.mean())
 
 
 def min_eigenvalue_field(form: HermitianFormField) -> GridField:

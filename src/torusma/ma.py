@@ -24,7 +24,9 @@ the same tolerance (nesting again where it can), and its correction to the
 restricted start is prolonged by spectral zero-padding and added to the
 fine start.  When the coarse solve fails, or the corrected start leaves the
 form indefinite, Newton starts from the given start as it would without
-nesting, and the rejection is counted in ``SolveResult.nested_fallbacks``.
+nesting, and ``SolveResult.nested_rejected`` is set.  A converged coarse
+solve is kept as ``SolveResult.coarse``, so ``SolveResult.grids()`` walks
+the solve's grids, finest first.
 ``n = 1`` never nests: its Newton directions are exact spectral solves.
 
 ``AlphaModel`` is the family of degenerate background forms: a product-cosine
@@ -35,6 +37,7 @@ quadratic vanishing on the sheets ``{x_j = 0}`` at ``t = 1``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +109,7 @@ class AlphaModel:
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"degeneracy parameter must be in [0,1], got {self.t}")
-        if self.eps0 <= 0:
+        if not self.eps0 > 0:
             raise ValueError(f"integrability exponent must be positive, got {self.eps0}")
 
     def _cosines(self) -> list[np.ndarray]:
@@ -166,20 +169,28 @@ def positivity_check(a: HermitianFormField, phi: GridField) -> PositivityReport:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A converged solve.  ``newton_steps`` and ``residual_history`` are
-    those of the solve's own grid; ``coarse_newton_steps`` counts the
-    accepted steps of every coarser grid of its nested start,
-    ``nested_fallbacks`` the nested starts rejected on any of its grids, and
-    ``gmres_info_nonzero`` the GMRES shortfalls of the solve and of its
-    successful coarse solves."""
+    """A converged solve on one grid.  ``residual_history`` and
+    ``gmres_info_nonzero`` are this grid's; ``coarse`` is the converged
+    ``N/2`` solve its nested start was built from (``None`` when the grid
+    does not nest or the coarse solve failed), and ``nested_rejected`` says
+    a nested start was tried and not used."""
 
     phi: GridField
-    newton_steps: int
-    residual_sup: float
     residual_history: tuple[float, ...]
     gmres_info_nonzero: int = 0
-    coarse_newton_steps: int = 0
-    nested_fallbacks: int = 0
+    coarse: SolveResult | None = None
+    nested_rejected: bool = False
+
+    @property
+    def newton_steps(self) -> int:
+        return len(self.residual_history) - 1
+
+    def grids(self) -> Iterator[SolveResult]:
+        """This solve, then each coarse solve, finest first."""
+        result = self
+        while result is not None:
+            yield result
+            result = result.coarse
 
 
 _MAX_NEWTON_STEPS = 200
@@ -292,14 +303,14 @@ def solve_ma_detailed(
         )
 
     phi = GridField(spec, _mean_zero(phi0.values if phi0 is not None else spec.zeros()))
-    coarse, fallbacks, form = None, 0, None
+    coarse, rejected, form = None, False, None
     if spec.n == 2 and spec.N % 4 == 0 and spec.N >= 16:
         nested, coarse = _nested_start(a, F, phi, tol)
         form = None if nested is None else _metric_form(a, nested)
         if form is not None and _positivity(form).ok:
             phi = nested
         else:
-            form, fallbacks = None, 1
+            form, rejected = None, True
     if form is None:
         form = _metric_form(a, phi)
         report = _positivity(form)
@@ -356,20 +367,7 @@ def solve_ma_detailed(
         phi, data, r, r_sup = cand, cand_data, cand_r, cand_sup
         history.append(r_sup)
 
-    if coarse is not None:
-        gmres_info_nonzero += coarse.gmres_info_nonzero
-        fallbacks += coarse.nested_fallbacks
-    return SolveResult(
-        phi=phi,
-        newton_steps=len(history) - 1,
-        residual_sup=r_sup,
-        residual_history=tuple(history),
-        gmres_info_nonzero=gmres_info_nonzero,
-        coarse_newton_steps=(
-            0 if coarse is None else coarse.newton_steps + coarse.coarse_newton_steps
-        ),
-        nested_fallbacks=fallbacks,
-    )
+    return SolveResult(phi, tuple(history), gmres_info_nonzero, coarse, rejected)
 
 
 def _nested_start(

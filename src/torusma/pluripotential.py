@@ -84,7 +84,7 @@ class Pole:
     r1: float = 0.2
 
     def __post_init__(self):
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError(f"pole weight must be positive, got {self.weight}")
         if not 0 < self.r0 < self.r1 < 0.25:
             raise ValueError(
@@ -308,9 +308,7 @@ class SkodaResult:
     increment_ratio: float  # (I_4N - I_2N) / (I_2N - I_N)
 
 
-def skoda_integrability(
-    model: QuasiPshModel, p: float, x, base_resolution: int | None = None
-) -> SkodaResult:
+def skoda_integrability(model: QuasiPshModel, p: float, x) -> SkodaResult:
     """Dichotomy for local integrability of ``exp(-p psi)`` at ``x``.
 
     Analytically, integrability holds iff ``p * nu(psi, x) < n``; the margin
@@ -326,8 +324,7 @@ def skoda_integrability(
     n = model.spec.n
     _, margin = _integrability_margin(model, p, x)
     radius = min((pl.r1 for pl in model.poles), default=0.2)
-    if base_resolution is None:
-        base_resolution = 64 if n == 1 else 12
+    base_resolution = 64 if n == 1 else 12
     center = np.asarray(x, dtype=float)
 
     log_integrals = []

@@ -7,6 +7,7 @@ acceptance suite exercises the installed console script in subprocesses.
 import ctypes
 import io
 import os
+import re
 import struct
 import zipfile
 
@@ -22,7 +23,7 @@ from torusma.cli import (
     EXIT_VERDICT,
     main,
 )
-from torusma.config import ConfigError, parse_config, with_resolution
+from torusma.config import ConfigError, EstimateSettings, parse_config, with_resolution
 from torusma.report import SchemaMismatch, compare_records
 from torusma.scenarios import bundled_experiment, bundled_names
 
@@ -263,6 +264,23 @@ class TestConfigParsing:
             parse_config(text)
         assert fragment in str(info.value)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sobolev_q": 0.0}, "sobolev_q must be positive"),
+            ({"sobolev_q": float("nan")}, "sobolev_q must be positive"),
+            ({"exclusion_inner": 1.0}, "need 2 <= exclusion_inner < exclusion_outer"),
+            ({"exclusion_inner": float("nan")}, "need 2 <= exclusion_inner < exclusion_outer"),
+            ({"exclusion_outer": float("nan")}, "need 2 <= exclusion_inner < exclusion_outer"),
+        ],
+        ids=["q-zero", "q-nan", "inner-one", "inner-nan", "outer-nan"],
+    )
+    def test_estimate_settings_built_in_python_are_checked(self, kwargs, message):
+        # The parser rejects a non-finite number first; Python callers meet
+        # the settings' own checks, which nan must fail too.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EstimateSettings(**kwargs)
+
     def test_a_zero_constant_is_accepted_and_runs(self, tmp_path, capsys):
         cfg = _write(tmp_path, TINY + "[estimates]\nC = 0.0\n")
         assert main(["run", cfg, "--output-dir", str(tmp_path / "runs")]) == EXIT_OK
@@ -427,6 +445,43 @@ class TestRunVerb:
             f"warning: rung {k} (eps={eps:g}): 1 nested-grid start(s) rejected; "
             f"Newton started without the coarse correction"
             for k, eps in enumerate((0.2, 0.02, 0.002))
+        ]
+
+    def test_coarse_grid_shortfalls_are_reported_with_the_rung(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # At N = 16 every n = 2 rung nests once: its GMRES calls are those of
+        # its N = 8 solve and of its N = 16 solve, and every one is counted.
+        import torusma.continuation as continuation
+        import torusma.ma as ma
+
+        real_gmres, real_solve = ma.gmres, continuation.solve_ma_detailed
+        calls = []  # per rung, the grid size of each GMRES call
+
+        def solve(*args, **kwargs):
+            calls.append([])
+            return real_solve(*args, **kwargs)
+
+        def short(A, b, **kwargs):
+            calls[-1].append(round(b.size**0.25))
+            x, _ = real_gmres(A, b, **kwargs)
+            return x, 1
+
+        monkeypatch.setattr(continuation, "solve_ma_detailed", solve)
+        monkeypatch.setattr(ma, "gmres", short)
+        cfg = _write(tmp_path, MINI_N2.replace("N = 8", "N = 16"))
+        out = str(tmp_path / "runs")
+        assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert len(calls) == 3 and {8, 16} <= {N for rung in calls for N in rung}
+        assert warnings == [
+            f"warning: rung {k} (eps={eps:g}): {len(rung)} GMRES solve(s) "
+            f"stopped short of the inner tolerance"
+            for k, (eps, rung) in enumerate(zip((0.2, 0.02, 0.002), calls))
+            if rung
         ]
 
     def test_non_finite_newton_direction_exits_two(

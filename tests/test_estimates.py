@@ -521,7 +521,8 @@ class TestInteriorRegularity:
     def test_parameter_validation(self):
         spec = TorusSpec(1, 16)
         field = _mode(spec, 0.1)
-        with pytest.raises(ValueError, match="must be positive"):
-            interior_regularity([field] * 3, 0.5, 4 * spec.h, 2 * spec.h, 0.0)
+        for q in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="must be positive"):
+                interior_regularity([field] * 3, 0.5, 4 * spec.h, 2 * spec.h, q)
         with pytest.raises(ValueError, match="no admissible stencil pairs"):
             interior_regularity([field] * 3, 0.5, 0.75, 2 * spec.h, 4.0, ((0.5, 0.5),))

@@ -87,8 +87,9 @@ class TestAlphaModel:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="degeneracy parameter"):
             AlphaModel(SPEC1, t=1.5)
-        with pytest.raises(ValueError, match="integrability exponent"):
-            AlphaModel(SPEC1, t=0.5, eps0=0.0)
+        for eps0 in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="integrability exponent"):
+                AlphaModel(SPEC1, t=0.5, eps0=eps0)
 
 
 class TestMaDensity:
@@ -163,7 +164,7 @@ class TestSolve:
         hist = result.residual_history
         assert len(hist) == result.newton_steps + 1
         assert all(b < a for a, b in zip(hist, hist[1:]))
-        assert hist[-1] == result.residual_sup <= 1e-10
+        assert hist[-1] <= 1e-10
 
     def test_warm_start_from_the_solution_is_immediate(self):
         phi_star, F = _manufactured_n1()
@@ -264,6 +265,15 @@ class TestSolve:
             solve_ma_detailed(scaled_identity(SPEC1), F)
 
 
+def _three_level_problem():
+    """An N = 32 n = 2 problem whose potential is resolved at N = 8."""
+    spec = TorusSpec(2, 32)
+    f = trig_poly(spec, 3, seed=1)
+    lam = float(np.min(min_eigenvalue_field(complex_hessian(f)).values))
+    a = scaled_identity(spec)
+    return a, ma_density(a, GridField(spec, f.values * (0.2 / -lam)))
+
+
 def _indefinite(values, N):
     """A prolongation whose correction leaves ``a + H`` indefinite near I."""
     x = np.arange(N) / N
@@ -292,9 +302,9 @@ class TestNestedStart:
         spec, phi_star, F = _manufactured_n2(N=24, amplitude=0.05)
         result = solve_ma_detailed(scaled_identity(spec), F)
         assert result.newton_steps == 0
-        assert result.coarse_newton_steps > 0
-        assert result.nested_fallbacks == 0
-        assert result.residual_sup <= 1e-10
+        assert result.coarse.newton_steps > 0
+        assert not any(g.nested_rejected for g in result.grids())
+        assert result.residual_history[-1] <= 1e-10
         assert float(np.max(np.abs(result.phi.values - phi_star.values))) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -317,8 +327,8 @@ class TestNestedStart:
         zero_start = np.max(np.abs(np.log(a.det()) - np.log(F.values)))
         assert result.residual_history[0] == zero_start
         assert result.newton_steps > 0
-        assert result.coarse_newton_steps == 0
-        assert result.nested_fallbacks == 1
+        assert result.coarse is None
+        assert result.nested_rejected
         assert float(np.max(np.abs(result.phi.values - phi_star.values))) <= 1e-10
 
     def test_indefinite_corrected_start_falls_back(self, monkeypatch):
@@ -328,19 +338,17 @@ class TestNestedStart:
         result = solve_ma_detailed(a, F)
         zero_start = np.max(np.abs(np.log(a.det()) - np.log(F.values)))
         assert result.residual_history[0] == zero_start
-        assert result.coarse_newton_steps > 0
-        assert result.nested_fallbacks == 1
+        # The coarse solve converged, so it is kept although its start was not.
+        assert result.coarse.newton_steps > 0
+        assert result.nested_rejected
         assert float(np.max(np.abs(result.phi.values - phi_star.values))) <= 1e-10
 
     def test_coarse_counts_add_up_through_every_level(self, monkeypatch):
         # N = 32 nests at 16 and again at 8.  |k| <= 3 is resolved at N = 8,
         # so only the N = 8 solve takes steps; its steps and GMRES shortfalls
-        # reach the N = 32 result through the N = 16 one.
-        spec = TorusSpec(2, 32)
-        f = trig_poly(spec, 3, seed=1)
-        lam = float(np.min(min_eigenvalue_field(complex_hessian(f)).values))
-        a = scaled_identity(spec)
-        F = ma_density(a, GridField(spec, f.values * (0.2 / -lam)))
+        # are on its own record, which the N = 32 result reaches through the
+        # N = 16 one.
+        a, F = _three_level_problem()
         grids = []
         real_gmres = ma.gmres
 
@@ -351,10 +359,24 @@ class TestNestedStart:
 
         monkeypatch.setattr(ma, "gmres", short)
         result = solve_ma_detailed(a, F)
-        assert result.newton_steps == 0
         assert grids and set(grids) == {8}
-        assert result.coarse_newton_steps == result.gmres_info_nonzero == len(grids)
-        assert result.nested_fallbacks == 0
+        chain = list(result.grids())
+        assert [g.phi.spec.N for g in chain] == [32, 16, 8]
+        assert [g.newton_steps for g in chain] == [0, 0, len(grids)]
+        assert [g.gmres_info_nonzero for g in chain] == [0, 0, len(grids)]
+        assert not any(g.nested_rejected for g in chain)
+
+    def test_every_grid_of_a_nested_solve_is_a_converged_solve(self):
+        tol = 1e-10
+        result = solve_ma_detailed(*_three_level_problem(), tol=tol)
+        chain = list(result.grids())
+        assert len(chain) == 3 and chain[-1].coarse is None
+        for g in chain:
+            assert g.newton_steps == len(g.residual_history) - 1
+            assert g.residual_history[-1] <= tol
+        for fine, coarse in zip(chain, chain[1:]):
+            assert fine.coarse is coarse
+            assert 2 * coarse.phi.spec.N == fine.phi.spec.N
 
     def test_no_coarse_solve_at_n1_or_where_half_the_grid_is_too_small(
         self, monkeypatch
@@ -364,12 +386,12 @@ class TestNestedStart:
 
         monkeypatch.setattr(ma, "_nested_start", refuse)
         spec, _, F = _manufactured_n2(N=12, amplitude=0.05)
-        assert solve_ma_detailed(scaled_identity(spec), F).coarse_newton_steps == 0
+        assert solve_ma_detailed(scaled_identity(spec), F).coarse is None
         for N in (32, 64):
             phi_star, F = _manufactured_n1(TorusSpec(1, N))
             result = solve_ma_detailed(scaled_identity(phi_star.spec), F)
             assert result.newton_steps > 0
-            assert result.coarse_newton_steps == result.nested_fallbacks == 0
+            assert result.coarse is None and not result.nested_rejected
 
 
 class TestForcing:
