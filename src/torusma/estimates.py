@@ -1,4 +1,4 @@
-"""Executable forms of the a-priori estimates.
+"""Executable forms of the a-priori estimates, and every verdict of a record.
 
 Every check works in the constant-background frame: the metric at rung
 ``eps`` is ``g = (1 + eps) I + H(Phi)`` with ``Phi`` the shifted potential,
@@ -13,6 +13,11 @@ stands on.  The differential inequality for ``log q`` and the convexity
 comparison for quasi-plurisubharmonic weights are genuine estimates whose
 residuals are nonnegative in the continuum and must stay so on the grid up
 to a small discretization allowance.
+
+This module is the one place a verdict is decided: :func:`record_verdicts`
+lists every check of a run record in its fixed order — the ladder verdicts,
+the one-sided bounds on the per-rung diagnostics, and the integrability and
+density checks of ``pluripotential`` — and ``report`` only renders them.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .geometry import (
     spectral_gradient,
 )
 from .ma import PositivityError
-from .pluripotential import QuasiPshModel, _periodic_d2
+from .pluripotential import QuasiPshModel, _periodic_d2, density_lp_check, skoda_integrability
 
 __all__ = [
     "HOLDS",
@@ -51,6 +56,7 @@ __all__ = [
     "holder_seminorm",
     "has_admissible_pairs",
     "interior_regularity",
+    "record_verdicts",
 ]
 
 HOLDS = "holds"
@@ -379,11 +385,11 @@ def _seminorms(phi: GridField, gamma: float, radii, masks) -> tuple[float, ...]:
     leg for all radii."""
     if not 0 < gamma < 1:
         raise ValueError(f"Hoelder exponent must lie in (0,1), got {gamma}")
-    if min(radii) < 2.0 * phi.spec.h * (1.0 - 1e-12):
-        raise ValueError(
-            f"exclusion radius must be at least 2h = {2 * phi.spec.h:g}, "
-            f"got {min(radii):g}"
-        )
+    for radius in radii:
+        if not radius >= 2.0 * phi.spec.h * (1.0 - 1e-12):
+            raise ValueError(
+                f"exclusion radius must be at least 2h = {2 * phi.spec.h:g}, got {radius:g}"
+            )
     grad = spectral_gradient(phi)
     axes = tuple(range(phi.spec.num_axes))
     best = [-np.inf] * len(masks)
@@ -499,3 +505,105 @@ def interior_regularity(
             ("embedding_margin_complex_dimension", float(q_exponent * (1.0 - gamma) - spec.n)),
         ),
     )
+
+
+_TRACE_DEFECT_BOUND = 1e-10
+_SIU_FLOOR = -1e-4
+_COMPARISON_FLOOR = -1e-8
+_UNWEIGHTED_GROWTH_FACTOR = 5.0
+
+
+def _bound(name: str, value: float, bound: float, kind: str) -> Verdict:
+    """A scalar against a one-sided bound (``max``: value <= bound, ``min``:
+    value >= bound)."""
+    rel = "<=" if kind == "max" else ">="
+    return _decide(
+        name,
+        f"{value:.6g} {rel} {bound:g}",
+        (
+            value <= bound if kind == "max" else value >= bound,
+            f"{value:.6g} violates {rel} {bound:g}",
+        ),
+        witness=((name, float(value)),),
+    )
+
+
+def _skoda(scenario) -> Verdict:
+    """The numeric integrability verdict at each pole of ``psi2`` against the
+    analytic dichotomy; a contradiction at any pole outweighs a borderline
+    margin at another."""
+    data = []
+    borderline = contradicted = False
+    for i, pole in enumerate(scenario.psi2.poles):
+        result = skoda_integrability(scenario.psi2, scenario.p, pole.center)
+        data.append((f"margin_{i}", float(result.margin)))
+        data.append((f"increment_ratio_{i}", float(result.increment_ratio)))
+        if result.borderline or result.numeric_verdict == "marginal":
+            borderline = True
+        elif (result.numeric_verdict == "integrable") != result.integrable:
+            contradicted = True
+    name, data = "singular-integrability", tuple(data)
+    if borderline and not contradicted:
+        return Verdict(name, INCONCLUSIVE, "borderline dichotomy margin", data=data)
+    return _decide(
+        name,
+        "numeric verdict matches analytic dichotomy at every pole",
+        (not contradicted, "numeric verdict contradicts analytic dichotomy"),
+        data=data,
+    )
+
+
+def _density(scenario) -> Verdict:
+    check = density_lp_check(scenario.psi1, scenario.psi2, scenario.p)
+    data = (
+        ("lp_norm", float(check.norm)),
+        ("refined_lp_norm", float(check.refined_norm)),
+        ("refinement_ratio", float(check.refinement_ratio)),
+    )
+    return _decide(
+        "density-hypothesis",
+        f"L^p norm stable under refinement (ratio {check.refinement_ratio:.4g})",
+        (
+            not check.flagged,
+            f"L^p norm grows by {check.refinement_ratio:.3g} under refinement — "
+            f"density hypothesis at risk",
+        ),
+        witness=data,
+        data=data,
+    )
+
+
+def record_verdicts(scenario, settings, states) -> tuple[Verdict, ...]:
+    """Every verdict of the record of ``states``, solved or rebuilt for a
+    ``continuation.Scenario`` with ``config.EstimateSettings``, in one fixed
+    order: the ladder trends, the one-sided bounds on the worst per-rung
+    diagnostic, interior regularity, the two checks only poles of ``psi2``
+    have, and the density hypothesis."""
+    verdicts = [delta_trend(states), c0_uniformity(states), c2_uniformity(states)]
+    for name, key, bound, kind in (
+        ("trace-identity", "trace_defect", _TRACE_DEFECT_BOUND, "max"),
+        # Exact algebra, but spectral round-off scales with the largest Hessian
+        # multiplier (~ N^2); ten solver tolerances is the operative bound.
+        ("shift-identity", "shift_defect", 10.0 * scenario.tol, "max"),
+        ("inequality-main", "min_siu_residual", _SIU_FLOOR, "min"),
+        ("inequality-comparison", "comparison_min", _COMPARISON_FLOOR, "min"),
+    ):
+        worst = (max if kind == "max" else min)(s.diagnostics[key] for s in states)
+        verdicts.append(_bound(name, worst, bound, kind))
+    verdicts.append(
+        interior_regularity(
+            [s.phi for s in states],
+            settings.holder_gamma,
+            settings.exclusion_outer * scenario.spec.h,
+            settings.exclusion_inner * scenario.spec.h,
+            settings.sobolev_q,
+            scenario.singular_centers,
+        )
+    )
+    if scenario.psi2.poles:
+        q_sups = [s.diagnostics["q_sup"] for s in states]
+        growth = max(q_sups) / q_sups[0]
+        verdicts.append(_bound("unweighted-growth", growth, _UNWEIGHTED_GROWTH_FACTOR, "min"))
+        verdicts.append(_skoda(scenario))
+    verdicts.append(_density(scenario))
+    return tuple(verdicts)

@@ -284,14 +284,17 @@ def solve_ma_detailed(
 ) -> SolveResult:
     """Damped Newton solve of ``det(a + H(phi)) = F`` with diagnostics.
 
-    Requires ``F > 0``, mass compatibility ``|int F - int det a| <= 1e-8 int det a``
-    (no silent rescaling here — normalization constants belong to the caller),
-    and an initial iterate keeping ``a + H(phi0)`` positive (``phi0 = 0`` by
-    default).  At ``n = 2`` Newton starts from the nested-grid start instead
-    when the ``N/2`` solve succeeds and the corrected start is positive.
+    Requires ``tol > 0``, ``F > 0``, mass compatibility ``|int F - int det a|
+    <= 1e-8 int det a`` (no silent rescaling here — normalization constants
+    belong to the caller), and an initial iterate keeping ``a + H(phi0)``
+    positive (``phi0 = 0`` by default).  At ``n = 2`` Newton starts from the
+    nested-grid start instead when the ``N/2`` solve succeeds and the
+    corrected start is positive.
     Returns the mean-zero solution and its counts (:class:`SolveResult`).
     """
     spec = a.spec
+    if not tol > 0:
+        raise ValueError(f"solver tolerance must be positive, got {tol}")
     if float(np.min(F.values)) <= 0:
         raise ValueError("right-hand density must be positive everywhere")
     mass_a = integrate(GridField(spec, a.det()))

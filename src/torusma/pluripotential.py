@@ -184,7 +184,7 @@ def evaluate(model: QuasiPshModel, smoothing: float = 0.0) -> GridField:
     At width zero, the sharp field, the pole argument is floored at the
     grid's cell scale, ``log(max(d^2, h^2))``, so all values are finite.
     """
-    if smoothing < 0:
+    if not smoothing >= 0:
         raise ValueError("smoothing width must be nonnegative")
     spec = model.spec
     values = _values(model, spec.coordinates(), smoothing, floor=spec.h)
@@ -244,7 +244,7 @@ def _regularize(
     Hessian and (with ``certify``) half-Laplacian of the output, each from one
     forward transform; ``None`` unless guarantee (b) or ``certify`` needs them.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"regularization parameter must be positive, got {eps}")
     spec = model.spec
     base = evaluate(model, float(np.sqrt(eps)))
@@ -319,7 +319,7 @@ def skoda_integrability(model: QuasiPshModel, p: float, x) -> SkodaResult:
     converges and grow geometrically when it diverges; the increment ratio is
     the classifier (below 0.95 / above 1.05, else marginal).
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"exponent must be >= 1, got {p}")
     n = model.spec.n
     _, margin = _integrability_margin(model, p, x)
@@ -415,7 +415,7 @@ def density_lp_check(
     above 1.5 flags that the integral is tracking the pole floor rather than
     converging.
     """
-    if p <= 1:
+    if not p > 1:
         raise ValueError(f"hypothesis exponent must be > 1, got {p}")
     if psi1.spec != psi2.spec:
         raise ValueError("density factors live on different grids")

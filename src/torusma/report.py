@@ -1,4 +1,4 @@
-"""Run records: per-rung CSV, verdict block, stored states, comparison.
+"""Run records: the per-rung CSV, verdict block and stored states, compared.
 
 A run record is the diff-able artifact of one experiment: a seven-column
 CSV of per-rung scalars, a plain-text verdict block, the canonical config
@@ -7,25 +7,20 @@ Everything is rendered deterministically — fixed column order, fixed verdict
 order, shortest-round-trip floats — so identical configs produce
 byte-identical records.
 
+This module is the record format and decides nothing: every verdict comes,
+in its fixed order, from ``estimates.record_verdicts``, and every cell from
+its rung's state.  It declares the record's columns once, each with its
+``compare`` tolerance, and the members of ``states.npz`` once, each with
+the state attribute it stores.
+
 Column semantics: ``weighted_c2_sup`` is the global supremum of the weighted
 trace ``q * exp(psi2_eps - 2 C Phi)`` with the rung-smoothed weight, and
 ``min_siu_residual`` uses the ladder's constant ``C`` that every state
-carries; the weighted-second-order verdict reads each rung's
-``sharp_weighted_sup``.
-
-Per-rung scalars — the CSV columns and the inputs of the uniform-bound,
-identity, inequality, weighted-second-order and unweighted-growth verdicts —
-are read from each state's ``diagnostics``.  One constructor in ``continuation``
-builds every state, when a ladder is solved and when :func:`rebuild_states`
-re-checks the stored ``phi`` fields, so ``verify`` re-runs the very code
-``run`` ran.  An unreadable ``states.npz`` raises ``ValueError``, an
-unreadable ``report.csv`` ``SchemaMismatch``.
-
-Every check of the record is one named ``estimates.Verdict``.  The
-ladder-level verdicts, interior regularity included, are each one function
-of ``estimates``; the one-sided bounds on the per-rung scalars and the
-``pluripotential`` checks are decided here by the same rule, and
-:func:`build_record` lists them all in one fixed order.
+carries.  One constructor in ``continuation`` builds every state, when a
+ladder is solved and when :func:`rebuild_states` re-checks the stored
+``phi`` fields, so ``verify`` re-runs the very code ``run`` ran.  An
+unreadable ``states.npz`` raises ``ValueError``, an unreadable
+``report.csv`` ``SchemaMismatch``.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from .continuation import (
     smoothed_potentials,
 )
 from .geometry import GridField
-from .pluripotential import density_lp_check, skoda_integrability
 
 __all__ = [
     "RunRecord",
@@ -67,20 +61,20 @@ __all__ = [
     "SchemaMismatch",
 ]
 
-_COLUMNS = (
-    "eps",
-    "delta_eps",
-    "sup_phi",
-    "newton_steps",
-    "weighted_c2_sup",
-    "min_siu_residual",
-    "trace_defect",
-)
-
-_TRACE_DEFECT_BOUND = 1e-10
-_SIU_FLOOR = -1e-4
-_COMPARISON_FLOOR = -1e-8
-_UNWEIGHTED_GROWTH_FACTOR = 5.0
+# Each record column and its ``compare`` tolerance, (absolute, relative) or
+# None for an informational column.  ``eps``, ``delta_eps`` and
+# ``newton_steps`` are read from the state, every other column is the
+# diagnostic of its name.
+_COLUMNS = {
+    "eps": (0.0, 0.0),
+    "delta_eps": (1e-4, 1e-6),
+    "sup_phi": (1e-3, 0.0),
+    "newton_steps": None,
+    "weighted_c2_sup": (1e-6, 0.1),
+    "min_siu_residual": (5e-2, 0.1),
+    "trace_defect": (1e-9, 0.0),
+}
+_STATE_COLUMNS = ("eps", "delta_eps", "newton_steps")
 
 
 @dataclass(frozen=True)
@@ -105,113 +99,17 @@ class RunRecord:
 
 
 def _rung_rows(states) -> tuple:
-    """The CSV rows; each column after ``newton_steps`` is a diagnostic."""
+    """The CSV rows, each column read by its name."""
     return tuple(
-        (s.eps, s.delta_eps, s.diagnostics["sup_phi"], int(s.newton_steps))
-        + tuple(s.diagnostics[key] for key in _COLUMNS[4:])
+        tuple(getattr(s, c) if c in _STATE_COLUMNS else s.diagnostics[c] for c in _COLUMNS)
         for s in states
     )
 
 
-def _bound(name: str, value: float, bound: float, kind: str) -> estimates.Verdict:
-    """A scalar against a one-sided bound (``max``: value <= bound, ``min``:
-    value >= bound)."""
-    rel = "<=" if kind == "max" else ">="
-    return estimates._decide(
-        name,
-        f"{value:.6g} {rel} {bound:g}",
-        (
-            value <= bound if kind == "max" else value >= bound,
-            f"{value:.6g} violates {rel} {bound:g}",
-        ),
-        witness=((name, float(value)),),
-    )
-
-
-def _skoda(scenario: Scenario) -> estimates.Verdict:
-    """The numeric integrability verdict at each pole of ``psi2`` against the
-    analytic dichotomy; a contradiction at any pole outweighs a borderline
-    margin at another."""
-    data = []
-    borderline = contradicted = False
-    for i, pole in enumerate(scenario.psi2.poles):
-        result = skoda_integrability(scenario.psi2, scenario.p, pole.center)
-        data.append((f"margin_{i}", float(result.margin)))
-        data.append((f"increment_ratio_{i}", float(result.increment_ratio)))
-        if result.borderline or result.numeric_verdict == "marginal":
-            borderline = True
-        elif (result.numeric_verdict == "integrable") != result.integrable:
-            contradicted = True
-    name, data = "singular-integrability", tuple(data)
-    if borderline and not contradicted:
-        return estimates.Verdict(
-            name, estimates.INCONCLUSIVE, "borderline dichotomy margin", data=data
-        )
-    return estimates._decide(
-        name,
-        "numeric verdict matches analytic dichotomy at every pole",
-        (not contradicted, "numeric verdict contradicts analytic dichotomy"),
-        data=data,
-    )
-
-
-def _density(scenario: Scenario) -> estimates.Verdict:
-    check = density_lp_check(scenario.psi1, scenario.psi2, scenario.p)
-    data = (
-        ("lp_norm", float(check.norm)),
-        ("refined_lp_norm", float(check.refined_norm)),
-        ("refinement_ratio", float(check.refinement_ratio)),
-    )
-    return estimates._decide(
-        "density-hypothesis",
-        f"L^p norm stable under refinement (ratio {check.refinement_ratio:.4g})",
-        (
-            not check.flagged,
-            f"L^p norm grows by {check.refinement_ratio:.3g} under refinement — "
-            f"density hypothesis at risk",
-        ),
-        witness=data,
-        data=data,
-    )
-
-
 def build_record(experiment: ExperimentConfig, states) -> RunRecord:
-    """Every verdict of the record, in its one fixed order, and the per-rung
-    rows of solved states."""
+    """The record of solved states: their per-rung rows and every verdict of
+    ``estimates.record_verdicts``."""
     scenario = experiment.scenario
-    settings = experiment.settings
-    verdicts = [
-        estimates.delta_trend(states),
-        estimates.c0_uniformity(states),
-        estimates.c2_uniformity(states),
-    ]
-    for name, key, bound, kind in (
-        ("trace-identity", "trace_defect", _TRACE_DEFECT_BOUND, "max"),
-        # Exact algebra, but spectral round-off scales with the largest Hessian
-        # multiplier (~ N^2); ten solver tolerances is the operative bound.
-        ("shift-identity", "shift_defect", 10.0 * scenario.tol, "max"),
-        ("inequality-main", "min_siu_residual", _SIU_FLOOR, "min"),
-        ("inequality-comparison", "comparison_min", _COMPARISON_FLOOR, "min"),
-    ):
-        worst = (max if kind == "max" else min)(s.diagnostics[key] for s in states)
-        verdicts.append(_bound(name, worst, bound, kind))
-    verdicts.append(
-        estimates.interior_regularity(
-            [s.phi for s in states],
-            settings.holder_gamma,
-            settings.exclusion_outer * scenario.spec.h,
-            settings.exclusion_inner * scenario.spec.h,
-            settings.sobolev_q,
-            scenario.singular_centers,
-        )
-    )
-    if scenario.psi2.poles:
-        q_sups = [s.diagnostics["q_sup"] for s in states]
-        growth = max(q_sups) / q_sups[0]
-        verdicts.append(_bound("unweighted-growth", growth, _UNWEIGHTED_GROWTH_FACTOR, "min"))
-        verdicts.append(_skoda(scenario))
-    verdicts.append(_density(scenario))
-
     return RunRecord(
         name=scenario.name,
         config_hash=experiment.config_hash,
@@ -219,7 +117,7 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
         C_used=float(states[0].C),
         C_source="configured" if scenario.C_config is not None else "certified",
         rows=_rung_rows(states),
-        verdicts=tuple(verdicts),
+        verdicts=estimates.record_verdicts(scenario, experiment.settings, states),
         hypothesis_satisfied=experiment.hypothesis_satisfied,
         hypothesis_notes=experiment.hypothesis_notes,
     )
@@ -239,9 +137,8 @@ def render_csv(record: RunRecord) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_COLUMNS)
-    for eps, delta, sup_phi, steps, *diagnostics in record.rows:
-        cells = [_fmt(eps), _fmt(delta), _fmt(sup_phi), str(steps)]
-        writer.writerow(cells + [_fmt(v) for v in diagnostics])
+    for row in record.rows:
+        writer.writerow(str(v) if isinstance(v, int) else _fmt(v) for v in row)
     return buf.getvalue()
 
 
@@ -291,26 +188,28 @@ def write_artifacts(outdir: str, experiment: ExperimentConfig, record: RunRecord
         _write_states(os.path.join(outdir, "states.npz"), record, states)
 
 
+# Each per-rung member of ``states.npz`` and the state attribute it stores,
+# in archive order; a ``meta`` member after them names the record.
+_MEMBERS = {"eps": "eps", "delta": "delta_eps", "newton_steps": "newton_steps", "phi": "phi"}
+
+
 def _write_states(path: str, record: RunRecord, states) -> None:
     """The ``states.npz`` of ``np.savez_compressed``, but ``phi.npy`` gets its
     header and then each rung's buffer: the stack is never built in memory."""
     meta = {key: getattr(record, key) for key in ("name", "config_hash", "tool_version")}
     header = np.lib.format.header_data_from_array_1_0(states[0].phi.values)
     header["shape"] = (len(states),) + header["shape"]
-    columns = {"eps": "eps", "delta": "delta_eps", "newton_steps": "newton_steps"}
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, allowZip64=True) as zf:
-        for name, key in columns.items():
+        for name, key in _MEMBERS.items():
             with zf.open(f"{name}.npy", "w", force_zip64=True) as f:
-                np.lib.format.write_array(f, np.array([getattr(s, key) for s in states]))
-        with zf.open("phi.npy", "w", force_zip64=True) as f:
-            np.lib.format.write_array_header_1_0(f, header)
-            for s in states:
-                f.write(np.ascontiguousarray(s.phi.values))
+                if key == "phi":
+                    np.lib.format.write_array_header_1_0(f, header)
+                    for s in states:
+                        f.write(np.ascontiguousarray(s.phi.values))
+                else:
+                    np.lib.format.write_array(f, np.array([getattr(s, key) for s in states]))
         with zf.open("meta.npy", "w", force_zip64=True) as f:
             np.lib.format.write_array(f, np.array(json.dumps(meta)))
-
-
-_STORED_MEMBERS = ("meta", "eps", "delta", "newton_steps", "phi")
 
 
 def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationState]:
@@ -332,11 +231,11 @@ def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationS
         )
     try:
         with np.load(path) as data:
-            missing = [name for name in _STORED_MEMBERS if name not in data.files]
+            missing = [name for name in ("meta", *_MEMBERS) if name not in data.files]
             if missing:
                 raise ValueError(f"stored states at {path} lack {', '.join(missing)}")
             meta = json.loads(str(data["meta"]))
-            eps, delta, steps, phi = (data[name] for name in _STORED_MEMBERS[1:])
+            eps, delta, steps, phi = (data[name] for name in _MEMBERS)
     except (zipfile.BadZipFile, zlib.error) as exc:
         raise ValueError(
             f"stored states at {path} are not a readable archive: {exc}"
@@ -387,18 +286,6 @@ class CompareResult:
     lines: tuple[str, ...]
 
 
-# (absolute tolerance, relative tolerance); None = informational only
-_COMPARE_TOLERANCES = {
-    "eps": (0.0, 0.0),
-    "delta_eps": (1e-4, 1e-6),
-    "sup_phi": (1e-3, 0.0),
-    "newton_steps": None,
-    "weighted_c2_sup": (1e-6, 0.1),
-    "min_siu_residual": (5e-2, 0.1),
-    "trace_defect": (1e-9, 0.0),
-}
-
-
 def _read_csv_record(outdir: str):
     if os.path.basename(outdir) == "report.csv":
         outdir = os.path.dirname(outdir)
@@ -435,7 +322,7 @@ def compare_records(dir_a: str, dir_b: str) -> CompareResult:
     header_b, rows_b, exp_b = _read_csv_record(dir_b)
     if header_a != header_b:
         raise SchemaMismatch(f"column sets differ: {header_a} vs {header_b}")
-    if header_a != _COLUMNS:
+    if header_a != tuple(_COLUMNS):
         raise SchemaMismatch(f"unexpected columns: {header_a}")
     if len(rows_a) != len(rows_b):
         raise SchemaMismatch(
@@ -452,11 +339,10 @@ def compare_records(dir_a: str, dir_b: str) -> CompareResult:
 
     ok = True
     lines = []
-    for j, col in enumerate(_COLUMNS):
+    for j, (col, tol) in enumerate(_COLUMNS.items()):
         va = np.array([r[j] for r in rows_a])
         vb = np.array([r[j] for r in rows_b])
         worst = float(np.max(np.abs(va - vb))) if len(va) else 0.0
-        tol = _COMPARE_TOLERANCES[col]
         if tol is None:
             lines.append(f"{col}: max |diff| = {worst:.6g} (informational)")
             continue

@@ -78,6 +78,7 @@ PUBLIC = {
         "holder_seminorm",
         "has_admissible_pairs",
         "interior_regularity",
+        "record_verdicts",
     },
     "config": {
         "ConfigError",

@@ -363,8 +363,9 @@ class TestHolderSeminorm:
         field = _mode(spec, 0.1)
         with pytest.raises(ValueError, match=r"must lie in \(0,1\)"):
             holder_seminorm(field, 1.0, 2 * spec.h)
-        with pytest.raises(ValueError, match="at least 2h"):
-            holder_seminorm(field, 0.5, spec.h)
+        for radius in (spec.h, float("nan")):
+            with pytest.raises(ValueError, match="at least 2h"):
+                holder_seminorm(field, 0.5, radius)
         with pytest.raises(ValueError, match="no admissible stencil pairs"):
             holder_seminorm(field, 0.5, 0.75, ((0.5, 0.5),))
 

@@ -12,10 +12,11 @@ its own ``def``, by the acceptance suite or by the benchmark; every
 ``functools`` cache is keyed by ``int`` and ``bool`` parameters only;
 ``ContinuationState(...)`` is called exactly once in the package, and so
 is the lattice walk of the Hoelder stencil legs; ``Verdict(...)`` is called
-only in the two deciding rules and the integrability check; the
-scenario library imports nothing of the package but ``config``; only the
-command-line module imports ``ctypes``; and only ``geometry`` reads the
-``parts`` of a Hermitian form.
+only in the two deciding rules and the integrability check, all in
+``estimates``; ``report`` imports nothing from ``pluripotential`` and reads
+no private name of ``estimates``; the scenario library imports nothing of
+the package but ``config``; only the command-line module imports
+``ctypes``; and only ``geometry`` reads the ``parts`` of a Hermitian form.
 """
 
 import ast
@@ -292,9 +293,9 @@ def test_stencil_legs_are_walked_at_one_site():
     assert walker.lineno < int(line) <= walker.end_lineno
 
 
-# Every record check is one named ``Verdict``: ``estimates._decide`` makes
-# it HOLDS or VIOLATED from failure phrases, ``estimates._too_short`` makes
-# a ladder below three rungs INCONCLUSIVE, and only the integrability
+# Every record check is one named ``Verdict``, decided in ``estimates``:
+# ``_decide`` makes it HOLDS or VIOLATED from failure phrases, ``_too_short``
+# makes a ladder below three rungs INCONCLUSIVE, and only the integrability
 # check's borderline margin is a status of its own.  A new check goes
 # through these, not through a branch of its own.
 def _enclosing_functions(sources: dict[str, str], sites) -> list[str]:
@@ -322,8 +323,8 @@ def test_verdicts_are_built_at_three_sites():
     assert len(sites) == 3
     assert _enclosing_functions(sources, sites) == [
         "estimates._decide",
+        "estimates._skoda",
         "estimates._too_short",
-        "report._skoda",
     ]
 
 
@@ -368,6 +369,37 @@ def test_the_check_finds_package_imports():
 
 def test_scenarios_import_only_the_config_parser():
     assert _package_imports((SRC / "scenarios.py").read_text()) == ["config"]
+
+
+# ``report`` is the record format: ``estimates.record_verdicts`` decides
+# every verdict, so the format reaches neither the models of
+# ``pluripotential`` nor a private rule or bound of ``estimates``.
+def _private_reads_of(source: str, module: str) -> list[str]:
+    """The private names a module reads from ``module``, as an attribute of
+    the bare name or through ``from ... import``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith(module):
+            found.update(a.name for a in node.names)
+    return sorted(name for name in found if name.startswith("_") and not name.endswith("__"))
+
+
+def test_the_check_finds_private_reads():
+    source = (
+        "from . import estimates\n"
+        "from .estimates import Verdict, _bound\n"
+        "x = estimates._decide(estimates.HOLDS, estimates.__name__)\n"
+        "y = other._skoda\n"
+    )
+    assert _private_reads_of(source, "estimates") == ["_bound", "_decide"]
+
+
+def test_report_decides_no_verdict():
+    source = (SRC / "report.py").read_text()
+    assert "pluripotential" not in _package_imports(source)
+    assert _private_reads_of(source, "estimates") == []
 
 
 # Allocator policy belongs to the program's entry point: ``import torusma``

@@ -180,6 +180,12 @@ class TestSolve:
         want = phi_star.values - phi_star.values.mean()
         assert float(np.max(np.abs(phi.values - want))) <= 1e-10
 
+    def test_rejects_a_tolerance_that_is_not_positive(self):
+        _, F = _manufactured_n1()
+        for tol in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                solve_ma_detailed(scaled_identity(SPEC1), F, tol=tol)
+
     def test_rejects_nonpositive_density(self):
         with pytest.raises(ValueError, match="positive everywhere"):
             solve_ma_detailed(scaled_identity(SPEC1), _mode(SPEC1, 1.0))

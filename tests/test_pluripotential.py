@@ -133,8 +133,11 @@ class TestValidation:
 
     def test_evaluate_rejects_bad_overrides(self):
         model = QuasiPshModel(SPEC64)
-        with pytest.raises(ValueError, match="nonnegative"):
-            evaluate(model, smoothing=-0.1)
+        for smoothing in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                evaluate(model, smoothing=smoothing)
+            with pytest.raises(ValueError, match="nonnegative"):
+                hessian_lower_bound(model, smoothing)
 
 
 class TestHessianLowerBound:
@@ -207,8 +210,9 @@ class TestRegularize:
         assert regularize(hot, 0.25).values.shape == spec.shape
 
     def test_requires_positive_parameter(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            regularize(self.MODEL, 0.0)
+        for eps in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="regularization parameter must be positive"):
+                regularize(self.MODEL, eps)
 
 
 class TestLelong:
@@ -275,8 +279,9 @@ class TestSkodaDichotomy:
         assert result.increment_ratio < 0.95  # ...at a geometrically dying rate
 
     def test_rejects_exponent_below_one(self):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            skoda_integrability(self._model(self.N1, 0.3), 0.5, (0.5, 0.5))
+        for p in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                skoda_integrability(self._model(self.N1, 0.3), p, (0.5, 0.5))
 
     @staticmethod
     def _whole_grid_log_integrals(model, p, x, base_resolution):
@@ -408,7 +413,8 @@ class TestDensityCheck:
 
     def test_rejects_bad_inputs(self):
         model = QuasiPshModel(SPEC64)
-        with pytest.raises(ValueError, match="exponent must be > 1"):
-            density_lp_check(model, model, 1.0)
+        for p in (1.0, float("nan")):
+            with pytest.raises(ValueError, match="exponent must be > 1"):
+                density_lp_check(model, model, p)
         with pytest.raises(ValueError, match="different grids"):
             density_lp_check(model, QuasiPshModel(TorusSpec(1, 32)), 1.5)
