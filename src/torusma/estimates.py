@@ -379,6 +379,13 @@ def _admissible_legs(spec, masks):
                 yield shift, separation, pairs
 
 
+def _check_radius(spec, radius: float) -> None:
+    if not radius >= 2.0 * spec.h * (1.0 - 1e-12):  # nan fails too
+        raise ValueError(
+            f"exclusion radius must be at least 2h = {2 * spec.h:g}, got {radius:g}"
+        )
+
+
 def _seminorms(phi: GridField, gamma: float, radii, masks) -> tuple[float, ...]:
     """The seminorms of :func:`holder_seminorm`, one per radius of ``radii``
     on its exclusion mask, already built: one gradient, one difference per
@@ -386,10 +393,7 @@ def _seminorms(phi: GridField, gamma: float, radii, masks) -> tuple[float, ...]:
     if not 0 < gamma < 1:
         raise ValueError(f"Hoelder exponent must lie in (0,1), got {gamma}")
     for radius in radii:
-        if not radius >= 2.0 * phi.spec.h * (1.0 - 1e-12):
-            raise ValueError(
-                f"exclusion radius must be at least 2h = {2 * phi.spec.h:g}, got {radius:g}"
-            )
+        _check_radius(phi.spec, radius)
     grad = spectral_gradient(phi)
     axes = tuple(range(phi.spec.num_axes))
     best = [-np.inf] * len(masks)
@@ -425,7 +429,9 @@ def holder_seminorm(
 
 
 def has_admissible_pairs(spec, exclusion_radius: float, singular=()) -> bool:
-    """Whether :func:`holder_seminorm` has any stencil pair at this exclusion."""
+    """Whether :func:`holder_seminorm` has any stencil pair at this exclusion
+    (a radius below 2h raises, as there)."""
+    _check_radius(spec, exclusion_radius)
     keep = _exclusion_mask(spec, singular, exclusion_radius)
     return next(_admissible_legs(spec, (keep,)), None) is not None
 

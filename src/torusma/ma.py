@@ -8,9 +8,9 @@ equation ``det(a + H(phi)) = F`` is solved in log-residual form
     r(phi) = log det(a + H(phi)) - log F,
 
 whose linearization at ``phi`` is exactly the metric Laplacian
-``u -> trace((a + H(phi))^{-1} H(u))``.  For ``n = 1`` that operator is
-``u -> H(u)/g`` with a scalar metric ``g``, and each Newton direction is
-solved exactly by one flat spectral inversion.  For ``n = 2`` the linearized
+``u -> trace((a + H(phi))^{-1} H(u))``.  For ``n = 1`` the equation is
+linear, so each Newton direction is its exact correction ``H(u) = F -
+det(a + H(phi))``, one flat spectral inversion.  For ``n = 2`` the linearized
 system is solved inexactly by GMRES, preconditioned by the flat spectral
 inverse composed with a pointwise inverse-metric-trace scaling, to a relative
 tolerance set by Eisenstat–Walker forcing.  Step lengths are halved until
@@ -27,7 +27,7 @@ form indefinite, Newton starts from the given start as it would without
 nesting, and ``SolveResult.nested_rejected`` is set.  A converged coarse
 solve is kept as ``SolveResult.coarse``, so ``SolveResult.grids()`` walks
 the solve's grids, finest first.
-``n = 1`` never nests: its Newton directions are exact spectral solves.
+``n = 1`` never nests: its first Newton step already solves the equation.
 
 ``AlphaModel`` is the family of degenerate background forms: a product-cosine
 potential ``rho = (t/pi^2) sum_j cos(2 pi x_j)`` whose coefficient matrix is
@@ -231,31 +231,23 @@ def _newton_direction(
 ) -> tuple[np.ndarray, int]:
     """Solve the linearized system for the Newton update; returns ``(update, info)``.
 
-    The metric Laplacian annihilates constants and its range is the set of
-    ``v`` with ``mean(det * v) = 0``, so the update solves it up to a
-    constant: ``trace(g^{-1} H(u)) = -r - c``.  The constant component of
-    the update is irrelevant (the determinant is invariant under
-    ``phi -> phi + c``) and is projected out.  The update is validated once,
-    as a ``GridField``.
-
-    For ``n = 1`` the operator is ``u -> H(u)/g`` with ``g = det``, so the
-    direction is exact: ``H(u) = w - c g`` with ``w = -g r`` and the
-    ``g``-weighted mean ``c = mean(w) / mean(g)``, one spectral solve, and
-    ``rtol`` is not used.  For ``n = 2`` GMRES solves the operator augmented
-    with the grid mean to relative tolerance ``rtol``, preconditioned by the
-    flat spectral inverse composed with division by the pointwise
-    inverse-metric trace ``sigma``; both operators act on raw arrays.
-    ``info`` is the GMRES return code (always 0 for ``n = 1``): nonzero when
-    the inner solve stopped short of ``rtol``, which still yields a usable
-    descent direction because the line search guards the outer iteration
-    either way.
+    The determinant is invariant under ``phi -> phi + c``, so the update's
+    constant component is projected out; the update is validated once, as a
+    ``GridField``.  For ``n = 1`` the equation is linear, so the update is
+    its exact correction ``H(u) = F - det = det (exp(-r) - 1)``, one spectral
+    solve, and ``rtol`` is not used.  For ``n = 2`` the metric Laplacian
+    annihilates constants and its range is ``mean(det * v) = 0``: GMRES
+    solves ``trace(g^{-1} H(u)) = -r - c``, the operator augmented with the
+    grid mean, to relative tolerance ``rtol``, preconditioned by the flat
+    spectral inverse composed with division by the pointwise inverse-metric
+    trace ``sigma``; both operators act on raw arrays.  ``info`` is the GMRES
+    return code (0 for ``n = 1``): nonzero when the inner solve stopped short
+    of ``rtol``, which still yields a usable descent direction because the
+    line search guards the outer iteration either way.
     """
     shape = spec.shape
     if spec.n == 1:
-        g = data.det
-        w = -g * r
-        u = _solve_half_laplacian(w - (w.mean() / g.mean()) * g)
-        return GridField(spec, _mean_zero(u)).values, 0
+        return GridField(spec, _solve_half_laplacian(data.det * np.expm1(-r))).values, 0
 
     size = int(np.prod(shape))
     sigma = data.inverse_trace() / spec.n

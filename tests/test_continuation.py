@@ -46,6 +46,7 @@ from torusma.pluripotential import (
     regularize,
 )
 from torusma.report import rebuild_states
+from torusma.scenarios import bundled_experiment
 
 
 def _scenario(
@@ -74,13 +75,15 @@ def _scenario(
     )
 
 
-def _smooth_scenario(N=32, rungs=5):
+def _smooth_scenario(N=32, rungs=5, n=1):
+    pad = (0, 0) * (n - 1)
     return enforce_mass_balance(
         _scenario(
+            n=n,
             N=N,
             t=0.5,
-            psi1=(SmoothMode(0.08, (1, 0), 0.3),),
-            psi2=(SmoothMode(0.05, (0, 1), 1.1),),
+            psi1=(SmoothMode(0.08, (1, 0) + pad, 0.3),),
+            psi2=(SmoothMode(0.05, (0, 1) + pad, 1.1),),
             schedule=tuple(0.25 * 0.5**i for i in range(rungs)),
         )
     )
@@ -283,10 +286,22 @@ class TestRunContinuation:
             )
             assert float(np.max(np.abs(oracle.values - s.phi.values))) <= 1e-8
 
+    def test_n1_rungs_take_one_newton_step(self):
+        # At n = 1 the equation is linear and each Newton direction is its
+        # exact correction, so every warm-started rung is solved by one full
+        # step, far below the tolerance.
+        scenario = bundled_experiment("smooth").scenario
+        for s in run_continuation(scenario):
+            assert s.newton_steps == 1
+            assert s.solve.residual_history[-1] <= 1e-2 * scenario.tol
+
     def test_warm_start_saves_newton_steps(self):
-        # Each rung solved again from a zero start is the cold baseline.
-        scenario = _smooth_scenario()
+        # Each rung solved again from a zero start is the cold baseline.  At
+        # n = 2 Newton takes several steps, and N = 12 does not nest, so each
+        # solve starts from the start it is given.
+        scenario = _smooth_scenario(N=12, rungs=3, n=2)
         warm = run_continuation(scenario)
+        assert all(s.solve.coarse is None for s in warm)
         cold = [
             solve_ma_detailed(
                 scenario.alpha.coefficients(s.eps), _rhs(scenario, s), tol=scenario.tol

@@ -446,6 +446,8 @@ class TestHolderSeminorms:
                     measured = False
                 assert has_admissible_pairs(spec, r, singular) == measured, (r, singular)
                 outcomes.add(measured)
+            with pytest.raises(ValueError, match="at least 2h"):
+                has_admissible_pairs(spec, float("nan"), singular)
         assert outcomes == {True, False}
 
     def test_build_record_differentiates_each_measured_field_once(self, monkeypatch):

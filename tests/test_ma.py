@@ -132,21 +132,22 @@ class TestSolve:
         assert float(np.max(np.abs(result.phi.values - phi_star.values))) <= 1e-10
         assert result.newton_steps <= 7
 
-    def test_n1_direction_solves_the_linearization_exactly(self):
-        # The n = 1 operator is u -> H(u)/g; its range is mean(g v) = 0, so
-        # the direction leaves a constant linearized residual, nothing else.
+    def test_n1_direction_solves_the_equation_exactly(self):
+        # At n = 1 det(a + H(phi)) is affine in phi, so the direction is the
+        # exact correction: after a full step det - F is the constant (its
+        # mean) that the spectral solve drops, and the direction has zero mean.
         spec = TorusSpec(1, 64)
         a = AlphaModel(spec, t=0.7).coefficients(0.05)
-        g = ma._metric_form(a, _mode(spec, 0.03, axis=1))
-        data = _MetricData.from_form(g)
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            r = rng.standard_normal(spec.shape)
+        phi = _mode(spec, 0.03, axis=1)
+        data = _MetricData.from_form(ma._metric_form(a, phi))
+        for seed in range(3):
+            F = np.exp(0.3 * trig_poly(spec, 3, seed=seed).values)
+            r = np.log(data.det) - np.log(F)
             u, info = ma._newton_direction(spec, data, r, 0.1)
-            lin = data.contract(complex_hessian(GridField(spec, u))) + r
+            step = GridField(spec, phi.values + u)
             assert info == 0
             assert abs(u.mean()) <= 1e-15
-            assert np.ptp(lin) <= 1e-12 * np.max(np.abs(r))
+            assert np.ptp(ma_density(a, step).values - F) <= 1e-12 * np.max(np.abs(F))
 
     def test_n1_solve_never_calls_gmres(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -228,10 +229,11 @@ class TestSolve:
             solve_ma_detailed(scaled_identity(SPEC1), F)
 
     def test_step_cap_raises_with_diagnostics(self, monkeypatch):
-        _, F = _manufactured_n1()
+        # n = 1 converges in one step, so the cap is met at n = 2.
+        spec, _, F = _manufactured_n2(N=12, amplitude=0.05)
         monkeypatch.setattr(ma, "_MAX_NEWTON_STEPS", 2)
         with pytest.raises(IterationLimitError) as info:
-            solve_ma_detailed(scaled_identity(SPEC1), F)
+            solve_ma_detailed(scaled_identity(spec), F)
         assert info.value.steps == 2
         assert info.value.residual > 0
 
