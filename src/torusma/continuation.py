@@ -12,8 +12,10 @@ scalar ``delta_eps`` restores exact mass balance rung by rung.  Solutions are
 mean-zero, warm-started down the ladder, and read in the shifted potential
 ``Phi = phi + rho`` in which the background becomes the constant form
 ``(1 + eps) I`` — the frame every curvature-type estimate uses.  What does
-not depend on the rung is built once per ladder (``_Ladder``); a state keeps
-``phi`` and the ladder's ``rho`` and derives ``Phi``.
+not depend on the rung is built once per ladder (``_Ladder``), each rung's
+problem once per rung (``_Rung``); a state keeps ``phi`` and the ladder's
+``rho`` and derives ``Phi``.  Solved (:func:`run_continuation`) or rebuilt
+from stored fields (:func:`rebuild_states`), every state is built here.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from . import estimates
 from .geometry import (
     GridField,
+    HermitianFormField,
     TorusSpec,
     _hessian_and_trace,
     complex_hessian,
@@ -54,8 +57,7 @@ __all__ = [
     "enforce_mass_balance",
     "delta_eps",
     "run_continuation",
-    "rung_diagnostics",
-    "smoothed_potentials",
+    "rebuild_states",
 ]
 
 _BALANCE_RTOL = 1e-10
@@ -146,8 +148,9 @@ class ContinuationError(RuntimeError):
         self.eps = eps
 
 
-def _mass_alpha(alpha: AlphaModel, eps: float = 0.0) -> float:
-    return integrate(GridField(alpha.spec, alpha.coefficients(eps).det()))
+def _mass(a: HermitianFormField) -> float:
+    """Total mass ``int det a`` of a background form."""
+    return integrate(GridField(a.spec, a.det()))
 
 
 def _mass_density(f1: GridField, f2: GridField) -> float:
@@ -162,7 +165,7 @@ def enforce_mass_balance(scenario: Scenario) -> Scenario:
     with pole values grid-floored; after the shift the masses agree to
     ``1e-10`` relative.
     """
-    mass_a = _mass_alpha(scenario.alpha)
+    mass_a = _mass(scenario.alpha.coefficients())
     sharp2 = evaluate(scenario.psi2)
     mass_d = _mass_density(evaluate(scenario.psi1), sharp2)
     if not (np.isfinite(mass_a) and np.isfinite(mass_d)) or mass_a <= 0 or mass_d <= 0:
@@ -187,28 +190,39 @@ def delta_eps(scenario: Scenario, eps: float) -> float:
     """
     p1 = regularize(scenario.psi1, eps)
     p2 = regularize(scenario.psi2, eps)
-    return _delta(scenario.alpha, eps, p1, p2)
+    return _Rung.build(scenario.alpha, eps, p1, p2).delta
 
 
-def _delta(alpha: AlphaModel, eps: float, p1: GridField, p2: GridField) -> float:
-    return _mass_alpha(alpha, eps) / _mass_density(p1, p2) - 1.0
+@dataclass(frozen=True)
+class _Rung:
+    """One regularized problem ``det(a + H(phi)) = F``, each part computed once:
+    the form ``a = alpha.coefficients(eps)``, the mass constant ``delta`` and
+    ``F = (1 + delta) exp(psi1_eps - psi2_eps)``."""
+
+    eps: float
+    a: HermitianFormField
+    delta: float
+    F: GridField
+
+    @classmethod
+    def build(cls, alpha: AlphaModel, eps: float, p1, p2, delta=None) -> "_Rung":
+        """The rung from the smoothed ``p1`` and ``p2``; ``delta`` balances the
+        masses unless a stored value is given."""
+        a = alpha.coefficients(eps)
+        density = np.exp(p1.values - p2.values)
+        if delta is None:
+            delta = _mass(a) / float(density.mean()) - 1.0
+        return cls(eps, a, delta, GridField(alpha.spec, (1.0 + delta) * density))
 
 
-def _rung_density(delta: float, p1: GridField, p2: GridField) -> GridField:
-    """Right-hand side ``(1 + delta) exp(psi1_eps - psi2_eps)`` of one rung."""
-    return GridField(p1.spec, (1.0 + delta) * np.exp(p1.values - p2.values))
-
-
-def _shift_defect(
-    phi: GridField, det_g: np.ndarray, alpha: AlphaModel, eps: float
-) -> float:
+def _shift_defect(phi: GridField, det_g: np.ndarray, a: HermitianFormField) -> float:
     """Sup difference of the two independently computed rung determinants.
 
-    ``det(a + eps I + H(phi))`` uses the closed-form coefficients, ``det_g``
-    is ``det((1+eps) I + H(Phi))`` from the spectral Hessian of the shifted
+    ``det(a + H(phi))`` uses the rung's closed-form ``a``, ``det_g`` is
+    ``det((1+eps) I + H(Phi))`` from the spectral Hessian of the shifted
     potential; exact algebra says they agree, so the defect is round-off.
     """
-    lhs = ma_density(alpha.coefficients(eps), phi)
+    lhs = ma_density(a, phi)
     return float(np.max(np.abs(lhs.values - det_g)))
 
 
@@ -246,43 +260,38 @@ class _Ladder:
         return cls(scenario, C, rho, eta, keep, sharp)
 
 
-def smoothed_potentials(ladder: _Ladder, eps: float):
+def _smoothed_potentials(ladder: _Ladder, eps: float):
     """``psi1`` and ``psi2`` regularized at ``eps``, and ``psi2``'s comparison
     weight: its Hessian from guarantee (b), and the constant
     ``hessian_lower_bound(psi2, s_min=sqrt(eps))`` certified while smoothing."""
     scenario = ladder.scenario
     p1 = _regularize(scenario.psi1, eps, ladder.sharp[0])[0]
-    p2, C_cert, calculus = _regularize(scenario.psi2, eps, ladder.sharp[1], certify=True)
+    p2, C_cert, calculus = _regularize(scenario.psi2, eps, ladder.sharp[1])
     return p1, p2, estimates._weight(calculus, C_cert)
 
 
-def rung_diagnostics(
-    ladder: _Ladder, eps: float, delta: float, phi: GridField, p1, p2, weight2
-) -> dict:
+def _rung_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField, smoothed) -> dict:
     """Every per-rung estimate scalar of a solved rung, measured on ``phi + rho``,
     and ``sup |phi|``.
 
-    ``p1``, ``p2`` and ``weight2`` come from :func:`smoothed_potentials` and
-    ``delta`` is the rung's mass-restoring constant.  One metric
+    ``smoothed`` is the rung's :func:`_smoothed_potentials`.  One metric
     ``(1 + eps) I + H(Phi)`` serves the shift and trace identities, the
     log-trace inequality, both weighted second-order quantities and the
-    convexity comparison for both weights (``p2`` and ``eta = -rho``).
-    ``run`` and ``verify`` both compute their diagnostics here, through
-    ``_rung_state``.  Raises ``EstimateError`` or ``PositivityError`` when a
-    precondition fails.
+    convexity comparison for both weights (``psi2_eps`` and ``eta = -rho``).
+    Raises ``EstimateError`` or ``PositivityError`` when a precondition fails.
     """
-    spec, C = ladder.scenario.spec, ladder.C
+    spec, C, eps = ladder.scenario.spec, ladder.C, rung.eps
+    _, p2, weight2 = smoothed
     Phi = GridField(spec, phi.values + ladder.rho)
     m = estimates._RungMetric.build(Phi, eps)
-    F = _rung_density(delta, p1, p2)
-    f_log = GridField(spec, np.log(F.values) - spec.n * np.log1p(eps))
+    f_log = GridField(spec, np.log(rung.F.values) - spec.n * np.log1p(eps))
     siu = estimates._siu_residual(m, f_log, C)
     comparison = min(
         float(np.min(estimates._comparison_residual(m, weight2))),
         float(np.min(estimates._comparison_residual(m, ladder.eta))),
     )
     return {
-        "shift_defect": _shift_defect(phi, m.data.det, ladder.scenario.alpha, eps),
+        "shift_defect": _shift_defect(phi, m.data.det, rung.a),
         "min_siu_residual": float(np.min(siu)),
         "weighted_c2_sup": estimates._weighted_sup(m, p2.values, C),
         "sharp_weighted_sup": estimates._weighted_sup(
@@ -296,18 +305,18 @@ def rung_diagnostics(
 
 
 def _rung_state(
-    ladder: _Ladder, eps: float, delta: float, phi: GridField, steps: int, smoothed, solve
+    ladder: _Ladder, rung: _Rung, phi: GridField, steps: int, smoothed, solve
 ) -> ContinuationState:
     """The one constructor of states, solved or stored: ``smoothed`` is the
-    rung's :func:`smoothed_potentials`, ``solve`` its ``SolveResult`` or ``None``."""
+    rung's :func:`_smoothed_potentials`, ``solve`` its ``SolveResult`` or ``None``."""
     return ContinuationState(
-        eps=eps,
-        delta_eps=delta,
+        eps=rung.eps,
+        delta_eps=rung.delta,
         phi=phi,
         rho=ladder.rho,
         C=ladder.C,
         newton_steps=steps,
-        diagnostics=rung_diagnostics(ladder, eps, delta, phi, *smoothed),
+        diagnostics=_rung_diagnostics(ladder, rung, phi, smoothed),
         solve=solve,
     )
 
@@ -317,14 +326,13 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
 
     Preconditions: the scenario is mass-balanced.  Each state keeps the
     rung's :class:`~torusma.ma.SolveResult` as ``solve``, with its counts and
-    ``residual_history``, and the per-rung estimate scalars of
-    :func:`rung_diagnostics`, through the constructor that
-    ``report.rebuild_states`` uses on stored fields.  A rung that fails by
-    design (see ``_RUNG_ERRORS``) raises ``ContinuationError`` with all
-    completed states attached; any other exception propagates as is.
+    ``residual_history``, and the per-rung estimate scalars, through the
+    constructor that :func:`rebuild_states` uses on stored fields.  A rung
+    that fails by design (see ``_RUNG_ERRORS``) raises ``ContinuationError``
+    with all completed states attached; any other exception propagates as is.
     """
     ladder = _Ladder.build(scenario)
-    mass_a = _mass_alpha(scenario.alpha)
+    mass_a = _mass(scenario.alpha.coefficients())
     mass_d = _mass_density(*ladder.sharp)
     if abs(mass_d - mass_a) > 1e-8 * abs(mass_a):
         raise ValueError(
@@ -332,24 +340,43 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
             f"apply enforce_mass_balance first"
         )
     states: list[ContinuationState] = []
-    for rung, eps in enumerate(scenario.eps_schedule):
+    for index, eps in enumerate(scenario.eps_schedule):
         try:
-            p1, p2, weight2 = smoothed_potentials(ladder, eps)
-            delta = _delta(scenario.alpha, eps, p1, p2)
-            result = solve_ma_detailed(
-                scenario.alpha.coefficients(eps),
-                _rung_density(delta, p1, p2),
-                phi0=states[-1].phi if states else None,
-                tol=scenario.tol,
-            )
+            smoothed = _smoothed_potentials(ladder, eps)
+            rung = _Rung.build(scenario.alpha, eps, *smoothed[:2])
+            phi0 = states[-1].phi if states else None
+            result = solve_ma_detailed(rung.a, rung.F, phi0=phi0, tol=scenario.tol)
             states.append(
-                _rung_state(
-                    ladder, eps, delta, result.phi, result.newton_steps, (p1, p2, weight2),
-                    result,
-                )
+                _rung_state(ladder, rung, result.phi, result.newton_steps, smoothed, result)
             )
         except _RUNG_ERRORS as exc:
             raise ContinuationError(
-                f"rung {rung} (eps={eps:g}) failed: {exc}", states, rung, eps
+                f"rung {index} (eps={eps:g}) failed: {exc}", states, index, eps
             ) from exc
+    return states
+
+
+def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[ContinuationState]:
+    """Continuation states from stored per-rung arrays, without solving.
+
+    The arrays must describe the same positive number of rungs, and every
+    stored potential is validated as a grid field before any estimate runs
+    (``ValueError`` otherwise); each rung is then built with its stored
+    ``delta`` and each state by the constructor :func:`run_continuation`
+    used when the fields were solved, so a faithful record reproduces its
+    diagnostics exactly.
+    """
+    rungs = (len(eps), len(delta), len(steps), len(phi))
+    if len(set(rungs)) > 1 or not rungs[0]:
+        raise ValueError(
+            f"stored eps, delta, newton_steps and phi must hold the same positive "
+            f"number of rungs, got {rungs}"
+        )
+    fields = [GridField(scenario.spec, values) for values in phi]
+    ladder = _Ladder.build(scenario)
+    states = []
+    for e, d, n, phi_k in zip(eps, delta, steps, fields):
+        smoothed = _smoothed_potentials(ladder, float(e))
+        rung = _Rung.build(scenario.alpha, float(e), *smoothed[:2], delta=float(d))
+        states.append(_rung_state(ladder, rung, phi_k, int(n), smoothed, None))
     return states

@@ -291,7 +291,7 @@ def c2_uniformity(states) -> Verdict:
     points at least one spacing away from the singular centers, where
     ``psi2_hat`` is the sharp weight (grid-floored at its poles) held fixed
     across rungs and ``Phi = phi + rho``: each state's ``sharp_weighted_sup``,
-    as ``continuation.rung_diagnostics`` computed it.  Holds when every rung
+    as ``continuation`` measured it on the rung.  Holds when every rung
     stays within a factor 2 of the first and the relative least-squares
     slope against ``-log eps`` is at most 0.05 per e-fold.  The unweighted
     trace blows up along the ladder in singular scenarios; only the weighted

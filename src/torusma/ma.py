@@ -427,15 +427,14 @@ def poisson_oracle_n1(
 _DEGENERACY_REFINEMENTS = (1, 2, 4)
 
 
-def degeneracy_integrability(alpha: AlphaModel, eps0: float | None = None) -> list[float]:
-    """Quasi-norm ``(int (1/det a)^{eps0})^{1/eps0}`` under grid refinement.
+def degeneracy_integrability(alpha: AlphaModel) -> list[float]:
+    """Quasi-norm ``(int (1/det a)^{eps0})^{1/eps0}`` under grid refinement,
+    at the model's claimed exponent ``alpha.eps0``.
 
     Midpoint samples on the grid refined by 1, 2 and 4 never hit the degenerate
     sheets ``{x_j = 0}`` at ``t = 1``; a stabilizing sequence is evidence of
     integrability (true for this family whenever ``eps0 < 1/2``).
     """
-    if eps0 is None:
-        eps0 = alpha.eps0
     out = []
     n, N0 = alpha.spec.n, alpha.spec.N
     for scale in _DEGENERACY_REFINEMENTS:
@@ -447,5 +446,5 @@ def degeneracy_integrability(alpha: AlphaModel, eps0: float | None = None) -> li
             shape[2 * j] = N
             det = det * (1.0 - alpha.t * np.cos(2 * np.pi * x).reshape(shape))
         det = np.broadcast_to(det, (N,) * (2 * n))
-        out.append(float(np.mean(det**-eps0) ** (1.0 / eps0)))
+        out.append(float(np.mean(det**-alpha.eps0) ** (1.0 / alpha.eps0)))
     return out

@@ -26,6 +26,7 @@ numeric evidence), and the L^p hypothesis check for a density
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -70,6 +71,12 @@ class SmoothMode:
     amplitude: float
     k: tuple[int, ...]
     phase: float = 0.0
+
+    def __post_init__(self):
+        if not all(isinstance(kj, numbers.Integral) for kj in self.k):
+            raise ValueError(f"mode wavenumbers must be integers, got {self.k}")
+        if not np.isfinite([self.amplitude, self.phase]).all():
+            raise ValueError(f"mode amplitude {self.amplitude} and phase {self.phase} must be finite")
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,14 @@ def _periodic_delta(coord: np.ndarray, center: float) -> np.ndarray:
     return np.mod(coord - center + 0.5, 1.0) - 0.5
 
 
+def _check_point(x, num_axes: int) -> None:
+    if len(x) != num_axes:
+        raise ValueError(f"point {tuple(x)} needs {num_axes} coordinates, got {len(x)}")
+
+
 def _periodic_d2(coords, center) -> np.ndarray:
-    """Squared periodic distance from broadcastable ``coords`` to ``center``."""
+    """Squared periodic distance from broadcastable ``coords`` to the point ``center``."""
+    _check_point(center, len(coords))
     d2 = 0.0
     for cj, aj in zip(coords, center):
         d2 = d2 + _periodic_delta(cj, aj) ** 2
@@ -235,29 +248,22 @@ def regularize(
     return _regularize(model, eps, evaluate(model) if guarded else None)[0]
 
 
-def _regularize(
-    model: QuasiPshModel, eps: float, sharp: GridField | None, certify: bool = False
-) -> tuple[GridField, float | None, tuple | None]:
+def _regularize(model: QuasiPshModel, eps: float, sharp: GridField | None) -> tuple:
     """:func:`regularize`, checked when ``sharp`` (the model at smoothing 0)
     is given, plus what it certifies: the constant ``hessian_lower_bound(model,
     s_min=sqrt(eps))`` of the widened model the smoothing starts from, and the
-    Hessian and (with ``certify``) half-Laplacian of the output, each from one
-    forward transform; ``None`` unless guarantee (b) or ``certify`` needs them.
+    Hessian and half-Laplacian of the output, from one forward transform.
     """
     if not eps > 0:
         raise ValueError(f"regularization parameter must be positive, got {eps}")
     spec = model.spec
     base = evaluate(model, float(np.sqrt(eps)))
-    guarded = sharp is not None and eps <= _GUARANTEE_EPS_MAX
-    hessian_mults = _hessian_multipliers(spec.n, spec.N) if guarded or certify else ()
-    heat = _heat_multiplier(spec.n, spec.N, eps)
-    smoothed, *base_hessian = _spectral(base.values, (heat, *hessian_mults))
+    mults = (_heat_multiplier(spec.n, spec.N, eps), *_hessian_multipliers(spec.n, spec.N))
+    smoothed, *base_hessian = _spectral(base.values, mults)
     out = GridField(spec, smoothed)
-    if not base_hessian:
-        return out, None, None
     c_bound = _curvature_bound(HermitianFormField(spec, base_hessian))
-    hessian, trace = _hessian_and_trace(out) if certify else (complex_hessian(out), None)
-    if guarded:
+    hessian, trace = _hessian_and_trace(out)
+    if sharp is not None and eps <= _GUARANTEE_EPS_MAX:
         short = float(np.min(out.values - (sharp.values - 1.0)))
         if short < -1e-12:
             raise RegularizationContractError(
@@ -283,6 +289,7 @@ def lelong_number(model: QuasiPshModel, x) -> float:
     Convention: ``nu(psi, x) = lim_{r->0} max_{|z-x|=r} psi / log r^2``, under
     which a single pole of weight ``c`` has Lelong number exactly ``c``.
     """
+    _check_point(x, model.spec.num_axes)
     return sum(p.weight for p in model.poles if _match_center(p.center, x))
 
 

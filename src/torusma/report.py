@@ -16,9 +16,9 @@ the state attribute it stores.
 Column semantics: ``weighted_c2_sup`` is the global supremum of the weighted
 trace ``q * exp(psi2_eps - 2 C Phi)`` with the rung-smoothed weight, and
 ``min_siu_residual`` uses the ladder's constant ``C`` that every state
-carries.  One constructor in ``continuation`` builds every state, when a
-ladder is solved and when :func:`rebuild_states` re-checks the stored
-``phi`` fields, so ``verify`` re-runs the very code ``run`` ran.  An
+carries.  ``continuation`` builds every state, when a ladder is solved and
+when ``continuation.rebuild_states`` (re-exported here) re-checks the
+stored ``phi`` fields, so ``verify`` re-runs the very code ``run`` ran.  An
 unreadable ``states.npz`` raises ``ValueError``, an unreadable
 ``report.csv`` ``SchemaMismatch``.
 """
@@ -37,15 +37,7 @@ import numpy as np
 
 from . import __version__, estimates
 from .config import ExperimentConfig, parse_config
-from .continuation import (
-    ContinuationState,
-    Scenario,
-    _Ladder,
-    _rung_state,
-    run_continuation,
-    smoothed_potentials,
-)
-from .geometry import GridField
+from .continuation import ContinuationState, rebuild_states, run_continuation
 
 __all__ = [
     "RunRecord",
@@ -248,32 +240,6 @@ def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationS
             f"expected {experiment.config_hash[:12]}"
         )
     return rebuild_states(experiment.scenario, eps, delta, steps, phi)
-
-
-def rebuild_states(
-    scenario: Scenario, eps, delta, steps, phi
-) -> list[ContinuationState]:
-    """Continuation states from stored per-rung arrays, without solving.
-
-    The arrays must describe the same positive number of rungs, and every
-    stored potential is validated as a grid field before any estimate runs
-    (``ValueError`` otherwise); each state is then built by the constructor
-    ``run_continuation`` used when the fields were solved, so a faithful
-    record reproduces its diagnostics exactly.
-    """
-    rungs = (len(eps), len(delta), len(steps), len(phi))
-    if len(set(rungs)) > 1 or not rungs[0]:
-        raise ValueError(
-            f"stored eps, delta, newton_steps and phi must hold the same positive "
-            f"number of rungs, got {rungs}"
-        )
-    fields = [GridField(scenario.spec, values) for values in phi]
-    ladder = _Ladder.build(scenario)
-    states = []
-    for e, d, n, phi_k in zip(eps, delta, steps, fields):
-        smoothed = smoothed_potentials(ladder, float(e))
-        states.append(_rung_state(ladder, float(e), float(d), phi_k, int(n), smoothed, None))
-    return states
 
 
 class SchemaMismatch(ValueError):

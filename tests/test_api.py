@@ -61,8 +61,7 @@ PUBLIC = {
         "enforce_mass_balance",
         "delta_eps",
         "run_continuation",
-        "rung_diagnostics",
-        "smoothed_potentials",
+        "rebuild_states",
     },
     "estimates": {
         "HOLDS",

@@ -739,7 +739,7 @@ class TestVerifyVerb:
 
         _, _, rundir = mini_run
         capsys.readouterr()
-        monkeypatch.setattr(continuation, "rung_diagnostics", broken)
+        monkeypatch.setattr(continuation, "_rung_diagnostics", broken)
         assert main(["verify", rundir]) == EXIT_INTERNAL
         assert capsys.readouterr().err == (
             "internal error: TypeError: unexpected argument\n"

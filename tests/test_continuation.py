@@ -14,12 +14,14 @@ from torusma.continuation import (
     ContinuationError,
     Scenario,
     _Ladder,
+    _Rung,
+    _rung_diagnostics,
     _shift_defect,
+    _smoothed_potentials,
     delta_eps,
     enforce_mass_balance,
+    rebuild_states,
     run_continuation,
-    rung_diagnostics,
-    smoothed_potentials,
 )
 from torusma.estimates import (
     _RungMetric,
@@ -45,7 +47,6 @@ from torusma.pluripotential import (
     hessian_lower_bound,
     regularize,
 )
-from torusma.report import rebuild_states
 from torusma.scenarios import bundled_experiment
 
 
@@ -359,7 +360,7 @@ class TestShiftFrame:
         phi = GridField(spec, vals * np.ones(spec.shape))
         Phi = GridField(spec, phi.values + alpha.rho().values)
         det_g = ma_density(scaled_identity(spec, 1.1), Phi).values
-        assert _shift_defect(phi, det_g, alpha, 0.1) <= 1e-12
+        assert _shift_defect(phi, det_g, alpha.coefficients(0.1)) <= 1e-12
 
 
 _ESTIMATE_KEYS = (
@@ -420,7 +421,7 @@ class TestOneDiagnosticsPath:
         # Hessian and half-Laplacian of the smoothed psi2, both inside the
         # guaranteed range (eps <= 0.1) and above it.
         scenario = enforce_mass_balance(_LADDERS[0])
-        p1, p2, weight2 = smoothed_potentials(_Ladder.build(scenario), eps)
+        p1, p2, weight2 = _smoothed_potentials(_Ladder.build(scenario), eps)
         np.testing.assert_array_equal(p1.values, regularize(scenario.psi1, eps).values)
         np.testing.assert_array_equal(p2.values, regularize(scenario.psi2, eps).values)
         H, laplacian, C_cert, _ = weight2
@@ -481,7 +482,7 @@ class TestOneDiagnosticsPath:
             assert s.diagnostics["trace_defect"] == _trace_identity_defect(m)
             det_g = ma_density(scaled_identity(spec, 1 + s.eps), s.Phi).values
             assert s.diagnostics["shift_defect"] == _shift_defect(
-                s.phi, det_g, scenario.alpha, s.eps
+                s.phi, det_g, scenario.alpha.coefficients(s.eps)
             )
             # both weighted second-order suprema, from scratch: the smoothed
             # weight over the grid, the sharp one away from the poles
@@ -526,7 +527,8 @@ _POLE_LADDERS = {
 
 
 class TestRungWork:
-    """Each field of a rung is transformed once; the sharp models once per ladder."""
+    """Each field of a rung is transformed once, its background form built
+    once; the sharp models are sampled once per ladder."""
 
     @pytest.mark.parametrize("n, limit", [(1, 20), (2, 42)])
     def test_transforms_per_guarded_rung(self, n, limit, monkeypatch):
@@ -543,9 +545,28 @@ class TestRungWork:
                 return real(*args)
 
             monkeypatch.setattr(geometry, name, counted)
-        p1, p2, weight2 = smoothed_potentials(ladder, eps)
-        rung_diagnostics(ladder, eps, 0.0, phi, p1, p2, weight2)
+        smoothed = _smoothed_potentials(ladder, eps)
+        rung = _Rung.build(scenario.alpha, eps, *smoothed[:2], delta=0.0)
+        _rung_diagnostics(ladder, rung, phi, smoothed)
         assert len(count) <= limit
+
+    def test_background_form_is_built_once_per_rung(self, monkeypatch):
+        # The solve, delta and the shift identity read one form per rung;
+        # the ladder's mass check takes the form at eps = 0.
+        scenario = enforce_mass_balance(_POLE_LADDERS[1])
+        built = []
+        real = AlphaModel.coefficients
+
+        def counted(alpha, eps=0.0):
+            built.append(eps)
+            return real(alpha, eps)
+
+        monkeypatch.setattr(AlphaModel, "coefficients", counted)
+        states = run_continuation(scenario)
+        schedule = list(scenario.eps_schedule)
+        assert built == [0.0] + schedule
+        _rebuilt(scenario, states)
+        assert built == [0.0] + schedule * 2
 
     def test_sharp_models_are_sampled_once_per_ladder(self, monkeypatch):
         # Every sampling at width 0 counts, the default argument included.

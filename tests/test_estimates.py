@@ -368,6 +368,8 @@ class TestHolderSeminorm:
                 holder_seminorm(field, 0.5, radius)
         with pytest.raises(ValueError, match="no admissible stencil pairs"):
             holder_seminorm(field, 0.5, 0.75, ((0.5, 0.5),))
+        with pytest.raises(ValueError, match="needs 2 coordinates, got 1"):
+            holder_seminorm(field, 0.5, 0.25, ((0.5,),))
 
 
 def _one_radius_loop(phi, gamma, radius, centers):

@@ -16,11 +16,12 @@ from torusma.config import parse_config  # noqa: E402
 from torusma.continuation import (  # noqa: E402
     Scenario,
     _Ladder,
+    _Rung,
+    _rung_diagnostics,
     _shift_defect,
+    _smoothed_potentials,
     enforce_mass_balance,
     run_continuation,
-    rung_diagnostics,
-    smoothed_potentials,
 )
 from torusma.estimates import _RungMetric, _trace_identity_defect  # noqa: E402
 from torusma.geometry import (  # noqa: E402
@@ -88,7 +89,7 @@ def test_shift_identity_cancels_to_round_off(n, kmax, seed, amplitude, t, eps):
     Phi = GridField(spec, phi.values + alpha.rho().values)
     det_g = ma_density(scaled_identity(spec, 1 + eps), Phi).values
     size = float(np.max(np.abs(ma_density(alpha.coefficients(eps), phi).values)))
-    assert _shift_defect(phi, det_g, alpha, eps) <= 1e-13 * max(1.0, size)
+    assert _shift_defect(phi, det_g, alpha.coefficients(eps)) <= 1e-13 * max(1.0, size)
 
 
 def _smooth_scenario(n, t, seed, schedule):
@@ -138,8 +139,9 @@ def test_rung_diagnostics_shift_by_rho(n, t, seed, amplitude):
     spec = scenario.spec
     phi = GridField(spec, amplitude * trig_poly(spec, 1, seed).values)
     ladder = _Ladder.build(scenario)
-    p1, p2, weight2 = smoothed_potentials(ladder, eps)
-    diagnostics = rung_diagnostics(ladder, eps, 0.0, phi, p1, p2, weight2)
+    smoothed = _smoothed_potentials(ladder, eps)
+    rung = _Rung.build(scenario.alpha, eps, *smoothed[:2], delta=0.0)
+    diagnostics = _rung_diagnostics(ladder, rung, phi, smoothed)
     Phi = GridField(spec, phi.values + scenario.alpha.rho().values)
     m = _RungMetric.build(Phi, eps)
     assert diagnostics["trace_defect"] == _trace_identity_defect(m)

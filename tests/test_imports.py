@@ -10,11 +10,13 @@ package, by name, as an attribute or through ``from ... import``; every
 function in an ``__all__`` must be read the same way by the package outside
 its own ``def``, by the acceptance suite or by the benchmark; every
 ``functools`` cache is keyed by ``int`` and ``bool`` parameters only;
-``ContinuationState(...)`` is called exactly once in the package, and so
-is the lattice walk of the Hoelder stencil legs; ``Verdict(...)`` is called
-only in the two deciding rules and the integrability check, all in
-``estimates``; ``report`` imports nothing from ``pluripotential`` and reads
-no private name of ``estimates``; the scenario library imports nothing of
+``ContinuationState(...)`` is called exactly once in the package, in
+``continuation._rung_state``, and the lattice walk of the Hoelder stencil
+legs once; ``Verdict(...)`` is called only in the two deciding rules and
+the integrability check, all in ``estimates``; ``report`` imports nothing
+from ``pluripotential``, reads no private name of ``estimates`` or
+``continuation`` and smooths no potential, and ``rebuild_states`` is
+defined in ``continuation`` alone; the scenario library imports nothing of
 the package but ``config``; only the command-line module imports
 ``ctypes``; and only ``geometry`` reads the ``parts`` of a Hermitian form.
 """
@@ -274,7 +276,8 @@ def test_the_check_finds_every_call_site():
 
 def test_continuation_states_are_built_at_one_site():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
-    assert len(_call_sites(sources, "ContinuationState")) == 1
+    sites = _call_sites(sources, "ContinuationState")
+    assert _enclosing_functions(sources, sites) == ["continuation._rung_state"]
 
 
 # The Hoelder stencil legs are walked at one site, the lattice ``product``
@@ -400,6 +403,33 @@ def test_report_decides_no_verdict():
     source = (SRC / "report.py").read_text()
     assert "pluripotential" not in _package_imports(source)
     assert _private_reads_of(source, "estimates") == []
+
+
+# ``continuation`` builds every rung and state, solved or rebuilt from a
+# record, so ``report`` reaches it only through its public names.
+def _definers(sources: dict[str, str], name: str) -> list[str]:
+    """The modules that define a top-level function ``name``."""
+    return sorted(
+        module
+        for module, source in sources.items()
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name == name
+            for node in ast.parse(source).body
+        )
+    )
+
+
+def test_the_check_finds_definers():
+    sources = {"a": "def f(): pass\n", "b": "from .a import f\ndef g(): f()\n"}
+    assert _definers(sources, "f") == ["a"]
+
+
+def test_report_builds_no_rung():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    report = sources["report"]
+    assert _private_reads_of(report, "continuation") == []
+    assert _call_sites({"report": report}, "smoothed_potentials") == []
+    assert _definers(sources, "rebuild_states") == ["continuation"]
 
 
 # Allocator policy belongs to the program's entry point: ``import torusma``

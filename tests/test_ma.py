@@ -490,17 +490,16 @@ class TestDegeneracyIntegrability:
     def test_nondegenerate_background_is_flat_under_refinement(self):
         # At t = 0.9 the density is bounded away from zero, so midpoint
         # quadrature of the smooth integrand converges spectrally.
-        vals = degeneracy_integrability(AlphaModel(TorusSpec(1, 32), t=0.9), 0.4)
+        vals = degeneracy_integrability(AlphaModel(TorusSpec(1, 32), t=0.9, eps0=0.4))
         assert abs(vals[2] - vals[1]) / vals[1] <= 1e-10
 
     def test_degenerate_background_increment_dichotomy(self):
         # At t = 1 the reciprocal density behaves like x^{-2 eps0} across the
         # degenerate sheet: refinement increments die out for eps0 < 1/2 and
         # grow beyond it.
-        alpha = AlphaModel(TorusSpec(1, 32), t=1.0)
-        fine = degeneracy_integrability(alpha, 0.3)
+        fine = degeneracy_integrability(AlphaModel(TorusSpec(1, 32), t=1.0, eps0=0.3))
         d = np.diff(fine)
         assert d[1] / d[0] < 0.9
-        coarse = degeneracy_integrability(alpha, 0.6)
+        coarse = degeneracy_integrability(AlphaModel(TorusSpec(1, 32), t=1.0, eps0=0.6))
         d = np.diff(coarse)
         assert d[1] / d[0] > 1.1

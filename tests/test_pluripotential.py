@@ -125,11 +125,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="center must lie in"):
             Pole(center=(1.5, 0.5), weight=0.5)
 
+    def test_mode_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match="wavenumbers must be integers"):
+            SmoothMode(0.1, (0.5, 0))
+        for amplitude, phase in ((float("nan"), 0.0), (0.1, float("inf"))):
+            with pytest.raises(ValueError, match="must be finite"):
+                SmoothMode(amplitude, (1, 0), phase)
+
     def test_model_rejects_dimension_mismatches(self):
         with pytest.raises(ValueError, match="mode frequency"):
             QuasiPshModel(SPEC64, smooth=(SmoothMode(0.1, (1, 0, 0, 0)),))
         with pytest.raises(ValueError, match="pole center"):
             QuasiPshModel(SPEC64, poles=(Pole(center=(0.5,) * 4, weight=0.5),))
+        # a point is never truncated to fewer axes than the grid has
+        model = QuasiPshModel(SPEC64, poles=(Pole(center=(0.5, 0.5), weight=0.5),))
+        with pytest.raises(ValueError, match="needs 2 coordinates, got 1"):
+            lelong_number(model, (0.5,))
+        with pytest.raises(ValueError, match="needs 2 coordinates, got 1"):
+            skoda_integrability(model, 1.5, (0.5,))
 
     def test_evaluate_rejects_bad_overrides(self):
         model = QuasiPshModel(SPEC64)
