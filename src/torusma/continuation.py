@@ -321,7 +321,7 @@ def _rung_state(
     )
 
 
-def run_continuation(scenario: Scenario) -> list[ContinuationState]:
+def run_continuation(scenario: Scenario, on_state=None) -> list[ContinuationState]:
     """Solve every rung of the schedule, warm-starting each from the last.
 
     Preconditions: the scenario is mass-balanced.  Each state keeps the
@@ -330,6 +330,9 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
     constructor that :func:`rebuild_states` uses on stored fields.  A rung
     that fails by design (see ``_RUNG_ERRORS``) raises ``ContinuationError``
     with all completed states attached; any other exception propagates as is.
+    ``on_state``, when given, is called with each state as soon as it is
+    built, before the next rung solves; nothing here writes into a state's
+    ``phi`` afterwards.
     """
     ladder = _Ladder.build(scenario)
     mass_a = _mass(scenario.alpha.coefficients())
@@ -346,13 +349,14 @@ def run_continuation(scenario: Scenario) -> list[ContinuationState]:
             rung = _Rung.build(scenario.alpha, eps, *smoothed[:2])
             phi0 = states[-1].phi if states else None
             result = solve_ma_detailed(rung.a, rung.F, phi0=phi0, tol=scenario.tol)
-            states.append(
-                _rung_state(ladder, rung, result.phi, result.newton_steps, smoothed, result)
-            )
+            state = _rung_state(ladder, rung, result.phi, result.newton_steps, smoothed, result)
         except _RUNG_ERRORS as exc:
             raise ContinuationError(
                 f"rung {index} (eps={eps:g}) failed: {exc}", states, index, eps
             ) from exc
+        states.append(state)
+        if on_state is not None:
+            on_state(state)
     return states
 
 

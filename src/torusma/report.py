@@ -10,8 +10,12 @@ byte-identical records.
 This module is the record format and decides nothing: every verdict comes,
 in its fixed order, from ``estimates.record_verdicts``, and every cell from
 its rung's state.  It declares the record's columns once, each with its
-``compare`` tolerance, and the members of ``states.npz`` once, each with
-the state attribute it stores.
+``compare`` tolerance, and the members of ``states.npz`` once, in archive
+order, each with the state attribute it stores.  One writer,
+:class:`StatesArchive`, writes every ``states.npz``: ``phi.npy`` first, fed
+rung by rung from a writer thread while the ladder solves, then the
+per-rung scalars and ``meta``; the archive is renamed into place only when
+it is complete.
 
 Column semantics: ``weighted_c2_sup`` is the global supremum of the weighted
 trace ``q * exp(psi2_eps - 2 C Phi)`` with the rung-smoothed weight, and
@@ -25,12 +29,15 @@ unreadable ``states.npz`` raises ``ValueError``, an unreadable
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
+import uuid
 import zipfile
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,7 @@ __all__ = [
     "render_csv",
     "render_verdicts",
     "write_artifacts",
+    "StatesArchive",
     "load_states",
     "rebuild_states",
     "compare_records",
@@ -115,9 +123,10 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
     )
 
 
-def run_experiment(experiment: ExperimentConfig):
-    """Full continuation plus record building; returns ``(states, record)``."""
-    states = run_continuation(experiment.scenario)
+def run_experiment(experiment: ExperimentConfig, on_state=None):
+    """Full continuation plus record building; returns ``(states, record)``.
+    ``on_state`` is handed to :func:`~torusma.continuation.run_continuation`."""
+    states = run_continuation(experiment.scenario, on_state)
     return states, build_record(experiment, states)
 
 
@@ -163,9 +172,17 @@ def render_verdicts(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_artifacts(outdir: str, experiment: ExperimentConfig, record: RunRecord, states) -> None:
+def write_artifacts(
+    outdir: str, experiment: ExperimentConfig, record: RunRecord, states, *, archive=None
+) -> None:
     """Write the config echo under ``outdir``, and the CSV, verdict block and
-    states that ``[output] formats`` lists."""
+    states that ``[output] formats`` lists.
+
+    ``archive`` is the open :class:`StatesArchive` in ``outdir`` that the
+    states were handed to as they were solved; without one, the states are
+    fed through a new one here.  Either way ``states.npz`` is complete when
+    this returns.
+    """
     os.makedirs(outdir, exist_ok=True)
     formats = experiment.output.formats
     with open(os.path.join(outdir, "config.ini"), "w", newline="") as f:
@@ -177,31 +194,102 @@ def write_artifacts(outdir: str, experiment: ExperimentConfig, record: RunRecord
         with open(os.path.join(outdir, "report.csv"), "w", newline="") as f:
             f.write(render_csv(record))
     if "states" in formats:
-        _write_states(os.path.join(outdir, "states.npz"), record, states)
+        if archive is None:
+            with StatesArchive(outdir, len(states), states[0].phi.values.shape) as archive:
+                for state in states:
+                    archive.add(state)
+                archive.close(record, states)
+        else:
+            archive.close(record, states)
 
 
 # Each per-rung member of ``states.npz`` and the state attribute it stores,
-# in archive order; a ``meta`` member after them names the record.
-_MEMBERS = {"eps": "eps", "delta": "delta_eps", "newton_steps": "newton_steps", "phi": "phi"}
+# in archive order: ``phi`` first, so that it can be written while the
+# ladder solves.  A ``meta`` member after them names the record.
+_MEMBERS = {"phi": "phi", "eps": "eps", "delta": "delta_eps", "newton_steps": "newton_steps"}
 
 
-def _write_states(path: str, record: RunRecord, states) -> None:
-    """The ``states.npz`` of ``np.savez_compressed``, but ``phi.npy`` gets its
-    header and then each rung's buffer: the stack is never built in memory."""
-    meta = {key: getattr(record, key) for key in ("name", "config_hash", "tool_version")}
-    header = np.lib.format.header_data_from_array_1_0(states[0].phi.values)
-    header["shape"] = (len(states),) + header["shape"]
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, allowZip64=True) as zf:
+class StatesArchive:
+    """The ``states.npz`` of one run, written while its ladder solves.
+
+    Opened under a unique temporary name in ``outdir``, with the header of
+    ``phi.npy`` shaped for ``rungs`` potentials on a ``grid``.  :meth:`add`
+    hands a state's potential to one writer thread, which deflates it into
+    ``phi.npy`` while the caller goes on, so the potential must not be
+    written into afterwards; :meth:`close` waits for the writer, writes the
+    other members and renames the archive to ``states.npz``.  Each member
+    holds the bytes ``np.savez_compressed`` would write.  Leaving the
+    ``with`` block without :meth:`close` stops the writer and removes the
+    temporary file, so no partial archive is left.
+    """
+
+    def __init__(self, outdir: str, rungs: int, grid: tuple):
+        self._path = os.path.join(outdir, "states.npz")
+        self._tmp = os.path.join(outdir, f".states-{uuid.uuid4().hex}.npz")
+        self._shape = (rungs, *grid)
+        self._pending = []
+        self._closed = False
+        self._zip = zipfile.ZipFile(self._tmp, "x", zipfile.ZIP_DEFLATED, allowZip64=True)
+        self._phi = None
+        try:
+            self._phi = self._zip.open("phi.npy", "w", force_zip64=True)
+            header = {"descr": "<f8", "fortran_order": False, "shape": self._shape}
+            np.lib.format.write_array_header_1_0(self._phi, header)
+        except BaseException:
+            self._discard()
+            raise
+        self._writer = ThreadPoolExecutor(1)
+
+    def add(self, state: ContinuationState) -> None:
+        """Hand the state's potential to the writer, in rung order."""
+        values = np.ascontiguousarray(state.phi.values, dtype="<f8")
+        if values.shape != self._shape[1:]:
+            raise ValueError(
+                f"states.npz holds potentials of shape {self._shape[1:]}, "
+                f"not {values.shape}"
+            )
+        self._pending.append(self._writer.submit(self._phi.write, values))
+
+    def close(self, record: RunRecord, states) -> None:
+        """Wait for the writer, write the other members and ``meta``, and
+        rename the archive to ``states.npz``."""
+        self._writer.shutdown()
+        for written in self._pending:
+            written.result()
+        if not len(self._pending) == len(states) == self._shape[0]:
+            raise ValueError(
+                f"states.npz holds {self._shape[0]} rungs; {len(self._pending)} "
+                f"potentials were added for {len(states)} states"
+            )
+        self._phi.close()
         for name, key in _MEMBERS.items():
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as f:
-                if key == "phi":
-                    np.lib.format.write_array_header_1_0(f, header)
-                    for s in states:
-                        f.write(np.ascontiguousarray(s.phi.values))
-                else:
+            if key != "phi":
+                with self._zip.open(f"{name}.npy", "w", force_zip64=True) as f:
                     np.lib.format.write_array(f, np.array([getattr(s, key) for s in states]))
-        with zf.open("meta.npy", "w", force_zip64=True) as f:
+        meta = {key: getattr(record, key) for key in ("name", "config_hash", "tool_version")}
+        with self._zip.open("meta.npy", "w", force_zip64=True) as f:
             np.lib.format.write_array(f, np.array(json.dumps(meta)))
+        self._zip.close()
+        os.replace(self._tmp, self._path)
+        self._closed = True
+
+    def __enter__(self) -> StatesArchive:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._writer.shutdown(cancel_futures=True)
+        if not self._closed:
+            self._discard()
+
+    def _discard(self) -> None:
+        # Closed, then removed: an error while closing a file that is removed
+        # anyway changes nothing.
+        for handle in (self._phi, self._zip):
+            if handle is not None:
+                with contextlib.suppress(OSError):
+                    handle.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self._tmp)
 
 
 def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationState]:
@@ -227,7 +315,7 @@ def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationS
             if missing:
                 raise ValueError(f"stored states at {path} lack {', '.join(missing)}")
             meta = json.loads(str(data["meta"]))
-            eps, delta, steps, phi = (data[name] for name in _MEMBERS)
+            phi, eps, delta, steps = (data[name] for name in _MEMBERS)
     except (zipfile.BadZipFile, zlib.error) as exc:
         raise ValueError(
             f"stored states at {path} are not a readable archive: {exc}"

@@ -95,6 +95,7 @@ PUBLIC = {
         "render_csv",
         "render_verdicts",
         "write_artifacts",
+        "StatesArchive",
         "load_states",
         "rebuild_states",
         "compare_records",

@@ -9,6 +9,7 @@ import io
 import os
 import re
 import struct
+import threading
 import zipfile
 
 import numpy as np
@@ -349,7 +350,7 @@ class TestRunVerb:
         path = os.path.join(_run_record_dir(out, capsys.readouterr().out), "states.npz")
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
-        assert list(arrays) == ["eps", "delta", "newton_steps", "phi", "meta"]
+        assert list(arrays) == ["phi", "eps", "delta", "newton_steps", "meta"]
         assert arrays["phi"].shape == (3, 32, 32)
         reference = str(tmp_path / "reference.npz")
         np.savez_compressed(reference, **arrays)
@@ -364,6 +365,25 @@ class TestRunVerb:
                 ), name
                 assert got.read(name) == want.read(name), name
 
+    def test_a_solved_list_is_written_as_the_streamed_archive(self, tmp_path, capsys):
+        from torusma.report import run_experiment, write_artifacts
+
+        cfg = _write(tmp_path, MINI)
+        out = str(tmp_path / "runs")
+        assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
+        streamed = os.path.join(_run_record_dir(out, capsys.readouterr().out), "states.npz")
+        experiment = parse_config(MINI)
+        states, record = run_experiment(experiment)
+        write_artifacts(str(tmp_path / "api"), experiment, record, states)
+        assert sorted(os.listdir(tmp_path / "api")) == [
+            "config.ini",
+            "report.csv",
+            "states.npz",
+            "verdicts.txt",
+        ]
+        with open(streamed, "rb") as a, open(tmp_path / "api" / "states.npz", "rb") as b:
+            assert a.read() == b.read()
+
     def test_violating_scenario_exits_one_with_fail_banner(self, tmp_path, capsys):
         cfg = _write(tmp_path, CHEAP_ABOVE)
         code = main(["run", cfg, "--output-dir", str(tmp_path / "runs")])
@@ -375,14 +395,27 @@ class TestRunVerb:
             assert f"[violated] {name}" in stdout
 
     def test_solver_failure_exits_two(self, tmp_path, capsys):
+        # Rung 1 fails after rung 0 went to the archive: no record is left.
         cfg = _write(tmp_path, WINDOW)
-        code = main(["run", cfg, "--output-dir", str(tmp_path / "runs")])
+        out = tmp_path / "runs"
+        code = main(["run", cfg, "--output-dir", str(out)])
         err = capsys.readouterr().err
         assert code == EXIT_SOLVER
-        assert err.startswith("solver error:")
+        assert err.startswith("solver error: rung 1")
         assert "smoothed field drops" in err
+        assert not out.exists()
 
-    def test_unwritable_output_parent_exits_three(self, tmp_path, capsys):
+    def test_unwritable_output_parent_exits_three(self, tmp_path, capsys, monkeypatch):
+        # The run directory is made before the ladder solves: no rung runs.
+        import torusma.continuation as continuation
+
+        calls = []
+
+        def solve(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("solved although the output is unwritable")
+
+        monkeypatch.setattr(continuation, "solve_ma_detailed", solve)
         cfg = _write(tmp_path, MINI)
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file, not a directory\n")
@@ -391,6 +424,71 @@ class TestRunVerb:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:")
         assert err.count("\n") == 1
+        assert calls == []
+
+    @pytest.mark.parametrize("failure", [None, "solver", TypeError, KeyboardInterrupt])
+    def test_every_exit_joins_the_writer_and_leaves_no_partial_record(
+        self, tmp_path, capsys, monkeypatch, failure
+    ):
+        # Each failure comes at rung 1, after rung 0 went to the archive's writer.
+        import torusma.continuation as continuation
+
+        if failure in (TypeError, KeyboardInterrupt):
+            real_solve, solved = continuation.solve_ma_detailed, []
+
+            def solve(*args, **kwargs):
+                if solved:
+                    raise failure("stopped at rung 1")
+                solved.append(real_solve(*args, **kwargs))
+                return solved[-1]
+
+            monkeypatch.setattr(continuation, "solve_ma_detailed", solve)
+        cfg = _write(tmp_path, WINDOW if failure == "solver" else MINI)
+        out = tmp_path / "runs"
+        threads = threading.active_count()
+        if failure is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(["run", cfg, "--output-dir", str(out)])
+        else:
+            expected = {None: EXIT_OK, "solver": EXIT_SOLVER, TypeError: EXIT_INTERNAL}
+            assert main(["run", cfg, "--output-dir", str(out)]) == expected[failure]
+        assert threading.active_count() == threads
+        if failure is None:
+            rundir = _run_record_dir(out, capsys.readouterr().out)
+            assert sorted(os.listdir(out)) == [os.path.basename(rundir)]
+            assert sorted(os.listdir(rundir)) == [
+                "config.ini",
+                "report.csv",
+                "states.npz",
+                "verdicts.txt",
+            ]
+        else:
+            assert not out.exists()
+
+    def test_states_stream_the_returned_potentials_bit_for_bit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # An n = 2 ladder warm-starts each rung from the last potential that
+        # went to the writer: a later write into it would show here.
+        real_run = cli.run_experiment
+        returned = []
+
+        def run(*args, **kwargs):
+            states, record = real_run(*args, **kwargs)
+            returned.append(states)
+            return states, record
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        cfg = _write(tmp_path, MINI_N2)
+        out = str(tmp_path / "runs")
+        assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
+        path = os.path.join(_run_record_dir(out, capsys.readouterr().out), "states.npz")
+        with np.load(path) as data:
+            stored = data["phi"]
+        (states,) = returned
+        expected = np.stack([s.phi.values for s in states])
+        assert stored.shape == expected.shape == (3, 8, 8, 8, 8)
+        assert stored.tobytes() == expected.tobytes()
 
     def test_gmres_shortfalls_are_reported_per_rung(
         self, tmp_path, capsys, monkeypatch
