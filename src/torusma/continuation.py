@@ -20,6 +20,9 @@ from stored fields (:func:`rebuild_states`), every state is built here.
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +33,7 @@ from .geometry import (
     HermitianFormField,
     TorusSpec,
     _hessian_and_trace,
+    _read_only,
     complex_hessian,
     integrate,
 )
@@ -249,11 +253,16 @@ class _Ladder:
         # ``C`` is the configured constant, else ``hessian_lower_bound(psi2)``
         # taken from the sharp ``psi2`` already sampled: the same bits, one
         # sampling.
+        # Every array here is read by every rung, and by concurrent rungs in
+        # ``rebuild_states``, so each is marked read-only.
         alpha, psi1, psi2 = scenario.alpha, scenario.psi1, scenario.psi2
-        rho = alpha.rho().values
-        eta = estimates._weight(_hessian_and_trace(alpha.eta()), alpha.t + 1e-6)
-        keep = estimates._pole_mask(psi2)
+        rho = _read_only(alpha.rho().values)
+        H, laplacian = _hessian_and_trace(alpha.eta())
+        eta = estimates._weight((_read_only(H), _read_only(laplacian)), alpha.t + 1e-6)
+        keep = _read_only(estimates._pole_mask(psi2))
         sharp = (evaluate(psi1), evaluate(psi2))
+        for field in sharp:
+            _read_only(field.values)
         C = scenario.C_config
         if C is None:
             C = _curvature_bound(complex_hessian(sharp[1]))
@@ -360,6 +369,16 @@ def run_continuation(scenario: Scenario, on_state=None) -> list[ContinuationStat
     return states
 
 
+def _workers(rungs: int) -> int:
+    """Threads for rebuilding ``rungs`` rungs: one per CPU this process may
+    run on, at most one per rung."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, rungs)
+
+
 def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[ContinuationState]:
     """Continuation states from stored per-rung arrays, without solving.
 
@@ -369,6 +388,12 @@ def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[Continuat
     ``delta`` and each state by the constructor :func:`run_continuation`
     used when the fields were solved, so a faithful record reproduces its
     diagnostics exactly.
+
+    No rung reads another's, so the rungs are rebuilt on a pool of
+    :func:`_workers` threads (numpy and the FFTs release the interpreter
+    lock), at most that many at a time, in schedule order.  The first rung
+    in order that fails raises its own error; the rungs already running are
+    joined and no further one starts.
     """
     rungs = (len(eps), len(delta), len(steps), len(phi))
     if len(set(rungs)) > 1 or not rungs[0]:
@@ -378,9 +403,23 @@ def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[Continuat
         )
     fields = [GridField(scenario.spec, values) for values in phi]
     ladder = _Ladder.build(scenario)
-    states = []
-    for e, d, n, phi_k in zip(eps, delta, steps, fields):
-        smoothed = _smoothed_potentials(ladder, float(e))
-        rung = _Rung.build(scenario.alpha, float(e), *smoothed[:2], delta=float(d))
-        states.append(_rung_state(ladder, rung, phi_k, int(n), smoothed, None))
-    return states
+
+    def rebuild(e: float, d: float, n: int, phi_k: GridField) -> ContinuationState:
+        smoothed = _smoothed_potentials(ladder, e)
+        rung = _Rung.build(scenario.alpha, e, *smoothed[:2], delta=d)
+        return _rung_state(ladder, rung, phi_k, n, smoothed, None)
+
+    workers = _workers(len(fields))
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="torusma-rung")
+    try:
+        # A rung is submitted only once the rung ``workers`` places before it
+        # is collected, so a failed rung stops the schedule where it failed.
+        states, running = [], deque()
+        for e, d, n, phi_k in zip(eps, delta, steps, fields):
+            if len(running) == workers:
+                states.append(running.popleft().result())
+            running.append(pool.submit(rebuild, float(e), float(d), int(n), phi_k))
+        states.extend(future.result() for future in running)
+        return states
+    finally:
+        pool.shutdown(cancel_futures=True)

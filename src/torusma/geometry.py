@@ -90,6 +90,14 @@ class TorusSpec:
         return np.zeros(self.shape)
 
 
+def _read_only(item):
+    """``item``, an array or a Hermitian form, with its values marked
+    read-only: for what every caller, or every thread of a rung pool, shares."""
+    for array in item.parts if isinstance(item, HermitianFormField) else (item,):
+        array.flags.writeable = False
+    return item
+
+
 @lru_cache(maxsize=32)
 def _half_wavenumbers(n: int, N: int, derivative: bool) -> tuple[np.ndarray, ...]:
     """Integer frequencies on the ``rfftn`` half spectrum, one per real axis.
@@ -109,13 +117,13 @@ def _half_wavenumbers(n: int, N: int, derivative: bool) -> tuple[np.ndarray, ...
             k[N // 2] = 0.0
         shape = [1] * (2 * n)
         shape[axis] = k.size
-        ks.append(k.reshape(shape))
+        ks.append(_read_only(k.reshape(shape)))
     return tuple(ks)
 
 
 @lru_cache(maxsize=32)
 def _k_squared(n: int, N: int) -> np.ndarray:
-    return sum(k**2 for k in _half_wavenumbers(n, N, False))
+    return _read_only(sum(k**2 for k in _half_wavenumbers(n, N, False)))
 
 
 def _heat_multiplier(n: int, N: int, eps: float) -> np.ndarray:
@@ -129,7 +137,7 @@ def _inverse_k_squared(n: int, N: int) -> np.ndarray:
     mult = np.zeros_like(k2)
     nz = k2 > 0
     mult[nz] = -1.0 / (np.pi**2 * k2[nz])
-    return mult
+    return _read_only(mult)
 
 
 @lru_cache(maxsize=32)
@@ -148,7 +156,7 @@ def _hessian_multipliers(n: int, N: int) -> tuple[np.ndarray, ...]:
         kx0, ky0, kx1, ky1 = _half_wavenumbers(n, N, True)
         mults.append(-np.pi**2 * (kx0 * kx1 + ky0 * ky1))
         mults.append(-np.pi**2 * (kx0 * ky1 - ky0 * kx1))
-    return tuple(mults)
+    return tuple(_read_only(m) for m in mults)
 
 
 @dataclass

@@ -310,7 +310,9 @@ def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationS
             f"no stored states at {path}; run with 'states' in output formats first"
         )
     try:
-        with np.load(path) as data:
+        # numpy leaves a file it opened itself open when the archive is
+        # damaged, so the file is opened, and closed, here.
+        with open(path, "rb") as f, np.load(f) as data:
             missing = [name for name in ("meta", *_MEMBERS) if name not in data.files]
             if missing:
                 raise ValueError(f"stored states at {path} lack {', '.join(missing)}")

@@ -11,6 +11,7 @@ import re
 import struct
 import threading
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from torusma.cli import (
     main,
 )
 from torusma.config import ConfigError, EstimateSettings, parse_config, with_resolution
-from torusma.report import SchemaMismatch, compare_records
+from torusma.report import SchemaMismatch, compare_records, load_states
 from torusma.scenarios import bundled_experiment, bundled_names
 
 
@@ -317,7 +318,7 @@ class TestRunVerb:
         for artifact in ("config.ini", "report.csv", "verdicts.txt", "states.npz"):
             assert os.path.isfile(os.path.join(rundir, artifact))
         # CSV rows carry \r\n line endings and one row per rung
-        raw = open(os.path.join(rundir, "report.csv"), "rb").read()
+        raw = Path(rundir, "report.csv").read_bytes()
         assert raw.count(b"\r\n") == 4  # header + 3 rungs
 
     def test_formats_choose_the_written_files(self, tmp_path, capsys):
@@ -337,8 +338,8 @@ class TestRunVerb:
         assert main(["run", cfg, "--output-dir", out_b]) == EXIT_OK
         dir_b = _run_record_dir(out_b, capsys.readouterr().out)
         for artifact in ("config.ini", "report.csv", "verdicts.txt", "states.npz"):
-            a = open(os.path.join(dir_a, artifact), "rb").read()
-            b = open(os.path.join(dir_b, artifact), "rb").read()
+            a = Path(dir_a, artifact).read_bytes()
+            b = Path(dir_b, artifact).read_bytes()
             assert a == b, f"{artifact} differs between identical runs"
 
     def test_states_are_stored_as_savez_compressed_stores_them(self, tmp_path, capsys):
@@ -507,7 +508,7 @@ class TestRunVerb:
         assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
         captured = capsys.readouterr()
         rundir = _run_record_dir(out, captured.out)
-        rows = open(os.path.join(rundir, "report.csv")).read().splitlines()[1:]
+        rows = Path(rundir, "report.csv").read_text().splitlines()[1:]
         steps = [int(row.split(",")[3]) for row in rows]
         warnings = [
             line for line in captured.err.splitlines() if line.startswith("warning:")
@@ -751,9 +752,8 @@ class TestVerifyVerb:
     def test_foreign_states_are_rejected_by_hash(self, mini_run, capsys):
         _, _, rundir = mini_run
         # a doctored config no longer matches the stored provenance hash
-        cfg_path = os.path.join(rundir, "config.ini")
-        doctored = open(cfg_path).read().replace("tol = 1e-10", "tol = 1e-08")
-        open(cfg_path, "w").write(doctored)
+        cfg_path = Path(rundir, "config.ini")
+        cfg_path.write_text(cfg_path.read_text().replace("tol = 1e-10", "tol = 1e-08"))
         assert main(["verify", rundir]) == EXIT_CONFIG
         assert "stored states were produced by config" in capsys.readouterr().err
 
@@ -783,11 +783,17 @@ class TestVerifyVerb:
             "estimate error: normalized metric trace must be positive"
         )
 
-    def test_non_finite_stored_field_exits_three(self, mini_run, capsys):
+    @pytest.mark.parametrize("rung_0_fails", [False, True], ids=["valid", "rung-0-fails"])
+    def test_non_finite_stored_field_exits_three(self, mini_run, capsys, rung_0_fails):
+        # Every stored field is validated before any rung's estimates run,
+        # so a non-finite last rung is reported even where rung 0 would fail
+        # an estimate (as in the test above).
         _, _, rundir = mini_run
         capsys.readouterr()
 
         def poison(phi):
+            if rung_0_fails:
+                phi[0] += 0.5 * np.cos(2 * np.pi * np.arange(32) / 32)[:, None]
             phi[-1, 0, 0] = np.nan
             return phi
 
@@ -823,11 +829,26 @@ class TestVerifyVerb:
     def test_unreadable_states_archive_exits_three(self, mini_run, capsys, damage):
         _, _, rundir = mini_run
         capsys.readouterr()
-        path = os.path.join(rundir, "states.npz")
-        data = open(path, "rb").read()
-        open(path, "wb").write(damage(data))
+        path = Path(rundir, "states.npz")
+        path.write_bytes(damage(path.read_bytes()))
         assert main(["verify", rundir]) == EXIT_CONFIG
         assert "not a readable archive" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize(
+        "damage", [_truncated, _scrambled_phi_stream], ids=["truncated", "scrambled"]
+    )
+    def test_unreadable_states_archive_leaves_no_file_open(self, mini_run, damage):
+        _, _, rundir = mini_run
+        path = Path(rundir, "states.npz")
+        path.write_bytes(damage(path.read_bytes()))
+        experiment = parse_config(Path(rundir, "config.ini").read_text())
+        before = len(os.listdir("/proc/self/fd"))
+        # The error is kept, with its traceback, while the descriptors are
+        # counted: a file the failed load still held would be open.
+        with pytest.raises(ValueError, match="not a readable archive") as info:
+            load_states(rundir, experiment)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_programming_error_exits_four(self, mini_run, capsys, monkeypatch):
         import torusma.continuation as continuation
@@ -890,12 +911,12 @@ class TestCompareVerb:
     def test_doctored_column_disagrees(self, tmp_path, capsys):
         a = self._run(tmp_path, capsys, MINI, "a")
         b = self._run(tmp_path, capsys, MINI, "b")
-        path = os.path.join(b, "report.csv")
-        rows = open(path, "rb").read().split(b"\r\n")
+        path = Path(b, "report.csv")
+        rows = path.read_bytes().split(b"\r\n")
         cells = rows[1].split(b",")
         cells[2] = b"0.5"  # sup_phi of the first rung
         rows[1] = b",".join(cells)
-        open(path, "wb").write(b"\r\n".join(rows))
+        path.write_bytes(b"\r\n".join(rows))
         assert main(["compare", a, b]) == EXIT_VERDICT
         out = capsys.readouterr()
         assert "records disagree" in out.err
@@ -924,9 +945,9 @@ class TestCompareVerb:
     def test_malformed_csv_exits_three(self, tmp_path, capsys, change, message):
         a = self._run(tmp_path, capsys, MINI, "a")
         b = self._run(tmp_path, capsys, MINI, "b")
-        path = os.path.join(b, "report.csv")
-        rows = open(path, "rb").read().split(b"\r\n")
-        open(path, "wb").write(b"\r\n".join(change(rows)))
+        path = Path(b, "report.csv")
+        rows = path.read_bytes().split(b"\r\n")
+        path.write_bytes(b"\r\n".join(change(rows)))
         assert main(["compare", a, b]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
@@ -1031,7 +1052,7 @@ class TestGoldenRecord:
         out = str(tmp_path / "runs")
         assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
         rundir = _run_record_dir(out, capsys.readouterr().out)
-        rows = open(os.path.join(rundir, "report.csv")).read().splitlines()
+        rows = Path(rundir, "report.csv").read_text().splitlines()
         header = rows[0].split(",")
         first = dict(zip(header, rows[1].split(",")))
         assert float(first["eps"]) == 0.2

@@ -4,6 +4,12 @@ diagnostics shared by solving and re-checking.
 """
 
 import gc
+import os
+import re
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +30,7 @@ from torusma.continuation import (
     run_continuation,
 )
 from torusma.estimates import (
+    EstimateError,
     _RungMetric,
     _trace_identity_defect,
     comparison_residual,
@@ -406,13 +413,15 @@ def _rebuilt(scenario, states):
     )
 
 
+@pytest.fixture(params=_LADDERS, ids=["n1", "n2"])
+def ladder(request):
+    """A solved ladder of ``_LADDERS``: its scenario and states."""
+    scenario = enforce_mass_balance(request.param)
+    return scenario, run_continuation(scenario)
+
+
 class TestOneDiagnosticsPath:
     """``run`` and ``verify`` compute per-rung estimates through one function."""
-
-    @pytest.fixture(params=_LADDERS, ids=["n1", "n2"])
-    def ladder(self, request):
-        scenario = enforce_mass_balance(request.param)
-        return scenario, run_continuation(scenario)
 
     @pytest.mark.parametrize("eps", [0.25, 0.1, 0.01])
     def test_smoothed_potentials_certify_psi2_once(self, eps):
@@ -494,6 +503,134 @@ class TestOneDiagnosticsPath:
             assert s.diagnostics["sharp_weighted_sup"] == float(np.exp(np.max(S[keep])))
 
 
+def _cpus(monkeypatch, count):
+    """Make ``count`` CPUs usable to this process, as rung pools see it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _rung_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("torusma-rung")]
+
+
+class TestRungPool:
+    """``rebuild_states`` rebuilds the rungs on a pool of threads: the same
+    states whatever the worker count, the first failure in schedule order
+    raised, and no rung left running or started past it."""
+
+    def test_workers_follow_the_usable_cpus(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        assert [continuation._workers(r) for r in (1, 2, 3, 9)] == [1, 2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert continuation._workers(5) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert continuation._workers(5) == 4
+
+    def test_states_do_not_depend_on_the_worker_count(self, ladder, monkeypatch):
+        scenario, states = ladder
+        _cpus(monkeypatch, 1)
+        reference = _rebuilt(scenario, states)
+        # More workers than rungs, and than this machine's cores, switching
+        # threads as often as the interpreter allows.
+        _cpus(monkeypatch, 8)
+        assert continuation._workers(len(states)) == len(states) > 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                pooled = _rebuilt(scenario, states)
+                assert len(pooled) == len(reference)
+                for got, want in zip(pooled, reference):
+                    assert (got.eps, got.delta_eps, got.newton_steps) == (
+                        want.eps, want.delta_eps, want.newton_steps
+                    )
+                    assert got.diagnostics == want.diagnostics
+                    np.testing.assert_array_equal(got.phi.values, want.phi.values)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not _rung_threads()
+
+    @pytest.mark.parametrize("stop", ["error", "interrupt"])
+    def test_the_first_rung_to_fail_in_order_stops_the_pool(self, ladder, monkeypatch, stop):
+        # Rung 0 fails last in time: every later rung fails at once, or rung
+        # 0 interrupts the main thread (SIGINT, as Ctrl-C does) while it
+        # waits on the pool, and every rung sleeps on.  Rung 0's failure is
+        # the one raised, no rung past the first ``workers`` starts, and
+        # every rung that started has finished.
+        if stop == "interrupt" and not hasattr(signal, "pthread_kill"):
+            pytest.skip("no signals to threads on this platform")
+        scenario, states = ladder
+        workers = 2
+        _cpus(monkeypatch, workers)
+        first = states[0].eps
+        main = threading.get_ident()
+        started, finished = [], []
+
+        def rung(_ladder, eps):
+            started.append(eps)
+            try:
+                if eps == first and stop == "interrupt":
+                    time.sleep(0.05)
+                    signal.pthread_kill(main, signal.SIGINT)
+                if eps == first or stop == "interrupt":
+                    time.sleep(0.2)
+                raise EstimateError(f"rung at eps={eps} fails")
+            finally:
+                finished.append(eps)
+
+        monkeypatch.setattr(continuation, "_smoothed_potentials", rung)
+        if stop == "error":
+            with pytest.raises(EstimateError, match=re.escape(f"eps={first} ")):
+                _rebuilt(scenario, states)
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                _rebuilt(scenario, states)
+        assert first in started
+        assert len(started) <= workers
+        assert sorted(finished) == sorted(started)
+        assert not _rung_threads()
+
+    def test_a_non_finite_field_is_rejected_before_any_rung_starts(
+        self, ladder, monkeypatch
+    ):
+        # Rung 0's stored field fails an estimate; once the last rung's field
+        # is non-finite too, validation rejects it before any rung is built.
+        scenario, states = ladder
+        spec = scenario.spec
+        phi = np.stack([s.phi.values for s in states])
+        phi[0] += 0.5 * np.cos(2 * np.pi * spec.axis_coordinate(0))
+        arrays = (
+            np.array([s.eps for s in states]),
+            np.array([s.delta_eps for s in states]),
+            np.array([s.newton_steps for s in states]),
+        )
+        with pytest.raises(EstimateError, match="metric trace must be positive"):
+            rebuild_states(scenario, *arrays, phi)
+        started = []
+        real = continuation._smoothed_potentials
+        monkeypatch.setattr(
+            continuation,
+            "_smoothed_potentials",
+            lambda ladder, eps: started.append(eps) or real(ladder, eps),
+        )
+        phi[-1].flat[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite") as info:
+            rebuild_states(scenario, *arrays, phi)
+        assert not isinstance(info.value, EstimateError)
+        assert started == []
+
+    @pytest.mark.parametrize("scenario", _LADDERS, ids=["n1", "n2"])
+    def test_ladder_arrays_refuse_in_place_writes(self, scenario):
+        # Every rung, and every thread of the pool, reads them.
+        built = _Ladder.build(enforce_mass_balance(scenario))
+        H, laplacian, _, _ = built.eta
+        shared = [built.rho, built.keep, *H.parts, laplacian]
+        shared += [field.values for field in built.sharp]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
 def _away_from_poles(model):
     """Grid points at least one spacing from every pole of ``model``."""
     spec = model.spec
@@ -566,7 +703,9 @@ class TestRungWork:
         schedule = list(scenario.eps_schedule)
         assert built == [0.0] + schedule
         _rebuilt(scenario, states)
-        assert built == [0.0] + schedule * 2
+        # the rungs are rebuilt concurrently, so in no fixed order
+        assert built[: len(schedule) + 1] == [0.0] + schedule
+        assert sorted(built[len(schedule) + 1 :], reverse=True) == schedule
 
     def test_sharp_models_are_sampled_once_per_ladder(self, monkeypatch):
         # Every sampling at width 0 counts, the default argument included.

@@ -7,8 +7,12 @@ from torusma.geometry import (
     GridField,
     HermitianFormField,
     TorusSpec,
+    _half_wavenumbers,
     _heat_multiplier,
     _hessian_and_trace,
+    _hessian_multipliers,
+    _inverse_k_squared,
+    _k_squared,
     _spectral,
     complex_hessian,
     half_laplacian,
@@ -372,3 +376,20 @@ class TestValidation:
         form = HermitianFormField(spec, [part])
         assert type(form.parts) is tuple
         assert len(form.parts) == 1 and form.parts[0] is part
+
+
+class TestCachedMultipliers:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cached_arrays_refuse_in_place_writes(self, n):
+        # Every caller, and every thread of a rung pool, shares one array.
+        N = 8
+        cached = [
+            *_half_wavenumbers(n, N, False),
+            *_half_wavenumbers(n, N, True),
+            _k_squared(n, N),
+            _inverse_k_squared(n, N),
+            *_hessian_multipliers(n, N),
+        ]
+        for array in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
