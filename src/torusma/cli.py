@@ -3,10 +3,10 @@
 Verbs:
 
 * ``run <scenario|config>`` — full continuation plus estimate verdicts;
-  writes the run record (config echo, CSV, verdict block, states) into a
-  directory keyed by the config hash.  The directory and the states
-  archive are opened before the first rung, the archive is written while
-  the ladder solves, and a run that ends early leaves no record.
+  ``report.run_experiment`` writes the run record (config echo, CSV,
+  verdict block, states) into a directory keyed by the config hash, and a
+  run that ends early leaves no record; this module only maps the outcome
+  to an exit code.
 * ``verify <scenario|config|rundir>`` — recompute every estimate verdict
   from the stored potential fields of an earlier run, without solving
   anything, and check the stored CSV still matches byte for byte (a
@@ -28,10 +28,8 @@ as one ``internal error:`` line).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import os
-import shutil
 import sys
 from itertools import zip_longest
 
@@ -42,14 +40,12 @@ from .ma import PositivityError
 from .pluripotential import RegularizationContractError
 from .report import (
     SchemaMismatch,
-    StatesArchive,
     build_record,
     compare_records,
     load_states,
     render_csv,
     render_verdicts,
     run_experiment,
-    write_artifacts,
 )
 from .scenarios import bundled_descriptions, bundled_experiment, bundled_names
 
@@ -148,27 +144,6 @@ def _verdict_exit(record, strict: bool) -> int:
     return EXIT_OK
 
 
-def _missing_directories(path: str) -> list[str]:
-    """The directories ``os.makedirs(path)`` would create, deepest first."""
-    missing = []
-    path = os.path.abspath(path)
-    while not os.path.lexists(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    return missing
-
-
-def _remove_directories(created: list[str]) -> None:
-    """Remove the run directory in ``created`` and each parent it left empty."""
-    if created:
-        shutil.rmtree(created[0], ignore_errors=True)
-    for parent in created[1:]:
-        try:
-            os.rmdir(parent)
-        except OSError:
-            break
-
-
 def _warn_per_rung(states) -> None:
     for rung, state in enumerate(states):
         grids = list(state.solve.grids())
@@ -192,29 +167,12 @@ def _warn_per_rung(states) -> None:
 def _cmd_run(args) -> int:
     experiment = _resolve(args.target, args.resolution_override)
     outdir = _run_dir(experiment, args.output_dir)
-    # The run directory, and the archive the states stream into while the
-    # ladder solves, are opened first: an unusable output directory fails
-    # before any rung runs, and a run that ends early leaves no record.
-    created = _missing_directories(outdir)
-    complete = False
     try:
-        os.makedirs(outdir, exist_ok=True)
-        archive = None
-        if "states" in experiment.output.formats:
-            scenario = experiment.scenario
-            archive = StatesArchive(outdir, len(scenario.eps_schedule), scenario.spec.shape)
-        with archive or contextlib.nullcontext():
-            try:
-                states, record = run_experiment(experiment, archive.add if archive else None)
-            except ContinuationError as exc:
-                print(f"solver error: {exc}", file=sys.stderr)
-                return EXIT_SOLVER
-            _warn_per_rung(states)
-            write_artifacts(outdir, experiment, record, states, archive=archive)
-        complete = True
-    finally:
-        if not complete:
-            _remove_directories(created)
+        states, record = run_experiment(experiment, outdir)
+    except ContinuationError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    _warn_per_rung(states)
     sys.stdout.write(render_verdicts(record))
     print(f"artifacts: {outdir}")
     return _verdict_exit(record, args.strict)

@@ -11,11 +11,11 @@ This module is the record format and decides nothing: every verdict comes,
 in its fixed order, from ``estimates.record_verdicts``, and every cell from
 its rung's state.  It declares the record's columns once, each with its
 ``compare`` tolerance, and the members of ``states.npz`` once, in archive
-order, each with the state attribute it stores.  One writer,
-:class:`StatesArchive`, writes every ``states.npz``: ``phi.npy`` first, fed
-rung by rung from a writer thread while the ladder solves, then the
-per-rung scalars and ``meta``; the archive is renamed into place only when
-it is complete.
+order, each with the state attribute it stores.  :func:`run_experiment`
+alone writes a record: it makes the run directory, streams each solved
+``phi`` into ``states.npz`` on a writer thread, renames the archive into
+place once it is complete and writes the text files; a run that fails
+leaves no archive, no temporary file and no directory it made.
 
 Column semantics: ``weighted_c2_sup`` is the global supremum of the weighted
 trace ``q * exp(psi2_eps - 2 C Phi)`` with the rung-smoothed weight, and
@@ -34,6 +34,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import uuid
 import zipfile
 import zlib
@@ -53,7 +54,6 @@ __all__ = [
     "render_csv",
     "render_verdicts",
     "write_artifacts",
-    "StatesArchive",
     "load_states",
     "rebuild_states",
     "compare_records",
@@ -123,11 +123,50 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
     )
 
 
-def run_experiment(experiment: ExperimentConfig, on_state=None):
-    """Full continuation plus record building; returns ``(states, record)``.
-    ``on_state`` is handed to :func:`~torusma.continuation.run_continuation`."""
-    states = run_continuation(experiment.scenario, on_state)
-    return states, build_record(experiment, states)
+def run_experiment(experiment: ExperimentConfig, outdir: str):
+    """Solve the ladder and write its record into ``outdir``; returns
+    ``(states, record)``.
+
+    The directory and ``states.npz`` are opened before the first rung, and
+    each state streams into the archive as it is solved.  Any exception
+    removes the temporary archive and every directory made here.
+    """
+    created = _missing_directories(outdir)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        keep_states = "states" in experiment.output.formats
+        archive = _StatesArchive(outdir, experiment) if keep_states else None
+        with archive or contextlib.nullcontext():
+            states = run_continuation(experiment.scenario, archive.add if archive else None)
+            record = build_record(experiment, states)
+            if archive:
+                archive.close()
+        write_artifacts(outdir, experiment, record)
+    except BaseException:
+        _remove_directories(created)
+        raise
+    return states, record
+
+
+def _missing_directories(path: str) -> list[str]:
+    """The directories ``os.makedirs(path)`` would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def _remove_directories(created: list[str]) -> None:
+    """Remove the run directory in ``created`` and each parent it left empty."""
+    if created:
+        shutil.rmtree(created[0], ignore_errors=True)
+    for parent in created[1:]:
+        try:
+            os.rmdir(parent)
+        except OSError:
+            break
 
 
 def _fmt(x: float) -> str:
@@ -172,18 +211,9 @@ def render_verdicts(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_artifacts(
-    outdir: str, experiment: ExperimentConfig, record: RunRecord, states, *, archive=None
-) -> None:
-    """Write the config echo under ``outdir``, and the CSV, verdict block and
-    states that ``[output] formats`` lists.
-
-    ``archive`` is the open :class:`StatesArchive` in ``outdir`` that the
-    states were handed to as they were solved; without one, the states are
-    fed through a new one here.  Either way ``states.npz`` is complete when
-    this returns.
-    """
-    os.makedirs(outdir, exist_ok=True)
+def write_artifacts(outdir: str, experiment: ExperimentConfig, record: RunRecord) -> None:
+    """Write the config echo into the existing ``outdir``, and the CSV and
+    verdict block that ``[output] formats`` lists."""
     formats = experiment.output.formats
     with open(os.path.join(outdir, "config.ini"), "w", newline="") as f:
         f.write(experiment.echo)
@@ -193,14 +223,6 @@ def write_artifacts(
     if "csv" in formats:
         with open(os.path.join(outdir, "report.csv"), "w", newline="") as f:
             f.write(render_csv(record))
-    if "states" in formats:
-        if archive is None:
-            with StatesArchive(outdir, len(states), states[0].phi.values.shape) as archive:
-                for state in states:
-                    archive.add(state)
-                archive.close(record, states)
-        else:
-            archive.close(record, states)
 
 
 # Each per-rung member of ``states.npz`` and the state attribute it stores,
@@ -209,24 +231,32 @@ def write_artifacts(
 _MEMBERS = {"phi": "phi", "eps": "eps", "delta": "delta_eps", "newton_steps": "newton_steps"}
 
 
-class StatesArchive:
+class _StatesArchive:
     """The ``states.npz`` of one run, written while its ladder solves.
 
     Opened under a unique temporary name in ``outdir``, with the header of
-    ``phi.npy`` shaped for ``rungs`` potentials on a ``grid``.  :meth:`add`
+    ``phi.npy`` shaped for the experiment's schedule and grid.  :meth:`add`
     hands a state's potential to one writer thread, which deflates it into
     ``phi.npy`` while the caller goes on, so the potential must not be
-    written into afterwards; :meth:`close` waits for the writer, writes the
+    written into afterwards, and keeps its other members; :meth:`close`
+    waits for the writer, checks that every rung was added, writes the
     other members and renames the archive to ``states.npz``.  Each member
     holds the bytes ``np.savez_compressed`` would write.  Leaving the
     ``with`` block without :meth:`close` stops the writer and removes the
     temporary file, so no partial archive is left.
     """
 
-    def __init__(self, outdir: str, rungs: int, grid: tuple):
+    def __init__(self, outdir: str, experiment: ExperimentConfig):
+        scenario = experiment.scenario
         self._path = os.path.join(outdir, "states.npz")
         self._tmp = os.path.join(outdir, f".states-{uuid.uuid4().hex}.npz")
-        self._shape = (rungs, *grid)
+        self._shape = (len(scenario.eps_schedule), *scenario.spec.shape)
+        self._meta = {
+            "name": scenario.name,
+            "config_hash": experiment.config_hash,
+            "tool_version": __version__,
+        }
+        self._kept = {key: [] for key in _MEMBERS.values() if key != "phi"}
         self._pending = []
         self._closed = False
         self._zip = zipfile.ZipFile(self._tmp, "x", zipfile.ZIP_DEFLATED, allowZip64=True)
@@ -241,7 +271,8 @@ class StatesArchive:
         self._writer = ThreadPoolExecutor(1)
 
     def add(self, state: ContinuationState) -> None:
-        """Hand the state's potential to the writer, in rung order."""
+        """Hand the state's potential to the writer, in rung order, and keep
+        its other members."""
         values = np.ascontiguousarray(state.phi.values, dtype="<f8")
         if values.shape != self._shape[1:]:
             raise ValueError(
@@ -249,31 +280,32 @@ class StatesArchive:
                 f"not {values.shape}"
             )
         self._pending.append(self._writer.submit(self._phi.write, values))
+        for key, kept in self._kept.items():
+            kept.append(getattr(state, key))
 
-    def close(self, record: RunRecord, states) -> None:
+    def close(self) -> None:
         """Wait for the writer, write the other members and ``meta``, and
         rename the archive to ``states.npz``."""
         self._writer.shutdown()
         for written in self._pending:
             written.result()
-        if not len(self._pending) == len(states) == self._shape[0]:
+        if len(self._pending) != self._shape[0]:
             raise ValueError(
-                f"states.npz holds {self._shape[0]} rungs; {len(self._pending)} "
-                f"potentials were added for {len(states)} states"
+                f"states.npz holds {self._shape[0]} rungs; "
+                f"{len(self._pending)} states were added"
             )
         self._phi.close()
         for name, key in _MEMBERS.items():
             if key != "phi":
                 with self._zip.open(f"{name}.npy", "w", force_zip64=True) as f:
-                    np.lib.format.write_array(f, np.array([getattr(s, key) for s in states]))
-        meta = {key: getattr(record, key) for key in ("name", "config_hash", "tool_version")}
+                    np.lib.format.write_array(f, np.array(self._kept[key]))
         with self._zip.open("meta.npy", "w", force_zip64=True) as f:
-            np.lib.format.write_array(f, np.array(json.dumps(meta)))
+            np.lib.format.write_array(f, np.array(json.dumps(self._meta)))
         self._zip.close()
         os.replace(self._tmp, self._path)
         self._closed = True
 
-    def __enter__(self) -> StatesArchive:
+    def __enter__(self) -> _StatesArchive:
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -95,7 +95,6 @@ PUBLIC = {
         "render_csv",
         "render_verdicts",
         "write_artifacts",
-        "StatesArchive",
         "load_states",
         "rebuild_states",
         "compare_records",

@@ -366,24 +366,32 @@ class TestRunVerb:
                 ), name
                 assert got.read(name) == want.read(name), name
 
-    def test_a_solved_list_is_written_as_the_streamed_archive(self, tmp_path, capsys):
-        from torusma.report import run_experiment, write_artifacts
+    def test_the_api_writes_the_record_the_command_writes(self, tmp_path, capsys):
+        from torusma.report import run_experiment
 
         cfg = _write(tmp_path, MINI)
         out = str(tmp_path / "runs")
         assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
-        streamed = os.path.join(_run_record_dir(out, capsys.readouterr().out), "states.npz")
+        cli_dir = Path(_run_record_dir(out, capsys.readouterr().out))
+        run_experiment(parse_config(MINI), str(tmp_path / "api"))
+        api_dir = tmp_path / "api"
+        names = ["config.ini", "report.csv", "states.npz", "verdicts.txt"]
+        assert sorted(os.listdir(cli_dir)) == sorted(os.listdir(api_dir)) == names
+        for name in names:
+            assert (cli_dir / name).read_bytes() == (api_dir / name).read_bytes(), name
+
+    def test_an_archive_short_of_the_schedule_is_not_kept(self, tmp_path):
+        from torusma.continuation import run_continuation
+        from torusma.report import _StatesArchive
+
         experiment = parse_config(MINI)
-        states, record = run_experiment(experiment)
-        write_artifacts(str(tmp_path / "api"), experiment, record, states)
-        assert sorted(os.listdir(tmp_path / "api")) == [
-            "config.ini",
-            "report.csv",
-            "states.npz",
-            "verdicts.txt",
-        ]
-        with open(streamed, "rb") as a, open(tmp_path / "api" / "states.npz", "rb") as b:
-            assert a.read() == b.read()
+        states = run_continuation(experiment.scenario)
+        with pytest.raises(ValueError, match="3 rungs; 2 states were added"):
+            with _StatesArchive(str(tmp_path), experiment) as archive:
+                for state in states[:2]:
+                    archive.add(state)
+                archive.close()
+        assert os.listdir(tmp_path) == []
 
     def test_violating_scenario_exits_one_with_fail_banner(self, tmp_path, capsys):
         cfg = _write(tmp_path, CHEAP_ABOVE)
@@ -427,25 +435,34 @@ class TestRunVerb:
         assert err.count("\n") == 1
         assert calls == []
 
+    @pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
     @pytest.mark.parametrize("failure", [None, "solver", TypeError, KeyboardInterrupt])
     def test_every_exit_joins_the_writer_and_leaves_no_partial_record(
-        self, tmp_path, capsys, monkeypatch, failure
+        self, tmp_path, capsys, monkeypatch, failure, rerun
     ):
-        # Each failure comes at rung 1, after rung 0 went to the archive's writer.
+        # Each failure comes at rung 1, after rung 0 went to the archive's
+        # writer.  A rerun goes into the directory of an earlier record of
+        # the same config, which must keep every byte, whatever the rerun did.
         import torusma.continuation as continuation
+        from torusma.ma import PositivityError
 
-        if failure in (TypeError, KeyboardInterrupt):
+        cfg = _write(tmp_path, WINDOW if failure == "solver" and not rerun else MINI)
+        out = tmp_path / "runs"
+        if rerun:
+            assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_OK
+            rundir = Path(_run_record_dir(str(out), capsys.readouterr().out))
+            before = {path.name: path.read_bytes() for path in rundir.iterdir()}
+        if failure in (TypeError, KeyboardInterrupt) or (failure == "solver" and rerun):
+            stop = PositivityError if failure == "solver" else failure
             real_solve, solved = continuation.solve_ma_detailed, []
 
             def solve(*args, **kwargs):
                 if solved:
-                    raise failure("stopped at rung 1")
+                    raise stop("stopped at rung 1")
                 solved.append(real_solve(*args, **kwargs))
                 return solved[-1]
 
             monkeypatch.setattr(continuation, "solve_ma_detailed", solve)
-        cfg = _write(tmp_path, WINDOW if failure == "solver" else MINI)
-        out = tmp_path / "runs"
         threads = threading.active_count()
         if failure is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):
@@ -454,7 +471,10 @@ class TestRunVerb:
             expected = {None: EXIT_OK, "solver": EXIT_SOLVER, TypeError: EXIT_INTERNAL}
             assert main(["run", cfg, "--output-dir", str(out)]) == expected[failure]
         assert threading.active_count() == threads
-        if failure is None:
+        if rerun:
+            assert sorted(os.listdir(out)) == [rundir.name]
+            assert {path.name: path.read_bytes() for path in rundir.iterdir()} == before
+        elif failure is None:
             rundir = _run_record_dir(out, capsys.readouterr().out)
             assert sorted(os.listdir(out)) == [os.path.basename(rundir)]
             assert sorted(os.listdir(rundir)) == [

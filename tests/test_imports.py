@@ -16,9 +16,12 @@ legs once; ``Verdict(...)`` is called only in the two deciding rules and
 the integrability check, all in ``estimates``; ``report`` imports nothing
 from ``pluripotential``, reads no private name of ``estimates`` or
 ``continuation`` and smooths no potential, and ``rebuild_states`` is
-defined in ``continuation`` alone; the scenario library imports nothing of
-the package but ``config``; only the command-line module imports
-``ctypes``; and only ``geometry`` reads the ``parts`` of a Hermitian form.
+defined in ``continuation`` alone; only ``report.run_experiment`` makes a
+run directory, only ``report`` names ``states.npz``, and the command line
+imports neither ``shutil`` nor ``contextlib``; the scenario library
+imports nothing of the package but ``config``; only the command-line
+module imports ``ctypes``; and only ``geometry`` reads the ``parts`` of a
+Hermitian form.
 """
 
 import ast
@@ -430,6 +433,32 @@ def test_report_builds_no_rung():
     assert _private_reads_of(report, "continuation") == []
     assert _call_sites({"report": report}, "smoothed_potentials") == []
     assert _definers(sources, "rebuild_states") == ["continuation"]
+
+
+# ``report.run_experiment`` owns a record on disk: it alone makes the run
+# directory, only ``report`` names the archive, and the command line keeps
+# no cleanup of its own, so a failed run's leftovers are decided in one place.
+def _string_constants(source: str) -> set[str]:
+    """Every string literal of a module, docstrings included."""
+    return {
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_the_check_finds_string_constants():
+    source = 'x = "states.npz"\ny = f"{x}.tmp"\nz = b"raw"\n'
+    assert _string_constants(source) == {"states.npz", ".tmp"}
+
+
+def test_report_alone_writes_a_record():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    makedirs = _call_sites(sources, "makedirs")
+    assert _enclosing_functions(sources, makedirs) == ["report.run_experiment"]
+    naming = [m for m, text in sources.items() if "states.npz" in _string_constants(text)]
+    assert naming == ["report"]
+    assert not {"contextlib", "shutil"} & set(_top_level_imports(sources["cli"]))
 
 
 # Allocator policy belongs to the program's entry point: ``import torusma``
