@@ -101,11 +101,16 @@ class OutputSettings:
     formats: tuple[str, ...] = _KNOWN_FORMATS
 
     def __post_init__(self):
-        for f in self.formats:
+        for i, f in enumerate(self.formats):
             if f not in _KNOWN_FORMATS:
                 raise ValueError(
                     f"unknown output format {f!r}; known: {', '.join(_KNOWN_FORMATS)}"
                 )
+            if f in self.formats[:i]:
+                raise ValueError(f"output format {f!r} given more than once")
+        # One order for any listing, so the same files give one echo and one hash.
+        formats = tuple(f for f in _KNOWN_FORMATS if f in self.formats)
+        object.__setattr__(self, "formats", formats)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ scalar ``delta_eps`` restores exact mass balance rung by rung.  Solutions are
 mean-zero, warm-started down the ladder, and read in the shifted potential
 ``Phi = phi + rho`` in which the background becomes the constant form
 ``(1 + eps) I`` — the frame every curvature-type estimate uses.  What does
-not depend on the rung is built once per ladder (``_Ladder``), each rung's
-problem once per rung (``_Rung``); a state keeps ``phi`` and the ladder's
-``rho`` and derives ``Phi``.  Solved (:func:`run_continuation`) or rebuilt
-from stored fields (:func:`rebuild_states`), every state is built here.
+not depend on the rung is built once per ladder (``_Ladder``), each rung by
+one call, ``_Rung.build``, that smooths both potentials and balances the
+masses; a state keeps ``phi`` and the ladder's ``rho`` and derives ``Phi``.
+Solved (:func:`run_continuation`) or rebuilt from stored fields
+(:func:`rebuild_states`), every state is built here.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .pluripotential import (
     _curvature_bound,
     _regularize,
     evaluate,
-    regularize,
 )
 
 __all__ = [
@@ -190,33 +190,10 @@ def delta_eps(scenario: Scenario, eps: float) -> float:
     """Mass-restoring constant at rung ``eps``.
 
     Defined by ``(1 + delta) * int exp(psi1_eps - psi2_eps) = int det(a + eps I)``
-    with both potentials smoothed at the same ``eps`` as the background shift.
+    with both potentials smoothed at the same ``eps`` as the background shift:
+    the ``delta`` of the rung :func:`run_continuation` builds at ``eps``.
     """
-    p1 = regularize(scenario.psi1, eps)
-    p2 = regularize(scenario.psi2, eps)
-    return _Rung.build(scenario.alpha, eps, p1, p2).delta
-
-
-@dataclass(frozen=True)
-class _Rung:
-    """One regularized problem ``det(a + H(phi)) = F``, each part computed once:
-    the form ``a = alpha.coefficients(eps)``, the mass constant ``delta`` and
-    ``F = (1 + delta) exp(psi1_eps - psi2_eps)``."""
-
-    eps: float
-    a: HermitianFormField
-    delta: float
-    F: GridField
-
-    @classmethod
-    def build(cls, alpha: AlphaModel, eps: float, p1, p2, delta=None) -> "_Rung":
-        """The rung from the smoothed ``p1`` and ``p2``; ``delta`` balances the
-        masses unless a stored value is given."""
-        a = alpha.coefficients(eps)
-        density = np.exp(p1.values - p2.values)
-        if delta is None:
-            delta = _mass(a) / float(density.mean()) - 1.0
-        return cls(eps, a, delta, GridField(alpha.spec, (1.0 + delta) * density))
+    return _Rung.build(_Ladder.build(scenario), eps).delta
 
 
 def _shift_defect(phi: GridField, det_g: np.ndarray, a: HermitianFormField) -> float:
@@ -269,40 +246,59 @@ class _Ladder:
         return cls(scenario, C, rho, eta, keep, sharp)
 
 
-def _smoothed_potentials(ladder: _Ladder, eps: float):
-    """``psi1`` and ``psi2`` regularized at ``eps``, and ``psi2``'s comparison
-    weight: its Hessian from guarantee (b), and the constant
+@dataclass(frozen=True)
+class _Rung:
+    """One regularized problem ``det(a + H(phi)) = F``, each part computed once:
+    the form ``a = alpha.coefficients(eps)``, the mass constant ``delta``,
+    ``F = (1 + delta) exp(psi1_eps - psi2_eps)``, ``p2 = psi2_eps`` and its
+    comparison weight, from its Hessian (guarantee (b)) and the constant
     ``hessian_lower_bound(psi2, s_min=sqrt(eps))`` certified while smoothing."""
-    scenario = ladder.scenario
-    p1 = _regularize(scenario.psi1, eps, ladder.sharp[0])[0]
-    p2, C_cert, calculus = _regularize(scenario.psi2, eps, ladder.sharp[1])
-    return p1, p2, estimates._weight(calculus, C_cert)
+
+    eps: float
+    a: HermitianFormField
+    delta: float
+    F: GridField
+    p2: GridField
+    weight2: tuple
+
+    @classmethod
+    def build(cls, ladder: _Ladder, eps: float, delta=None) -> "_Rung":
+        """The rung at ``eps``, smoothed against the ladder's sharp models;
+        ``delta`` balances the masses unless a stored value is given."""
+        scenario = ladder.scenario
+        p1 = _regularize(scenario.psi1, eps, ladder.sharp[0])[0]
+        p2, C_cert, calculus = _regularize(scenario.psi2, eps, ladder.sharp[1])
+        weight2 = estimates._weight(calculus, C_cert)
+        a = scenario.alpha.coefficients(eps)
+        density = np.exp(p1.values - p2.values)
+        if delta is None:
+            delta = _mass(a) / float(density.mean()) - 1.0
+        F = GridField(scenario.spec, (1.0 + delta) * density)
+        return cls(eps, a, delta, F, p2, weight2)
 
 
-def _rung_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField, smoothed) -> dict:
+def _rung_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField) -> dict:
     """Every per-rung estimate scalar of a solved rung, measured on ``phi + rho``,
     and ``sup |phi|``.
 
-    ``smoothed`` is the rung's :func:`_smoothed_potentials`.  One metric
-    ``(1 + eps) I + H(Phi)`` serves the shift and trace identities, the
-    log-trace inequality, both weighted second-order quantities and the
-    convexity comparison for both weights (``psi2_eps`` and ``eta = -rho``).
-    Raises ``EstimateError`` or ``PositivityError`` when a precondition fails.
+    One metric ``(1 + eps) I + H(Phi)`` serves the shift and trace
+    identities, the log-trace inequality, both weighted second-order
+    quantities and the convexity comparison for both weights (the rung's
+    ``psi2_eps`` and the ladder's ``eta = -rho``).  Raises ``EstimateError`` or ``PositivityError`` when a precondition fails.
     """
     spec, C, eps = ladder.scenario.spec, ladder.C, rung.eps
-    _, p2, weight2 = smoothed
     Phi = GridField(spec, phi.values + ladder.rho)
     m = estimates._RungMetric.build(Phi, eps)
     f_log = GridField(spec, np.log(rung.F.values) - spec.n * np.log1p(eps))
     siu = estimates._siu_residual(m, f_log, C)
     comparison = min(
-        float(np.min(estimates._comparison_residual(m, weight2))),
+        float(np.min(estimates._comparison_residual(m, rung.weight2))),
         float(np.min(estimates._comparison_residual(m, ladder.eta))),
     )
     return {
         "shift_defect": _shift_defect(phi, m.data.det, rung.a),
         "min_siu_residual": float(np.min(siu)),
-        "weighted_c2_sup": estimates._weighted_sup(m, p2.values, C),
+        "weighted_c2_sup": estimates._weighted_sup(m, rung.p2.values, C),
         "sharp_weighted_sup": estimates._weighted_sup(
             m, ladder.sharp[1].values, C, ladder.keep
         ),
@@ -314,10 +310,10 @@ def _rung_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField, smoothed) ->
 
 
 def _rung_state(
-    ladder: _Ladder, rung: _Rung, phi: GridField, steps: int, smoothed, solve
+    ladder: _Ladder, rung: _Rung, phi: GridField, steps: int, solve
 ) -> ContinuationState:
-    """The one constructor of states, solved or stored: ``smoothed`` is the
-    rung's :func:`_smoothed_potentials`, ``solve`` its ``SolveResult`` or ``None``."""
+    """The one constructor of states, solved or stored: ``solve`` is the
+    rung's ``SolveResult`` or ``None``."""
     return ContinuationState(
         eps=rung.eps,
         delta_eps=rung.delta,
@@ -325,7 +321,7 @@ def _rung_state(
         rho=ladder.rho,
         C=ladder.C,
         newton_steps=steps,
-        diagnostics=_rung_diagnostics(ladder, rung, phi, smoothed),
+        diagnostics=_rung_diagnostics(ladder, rung, phi),
         solve=solve,
     )
 
@@ -354,11 +350,10 @@ def run_continuation(scenario: Scenario, on_state=None) -> list[ContinuationStat
     states: list[ContinuationState] = []
     for index, eps in enumerate(scenario.eps_schedule):
         try:
-            smoothed = _smoothed_potentials(ladder, eps)
-            rung = _Rung.build(scenario.alpha, eps, *smoothed[:2])
+            rung = _Rung.build(ladder, eps)
             phi0 = states[-1].phi if states else None
             result = solve_ma_detailed(rung.a, rung.F, phi0=phi0, tol=scenario.tol)
-            state = _rung_state(ladder, rung, result.phi, result.newton_steps, smoothed, result)
+            state = _rung_state(ladder, rung, result.phi, result.newton_steps, result)
         except _RUNG_ERRORS as exc:
             raise ContinuationError(
                 f"rung {index} (eps={eps:g}) failed: {exc}", states, index, eps
@@ -405,9 +400,7 @@ def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[Continuat
     ladder = _Ladder.build(scenario)
 
     def rebuild(e: float, d: float, n: int, phi_k: GridField) -> ContinuationState:
-        smoothed = _smoothed_potentials(ladder, e)
-        rung = _Rung.build(scenario.alpha, e, *smoothed[:2], delta=d)
-        return _rung_state(ladder, rung, phi_k, n, smoothed, None)
+        return _rung_state(ladder, _Rung.build(ladder, e, d), phi_k, n, None)
 
     workers = _workers(len(fields))
     pool = ThreadPoolExecutor(workers, thread_name_prefix="torusma-rung")

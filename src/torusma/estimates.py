@@ -607,9 +607,9 @@ def record_verdicts(scenario, settings, states) -> tuple[Verdict, ...]:
         )
     )
     if scenario.psi2.poles:
-        q_sups = [s.diagnostics["q_sup"] for s in states]
-        growth = max(q_sups) / q_sups[0]
-        verdicts.append(_bound("unweighted-growth", growth, _UNWEIGHTED_GROWTH_FACTOR, "min"))
+        name, q_sups = "unweighted-growth", [s.diagnostics["q_sup"] for s in states]
+        growth = _bound(name, max(q_sups) / q_sups[0], _UNWEIGHTED_GROWTH_FACTOR, "min")
+        verdicts.append(_too_short(name, states) or growth)
         verdicts.append(_skoda(scenario))
     verdicts.append(_density(scenario))
     return tuple(verdicts)

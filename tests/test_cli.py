@@ -87,6 +87,23 @@ tol = 1e-6
 name = window
 """
 
+# A pole below the threshold on a ladder of two rungs.
+SHORT_POLE = """\
+[torus]
+n = 1
+N = 64
+[psi2]
+pole = 0.5 0.5, 0.5, 0.1, 0.2
+[hypothesis]
+p = 1.5
+[continuation]
+schedule = 0.00390625 0.001953125
+[estimates]
+C = 2.0
+[output]
+name = short-pole
+"""
+
 # n = 1, N = 16, t = 0.5 and one psi1 mode: a ladder that runs in a second.
 # A section appended to it has its header at line 8 and its first key at 9.
 TINY = "[torus]\nn = 1\nN = 16\n[alpha]\nt = 0.5\n[psi1]\nmode = 0.1, 1 0, 0.0\n"
@@ -287,6 +304,17 @@ class TestConfigParsing:
         cfg = _write(tmp_path, TINY + "[estimates]\nC = 0.0\n")
         assert main(["run", cfg, "--output-dir", str(tmp_path / "runs")]) == EXIT_OK
         assert "constant C = 0 (configured)" in capsys.readouterr().out
+
+    def test_formats_are_echoed_in_one_order(self):
+        # The same files make the same record: one echo, one hash.
+        one, other = (
+            parse_config(TINY + f"[output]\nformats = {listing}\n")
+            for listing in ("csv,verdicts", "verdicts, csv")
+        )
+        assert one.output.formats == other.output.formats == ("csv", "verdicts")
+        assert "\nformats = csv,verdicts\n" in one.echo
+        assert one.echo == other.echo
+        assert one.config_hash == other.config_hash
 
     def test_comments_and_blank_lines_are_ignored(self):
         noisy = "# top\n\n[torus]\n; mid\nn = 1\n\nN = 16\n# done\n"
@@ -651,6 +679,15 @@ class TestRunVerb:
         )
         assert not out.exists()
 
+    def test_a_repeated_format_exits_three_at_its_line(self, tmp_path, capsys):
+        cfg = _write(tmp_path, TINY + "[output]\nformats = csv,csv,verdicts\n")
+        out = tmp_path / "runs"
+        assert main(["run", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: line 9: output format 'csv' given more than once\n"
+        )
+        assert not out.exists()
+
     def test_unknown_target_exits_three(self, capsys):
         assert main(["run", "no-such-scenario"]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -706,6 +743,19 @@ class TestRunVerb:
         cfg = _write(tmp_path, short)
         assert main(["run", cfg, "--output-dir", str(tmp_path / "a")]) == EXIT_OK
         assert "overall: pass with inconclusive checks" in capsys.readouterr().out
+        code = main(["run", cfg, "--output-dir", str(tmp_path / "b"), "--strict"])
+        assert code == EXIT_VERDICT
+
+    def test_short_pole_ladder_leaves_unweighted_growth_inconclusive(
+        self, tmp_path, capsys
+    ):
+        # On two rungs the growth of sup q (1.74 here) is no trend: the check
+        # is inconclusive like every other ladder trend, not violated.
+        cfg = _write(tmp_path, SHORT_POLE)
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "a")]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[inconclusive] unweighted-growth: need at least 3 rungs, got 2\n" in out
+        assert "[violated]" not in out
         code = main(["run", cfg, "--output-dir", str(tmp_path / "b"), "--strict"])
         assert code == EXIT_VERDICT
 

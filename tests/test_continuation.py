@@ -23,7 +23,6 @@ from torusma.continuation import (
     _Rung,
     _rung_diagnostics,
     _shift_defect,
-    _smoothed_potentials,
     delta_eps,
     enforce_mass_balance,
     rebuild_states,
@@ -430,10 +429,13 @@ class TestOneDiagnosticsPath:
         # Hessian and half-Laplacian of the smoothed psi2, both inside the
         # guaranteed range (eps <= 0.1) and above it.
         scenario = enforce_mass_balance(_LADDERS[0])
-        p1, p2, weight2 = _smoothed_potentials(_Ladder.build(scenario), eps)
-        np.testing.assert_array_equal(p1.values, regularize(scenario.psi1, eps).values)
-        np.testing.assert_array_equal(p2.values, regularize(scenario.psi2, eps).values)
-        H, laplacian, C_cert, _ = weight2
+        rung = _Rung.build(_Ladder.build(scenario), eps)
+        p1 = regularize(scenario.psi1, eps)
+        p2 = regularize(scenario.psi2, eps)
+        np.testing.assert_array_equal(rung.p2.values, p2.values)
+        density = np.exp(p1.values - p2.values)
+        np.testing.assert_array_equal(rung.F.values, (1.0 + rung.delta) * density)
+        H, laplacian, C_cert, _ = rung.weight2
         assert C_cert == hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
         for got, want in zip(H.parts, complex_hessian(p2).parts):
             np.testing.assert_array_equal(got, want)
@@ -566,7 +568,7 @@ class TestRungPool:
         main = threading.get_ident()
         started, finished = [], []
 
-        def rung(_ladder, eps):
+        def rung(_ladder, eps, _delta=None):
             started.append(eps)
             try:
                 if eps == first and stop == "interrupt":
@@ -578,7 +580,7 @@ class TestRungPool:
             finally:
                 finished.append(eps)
 
-        monkeypatch.setattr(continuation, "_smoothed_potentials", rung)
+        monkeypatch.setattr(continuation._Rung, "build", rung)
         if stop == "error":
             with pytest.raises(EstimateError, match=re.escape(f"eps={first} ")):
                 _rebuilt(scenario, states)
@@ -607,12 +609,13 @@ class TestRungPool:
         with pytest.raises(EstimateError, match="metric trace must be positive"):
             rebuild_states(scenario, *arrays, phi)
         started = []
-        real = continuation._smoothed_potentials
-        monkeypatch.setattr(
-            continuation,
-            "_smoothed_potentials",
-            lambda ladder, eps: started.append(eps) or real(ladder, eps),
-        )
+        real = continuation._Rung.build
+
+        def rung(ladder, eps, delta=None):
+            started.append(eps)
+            return real(ladder, eps, delta)
+
+        monkeypatch.setattr(continuation._Rung, "build", rung)
         phi[-1].flat[0] = np.nan
         with pytest.raises(ValueError, match="non-finite") as info:
             rebuild_states(scenario, *arrays, phi)
@@ -667,7 +670,7 @@ class TestRungWork:
     """Each field of a rung is transformed once, its background form built
     once; the sharp models are sampled once per ladder."""
 
-    @pytest.mark.parametrize("n, limit", [(1, 20), (2, 42)])
+    @pytest.mark.parametrize("n, limit", [(1, 18), (2, 42)])
     def test_transforms_per_guarded_rung(self, n, limit, monkeypatch):
         scenario = enforce_mass_balance(_POLE_LADDERS[n])
         ladder = _Ladder.build(scenario)
@@ -682,10 +685,15 @@ class TestRungWork:
                 return real(*args)
 
             monkeypatch.setattr(geometry, name, counted)
-        smoothed = _smoothed_potentials(ladder, eps)
-        rung = _Rung.build(scenario.alpha, eps, *smoothed[:2], delta=0.0)
-        _rung_diagnostics(ladder, rung, phi, smoothed)
+        _rung_diagnostics(ladder, _Rung.build(ladder, eps, 0.0), phi)
         assert len(count) <= limit
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_delta_eps_is_the_stored_delta(self, n):
+        # ``delta_eps`` builds the rung that the solve built, so the bits agree.
+        scenario = enforce_mass_balance(_POLE_LADDERS[n])
+        for state in run_continuation(scenario):
+            assert delta_eps(scenario, state.eps) == state.delta_eps
 
     def test_background_form_is_built_once_per_rung(self, monkeypatch):
         # The solve, delta and the shift identity read one form per rung;

@@ -19,7 +19,6 @@ from torusma.continuation import (  # noqa: E402
     _Rung,
     _rung_diagnostics,
     _shift_defect,
-    _smoothed_potentials,
     enforce_mass_balance,
     run_continuation,
 )
@@ -139,9 +138,7 @@ def test_rung_diagnostics_shift_by_rho(n, t, seed, amplitude):
     spec = scenario.spec
     phi = GridField(spec, amplitude * trig_poly(spec, 1, seed).values)
     ladder = _Ladder.build(scenario)
-    smoothed = _smoothed_potentials(ladder, eps)
-    rung = _Rung.build(scenario.alpha, eps, *smoothed[:2], delta=0.0)
-    diagnostics = _rung_diagnostics(ladder, rung, phi, smoothed)
+    diagnostics = _rung_diagnostics(ladder, _Rung.build(ladder, eps, 0.0), phi)
     Phi = GridField(spec, phi.values + scenario.alpha.rho().values)
     m = _RungMetric.build(Phi, eps)
     assert diagnostics["trace_defect"] == _trace_identity_defect(m)

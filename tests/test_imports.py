@@ -16,12 +16,13 @@ legs once; ``Verdict(...)`` is called only in the two deciding rules and
 the integrability check, all in ``estimates``; ``report`` imports nothing
 from ``pluripotential``, reads no private name of ``estimates`` or
 ``continuation`` and smooths no potential, and ``rebuild_states`` is
-defined in ``continuation`` alone; only ``report.run_experiment`` makes a
-run directory, only ``report`` names ``states.npz``, and the command line
-imports neither ``shutil`` nor ``contextlib``; the scenario library
-imports nothing of the package but ``config``; only the command-line
-module imports ``ctypes``; and only ``geometry`` reads the ``parts`` of a
-Hermitian form.
+defined in ``continuation`` alone; ``_regularize`` is called only in
+``continuation._Rung.build`` and ``pluripotential.regularize``; only
+``report.run_experiment`` makes a run directory, only ``report`` names
+``states.npz``, and the command line imports neither ``shutil`` nor
+``contextlib``; the scenario library imports nothing of the package but
+``config``; only the command-line module imports ``ctypes``; and only
+``geometry`` reads the ``parts`` of a Hermitian form.
 """
 
 import ast
@@ -305,13 +306,18 @@ def test_stencil_legs_are_walked_at_one_site():
 # check's borderline margin is a status of its own.  A new check goes
 # through these, not through a branch of its own.
 def _enclosing_functions(sources: dict[str, str], sites) -> list[str]:
-    """``module.function`` of the top-level function around each ``module:line``."""
+    """``module.function`` of the top-level function, or ``module.Class.method``
+    of the method of a top-level class, around each ``module:line``."""
     found = []
     for site in sites:
         module, line = site.split(":")
+        body = ast.parse(sources[module]).body
+        scopes = [("", body)]
+        scopes += [(f"{c.name}.", c.body) for c in body if isinstance(c, ast.ClassDef)]
         found += [
-            f"{module}.{node.name}"
-            for node in ast.parse(sources[module]).body
+            f"{module}.{prefix}{node.name}"
+            for prefix, nodes in scopes
+            for node in nodes
             if isinstance(node, ast.FunctionDef)
             and node.lineno <= int(line) <= node.end_lineno
         ]
@@ -319,8 +325,21 @@ def _enclosing_functions(sources: dict[str, str], sites) -> list[str]:
 
 
 def test_the_check_finds_the_enclosing_function():
-    sources = {"a": "x = V(0)\ndef f():\n    return V(1)\n\ndef g(): pass\n"}
-    assert _enclosing_functions(sources, _call_sites(sources, "V")) == ["a.f"]
+    sources = {
+        "a": (
+            "x = V(0)\n"
+            "def f():\n"
+            "    return V(1)\n"
+            "\n"
+            "def g(): pass\n"
+            "class C:\n"
+            "    y = V(2)\n"
+            "    @classmethod\n"
+            "    def m(cls):\n"
+            "        return V(3)\n"
+        )
+    }
+    assert _enclosing_functions(sources, _call_sites(sources, "V")) == ["a.C.m", "a.f"]
 
 
 def test_verdicts_are_built_at_three_sites():
@@ -331,6 +350,19 @@ def test_verdicts_are_built_at_three_sites():
         "estimates._decide",
         "estimates._skoda",
         "estimates._too_short",
+    ]
+
+
+# A rung's potentials are smoothed in one place, ``continuation._Rung.build``
+# (``psi1`` and ``psi2``, once each), which ``run``, ``verify`` and
+# ``delta_eps`` all call; the public ``regularize`` wraps the same function.
+def test_potentials_are_smoothed_at_two_sites():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    sites = _call_sites(sources, "_regularize")
+    assert _enclosing_functions(sources, sites) == [
+        "continuation._Rung.build",
+        "continuation._Rung.build",
+        "pluripotential.regularize",
     ]
 
 
@@ -431,7 +463,7 @@ def test_report_builds_no_rung():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     report = sources["report"]
     assert _private_reads_of(report, "continuation") == []
-    assert _call_sites({"report": report}, "smoothed_potentials") == []
+    assert _call_sites({"report": report}, "regularize") == []
     assert _definers(sources, "rebuild_states") == ["continuation"]
 
 
