@@ -144,22 +144,21 @@ def _verdict_exit(record, strict: bool) -> int:
     return EXIT_OK
 
 
-def _warn_per_rung(states) -> None:
-    for rung, state in enumerate(states):
-        grids = list(state.solve.grids())
+def _warn_per_rung(rungs) -> None:
+    for index, rung in enumerate(rungs):
         for count, what in (
             (
-                sum(g.gmres_info_nonzero for g in grids),
+                rung.gmres_info_nonzero,
                 "GMRES solve(s) stopped short of the inner tolerance",
             ),
             (
-                sum(g.nested_rejected for g in grids),
+                rung.nested_rejected,
                 "nested-grid start(s) rejected; Newton started without the coarse correction",
             ),
         ):
             if count:
                 print(
-                    f"warning: rung {rung} (eps={state.eps:g}): {count} {what}",
+                    f"warning: rung {index} (eps={rung.eps:g}): {count} {what}",
                     file=sys.stderr,
                 )
 
@@ -168,11 +167,11 @@ def _cmd_run(args) -> int:
     experiment = _resolve(args.target, args.resolution_override)
     outdir = _run_dir(experiment, args.output_dir)
     try:
-        states, record = run_experiment(experiment, outdir)
+        rungs, record = run_experiment(experiment, outdir)
     except ContinuationError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    _warn_per_rung(states)
+    _warn_per_rung(rungs)
     sys.stdout.write(render_verdicts(record))
     print(f"artifacts: {outdir}")
     return _verdict_exit(record, args.strict)

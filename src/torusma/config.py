@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .continuation import Scenario, enforce_mass_balance
-from .estimates import has_admissible_pairs
+from .estimates import EstimateSettings, has_admissible_pairs
 from .geometry import TorusSpec
 from .ma import AlphaModel
 from .pluripotential import Pole, QuasiPshModel, SmoothMode
@@ -70,32 +70,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class EstimateSettings:
-    """Knobs for the ladder-level regularity checks: the Hoelder exponent,
-    the two exclusion radii and the integrability exponent of the Sobolev
-    embedding check, whose margin is reported in both the real and the
-    complex reading of the dimension.
-
-    Exclusion radii are in units of the grid spacing, so a setting means the
-    same thing at every resolution.
-    """
-
-    holder_gamma: float = 0.5
-    exclusion_inner: float = 2.0
-    exclusion_outer: float = 8.0
-    sobolev_q: float = 4.0
-
-    def __post_init__(self):
-        if not 0 < self.holder_gamma < 1:
-            raise ValueError(f"holder_gamma must be in (0,1), got {self.holder_gamma}")
-        # Radii are in grid spacings; the Hoelder stencil needs at least two.
-        if not 2 <= self.exclusion_inner < self.exclusion_outer:
-            raise ValueError("need 2 <= exclusion_inner < exclusion_outer")
-        if not self.sobolev_q > 0:
-            raise ValueError(f"sobolev_q must be positive, got {self.sobolev_q}")
-
-
-@dataclass(frozen=True)
 class OutputSettings:
     directory: str = "runs"
     formats: tuple[str, ...] = _KNOWN_FORMATS
@@ -115,10 +89,9 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully resolved experiment: scenario, settings, provenance."""
+    """A fully resolved experiment: scenario, output settings, provenance."""
 
     scenario: Scenario
-    settings: EstimateSettings
     output: OutputSettings
     hypothesis_satisfied: bool
     hypothesis_notes: tuple[str, ...]
@@ -153,9 +126,10 @@ def _hypothesis_notes(scenario: Scenario) -> tuple[bool, tuple[str, ...]]:
     return satisfied, tuple(notes)
 
 
-def _check_exclusion(scenario: Scenario, settings: EstimateSettings) -> None:
+def _check_exclusion(scenario: Scenario) -> None:
     """The interior-regularity verdict needs Hoelder stencil pairs at the
     outer exclusion radius (the inner one is smaller and keeps more)."""
+    settings = scenario.settings
     radius = settings.exclusion_outer * scenario.spec.h
     if not has_admissible_pairs(scenario.spec, radius, scenario.singular_centers):
         raise ConfigError(
@@ -176,11 +150,9 @@ def _render_model(section: str, model: QuasiPshModel) -> list[str]:
     return lines
 
 
-def canonical_text(
-    scenario: Scenario, settings: EstimateSettings, output: OutputSettings
-) -> str:
+def canonical_text(scenario: Scenario, output: OutputSettings) -> str:
     """Deterministic full-default rendering; the hash input and the echo."""
-    s = scenario
+    s, settings = scenario, scenario.settings
     lines = [
         "[torus]",
         f"n = {s.spec.n}",
@@ -406,6 +378,7 @@ def parse_config(text: str) -> ExperimentConfig:
         ((line_p, {"p": p}), (line_s, {"eps_schedule": schedule}),
          (line_tol, tol_kw), (line_c, C_kw)),
         name=name,
+        settings=settings,
         spec=spec,
         alpha=alpha,
         psi1=psi1,
@@ -418,15 +391,14 @@ def parse_config(text: str) -> ExperimentConfig:
     # hypothesis flags, and render the canonical echo whose hash keys the
     # output directory.
     try:
-        _check_exclusion(scenario, settings)
+        _check_exclusion(scenario)
         scenario = enforce_mass_balance(scenario)
         satisfied, notes = _hypothesis_notes(scenario)
-        echo = canonical_text(scenario, settings, output)
+        echo = canonical_text(scenario, output)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return ExperimentConfig(
         scenario=scenario,
-        settings=settings,
         output=output,
         hypothesis_satisfied=satisfied,
         hypothesis_notes=notes,

@@ -92,6 +92,7 @@ class Scenario:
     eps_schedule: tuple[float, ...]
     tol: float = 1e-10
     C_config: float | None = None
+    settings: estimates.EstimateSettings = estimates.EstimateSettings()
 
     def __post_init__(self):
         if not self.p > 1:
@@ -212,13 +213,15 @@ class _Ladder:
     """What every rung of a scenario shares.  ``sharp`` holds the models at
     smoothing 0, sampled once: the reference of the smoothing guarantee, the
     mass check and the sharp weight of ``sharp_weighted_sup`` (read on
-    ``keep``, away from the poles of ``psi2``)."""
+    ``keep``, away from the poles of ``psi2``).  ``stencil`` is the Hoelder
+    stencil the last rungs measure their potentials on."""
 
     scenario: Scenario
     C: float
     rho: np.ndarray
     eta: tuple
     keep: np.ndarray
+    stencil: estimates._HolderStencil
     sharp: tuple[GridField, GridField]
 
     @classmethod
@@ -237,13 +240,16 @@ class _Ladder:
         H, laplacian = _hessian_and_trace(alpha.eta())
         eta = estimates._weight((_read_only(H), _read_only(laplacian)), alpha.t + 1e-6)
         keep = _read_only(estimates._pole_mask(psi2))
+        stencil = estimates._HolderStencil.build(
+            scenario.spec, scenario.settings, scenario.singular_centers
+        )
         sharp = (evaluate(psi1), evaluate(psi2))
         for field in sharp:
             _read_only(field.values)
         C = scenario.C_config
         if C is None:
             C = _curvature_bound(complex_hessian(sharp[1]))
-        return cls(scenario, C, rho, eta, keep, sharp)
+        return cls(scenario, C, rho, eta, keep, stencil, sharp)
 
 
 @dataclass(frozen=True)
@@ -277,9 +283,19 @@ class _Rung:
         return cls(eps, a, delta, F, p2, weight2)
 
 
-def _rung_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField) -> dict:
-    """Every per-rung estimate scalar of a solved rung, measured on ``phi + rho``,
-    and ``sup |phi|``.
+def _rung_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField, radii: int) -> dict:
+    """Every per-rung estimate scalar of a solved rung, and the rung's part of
+    interior-regularity: the Hoelder pass on ``phi`` at ``radii`` radii of
+    the ladder's stencil (``estimates._holder_radii``), once the metric's
+    fields are released."""
+    diagnostics = _metric_diagnostics(ladder, rung, phi)
+    if radii:
+        diagnostics.update(estimates._holder_pass(ladder.stencil, phi, radii))
+    return diagnostics
+
+
+def _metric_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField) -> dict:
+    """The estimate scalars measured on ``phi + rho``, and ``sup |phi|``.
 
     One metric ``(1 + eps) I + H(Phi)`` serves the shift and trace
     identities, the log-trace inequality, both weighted second-order
@@ -310,10 +326,11 @@ def _rung_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField) -> dict:
 
 
 def _rung_state(
-    ladder: _Ladder, rung: _Rung, phi: GridField, steps: int, solve
+    ladder: _Ladder, rung: _Rung, phi: GridField, steps: int, solve, radii: int
 ) -> ContinuationState:
     """The one constructor of states, solved or stored: ``solve`` is the
-    rung's ``SolveResult`` or ``None``."""
+    rung's ``SolveResult`` or ``None``, ``radii`` the Hoelder radii it
+    measures."""
     return ContinuationState(
         eps=rung.eps,
         delta_eps=rung.delta,
@@ -321,23 +338,34 @@ def _rung_state(
         rho=ladder.rho,
         C=ladder.C,
         newton_steps=steps,
-        diagnostics=_rung_diagnostics(ladder, rung, phi),
+        diagnostics=_rung_diagnostics(ladder, rung, phi, radii),
         solve=solve,
     )
 
 
-def run_continuation(scenario: Scenario, on_state=None) -> list[ContinuationState]:
+def _solved_state(ladder: _Ladder, eps: float, phi0, radii: int) -> ContinuationState:
+    """The rung at ``eps`` solved from the warm start ``phi0``; the rung's
+    fields die on return, with only the state left."""
+    rung = _Rung.build(ladder, eps)
+    result = solve_ma_detailed(rung.a, rung.F, phi0=phi0, tol=ladder.scenario.tol)
+    return _rung_state(ladder, rung, result.phi, result.newton_steps, result, radii)
+
+
+def run_continuation(scenario: Scenario, keep=None) -> list:
     """Solve every rung of the schedule, warm-starting each from the last.
 
     Preconditions: the scenario is mass-balanced.  Each state keeps the
     rung's :class:`~torusma.ma.SolveResult` as ``solve``, with its counts and
     ``residual_history``, and the per-rung estimate scalars, through the
-    constructor that :func:`rebuild_states` uses on stored fields.  A rung
-    that fails by design (see ``_RUNG_ERRORS``) raises ``ContinuationError``
-    with all completed states attached; any other exception propagates as is.
-    ``on_state``, when given, is called with each state as soon as it is
-    built, before the next rung solves; nothing here writes into a state's
-    ``phi`` afterwards.
+    constructor that :func:`rebuild_states` uses on stored fields.  Returns
+    the states, or, when ``keep`` is given, what ``keep`` returns for each:
+    it is called with each state as soon as it is built, before the next
+    rung solves, and afterwards the loop holds only the state's ``phi``, as
+    the next rung's warm start, so a caller that streams states away need
+    not hold their fields.  Nothing here writes into a ``phi``.  A rung that
+    fails by design (see ``_RUNG_ERRORS``) raises ``ContinuationError`` with
+    the kept values of all completed rungs attached; any other exception
+    propagates as is.
     """
     ladder = _Ladder.build(scenario)
     mass_a = _mass(scenario.alpha.coefficients())
@@ -347,21 +375,19 @@ def run_continuation(scenario: Scenario, on_state=None) -> list[ContinuationStat
             f"scenario is not mass-balanced ({mass_d:.12g} vs {mass_a:.12g}); "
             f"apply enforce_mass_balance first"
         )
-    states: list[ContinuationState] = []
+    kept, phi0, rungs = [], None, len(scenario.eps_schedule)
     for index, eps in enumerate(scenario.eps_schedule):
+        radii = estimates._holder_radii(index, rungs)
         try:
-            rung = _Rung.build(ladder, eps)
-            phi0 = states[-1].phi if states else None
-            result = solve_ma_detailed(rung.a, rung.F, phi0=phi0, tol=scenario.tol)
-            state = _rung_state(ladder, rung, result.phi, result.newton_steps, result)
+            state = _solved_state(ladder, eps, phi0, radii)
         except _RUNG_ERRORS as exc:
             raise ContinuationError(
-                f"rung {index} (eps={eps:g}) failed: {exc}", states, index, eps
+                f"rung {index} (eps={eps:g}) failed: {exc}", kept, index, eps
             ) from exc
-        states.append(state)
-        if on_state is not None:
-            on_state(state)
-    return states
+        phi0 = state.phi
+        kept.append(state if keep is None else keep(state))
+        del state
+    return kept
 
 
 def _workers(rungs: int) -> int:
@@ -399,8 +425,8 @@ def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[Continuat
     fields = [GridField(scenario.spec, values) for values in phi]
     ladder = _Ladder.build(scenario)
 
-    def rebuild(e: float, d: float, n: int, phi_k: GridField) -> ContinuationState:
-        return _rung_state(ladder, _Rung.build(ladder, e, d), phi_k, n, None)
+    def rebuild(e: float, d: float, n: int, phi_k: GridField, radii: int) -> ContinuationState:
+        return _rung_state(ladder, _Rung.build(ladder, e, d), phi_k, n, None, radii)
 
     workers = _workers(len(fields))
     pool = ThreadPoolExecutor(workers, thread_name_prefix="torusma-rung")
@@ -408,10 +434,11 @@ def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[Continuat
         # A rung is submitted only once the rung ``workers`` places before it
         # is collected, so a failed rung stops the schedule where it failed.
         states, running = [], deque()
-        for e, d, n, phi_k in zip(eps, delta, steps, fields):
+        for k, (e, d, n, phi_k) in enumerate(zip(eps, delta, steps, fields)):
             if len(running) == workers:
                 states.append(running.popleft().result())
-            running.append(pool.submit(rebuild, float(e), float(d), int(n), phi_k))
+            radii = estimates._holder_radii(k, len(fields))
+            running.append(pool.submit(rebuild, float(e), float(d), int(n), phi_k, radii))
         states.extend(future.result() for future in running)
         return states
     finally:

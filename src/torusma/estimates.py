@@ -33,6 +33,7 @@ from .geometry import (
     _MetricData,
     _frobenius,
     _hessian_and_trace,
+    _read_only,
     half_laplacian,
     complex_hessian,
     min_eigenvalue_field,
@@ -48,6 +49,7 @@ __all__ = [
     "INCONCLUSIVE",
     "Verdict",
     "EstimateError",
+    "EstimateSettings",
     "c0_uniformity",
     "siu_residual",
     "comparison_residual",
@@ -104,6 +106,32 @@ def _too_short(name: str, ladder) -> Verdict | None:
 
 class EstimateError(ValueError):
     """An estimate's precondition fails on the fields it was handed."""
+
+
+@dataclass(frozen=True)
+class EstimateSettings:
+    """Knobs for the ladder-level regularity checks: the Hoelder exponent,
+    the two exclusion radii and the integrability exponent of the Sobolev
+    embedding check, whose margin is reported in both the real and the
+    complex reading of the dimension.
+
+    Exclusion radii are in units of the grid spacing, so a setting means the
+    same thing at every resolution.
+    """
+
+    holder_gamma: float = 0.5
+    exclusion_inner: float = 2.0
+    exclusion_outer: float = 8.0
+    sobolev_q: float = 4.0
+
+    def __post_init__(self):
+        if not 0 < self.holder_gamma < 1:
+            raise ValueError(f"holder_gamma must be in (0,1), got {self.holder_gamma}")
+        # Radii are in grid spacings; the Hoelder stencil needs at least two.
+        if not 2 <= self.exclusion_inner < self.exclusion_outer:
+            raise ValueError("need 2 <= exclusion_inner < exclusion_outer")
+        if not self.sobolev_q > 0:
+            raise ValueError(f"sobolev_q must be positive, got {self.sobolev_q}")
 
 
 @dataclass(frozen=True)
@@ -386,21 +414,40 @@ def _check_radius(spec, radius: float) -> None:
         )
 
 
-def _seminorms(phi: GridField, gamma: float, radii, masks) -> tuple[float, ...]:
+def _legs(spec, radii, singular) -> tuple[tuple, tuple]:
+    """The exclusion mask of each radius of ``radii``, and every leg of
+    :func:`_admissible_legs` on them, its pairs packed eight to a byte
+    (``np.packbits``) so that a ladder can keep them; raises for a radius
+    below 2h."""
+    for radius in radii:
+        _check_radius(spec, radius)
+    masks = tuple(_exclusion_mask(spec, singular, radius) for radius in radii)
+    legs = tuple(
+        (shift, separation, tuple(p if p is None else np.packbits(p) for p in pairs))
+        for shift, separation, pairs in _admissible_legs(spec, masks)
+    )
+    return masks, legs
+
+
+def _seminorms(phi: GridField, gamma: float, radii, legs) -> tuple[float, ...]:
     """The seminorms of :func:`holder_seminorm`, one per radius of ``radii``
-    on its exclusion mask, already built: one gradient, one difference per
-    leg for all radii."""
+    on the leg pairs of its mask in ``legs``, in the same order: one
+    gradient, one difference per leg for all radii."""
     if not 0 < gamma < 1:
         raise ValueError(f"Hoelder exponent must lie in (0,1), got {gamma}")
-    for radius in radii:
-        _check_radius(phi.spec, radius)
+    spec = phi.spec
     grad = spectral_gradient(phi)
-    axes = tuple(range(phi.spec.num_axes))
-    best = [-np.inf] * len(masks)
-    for shift, separation, pairs in _admissible_legs(phi.spec, masks):
+    axes = tuple(range(spec.num_axes))
+    best = [-np.inf] * len(radii)
+    for shift, separation, pairs in legs:
+        pairs = pairs[: len(radii)]
+        if all(packed is None for packed in pairs):
+            continue
         diff2 = sum((np.roll(comp, shift, axis=axes) - comp) ** 2 for comp in grad)
-        for i, valid in enumerate(pairs):
-            if valid is not None:  # sqrt and division are monotone: take the top diff2
+        for i, packed in enumerate(pairs):
+            if packed is not None:  # sqrt and division are monotone: take the top diff2
+                valid = np.unpackbits(packed, count=diff2.size).view(bool)
+                valid = valid.reshape(spec.shape)
                 top = np.sqrt(np.max(diff2, where=valid, initial=0.0)) / separation**gamma
                 best[i] = max(best[i], float(top))
     for radius, value in zip(radii, best):
@@ -424,8 +471,8 @@ def holder_seminorm(
     radius must be at least two grid spacings, so the shortest legs cannot
     straddle a pole; raises when it empties the stencil.
     """
-    mask = _exclusion_mask(phi.spec, singular, exclusion_radius)
-    return _seminorms(phi, gamma, (exclusion_radius,), (mask,))[0]
+    radii = (exclusion_radius,)
+    return _seminorms(phi, gamma, radii, _legs(phi.spec, radii, singular)[1])[0]
 
 
 def has_admissible_pairs(spec, exclusion_radius: float, singular=()) -> bool:
@@ -436,46 +483,87 @@ def has_admissible_pairs(spec, exclusion_radius: float, singular=()) -> bool:
     return next(_admissible_legs(spec, (keep,)), None) is not None
 
 
+# interior-regularity reads the last rungs of a ladder: the outer-radius
+# seminorm of each, and the inner-radius seminorm and the Sobolev norm of the
+# final one.
+_HOLDER_RUNGS = 3
+
+
+def _holder_radii(index: int, rungs: int) -> int:
+    """How many Hoelder radii rung ``index`` of a ladder of ``rungs``
+    measures: the outer one on each of the last three rungs, the inner one
+    too on the final rung, and none on a ladder too short for
+    interior-regularity to judge."""
+    if rungs < _HOLDER_RUNGS or index < rungs - _HOLDER_RUNGS:
+        return 0
+    return 2 if index == rungs - 1 else 1
+
+
+@dataclass(frozen=True)
+class _HolderStencil:
+    """The Hoelder stencil of one ladder, built once: the outer and the inner
+    exclusion radius, every admissible leg with its packed pairs per radius
+    (see :func:`_legs`), the outer mask that the Sobolev norm reads, and the
+    exponents of the seminorm and the norm.  Its arrays are read-only, since
+    concurrent rungs share them."""
+
+    gamma: float
+    q: float
+    radii: tuple[float, float]
+    legs: tuple
+    outer: np.ndarray
+
+    @classmethod
+    def build(cls, spec, settings: EstimateSettings, singular) -> "_HolderStencil":
+        radii = (settings.exclusion_outer * spec.h, settings.exclusion_inner * spec.h)
+        (outer, _), legs = _legs(spec, radii, singular)
+        for array in (outer, *(p for _, _, pairs in legs for p in pairs if p is not None)):
+            _read_only(array)
+        return cls(settings.holder_gamma, settings.sobolev_q, radii, legs, outer)
+
+
+def _holder_pass(stencil: _HolderStencil, phi: GridField, radii: int) -> dict:
+    """One rung's part of interior-regularity, at the first ``radii`` radii
+    of ``stencil``: ``holder_outer``, and at both radii also
+    ``holder_inner`` and ``sobolev_norm``, the volume-weighted ``L^q`` norm
+    of the complex Hessian (pointwise Frobenius) outside the outer radius."""
+    seminorms = _seminorms(phi, stencil.gamma, stencil.radii[:radii], stencil.legs)
+    measured = {"holder_outer": seminorms[0]}
+    if radii == 2:
+        spec, q = phi.spec, stencil.q
+        frob = _frobenius(complex_hessian(phi))
+        cell = spec.h**spec.num_axes
+        measured["holder_inner"] = seminorms[1]
+        measured["sobolev_norm"] = float(
+            (np.sum(frob[stencil.outer] ** q) * cell) ** (1.0 / q)
+        )
+    return measured
+
+
 _SPREAD_BOUND = 1.5
 
 
-def interior_regularity(
-    phis,
-    gamma: float,
-    outer_radius: float,
-    inner_radius: float,
-    q_exponent: float,
-    singular=(),
-) -> Verdict:
-    """``interior-regularity`` over the last three potentials of a ladder.
+def interior_regularity(states, settings: EstimateSettings, n: int) -> Verdict:
+    """``interior-regularity`` over the last three rungs of a ladder, from
+    the Hoelder numbers ``continuation`` measured on each of them.
 
-    Holds when the Hoelder seminorm of the gradient outside ``outer_radius``
-    (:func:`holder_seminorm`) spreads by at most a factor 1.5 over those
-    rungs.  Reported as data, not gated, since their magnitudes depend on
-    resolution and geometry: the final rung's seminorm at both radii and
-    their ratio; the volume-weighted ``L^q`` norm of its complex Hessian
-    (pointwise Frobenius) outside ``outer_radius`` and the seminorm-to-norm
-    ratio, the two sides of the compactness embedding; and the margins
-    ``q (1 - gamma) - d`` for the real dimension ``2n`` and the complex
-    ``n``, positive where second-order integrability upgrades to Hoelder
-    continuity of the gradient.  Each exclusion mask is built once; each
-    rung gets its own stencil pass, the final one at both radii.
+    Holds when the Hoelder seminorm of the gradient outside the outer
+    exclusion radius (:func:`holder_seminorm`, each rung's ``holder_outer``)
+    spreads by at most a factor 1.5 over those rungs.  Reported as data, not
+    gated, since their magnitudes depend on resolution and geometry: the
+    final rung's seminorm at both radii and their ratio; the volume-weighted
+    ``L^q`` norm of its complex Hessian (pointwise Frobenius) outside the
+    outer radius and the seminorm-to-norm ratio, the two sides of the
+    compactness embedding; and the margins ``q (1 - gamma) - d`` for the
+    real dimension ``2n`` and the complex ``n``, positive where second-order
+    integrability upgrades to Hoelder continuity of the gradient.
     """
-    if not q_exponent > 0:
-        raise ValueError(f"integrability exponent must be positive, got {q_exponent}")
-    if short := _too_short("interior-regularity", phis):
+    if short := _too_short("interior-regularity", states):
         return short
-    phis = phis[-3:]
-    spec = phis[-1].spec
-    radii = (outer_radius, inner_radius)
-    masks = [_exclusion_mask(spec, singular, radius) for radius in radii]
-    outer = [_seminorms(phi, gamma, radii[:1], masks[:1])[0] for phi in phis[:-1]]
-    outer_final, inner_final = _seminorms(phis[-1], gamma, radii, masks)
-    outer.append(outer_final)
-
-    frob = _frobenius(complex_hessian(phis[-1]))
-    cell = spec.h**spec.num_axes
-    sobolev = float((np.sum(frob[masks[0]] ** q_exponent) * cell) ** (1.0 / q_exponent))
+    outer = [s.diagnostics["holder_outer"] for s in states[-_HOLDER_RUNGS:]]
+    final = states[-1].diagnostics
+    outer_final, inner_final = final["holder_outer"], final["holder_inner"]
+    sobolev = final["sobolev_norm"]
     if sobolev > 0:
         to_sobolev = outer_final / sobolev
     else:
@@ -492,6 +580,7 @@ def interior_regularity(
     else:
         concentration = 1.0 if inner_final <= 1e-12 else float("inf")
 
+    margin = settings.sobolev_q * (1.0 - settings.holder_gamma)
     return _decide(
         "interior-regularity",
         f"outer-radius seminorm stable over last 3 rungs "
@@ -507,8 +596,8 @@ def interior_regularity(
             ("concentration_ratio", float(concentration)),
             ("sobolev_norm_final", sobolev),
             ("holder_to_sobolev_ratio", float(to_sobolev)),
-            ("embedding_margin_real_dimension", float(q_exponent * (1.0 - gamma) - 2 * spec.n)),
-            ("embedding_margin_complex_dimension", float(q_exponent * (1.0 - gamma) - spec.n)),
+            ("embedding_margin_real_dimension", float(margin - 2 * n)),
+            ("embedding_margin_complex_dimension", float(margin - n)),
         ),
     )
 
@@ -579,12 +668,11 @@ def _density(scenario) -> Verdict:
     )
 
 
-def record_verdicts(scenario, settings, states) -> tuple[Verdict, ...]:
+def record_verdicts(scenario, states) -> tuple[Verdict, ...]:
     """Every verdict of the record of ``states``, solved or rebuilt for a
-    ``continuation.Scenario`` with ``config.EstimateSettings``, in one fixed
-    order: the ladder trends, the one-sided bounds on the worst per-rung
-    diagnostic, interior regularity, the two checks only poles of ``psi2``
-    have, and the density hypothesis."""
+    ``continuation.Scenario``, in one fixed order: the ladder trends, the
+    one-sided bounds on the worst per-rung diagnostic, interior regularity,
+    the two checks only poles of ``psi2`` have, and the density hypothesis."""
     verdicts = [delta_trend(states), c0_uniformity(states), c2_uniformity(states)]
     for name, key, bound, kind in (
         ("trace-identity", "trace_defect", _TRACE_DEFECT_BOUND, "max"),
@@ -596,16 +684,7 @@ def record_verdicts(scenario, settings, states) -> tuple[Verdict, ...]:
     ):
         worst = (max if kind == "max" else min)(s.diagnostics[key] for s in states)
         verdicts.append(_bound(name, worst, bound, kind))
-    verdicts.append(
-        interior_regularity(
-            [s.phi for s in states],
-            settings.holder_gamma,
-            settings.exclusion_outer * scenario.spec.h,
-            settings.exclusion_inner * scenario.spec.h,
-            settings.sobolev_q,
-            scenario.singular_centers,
-        )
-    )
+    verdicts.append(interior_regularity(states, scenario.settings, scenario.spec.n))
     if scenario.psi2.poles:
         name, q_sups = "unweighted-growth", [s.diagnostics["q_sup"] for s in states]
         growth = _bound(name, max(q_sups) / q_sups[0], _UNWEIGHTED_GROWTH_FACTOR, "min")

@@ -13,9 +13,10 @@ its rung's state.  It declares the record's columns once, each with its
 ``compare`` tolerance, and the members of ``states.npz`` once, in archive
 order, each with the state attribute it stores.  :func:`run_experiment`
 alone writes a record: it makes the run directory, streams each solved
-``phi`` into ``states.npz`` on a writer thread, renames the archive into
-place once it is complete and writes the text files; a run that fails
-leaves no archive, no temporary file and no directory it made.
+``phi`` into ``states.npz`` on a writer thread and keeps only the rung's
+scalars, renames the archive into place once it is complete and writes the
+text files; a run that fails leaves no archive, no temporary file and no
+directory it made.
 
 Column semantics: ``weighted_c2_sup`` is the global supremum of the weighted
 trace ``q * exp(psi2_eps - 2 C Phi)`` with the rung-smoothed weight, and
@@ -107,7 +108,8 @@ def _rung_rows(states) -> tuple:
 
 
 def build_record(experiment: ExperimentConfig, states) -> RunRecord:
-    """The record of solved states: their per-rung rows and every verdict of
+    """The record of solved states, or of what :func:`run_experiment` kept of
+    them: their per-rung rows and every verdict of
     ``estimates.record_verdicts``."""
     scenario = experiment.scenario
     return RunRecord(
@@ -117,35 +119,70 @@ def build_record(experiment: ExperimentConfig, states) -> RunRecord:
         C_used=float(states[0].C),
         C_source="configured" if scenario.C_config is not None else "certified",
         rows=_rung_rows(states),
-        verdicts=estimates.record_verdicts(scenario, experiment.settings, states),
+        verdicts=estimates.record_verdicts(scenario, states),
         hypothesis_satisfied=experiment.hypothesis_satisfied,
         hypothesis_notes=experiment.hypothesis_notes,
     )
 
 
+@dataclass(frozen=True)
+class _RungSummary:
+    """What the record and the command's warnings read of one solved rung:
+    its scalars and its solve's counts summed over the grids, no field."""
+
+    eps: float
+    delta_eps: float
+    newton_steps: int
+    C: float
+    diagnostics: dict
+    gmres_info_nonzero: int
+    nested_rejected: int
+
+    @classmethod
+    def of(cls, state: ContinuationState) -> "_RungSummary":
+        grids = list(state.solve.grids())
+        return cls(
+            eps=state.eps,
+            delta_eps=state.delta_eps,
+            newton_steps=state.newton_steps,
+            C=state.C,
+            diagnostics=state.diagnostics,
+            gmres_info_nonzero=sum(g.gmres_info_nonzero for g in grids),
+            nested_rejected=sum(g.nested_rejected for g in grids),
+        )
+
+
 def run_experiment(experiment: ExperimentConfig, outdir: str):
     """Solve the ladder and write its record into ``outdir``; returns
-    ``(states, record)``.
+    ``(rungs, record)``, ``rungs`` holding per rung its scalars and solve
+    counts, but no field.
 
     The directory and ``states.npz`` are opened before the first rung, and
-    each state streams into the archive as it is solved.  Any exception
-    removes the temporary archive and every directory made here.
+    each state streams into the archive as it is solved; only its scalars
+    are kept, so memory does not grow with the number of rungs.  Any
+    exception removes the temporary archive and every directory made here.
     """
     created = _missing_directories(outdir)
     try:
         os.makedirs(outdir, exist_ok=True)
         keep_states = "states" in experiment.output.formats
         archive = _StatesArchive(outdir, experiment) if keep_states else None
+
+        def kept(state: ContinuationState) -> _RungSummary:
+            if archive:
+                archive.add(state)
+            return _RungSummary.of(state)
+
         with archive or contextlib.nullcontext():
-            states = run_continuation(experiment.scenario, archive.add if archive else None)
-            record = build_record(experiment, states)
+            rungs = run_continuation(experiment.scenario, kept)
+            record = build_record(experiment, rungs)
             if archive:
                 archive.close()
         write_artifacts(outdir, experiment, record)
     except BaseException:
         _remove_directories(created)
         raise
-    return states, record
+    return rungs, record
 
 
 def _missing_directories(path: str) -> list[str]:

@@ -69,6 +69,7 @@ PUBLIC = {
         "INCONCLUSIVE",
         "Verdict",
         "EstimateError",
+        "EstimateSettings",
         "c0_uniformity",
         "siu_residual",
         "comparison_residual",

@@ -10,6 +10,7 @@ import os
 import re
 import struct
 import threading
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -151,7 +152,7 @@ class TestConfigParsing:
         assert s.p == 2.0
         assert s.tol == 1e-10
         assert s.eps_schedule == tuple(0.25 * 0.5**k for k in range(8))
-        assert exp.settings.holder_gamma == 0.5
+        assert s.settings.holder_gamma == 0.5
         assert exp.output.directory == "runs"
         assert exp.hypothesis_satisfied
         assert any("holds trivially" in n for n in exp.hypothesis_notes)
@@ -514,28 +515,30 @@ class TestRunVerb:
         else:
             assert not out.exists()
 
-    def test_states_stream_the_returned_potentials_bit_for_bit(
+    def test_states_stream_the_handed_potentials_bit_for_bit(
         self, tmp_path, capsys, monkeypatch
     ):
         # An n = 2 ladder warm-starts each rung from the last potential that
-        # went to the writer: a later write into it would show here.
-        real_run = cli.run_experiment
-        returned = []
+        # went to the writer: a later write into it would show here.  The
+        # potentials are copied as they are handed over, since the run keeps
+        # none of them.
+        from torusma import report
 
-        def run(*args, **kwargs):
-            states, record = real_run(*args, **kwargs)
-            returned.append(states)
-            return states, record
+        real_add = report._StatesArchive.add
+        handed = []
 
-        monkeypatch.setattr(cli, "run_experiment", run)
+        def add(archive, state):
+            handed.append(state.phi.values.copy())
+            real_add(archive, state)
+
+        monkeypatch.setattr(report._StatesArchive, "add", add)
         cfg = _write(tmp_path, MINI_N2)
         out = str(tmp_path / "runs")
         assert main(["run", cfg, "--output-dir", out]) == EXIT_OK
         path = os.path.join(_run_record_dir(out, capsys.readouterr().out), "states.npz")
         with np.load(path) as data:
             stored = data["phi"]
-        (states,) = returned
-        expected = np.stack([s.phi.values for s in states])
+        expected = np.stack(handed)
         assert stored.shape == expected.shape == (3, 8, 8, 8, 8)
         assert stored.tobytes() == expected.tobytes()
 
@@ -725,7 +728,7 @@ class TestRunVerb:
     def test_resolution_override_rechecks_exclusion_outer(self, tmp_path, capsys):
         # 20 spacings is usable at N=32 (radius 0.625) but not at N=16 (1.25).
         text = CHEAP_ABOVE.replace("C = 2.0\n", "C = 2.0\nexclusion_outer = 20.0\n")
-        assert parse_config(text).settings.exclusion_outer == 20.0
+        assert parse_config(text).scenario.settings.exclusion_outer == 20.0
         cfg = _write(tmp_path, text)
         out = tmp_path / "out"
         code = main(
@@ -758,6 +761,37 @@ class TestRunVerb:
         assert "[violated]" not in out
         code = main(["run", cfg, "--output-dir", str(tmp_path / "b"), "--strict"])
         assert code == EXIT_VERDICT
+
+
+def _pole_ladder(rungs: int) -> str:
+    """An n = 1 pole ladder at N = 64 of ``rungs`` rungs, halving eps from 1/4."""
+    schedule = " ".join(repr(0.25 * 0.5**k) for k in range(rungs))
+    return (
+        "[torus]\nn = 1\nN = 64\n[alpha]\nt = 0.5\n[psi1]\nmode = 0.3, 1 0, 0.3\n"
+        "[psi2]\npole = 0.5 0.5, 0.5, 0.1, 0.2\n[hypothesis]\np = 1.5\n"
+        f"[continuation]\nschedule = {schedule}\n[estimates]\nC = 2.0\n"
+    )
+
+
+class TestRunMemory:
+    def test_memory_does_not_grow_with_the_rungs(self, tmp_path):
+        # Each potential streams into states.npz and only the rung's scalars
+        # are kept, so eight more rungs add less than one potential to the
+        # traced peak (a run that kept its potentials added eight).  A first
+        # run fills the grid-size caches.
+        from torusma.report import run_experiment
+
+        run_experiment(parse_config(_pole_ladder(4)), str(tmp_path / "warm"))
+        peaks = {}
+        for rungs in (4, 12):
+            experiment = parse_config(_pole_ladder(rungs))
+            tracemalloc.start()
+            try:
+                run_experiment(experiment, str(tmp_path / str(rungs)))
+                peaks[rungs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[12] - peaks[4] < 64 * 64 * 8
 
 
 class TestVerifyVerb:

@@ -11,6 +11,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,9 +32,11 @@ from torusma.continuation import (
 )
 from torusma.estimates import (
     EstimateError,
+    EstimateSettings,
     _RungMetric,
     _trace_identity_defect,
     comparison_residual,
+    holder_seminorm,
     siu_residual,
 )
 from torusma.geometry import (
@@ -685,7 +689,7 @@ class TestRungWork:
                 return real(*args)
 
             monkeypatch.setattr(geometry, name, counted)
-        _rung_diagnostics(ladder, _Rung.build(ladder, eps, 0.0), phi)
+        _rung_diagnostics(ladder, _Rung.build(ladder, eps, 0.0), phi, 0)
         assert len(count) <= limit
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -739,3 +743,85 @@ class TestRungWork:
         _rebuilt(scenario, states)
         assert sharp == once * 2
 
+
+
+# ``_POLE_LADDERS[2]`` has two rungs, too few for interior-regularity; three
+# rungs of it measure, with an outer radius its N = 8 grid admits.
+_HOLDER_LADDERS = {
+    1: _POLE_LADDERS[1],
+    2: replace(
+        _POLE_LADDERS[2],
+        eps_schedule=(0.1, 0.05, 0.025),
+        settings=EstimateSettings(exclusion_outer=3.0),
+    ),
+}
+
+
+class TestHolderPass:
+    """Each of the last three rungs measures the Hoelder numbers of its own
+    potential as it is built, bit for bit as a record measured them on the
+    kept potentials: ``holder_seminorm`` at each radius, and the Sobolev
+    norm of the final potential outside the outer radius."""
+
+    @staticmethod
+    def _sobolev(scenario, phi):
+        spec, settings = scenario.spec, scenario.settings
+        keep = estimates._exclusion_mask(
+            spec, scenario.singular_centers, settings.exclusion_outer * spec.h
+        )
+        frob = geometry._frobenius(complex_hessian(phi))
+        q, cell = settings.sobolev_q, spec.h**spec.num_axes
+        return float((np.sum(frob[keep] ** q) * cell) ** (1.0 / q))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_rung_measures_its_own_potential(self, n):
+        scenario = enforce_mass_balance(_HOLDER_LADDERS[n])
+        spec, settings = scenario.spec, scenario.settings
+        solved = run_continuation(scenario)
+        for states in (solved, _rebuilt(scenario, solved)):
+            assert len(states) == 3
+            for k, s in enumerate(states):
+                outer, inner = (
+                    holder_seminorm(
+                        s.phi, settings.holder_gamma, r * spec.h, scenario.singular_centers
+                    )
+                    for r in (settings.exclusion_outer, settings.exclusion_inner)
+                )
+                assert s.diagnostics["holder_outer"] == outer
+                final = k == len(states) - 1
+                assert ("holder_inner" in s.diagnostics) == final
+                assert ("sobolev_norm" in s.diagnostics) == final
+                if final:
+                    assert s.diagnostics["holder_inner"] == inner
+                    assert s.diagnostics["sobolev_norm"] == self._sobolev(scenario, s.phi)
+
+    def test_a_two_rung_ladder_measures_nothing(self):
+        scenario = enforce_mass_balance(_POLE_LADDERS[2])
+        states = run_continuation(scenario)
+        assert len(states) == 2
+        for s in states:
+            assert not {"holder_outer", "holder_inner", "sobolev_norm"} & set(s.diagnostics)
+        verdicts = {v.name: v for v in estimates.record_verdicts(scenario, states)}
+        assert verdicts["interior-regularity"].status == estimates.INCONCLUSIVE
+
+    def test_only_the_warm_start_outlives_its_rung(self, monkeypatch):
+        # With ``keep``, the loop drops each state once it is handed over:
+        # while the next rung solves, no earlier state is alive, and the last
+        # potential lives on only as the warm start.
+        scenario = _smooth_scenario(N=32, rungs=4)
+        handed, solves = [], []
+        real = continuation.solve_ma_detailed
+
+        def solve(a, F, phi0=None, tol=1e-10):
+            assert [ref() for ref in handed] == [None] * len(handed)
+            assert phi0 is (None if not handed else solves[-1].phi)
+            solves.append(real(a, F, phi0=phi0, tol=tol))
+            return solves[-1]
+
+        def keep(state):
+            handed.append(weakref.ref(state))
+            return state.eps
+
+        monkeypatch.setattr(continuation, "solve_ma_detailed", solve)
+        assert run_continuation(scenario, keep) == list(scenario.eps_schedule)
+        assert len(solves) == 4

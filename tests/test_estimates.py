@@ -15,6 +15,7 @@ from torusma.estimates import (
     HOLDS,
     INCONCLUSIVE,
     VIOLATED,
+    EstimateSettings,
     Verdict,
     _RungMetric,
     _trace_identity_defect,
@@ -59,6 +60,18 @@ def _state(phi, eps=0.1, delta=0.0):
     )
 
 
+def _holder_states(fields, settings, singular=()):
+    """States of ``fields`` as a ladder's rungs, their diagnostics holding
+    the Hoelder numbers each rung measures on its potential."""
+    stencil = estimates._HolderStencil.build(fields[0].spec, settings, singular)
+    states = [_state(f, eps=0.25 * 0.5**i) for i, f in enumerate(fields)]
+    for k, state in enumerate(states):
+        radii = estimates._holder_radii(k, len(states))
+        if radii:
+            state.diagnostics.update(estimates._holder_pass(stencil, state.phi, radii))
+    return states
+
+
 def _ladder(spec, amplitudes, eps_start=0.25):
     return [
         _state(_mode(spec, a), eps=eps_start * 0.5**i)
@@ -84,7 +97,7 @@ class TestVerdict:
         "uniform-bound": c0_uniformity,
         "weighted-second-order": c2_uniformity,
         "interior-regularity": lambda states: interior_regularity(
-            [s.phi for s in states], 0.5, 4 * SPEC1.h, 2 * SPEC1.h, 4.0
+            states, EstimateSettings(), SPEC1.n
         ),
     }
 
@@ -412,8 +425,8 @@ class TestHolderSeminorms:
         pole = evaluate(QuasiPshModel(spec, poles=(Pole(center=center, weight=0.5),)))
         field = GridField(spec, pole.values + 0.1 * trig_poly(spec, 3, seed=n).values)
         radii = (8 * spec.h, 4 * spec.h, 2 * spec.h)
-        masks = [estimates._exclusion_mask(spec, (center,), r) for r in radii]
-        measured = estimates._seminorms(field, 0.5, radii, masks)
+        _, legs = estimates._legs(spec, radii, (center,))
+        measured = estimates._seminorms(field, 0.5, radii, legs)
         expected = tuple(_one_radius_loop(field, 0.5, r, (center,)) for r in radii)
         assert measured == expected
         assert measured[0] < measured[-1]  # the pole is felt at the inner radius
@@ -452,9 +465,11 @@ class TestHolderSeminorms:
                 has_admissible_pairs(spec, float("nan"), singular)
         assert outcomes == {True, False}
 
-    def test_build_record_differentiates_each_measured_field_once(self, monkeypatch):
+    def test_the_ladder_differentiates_each_measured_field_once(self, monkeypatch):
         # Outer radius on the last three rungs, inner radius on the last:
-        # three fields, three gradients, and one mask per radius.
+        # three fields, three gradients, each taken as its rung is solved,
+        # and one mask per radius (after the pole mask at one spacing) for
+        # the whole ladder.  The record then reads the numbers.
         experiment = parse_config(
             "[torus]\nn = 1\nN = 32\n"
             "[alpha]\nt = 0.5\n"
@@ -462,7 +477,6 @@ class TestHolderSeminorms:
             "[continuation]\nschedule = 0.25 0.125 0.0625 0.03125\n"
             "[output]\nname = holder\n"
         )
-        states = run_continuation(experiment.scenario)
         measured = []
         masks = []
         exclusion_mask = estimates._exclusion_mask
@@ -477,11 +491,13 @@ class TestHolderSeminorms:
 
         monkeypatch.setattr(estimates, "spectral_gradient", counted)
         monkeypatch.setattr(estimates, "_exclusion_mask", counted_mask)
-        build_record(experiment, states)
+        states = run_continuation(experiment.scenario)
         assert len(measured) == 3
         assert all(a is s.phi for a, s in zip(measured, states[-3:]))
         h = experiment.scenario.spec.h
-        assert masks == [8 * h, 2 * h]
+        assert masks == [h, 8 * h, 2 * h]
+        build_record(experiment, states)
+        assert len(measured) == 3
 
 
 class TestInteriorRegularity:
@@ -493,7 +509,8 @@ class TestInteriorRegularity:
         spec = TorusSpec(1, 64)
         a = 0.3
         field = _mode(spec, a)
-        report = interior_regularity([field] * 3, 0.5, 4 * spec.h, 2 * spec.h, 4.0)
+        settings = EstimateSettings(exclusion_outer=4.0)
+        report = interior_regularity(_holder_states([field] * 3, settings), settings, 1)
         data = self._data(report)
         holder = holder_seminorm(field, 0.5, 4 * spec.h)
         assert data["outer_seminorm_final"] == holder
@@ -515,19 +532,20 @@ class TestInteriorRegularity:
 
     def test_the_spread_reads_the_last_three_rungs(self):
         spec = TorusSpec(1, 32)
+        settings = EstimateSettings()
         ladder = [_mode(spec, a) for a in (0.4, 0.1, 0.1, 0.1)]
-        stable = interior_regularity(ladder, 0.5, 8 * spec.h, 2 * spec.h, 4.0)
-        assert stable.status == HOLDS
+        states = _holder_states(ladder, settings)
+        assert ["holder_outer" in s.diagnostics for s in states] == [False] + [True] * 3
+        assert interior_regularity(states, settings, 1).status == HOLDS
         ladder[-1] = _mode(spec, 0.2)
-        rising = interior_regularity(ladder, 0.5, 8 * spec.h, 2 * spec.h, 4.0)
+        rising = interior_regularity(_holder_states(ladder, settings), settings, 1)
         assert rising.status == VIOLATED
         assert dict(rising.witness)["spread"] == pytest.approx(2.0, rel=1e-12)
 
-    def test_parameter_validation(self):
+    def test_an_empty_radius_is_named_by_the_pass(self):
+        # Settings built in Python skip the parse-time check; the first rung
+        # that measures the radius names it.
         spec = TorusSpec(1, 16)
-        field = _mode(spec, 0.1)
-        for q in (0.0, float("nan")):
-            with pytest.raises(ValueError, match="must be positive"):
-                interior_regularity([field] * 3, 0.5, 4 * spec.h, 2 * spec.h, q)
-        with pytest.raises(ValueError, match="no admissible stencil pairs"):
-            interior_regularity([field] * 3, 0.5, 0.75, 2 * spec.h, 4.0, ((0.5, 0.5),))
+        settings = EstimateSettings(exclusion_outer=0.75 / spec.h)
+        with pytest.raises(ValueError, match="radius 0.75 leaves no admissible stencil pairs"):
+            _holder_states([_mode(spec, 0.1)] * 3, settings, ((0.5, 0.5),))

@@ -138,7 +138,7 @@ def test_rung_diagnostics_shift_by_rho(n, t, seed, amplitude):
     spec = scenario.spec
     phi = GridField(spec, amplitude * trig_poly(spec, 1, seed).values)
     ladder = _Ladder.build(scenario)
-    diagnostics = _rung_diagnostics(ladder, _Rung.build(ladder, eps, 0.0), phi)
+    diagnostics = _rung_diagnostics(ladder, _Rung.build(ladder, eps, 0.0), phi, 0)
     Phi = GridField(spec, phi.values + scenario.alpha.rho().values)
     m = _RungMetric.build(Phi, eps)
     assert diagnostics["trace_defect"] == _trace_identity_defect(m)

@@ -7,13 +7,17 @@ with the stdlib ``ast``: every name an import binds must be read somewhere
 in the module, or be re-exported through its ``__all__``; every module-level
 private name (``_x``, not a dunder) must be read by some module of the
 package, by name, as an attribute or through ``from ... import``; every
-function in an ``__all__`` must be read the same way by the package outside
-its own ``def``, by the acceptance suite or by the benchmark; every
-``functools`` cache is keyed by ``int`` and ``bool`` parameters only;
-``ContinuationState(...)`` is called exactly once in the package, in
-``continuation._rung_state``, and the lattice walk of the Hoelder stencil
-legs once; ``Verdict(...)`` is called only in the two deciding rules and
-the integrability check, all in ``estimates``; ``report`` imports nothing
+function in an ``__all__`` must be read by the package outside its own
+``def``, by the acceptance suite or by the benchmark, by name, as an
+attribute of a module, or imported by a module that reads the name it
+binds; every ``functools`` cache is keyed by ``int`` and ``bool``
+parameters only; ``ContinuationState(...)`` is called exactly once in the
+package, in ``continuation._rung_state``, and the lattice walk of the
+Hoelder stencil legs once; the Hoelder stencil is built only in
+``continuation._Ladder.build`` and its pass run only in
+``continuation._rung_diagnostics``; ``Verdict(...)`` is called only in the
+two deciding rules and the integrability check, all in ``estimates``;
+``report`` imports nothing
 from ``pluripotential``, reads no private name of ``estimates`` or
 ``continuation`` and smooths no potential, and ``rebuild_states`` is
 defined in ``continuation`` alone; ``_regularize`` is called only in
@@ -89,15 +93,37 @@ def _private_definitions(tree: ast.Module) -> set[str]:
     return {n for n in names if n.startswith("_") and not n.endswith("__")}
 
 
-def _reads(tree: ast.Module) -> set[str]:
-    read = set()
+def _root(node: ast.expr) -> str | None:
+    """The name an attribute chain such as ``torusma.cli.main`` starts from."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _reads(tree: ast.Module, strict: bool = False) -> set[str]:
+    """The names a module reads: by name, as an attribute, and through
+    ``from ... import``.  ``strict`` counts an import only where the module
+    reads the name it binds, and an attribute only on a name an import
+    binds (``module.function``, not ``state.delta_eps``)."""
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    bound = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bound.update(a.asname or a.name for a in node.names)
+    read = set(loaded)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (not strict or _root(node) in bound):
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            read.update(a.name for a in node.names)
+            read.update(
+                a.name for a in node.names if not strict or (a.asname or a.name) in loaded
+            )
     return read
 
 
@@ -134,17 +160,22 @@ def test_every_private_name_is_read():
 # A public function is one the package, the acceptance suite or the
 # benchmark calls; one that only unit tests call is a second path to what
 # the record already computes.  The tracer's span names are strings, not
-# reads.  ``degeneracy_integrability`` is the only check of the background's
-# degeneracy, which no record reports yet: whether the record reports it or
-# it goes is decided on its own (ROADMAP item 5).
+# reads; an import counts only where the importing module reads the name
+# it binds, and an attribute only on a module (``estimates.f``, not
+# ``state.f``).  ``degeneracy_integrability`` is the only check of the
+# background's degeneracy, which no record reports yet: whether the record
+# reports it or it goes is decided on its own (ROADMAP item 5).
+# ``delta_eps`` is read by no module and called by no acceptance test, but
+# the acceptance suite imports it, so it cannot go while that suite is
+# unchanged.
 _CALLERS = (ROOT / "tests" / "test_acceptance.py", *sorted(ROOT.glob("perfbench/*.py")))
-_UNREAD_PUBLIC_ALLOWED = ["ma.degeneracy_integrability"]
+_UNREAD_PUBLIC_ALLOWED = ["continuation.delta_eps", "ma.degeneracy_integrability"]
 
 
 def _unread_public_functions(sources: dict[str, str], callers=()) -> list[str]:
     """Each exported function of ``sources`` read nowhere but in its own ``def``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    outside = set().union(*(_reads(ast.parse(source)) for source in callers))
+    outside = set().union(*(_reads(ast.parse(source), strict=True) for source in callers))
     unread = []
     for module, tree in trees.items():
         exported = _exported(tree)
@@ -152,8 +183,8 @@ def _unread_public_functions(sources: dict[str, str], callers=()) -> list[str]:
             if not isinstance(node, ast.FunctionDef) or node.name not in exported:
                 continue
             rest = ast.Module([other for other in tree.body if other is not node], [])
-            others = (_reads(t) for m, t in trees.items() if m != module)
-            if node.name not in outside.union(_reads(rest), *others):
+            others = (_reads(t, strict=True) for m, t in trees.items() if m != module)
+            if node.name not in outside.union(_reads(rest, strict=True), *others):
                 unread.append(f"{module}.{node.name}")
     return sorted(unread)
 
@@ -161,10 +192,13 @@ def _unread_public_functions(sources: dict[str, str], callers=()) -> list[str]:
 def test_the_check_finds_an_unread_public_function():
     sources = {
         "a": (
-            "__all__ = ['used', 'attr', 'imported', 'recursive', 'orphan', 'Cls', 'K']\n"
+            "__all__ = ['used', 'attr', 'imported', 'renamed', 'unused', 'recursive',"
+            " 'orphan', 'Cls', 'K']\n"
             "def used(): pass\n"
             "def attr(): pass\n"
             "def imported(): pass\n"
+            "def renamed(): pass\n"
+            "def unused(): pass\n"
             "def recursive(): return recursive()\n"
             "def orphan(): pass\n"
             "def _private(): pass\n"
@@ -172,10 +206,19 @@ def test_the_check_finds_an_unread_public_function():
             "K = 1\n"
             "x = used()\n"
         ),
-        "b": "from . import a\ny = a.attr\n",
+        "b": "from . import a\nfrom .a import unused\ny = a.attr\nz = y.orphan\n",
     }
-    callers = ("from torusma.a import imported\nspan = 'a.orphan'\n",)
-    assert _unread_public_functions(sources, callers) == ["a.orphan", "a.recursive"]
+    callers = (
+        "from torusma.a import imported, renamed as other, unused as spare\n"
+        "span = 'a.orphan'\n"
+        "imported()\n"
+        "z = other\n",
+    )
+    assert _unread_public_functions(sources, callers) == [
+        "a.orphan",
+        "a.recursive",
+        "a.unused",
+    ]
 
 
 def test_every_public_function_is_read_outside_the_unit_tests():
@@ -364,6 +407,41 @@ def test_potentials_are_smoothed_at_two_sites():
         "continuation._Rung.build",
         "pluripotential.regularize",
     ]
+
+
+# The Hoelder stencil is built once per ladder, in ``continuation._Ladder.build``,
+# and each of the last rungs measures its potential on it as it is built,
+# in ``continuation._rung_diagnostics``: the record keeps no potential for
+# interior-regularity, and ``run`` and ``verify`` take one path to it.
+def _method_call_sites(sources: dict[str, str], owner: str, method: str) -> list[str]:
+    """``module:line`` of every call of ``owner.method``, ``owner`` bare or an
+    attribute itself (``estimates.Owner.method``)."""
+    sites = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == method
+                and owner in (getattr(func.value, "id", None), getattr(func.value, "attr", None))
+            ):
+                sites.append(f"{module}:{node.lineno}")
+    return sorted(sites)
+
+
+def test_the_check_finds_method_call_sites():
+    sources = {
+        "a": "x = Owner.build(1)\ny = m.Owner.build()\nz = Other.build()\nw = Owner.make()\n",
+    }
+    assert _method_call_sites(sources, "Owner", "build") == ["a:1", "a:2"]
+
+
+def test_the_hoelder_stencil_is_built_and_passed_at_one_site_each():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    stencils = _method_call_sites(sources, "_HolderStencil", "build")
+    assert _enclosing_functions(sources, stencils) == ["continuation._Ladder.build"]
+    passes = _call_sites(sources, "_holder_pass")
+    assert _enclosing_functions(sources, passes) == ["continuation._rung_diagnostics"]
 
 
 # The bundled scenarios are config documents: the library reaches the
