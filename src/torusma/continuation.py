@@ -16,7 +16,7 @@ not depend on the rung is built once per ladder (``_Ladder``), each rung by
 one call, ``_Rung.build``, that smooths both potentials and balances the
 masses; a state keeps ``phi`` and the ladder's ``rho`` and derives ``Phi``.
 Solved (:func:`run_continuation`) or rebuilt from stored fields
-(:func:`rebuild_states`), every state is built here.
+(:func:`rebuild_states`), every state is built here; ``estimates`` measures it.
 """
 
 from __future__ import annotations
@@ -29,27 +29,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimates
-from .geometry import (
-    GridField,
-    HermitianFormField,
-    TorusSpec,
-    _hessian_and_trace,
-    _read_only,
-    complex_hessian,
-    integrate,
-)
+from .geometry import GridField, HermitianFormField, TorusSpec, integrate
 from .ma import (
     AlphaModel,
     IterationLimitError,
     PositivityError,
     SolveResult,
-    ma_density,
     solve_ma_detailed,
 )
 from .pluripotential import (
     QuasiPshModel,
     RegularizationContractError,
-    _curvature_bound,
     _regularize,
     evaluate,
 )
@@ -197,75 +187,38 @@ def delta_eps(scenario: Scenario, eps: float) -> float:
     return _Rung.build(_Ladder.build(scenario), eps).delta
 
 
-def _shift_defect(phi: GridField, det_g: np.ndarray, a: HermitianFormField) -> float:
-    """Sup difference of the two independently computed rung determinants.
-
-    ``det(a + H(phi))`` uses the rung's closed-form ``a``, ``det_g`` is
-    ``det((1+eps) I + H(Phi))`` from the spectral Hessian of the shifted
-    potential; exact algebra says they agree, so the defect is round-off.
-    """
-    lhs = ma_density(a, phi)
-    return float(np.max(np.abs(lhs.values - det_g)))
-
-
 @dataclass(frozen=True)
 class _Ladder:
-    """What every rung of a scenario shares.  ``sharp`` holds the models at
-    smoothing 0, sampled once: the reference of the smoothing guarantee, the
-    mass check and the sharp weight of ``sharp_weighted_sup`` (read on
-    ``keep``, away from the poles of ``psi2``).  ``stencil`` is the Hoelder
-    stencil the last rungs measure their potentials on."""
+    """What every rung of a scenario shares: ``sharp``, the models at
+    smoothing 0, the reference of the smoothing guarantee and the mass check,
+    and ``estimates``, which sampled them once and measures every rung."""
 
     scenario: Scenario
-    C: float
-    rho: np.ndarray
-    eta: tuple
-    keep: np.ndarray
-    stencil: estimates._HolderStencil
     sharp: tuple[GridField, GridField]
+    estimates: estimates._LadderEstimates
 
     @classmethod
     def build(cls, scenario: Scenario) -> "_Ladder":
-        # The sharp fields are sampled last, above the temporaries of ``eta``
-        # in glibc's heap: the verify work of pole-below, imports left out,
-        # then takes 14.9k minor page faults, against 15.4k with them sampled
-        # before ``rho``.
-        # ``C`` is the configured constant, else ``hessian_lower_bound(psi2)``
-        # taken from the sharp ``psi2`` already sampled: the same bits, one
-        # sampling.
-        # Every array here is read by every rung, and by concurrent rungs in
-        # ``rebuild_states``, so each is marked read-only.
-        alpha, psi1, psi2 = scenario.alpha, scenario.psi1, scenario.psi2
-        rho = _read_only(alpha.rho().values)
-        H, laplacian = _hessian_and_trace(alpha.eta())
-        eta = estimates._weight((_read_only(H), _read_only(laplacian)), alpha.t + 1e-6)
-        keep = _read_only(estimates._pole_mask(psi2))
-        stencil = estimates._HolderStencil.build(
-            scenario.spec, scenario.settings, scenario.singular_centers
-        )
-        sharp = (evaluate(psi1), evaluate(psi2))
-        for field in sharp:
-            _read_only(field.values)
-        C = scenario.C_config
-        if C is None:
-            C = _curvature_bound(complex_hessian(sharp[1]))
-        return cls(scenario, C, rho, eta, keep, stencil, sharp)
+        measured = estimates._LadderEstimates.build(scenario)
+        return cls(scenario, measured.sharp, measured)
 
 
 @dataclass(frozen=True)
 class _Rung:
     """One regularized problem ``det(a + H(phi)) = F``, each part computed once:
     the form ``a = alpha.coefficients(eps)``, the mass constant ``delta``,
-    ``F = (1 + delta) exp(psi1_eps - psi2_eps)``, ``p2 = psi2_eps`` and its
-    comparison weight, from its Hessian (guarantee (b)) and the constant
-    ``hessian_lower_bound(psi2, s_min=sqrt(eps))`` certified while smoothing."""
+    ``F = (1 + delta) exp(psi1_eps - psi2_eps)``, ``p2 = psi2_eps`` with its
+    Hessian and half-Laplacian ``calculus2`` (guarantee (b)) and the constant
+    ``C_cert = hessian_lower_bound(psi2, s_min=sqrt(eps))`` certified while
+    smoothing, from which the estimates form its comparison weight."""
 
     eps: float
     a: HermitianFormField
     delta: float
     F: GridField
     p2: GridField
-    weight2: tuple
+    calculus2: tuple
+    C_cert: float
 
     @classmethod
     def build(cls, ladder: _Ladder, eps: float, delta=None) -> "_Rung":
@@ -273,82 +226,40 @@ class _Rung:
         ``delta`` balances the masses unless a stored value is given."""
         scenario = ladder.scenario
         p1 = _regularize(scenario.psi1, eps, ladder.sharp[0])[0]
-        p2, C_cert, calculus = _regularize(scenario.psi2, eps, ladder.sharp[1])
-        weight2 = estimates._weight(calculus, C_cert)
+        p2, C_cert, calculus2 = _regularize(scenario.psi2, eps, ladder.sharp[1])
         a = scenario.alpha.coefficients(eps)
         density = np.exp(p1.values - p2.values)
         if delta is None:
             delta = _mass(a) / float(density.mean()) - 1.0
         F = GridField(scenario.spec, (1.0 + delta) * density)
-        return cls(eps, a, delta, F, p2, weight2)
-
-
-def _rung_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField, radii: int) -> dict:
-    """Every per-rung estimate scalar of a solved rung, and the rung's part of
-    interior-regularity: the Hoelder pass on ``phi`` at ``radii`` radii of
-    the ladder's stencil (``estimates._holder_radii``), once the metric's
-    fields are released."""
-    diagnostics = _metric_diagnostics(ladder, rung, phi)
-    if radii:
-        diagnostics.update(estimates._holder_pass(ladder.stencil, phi, radii))
-    return diagnostics
-
-
-def _metric_diagnostics(ladder: _Ladder, rung: _Rung, phi: GridField) -> dict:
-    """The estimate scalars measured on ``phi + rho``, and ``sup |phi|``.
-
-    One metric ``(1 + eps) I + H(Phi)`` serves the shift and trace
-    identities, the log-trace inequality, both weighted second-order
-    quantities and the convexity comparison for both weights (the rung's
-    ``psi2_eps`` and the ladder's ``eta = -rho``).  Raises ``EstimateError`` or ``PositivityError`` when a precondition fails.
-    """
-    spec, C, eps = ladder.scenario.spec, ladder.C, rung.eps
-    Phi = GridField(spec, phi.values + ladder.rho)
-    m = estimates._RungMetric.build(Phi, eps)
-    f_log = GridField(spec, np.log(rung.F.values) - spec.n * np.log1p(eps))
-    siu = estimates._siu_residual(m, f_log, C)
-    comparison = min(
-        float(np.min(estimates._comparison_residual(m, rung.weight2))),
-        float(np.min(estimates._comparison_residual(m, ladder.eta))),
-    )
-    return {
-        "shift_defect": _shift_defect(phi, m.data.det, rung.a),
-        "min_siu_residual": float(np.min(siu)),
-        "weighted_c2_sup": estimates._weighted_sup(m, rung.p2.values, C),
-        "sharp_weighted_sup": estimates._weighted_sup(
-            m, ladder.sharp[1].values, C, ladder.keep
-        ),
-        "trace_defect": estimates._trace_identity_defect(m),
-        "comparison_min": comparison,
-        "q_sup": float(np.max(m.q)),
-        "sup_phi": float(np.max(np.abs(phi.values))),
-    }
+        return cls(eps, a, delta, F, p2, calculus2, C_cert)
 
 
 def _rung_state(
-    ladder: _Ladder, rung: _Rung, phi: GridField, steps: int, solve, radii: int
+    ladder: _Ladder, index: int, rung: _Rung, phi: GridField, steps: int, solve
 ) -> ContinuationState:
-    """The one constructor of states, solved or stored: ``solve`` is the
-    rung's ``SolveResult`` or ``None``, ``radii`` the Hoelder radii it
-    measures."""
+    """The one constructor of states, solved or stored: rung ``index`` of the
+    ladder, measured by the ladder's estimates; ``solve`` is the rung's
+    ``SolveResult`` or ``None``."""
+    measured = ladder.estimates
     return ContinuationState(
         eps=rung.eps,
         delta_eps=rung.delta,
         phi=phi,
-        rho=ladder.rho,
-        C=ladder.C,
+        rho=measured.rho,
+        C=measured.C,
         newton_steps=steps,
-        diagnostics=_rung_diagnostics(ladder, rung, phi, radii),
+        diagnostics=measured.measure(index, rung, phi),
         solve=solve,
     )
 
 
-def _solved_state(ladder: _Ladder, eps: float, phi0, radii: int) -> ContinuationState:
-    """The rung at ``eps`` solved from the warm start ``phi0``; the rung's
-    fields die on return, with only the state left."""
-    rung = _Rung.build(ladder, eps)
+def _solved_state(ladder: _Ladder, index: int, phi0) -> ContinuationState:
+    """Rung ``index`` of the schedule solved from the warm start ``phi0``; the
+    rung's fields die on return, with only the state left."""
+    rung = _Rung.build(ladder, ladder.scenario.eps_schedule[index])
     result = solve_ma_detailed(rung.a, rung.F, phi0=phi0, tol=ladder.scenario.tol)
-    return _rung_state(ladder, rung, result.phi, result.newton_steps, result, radii)
+    return _rung_state(ladder, index, rung, result.phi, result.newton_steps, result)
 
 
 def run_continuation(scenario: Scenario, keep=None) -> list:
@@ -375,11 +286,10 @@ def run_continuation(scenario: Scenario, keep=None) -> list:
             f"scenario is not mass-balanced ({mass_d:.12g} vs {mass_a:.12g}); "
             f"apply enforce_mass_balance first"
         )
-    kept, phi0, rungs = [], None, len(scenario.eps_schedule)
+    kept, phi0 = [], None
     for index, eps in enumerate(scenario.eps_schedule):
-        radii = estimates._holder_radii(index, rungs)
         try:
-            state = _solved_state(ladder, eps, phi0, radii)
+            state = _solved_state(ladder, index, phi0)
         except _RUNG_ERRORS as exc:
             raise ContinuationError(
                 f"rung {index} (eps={eps:g}) failed: {exc}", kept, index, eps
@@ -403,7 +313,7 @@ def _workers(rungs: int) -> int:
 def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[ContinuationState]:
     """Continuation states from stored per-rung arrays, without solving.
 
-    The arrays must describe the same positive number of rungs, and every
+    The arrays must describe one rung per schedule value, and every
     stored potential is validated as a grid field before any estimate runs
     (``ValueError`` otherwise); each rung is then built with its stored
     ``delta`` and each state by the constructor :func:`run_continuation`
@@ -422,11 +332,16 @@ def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[Continuat
             f"stored eps, delta, newton_steps and phi must hold the same positive "
             f"number of rungs, got {rungs}"
         )
+    if rungs[0] != len(scenario.eps_schedule):
+        raise ValueError(
+            f"stored states hold {rungs[0]} rungs, the schedule "
+            f"{len(scenario.eps_schedule)}"
+        )
     fields = [GridField(scenario.spec, values) for values in phi]
     ladder = _Ladder.build(scenario)
 
-    def rebuild(e: float, d: float, n: int, phi_k: GridField, radii: int) -> ContinuationState:
-        return _rung_state(ladder, _Rung.build(ladder, e, d), phi_k, n, None, radii)
+    def rebuild(k: int, e: float, d: float, n: int, phi_k: GridField) -> ContinuationState:
+        return _rung_state(ladder, k, _Rung.build(ladder, e, d), phi_k, n, None)
 
     workers = _workers(len(fields))
     pool = ThreadPoolExecutor(workers, thread_name_prefix="torusma-rung")
@@ -437,8 +352,7 @@ def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[Continuat
         for k, (e, d, n, phi_k) in enumerate(zip(eps, delta, steps, fields)):
             if len(running) == workers:
                 states.append(running.popleft().result())
-            radii = estimates._holder_radii(k, len(fields))
-            running.append(pool.submit(rebuild, float(e), float(d), int(n), phi_k, radii))
+            running.append(pool.submit(rebuild, k, float(e), float(d), int(n), phi_k))
         states.extend(future.result() for future in running)
         return states
     finally:

@@ -14,10 +14,12 @@ comparison for quasi-plurisubharmonic weights are genuine estimates whose
 residuals are nonnegative in the continuum and must stay so on the grid up
 to a small discretization allowance.
 
-This module is the one place a verdict is decided: :func:`record_verdicts`
-lists every check of a run record in its fixed order — the ladder verdicts,
-the one-sided bounds on the per-rung diagnostics, and the integrability and
-density checks of ``pluripotential`` — and ``report`` only renders them.
+This module is the one place a rung is measured and a verdict decided:
+``_LadderEstimates.measure`` gives every per-rung diagnostic of a solved or
+rebuilt rung, and :func:`record_verdicts` lists every check of a run record
+in its fixed order — the ladder verdicts, the one-sided bounds on the
+per-rung diagnostics, and the integrability and density checks of
+``pluripotential`` — and ``report`` only renders them.
 """
 
 from __future__ import annotations
@@ -40,8 +42,15 @@ from .geometry import (
     scaled_identity,
     spectral_gradient,
 )
-from .ma import PositivityError
-from .pluripotential import QuasiPshModel, _periodic_d2, density_lp_check, skoda_integrability
+from .ma import PositivityError, ma_density
+from .pluripotential import (
+    QuasiPshModel,
+    _curvature_bound,
+    _periodic_d2,
+    density_lp_check,
+    evaluate,
+    skoda_integrability,
+)
 
 __all__ = [
     "HOLDS",
@@ -319,7 +328,7 @@ def c2_uniformity(states) -> Verdict:
     points at least one spacing away from the singular centers, where
     ``psi2_hat`` is the sharp weight (grid-floored at its poles) held fixed
     across rungs and ``Phi = phi + rho``: each state's ``sharp_weighted_sup``,
-    as ``continuation`` measured it on the rung.  Holds when every rung
+    as :meth:`_LadderEstimates.measure` took it.  Holds when every rung
     stays within a factor 2 of the first and the relative least-squares
     slope against ``-log eps`` is at most 0.05 per e-fold.  The unweighted
     trace blows up along the ladder in singular scenarios; only the weighted
@@ -414,40 +423,21 @@ def _check_radius(spec, radius: float) -> None:
         )
 
 
-def _legs(spec, radii, singular) -> tuple[tuple, tuple]:
-    """The exclusion mask of each radius of ``radii``, and every leg of
-    :func:`_admissible_legs` on them, its pairs packed eight to a byte
-    (``np.packbits``) so that a ladder can keep them; raises for a radius
-    below 2h."""
-    for radius in radii:
-        _check_radius(spec, radius)
-    masks = tuple(_exclusion_mask(spec, singular, radius) for radius in radii)
-    legs = tuple(
-        (shift, separation, tuple(p if p is None else np.packbits(p) for p in pairs))
-        for shift, separation, pairs in _admissible_legs(spec, masks)
-    )
-    return masks, legs
-
-
-def _seminorms(phi: GridField, gamma: float, radii, legs) -> tuple[float, ...]:
+def _seminorms(phi: GridField, gamma: float, radii, masks) -> tuple[float, ...]:
     """The seminorms of :func:`holder_seminorm`, one per radius of ``radii``
-    on the leg pairs of its mask in ``legs``, in the same order: one
-    gradient, one difference per leg for all radii."""
+    on its exclusion mask, already built: one gradient, one difference per
+    leg for all radii."""
     if not 0 < gamma < 1:
         raise ValueError(f"Hoelder exponent must lie in (0,1), got {gamma}")
-    spec = phi.spec
+    for radius in radii:
+        _check_radius(phi.spec, radius)
     grad = spectral_gradient(phi)
-    axes = tuple(range(spec.num_axes))
-    best = [-np.inf] * len(radii)
-    for shift, separation, pairs in legs:
-        pairs = pairs[: len(radii)]
-        if all(packed is None for packed in pairs):
-            continue
+    axes = tuple(range(phi.spec.num_axes))
+    best = [-np.inf] * len(masks)
+    for shift, separation, pairs in _admissible_legs(phi.spec, masks):
         diff2 = sum((np.roll(comp, shift, axis=axes) - comp) ** 2 for comp in grad)
-        for i, packed in enumerate(pairs):
-            if packed is not None:  # sqrt and division are monotone: take the top diff2
-                valid = np.unpackbits(packed, count=diff2.size).view(bool)
-                valid = valid.reshape(spec.shape)
+        for i, valid in enumerate(pairs):
+            if valid is not None:  # sqrt and division are monotone: take the top diff2
                 top = np.sqrt(np.max(diff2, where=valid, initial=0.0)) / separation**gamma
                 best[i] = max(best[i], float(top))
     for radius, value in zip(radii, best):
@@ -471,8 +461,8 @@ def holder_seminorm(
     radius must be at least two grid spacings, so the shortest legs cannot
     straddle a pole; raises when it empties the stencil.
     """
-    radii = (exclusion_radius,)
-    return _seminorms(phi, gamma, radii, _legs(phi.spec, radii, singular)[1])[0]
+    mask = _exclusion_mask(phi.spec, singular, exclusion_radius)
+    return _seminorms(phi, gamma, (exclusion_radius,), (mask,))[0]
 
 
 def has_admissible_pairs(spec, exclusion_radius: float, singular=()) -> bool:
@@ -502,24 +492,21 @@ def _holder_radii(index: int, rungs: int) -> int:
 @dataclass(frozen=True)
 class _HolderStencil:
     """The Hoelder stencil of one ladder, built once: the outer and the inner
-    exclusion radius, every admissible leg with its packed pairs per radius
-    (see :func:`_legs`), the outer mask that the Sobolev norm reads, and the
-    exponents of the seminorm and the norm.  Its arrays are read-only, since
-    concurrent rungs share them."""
+    exclusion radius, the exclusion mask of each (the outer one is also
+    where the Sobolev norm is read), and the exponents of the seminorm and
+    the norm.  The masks are read-only, since concurrent rungs share them;
+    each pass pairs them along the legs of :func:`_admissible_legs` anew."""
 
     gamma: float
     q: float
     radii: tuple[float, float]
-    legs: tuple
-    outer: np.ndarray
+    masks: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def build(cls, spec, settings: EstimateSettings, singular) -> "_HolderStencil":
         radii = (settings.exclusion_outer * spec.h, settings.exclusion_inner * spec.h)
-        (outer, _), legs = _legs(spec, radii, singular)
-        for array in (outer, *(p for _, _, pairs in legs for p in pairs if p is not None)):
-            _read_only(array)
-        return cls(settings.holder_gamma, settings.sobolev_q, radii, legs, outer)
+        masks = tuple(_read_only(_exclusion_mask(spec, singular, r)) for r in radii)
+        return cls(settings.holder_gamma, settings.sobolev_q, radii, masks)
 
 
 def _holder_pass(stencil: _HolderStencil, phi: GridField, radii: int) -> dict:
@@ -527,7 +514,7 @@ def _holder_pass(stencil: _HolderStencil, phi: GridField, radii: int) -> dict:
     of ``stencil``: ``holder_outer``, and at both radii also
     ``holder_inner`` and ``sobolev_norm``, the volume-weighted ``L^q`` norm
     of the complex Hessian (pointwise Frobenius) outside the outer radius."""
-    seminorms = _seminorms(phi, stencil.gamma, stencil.radii[:radii], stencil.legs)
+    seminorms = _seminorms(phi, stencil.gamma, stencil.radii[:radii], stencil.masks[:radii])
     measured = {"holder_outer": seminorms[0]}
     if radii == 2:
         spec, q = phi.spec, stencil.q
@@ -535,9 +522,106 @@ def _holder_pass(stencil: _HolderStencil, phi: GridField, radii: int) -> dict:
         cell = spec.h**spec.num_axes
         measured["holder_inner"] = seminorms[1]
         measured["sobolev_norm"] = float(
-            (np.sum(frob[stencil.outer] ** q) * cell) ** (1.0 / q)
+            (np.sum(frob[stencil.masks[0]] ** q) * cell) ** (1.0 / q)
         )
     return measured
+
+
+@dataclass(frozen=True)
+class _LadderEstimates:
+    """What the estimates of every rung of one ladder read, built once, and
+    the one measurement of a rung, :meth:`measure`.
+
+    ``C`` is the configured constant, else ``hessian_lower_bound(psi2)``
+    certified from the sharp ``psi2``; ``rho`` the background's potential,
+    whose shift ``Phi = phi + rho`` every estimate reads; ``eta`` the
+    background weight ``-rho`` with its comparison data (see
+    :func:`_weight`); ``keep`` the pole mask of ``sharp_weighted_sup``;
+    ``stencil`` the Hoelder stencil of the last rungs.  ``sharp`` holds both
+    models at smoothing 0, sampled once: ``psi2``'s is the sharp weight, and
+    the ladder shares both as the reference of the smoothing guarantee and
+    the mass check.  Every array is read by every rung, and by concurrent
+    rungs in ``rebuild_states``, so each is marked read-only.
+    """
+
+    rungs: int
+    C: float
+    rho: np.ndarray
+    eta: tuple
+    keep: np.ndarray
+    stencil: _HolderStencil
+    sharp: tuple[GridField, GridField]
+
+    @classmethod
+    def build(cls, scenario) -> "_LadderEstimates":
+        # The sharp fields are sampled last, above the temporaries of ``eta``
+        # in glibc's heap: the verify work of pole-below, imports left out,
+        # then takes 14.9k minor page faults, against 15.4k with them sampled
+        # before ``rho``.
+        # ``C`` is taken from the sharp ``psi2`` already sampled: the same
+        # bits as ``hessian_lower_bound(psi2)``, one sampling.
+        alpha, psi2 = scenario.alpha, scenario.psi2
+        rho = _read_only(alpha.rho().values)
+        H, laplacian = _hessian_and_trace(alpha.eta())
+        eta = _weight((_read_only(H), _read_only(laplacian)), alpha.t + 1e-6)
+        keep = _read_only(_pole_mask(psi2))
+        stencil = _HolderStencil.build(
+            scenario.spec, scenario.settings, scenario.singular_centers
+        )
+        sharp = (evaluate(scenario.psi1), evaluate(psi2))
+        for field in sharp:
+            _read_only(field.values)
+        C = scenario.C_config
+        if C is None:
+            C = _curvature_bound(complex_hessian(sharp[1]))
+        return cls(len(scenario.eps_schedule), C, rho, eta, keep, stencil, sharp)
+
+    def measure(self, index: int, rung, phi: GridField) -> dict:
+        """Every estimate scalar of rung ``index`` of the ladder, solved as
+        ``phi``: those of the metric, then, once its fields are released,
+        the rung's Hoelder pass at the radii :func:`_holder_radii` gives it.
+        ``rung`` is the ``continuation`` rung: its ``eps``, form ``a``,
+        density ``F``, smoothed ``p2`` and that potential's ``calculus2``
+        and certified ``C_cert``."""
+        diagnostics = self._metric_diagnostics(rung, phi)
+        radii = _holder_radii(index, self.rungs)
+        if radii:
+            diagnostics.update(_holder_pass(self.stencil, phi, radii))
+        return diagnostics
+
+    def _metric_diagnostics(self, rung, phi: GridField) -> dict:
+        """The estimate scalars measured on ``Phi = phi + rho``, and ``sup |phi|``.
+
+        One metric ``(1 + eps) I + H(Phi)`` serves the shift identity (its
+        determinant against ``det(a + H(phi))``) and the trace identity, the
+        log-trace inequality, both weighted second-order quantities and the
+        convexity comparison for both weights (the rung's ``psi2_eps`` and
+        the ladder's ``eta = -rho``).  Raises ``EstimateError`` or
+        ``PositivityError`` when a precondition fails.
+        """
+        spec, C, eps = phi.spec, self.C, rung.eps
+        weight2 = _weight(rung.calculus2, rung.C_cert)
+        m = _RungMetric.build(GridField(spec, phi.values + self.rho), eps)
+        # Each residual field is reduced as soon as it is made, and the log
+        # density released, so no two of them are alive at once.
+        f_log = GridField(spec, np.log(rung.F.values) - spec.n * np.log1p(eps))
+        min_siu = float(np.min(_siu_residual(m, f_log, C)))
+        del f_log
+        comparison = min(
+            float(np.min(_comparison_residual(m, weight2))),
+            float(np.min(_comparison_residual(m, self.eta))),
+        )
+        shift_defect = float(np.max(np.abs(ma_density(rung.a, phi).values - m.data.det)))
+        return {
+            "shift_defect": shift_defect,
+            "min_siu_residual": min_siu,
+            "weighted_c2_sup": _weighted_sup(m, rung.p2.values, C),
+            "sharp_weighted_sup": _weighted_sup(m, self.sharp[1].values, C, self.keep),
+            "trace_defect": _trace_identity_defect(m),
+            "comparison_min": comparison,
+            "q_sup": float(np.max(m.q)),
+            "sup_phi": float(np.max(np.abs(phi.values))),
+        }
 
 
 _SPREAD_BOUND = 1.5
@@ -545,7 +629,7 @@ _SPREAD_BOUND = 1.5
 
 def interior_regularity(states, settings: EstimateSettings, n: int) -> Verdict:
     """``interior-regularity`` over the last three rungs of a ladder, from
-    the Hoelder numbers ``continuation`` measured on each of them.
+    the Hoelder numbers :meth:`_LadderEstimates.measure` took on each.
 
     Holds when the Hoelder seminorm of the gradient outside the outer
     exclusion radius (:func:`holder_seminorm`, each rung's ``holder_outer``)

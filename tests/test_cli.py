@@ -915,8 +915,12 @@ class TestVerifyVerb:
                 lambda a: a.update({k: v[:0] for k, v in a.items() if k != "meta"}),
                 "same positive number of rungs, got (0, 0, 0, 0)",
             ),
+            (
+                lambda a: a.update({k: v[:-1] for k, v in a.items() if k != "meta"}),
+                "stored states hold 2 rungs, the schedule 3",
+            ),
         ],
-        ids=["missing-meta", "meta-without-hash", "short-eps", "no-rungs"],
+        ids=["missing-meta", "meta-without-hash", "short-eps", "no-rungs", "short-ladder"],
     )
     def test_malformed_states_exit_three(self, mini_run, capsys, change, message):
         _, _, rundir = mini_run
@@ -955,14 +959,14 @@ class TestVerifyVerb:
         assert len(os.listdir("/proc/self/fd")) == before
 
     def test_programming_error_exits_four(self, mini_run, capsys, monkeypatch):
-        import torusma.continuation as continuation
+        import torusma.estimates as estimates
 
         def broken(*args, **kwargs):
             raise TypeError("unexpected argument")
 
         _, _, rundir = mini_run
         capsys.readouterr()
-        monkeypatch.setattr(continuation, "_rung_diagnostics", broken)
+        monkeypatch.setattr(estimates._LadderEstimates, "measure", broken)
         assert main(["verify", rundir]) == EXIT_INTERNAL
         assert capsys.readouterr().err == (
             "internal error: TypeError: unexpected argument\n"

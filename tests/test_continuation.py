@@ -23,8 +23,6 @@ from torusma.continuation import (
     Scenario,
     _Ladder,
     _Rung,
-    _rung_diagnostics,
-    _shift_defect,
     delta_eps,
     enforce_mass_balance,
     rebuild_states,
@@ -151,10 +149,11 @@ class TestScenarioValidation:
             )
 
     def test_the_ladder_constant_prefers_the_configured_value(self):
-        assert _Ladder.build(_scenario(C=2.5)).C == 2.5
+        assert _Ladder.build(_scenario(C=2.5)).estimates.C == 2.5
         # Without an override the constant is certified from psi2: a single
         # cosine of amplitude a needs C = pi^2 a plus the strictness margin.
-        certified = _Ladder.build(_scenario(psi2=(SmoothMode(0.1, (1, 0)),))).C
+        ladder = _Ladder.build(_scenario(psi2=(SmoothMode(0.1, (1, 0)),)))
+        certified = ladder.estimates.C
         assert certified == pytest.approx(0.1 * np.pi**2 + 1e-6, abs=1e-10)
 
 
@@ -370,7 +369,8 @@ class TestShiftFrame:
         phi = GridField(spec, vals * np.ones(spec.shape))
         Phi = GridField(spec, phi.values + alpha.rho().values)
         det_g = ma_density(scaled_identity(spec, 1.1), Phi).values
-        assert _shift_defect(phi, det_g, alpha.coefficients(0.1)) <= 1e-12
+        lhs = ma_density(alpha.coefficients(0.1), phi).values
+        assert float(np.max(np.abs(lhs - det_g))) <= 1e-12
 
 
 _ESTIMATE_KEYS = (
@@ -439,8 +439,8 @@ class TestOneDiagnosticsPath:
         np.testing.assert_array_equal(rung.p2.values, p2.values)
         density = np.exp(p1.values - p2.values)
         np.testing.assert_array_equal(rung.F.values, (1.0 + rung.delta) * density)
-        H, laplacian, C_cert, _ = rung.weight2
-        assert C_cert == hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
+        H, laplacian = rung.calculus2
+        assert rung.C_cert == hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
         for got, want in zip(H.parts, complex_hessian(p2).parts):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(laplacian, half_laplacian(p2).values)
@@ -496,9 +496,8 @@ class TestOneDiagnosticsPath:
             m = _RungMetric.build(s.Phi, s.eps)
             assert s.diagnostics["trace_defect"] == _trace_identity_defect(m)
             det_g = ma_density(scaled_identity(spec, 1 + s.eps), s.Phi).values
-            assert s.diagnostics["shift_defect"] == _shift_defect(
-                s.phi, det_g, scenario.alpha.coefficients(s.eps)
-            )
+            lhs = ma_density(scenario.alpha.coefficients(s.eps), s.phi).values
+            assert s.diagnostics["shift_defect"] == float(np.max(np.abs(lhs - det_g)))
             # both weighted second-order suprema, from scratch: the smoothed
             # weight over the grid, the sharp one away from the poles
             q = spec.n + half_laplacian(s.Phi).values / (1 + s.eps)
@@ -629,9 +628,9 @@ class TestRungPool:
     @pytest.mark.parametrize("scenario", _LADDERS, ids=["n1", "n2"])
     def test_ladder_arrays_refuse_in_place_writes(self, scenario):
         # Every rung, and every thread of the pool, reads them.
-        built = _Ladder.build(enforce_mass_balance(scenario))
+        built = _Ladder.build(enforce_mass_balance(scenario)).estimates
         H, laplacian, _, _ = built.eta
-        shared = [built.rho, built.keep, *H.parts, laplacian]
+        shared = [built.rho, built.keep, *H.parts, laplacian, *built.stencil.masks]
         shared += [field.values for field in built.sharp]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
@@ -676,9 +675,10 @@ class TestRungWork:
 
     @pytest.mark.parametrize("n, limit", [(1, 18), (2, 42)])
     def test_transforms_per_guarded_rung(self, n, limit, monkeypatch):
-        scenario = enforce_mass_balance(_POLE_LADDERS[n])
+        # The last rung as a ladder of its own, so it measures no Hoelder radius.
+        eps = _POLE_LADDERS[n].eps_schedule[-1]
+        scenario = enforce_mass_balance(replace(_POLE_LADDERS[n], eps_schedule=(eps,)))
         ladder = _Ladder.build(scenario)
-        eps = scenario.eps_schedule[-1]
         phi = GridField(scenario.spec, scenario.spec.zeros())
         count = []
         for name in ("_rfftn", "_irfftn"):
@@ -689,7 +689,7 @@ class TestRungWork:
                 return real(*args)
 
             monkeypatch.setattr(geometry, name, counted)
-        _rung_diagnostics(ladder, _Rung.build(ladder, eps, 0.0), phi, 0)
+        ladder.estimates.measure(0, _Rung.build(ladder, eps, 0.0), phi)
         assert len(count) <= limit
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -726,7 +726,7 @@ class TestRungWork:
         # sharp psi2.
         scenario = enforce_mass_balance(_POLE_LADDERS[1])
         assert scenario.C_config is None
-        assert _Ladder.build(scenario).C == hessian_lower_bound(scenario.psi2)
+        assert _Ladder.build(scenario).estimates.C == hessian_lower_bound(scenario.psi2)
         sharp = []
         real = pluripotential.evaluate
 

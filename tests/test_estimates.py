@@ -425,11 +425,30 @@ class TestHolderSeminorms:
         pole = evaluate(QuasiPshModel(spec, poles=(Pole(center=center, weight=0.5),)))
         field = GridField(spec, pole.values + 0.1 * trig_poly(spec, 3, seed=n).values)
         radii = (8 * spec.h, 4 * spec.h, 2 * spec.h)
-        _, legs = estimates._legs(spec, radii, (center,))
-        measured = estimates._seminorms(field, 0.5, radii, legs)
+        masks = tuple(estimates._exclusion_mask(spec, (center,), r) for r in radii)
+        measured = estimates._seminorms(field, 0.5, radii, masks)
         expected = tuple(_one_radius_loop(field, 0.5, r, (center,)) for r in radii)
         assert measured == expected
         assert measured[0] < measured[-1]  # the pole is felt at the inner radius
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 16)])
+    def test_the_stencil_holds_two_read_only_masks(self, n, N):
+        # The stencil keeps one boolean exclusion mask per radius, one byte
+        # a point, and no per-leg pairs: each pass pairs the masks anew.
+        spec = TorusSpec(n, N)
+        stencil = estimates._HolderStencil.build(
+            spec, EstimateSettings(), ((0.5,) * spec.num_axes,)
+        )
+        values = [
+            item
+            for value in vars(stencil).values()
+            for item in (value if isinstance(value, tuple) else (value,))
+        ]
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2
+        assert all(a.dtype == bool and a.shape == spec.shape for a in arrays)
+        assert not any(a.flags.writeable for a in arrays)
+        assert sum(a.nbytes for a in arrays) == 2 * N ** (2 * n)
 
     def test_an_empty_radius_is_named(self):
         spec = TorusSpec(1, 16)

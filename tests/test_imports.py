@@ -14,8 +14,10 @@ binds; every ``functools`` cache is keyed by ``int`` and ``bool``
 parameters only; ``ContinuationState(...)`` is called exactly once in the
 package, in ``continuation._rung_state``, and the lattice walk of the
 Hoelder stencil legs once; the Hoelder stencil is built only in
-``continuation._Ladder.build`` and its pass run only in
-``continuation._rung_diagnostics``; ``Verdict(...)`` is called only in the
+``estimates._LadderEstimates.build`` and its pass run only in
+``estimates._LadderEstimates.measure``, the one private name of
+``estimates`` that ``continuation`` reads, and no diagnostics key is named
+in ``continuation``; ``Verdict(...)`` is called only in the
 two deciding rules and the integrability check, all in ``estimates``;
 ``report`` imports nothing
 from ``pluripotential``, reads no private name of ``estimates`` or
@@ -409,10 +411,11 @@ def test_potentials_are_smoothed_at_two_sites():
     ]
 
 
-# The Hoelder stencil is built once per ladder, in ``continuation._Ladder.build``,
-# and each of the last rungs measures its potential on it as it is built,
-# in ``continuation._rung_diagnostics``: the record keeps no potential for
-# interior-regularity, and ``run`` and ``verify`` take one path to it.
+# The Hoelder stencil is built once per ladder, in
+# ``estimates._LadderEstimates.build``, and each of the last rungs measures
+# its potential on it as it is built, in ``_LadderEstimates.measure``: the
+# record keeps no potential for interior-regularity, and ``run`` and
+# ``verify`` take one path to it.
 def _method_call_sites(sources: dict[str, str], owner: str, method: str) -> list[str]:
     """``module:line`` of every call of ``owner.method``, ``owner`` bare or an
     attribute itself (``estimates.Owner.method``)."""
@@ -439,9 +442,9 @@ def test_the_check_finds_method_call_sites():
 def test_the_hoelder_stencil_is_built_and_passed_at_one_site_each():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     stencils = _method_call_sites(sources, "_HolderStencil", "build")
-    assert _enclosing_functions(sources, stencils) == ["continuation._Ladder.build"]
+    assert _enclosing_functions(sources, stencils) == ["estimates._LadderEstimates.build"]
     passes = _call_sites(sources, "_holder_pass")
-    assert _enclosing_functions(sources, passes) == ["continuation._rung_diagnostics"]
+    assert _enclosing_functions(sources, passes) == ["estimates._LadderEstimates.measure"]
 
 
 # The bundled scenarios are config documents: the library reaches the
@@ -516,6 +519,49 @@ def test_report_decides_no_verdict():
     source = (SRC / "report.py").read_text()
     assert "pluripotential" not in _package_imports(source)
     assert _private_reads_of(source, "estimates") == []
+
+
+# One object of ``estimates`` measures a rung: ``continuation`` builds the
+# rung and its state, and reaches the estimates only through
+# ``_LadderEstimates``, so a new per-rung quantity is added in one module.
+def _diagnostics_keys(source: str) -> set[str]:
+    """The string keys that ``_LadderEstimates`` and ``_holder_pass`` of an
+    ``estimates`` source put into a diagnostics dict, as a display or by
+    subscript assignment."""
+    keys = set()
+    for scope in ast.parse(source).body:
+        if getattr(scope, "name", None) not in ("_LadderEstimates", "_holder_pass"):
+            continue
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Dict):
+                keys.update(k.value for k in node.keys if isinstance(k, ast.Constant))
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.slice, ast.Constant):
+                    keys.add(node.slice.value)
+    return keys
+
+
+def test_the_check_finds_diagnostics_keys():
+    source = (
+        "def _holder_pass():\n"
+        "    d = {'a': 1}\n"
+        "    d['b'] = 2\n"
+        "    return d['c']\n"
+        "class _LadderEstimates:\n"
+        "    def measure(self): return {'e': 3, **x}\n"
+        "def other(): return {'f': 4}\n"
+    )
+    assert _diagnostics_keys(source) == {"a", "b", "e"}
+
+
+def test_continuation_measures_no_rung_itself():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    continuation = sources["continuation"]
+    assert _private_reads_of(continuation, "estimates") == ["_LadderEstimates"]
+    keys = _diagnostics_keys(sources["estimates"])
+    assert {"sharp_weighted_sup", "shift_defect", "holder_outer", "sobolev_norm"} <= keys
+    assert len(keys) == 11
+    assert not keys & _string_constants(continuation)
 
 
 # ``continuation`` builds every rung and state, solved or rebuilt from a
