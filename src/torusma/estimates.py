@@ -530,14 +530,11 @@ def _holder_pass(stencil: _HolderStencil, phi: GridField, radii: int) -> dict:
 @dataclass(frozen=True)
 class _LadderEstimates:
     """What the estimates of every rung of one ladder read, built once, and
-    the one measurement of a rung, :meth:`measure`.
-
-    ``C`` is the configured constant, else ``hessian_lower_bound(psi2)``
-    certified from the sharp ``psi2``; ``rho`` the background's potential,
-    whose shift ``Phi = phi + rho`` every estimate reads; ``eta`` the
-    background weight ``-rho`` with its comparison data (see
-    :func:`_weight`); ``keep`` the pole mask of ``sharp_weighted_sup``;
-    ``stencil`` the Hoelder stencil of the last rungs.  ``sharp`` holds both
+    the one measurement of a rung, :meth:`measure`: ``C`` (configured, else
+    ``hessian_lower_bound(psi2)`` from the sharp ``psi2``), ``rho``, whose
+    shift ``Phi = phi + rho`` every estimate reads, the background weight
+    ``eta = -rho`` (see :func:`_weight`), the pole mask ``keep`` of
+    ``sharp_weighted_sup`` and the Hoelder ``stencil``.  ``sharp`` holds both
     models at smoothing 0, sampled once: ``psi2``'s is the sharp weight, and
     the ladder shares both as the reference of the smoothing guarantee and
     the mass check.  Every array is read by every rung, and by concurrent
@@ -600,6 +597,8 @@ class _LadderEstimates:
         ``PositivityError`` when a precondition fails.
         """
         spec, C, eps = phi.spec, self.C, rung.eps
+        # psi2's weight first: its eigenvalue temporaries are freed before
+        # the metric's fields are made.
         weight2 = _weight(rung.calculus2, rung.C_cert)
         m = _RungMetric.build(GridField(spec, phi.values + self.rho), eps)
         # Each residual field is reduced as soon as it is made, and the log
