@@ -11,10 +11,12 @@ where ``psi_j_eps`` are the smoothed potentials at the same ``eps`` and the
 scalar ``delta_eps`` restores exact mass balance rung by rung.  Solutions are
 mean-zero, warm-started down the ladder, and read in the shifted potential
 ``Phi = phi + rho`` in which the background becomes the constant form
-``(1 + eps) I`` — the frame every curvature-type estimate uses.  What does
-not depend on the rung is built once per ladder (``_Ladder``), each rung by
+``(1 + eps) I`` — the frame every curvature-type estimate uses.  A rung
+depends on the scenario, its sharp models and ``eps`` alone, and is built by
 one call, ``_Rung.build``, that smooths both potentials and balances the
-masses; a state keeps ``phi`` and the ladder's ``rho`` and derives ``Phi``.
+masses; what the estimates of every rung read is built once per ladder, with
+the sharp models, by ``estimates``.  A state keeps ``phi`` and the ladder's
+``rho`` and derives ``Phi``.
 Solved (:func:`run_continuation`) or rebuilt from stored fields
 (:func:`rebuild_states`), every state is built here; ``estimates`` measures it.
 """
@@ -184,23 +186,8 @@ def delta_eps(scenario: Scenario, eps: float) -> float:
     with both potentials smoothed at the same ``eps`` as the background shift:
     the ``delta`` of the rung :func:`run_continuation` builds at ``eps``.
     """
-    return _Rung.build(_Ladder.build(scenario), eps).delta
-
-
-@dataclass(frozen=True)
-class _Ladder:
-    """What every rung of a scenario shares: ``sharp``, the models at
-    smoothing 0, the reference of the smoothing guarantee and the mass check,
-    and ``estimates``, which sampled them once and measures every rung."""
-
-    scenario: Scenario
-    sharp: tuple[GridField, GridField]
-    estimates: estimates._LadderEstimates
-
-    @classmethod
-    def build(cls, scenario: Scenario) -> "_Ladder":
-        measured = estimates._LadderEstimates.build(scenario)
-        return cls(scenario, measured.sharp, measured)
+    sharp = (evaluate(scenario.psi1), evaluate(scenario.psi2))
+    return _Rung.build(scenario, sharp, eps).delta
 
 
 @dataclass(frozen=True)
@@ -210,7 +197,8 @@ class _Rung:
     ``F = (1 + delta) exp(psi1_eps - psi2_eps)``, ``p2 = psi2_eps`` with its
     Hessian and half-Laplacian ``calculus2`` (guarantee (b)) and the constant
     ``C_cert = hessian_lower_bound(psi2, s_min=sqrt(eps))`` certified while
-    smoothing, from which the estimates form its comparison weight."""
+    smoothing, from which the estimates form its comparison weight.  It
+    reads the scenario, the sharp models and ``eps`` alone, not the schedule."""
 
     eps: float
     a: HermitianFormField
@@ -221,12 +209,12 @@ class _Rung:
     C_cert: float
 
     @classmethod
-    def build(cls, ladder: _Ladder, eps: float, delta=None) -> "_Rung":
-        """The rung at ``eps``, smoothed against the ladder's sharp models;
-        ``delta`` balances the masses unless a stored value is given."""
-        scenario = ladder.scenario
-        p1 = _regularize(scenario.psi1, eps, ladder.sharp[0])[0]
-        p2, C_cert, calculus2 = _regularize(scenario.psi2, eps, ladder.sharp[1])
+    def build(cls, scenario: Scenario, sharp, eps: float, delta=None) -> "_Rung":
+        """The rung at ``eps``, smoothed against ``sharp``, the scenario's
+        ``psi1`` and ``psi2`` sampled at smoothing 0; ``delta`` balances the
+        masses unless a stored value is given."""
+        p1 = _regularize(scenario.psi1, eps, sharp[0])[0]
+        p2, C_cert, calculus2 = _regularize(scenario.psi2, eps, sharp[1])
         a = scenario.alpha.coefficients(eps)
         density = np.exp(p1.values - p2.values)
         if delta is None:
@@ -236,12 +224,11 @@ class _Rung:
 
 
 def _rung_state(
-    ladder: _Ladder, index: int, rung: _Rung, phi: GridField, steps: int, solve
+    measured, index: int, rung: _Rung, phi: GridField, steps: int, solve
 ) -> ContinuationState:
     """The one constructor of states, solved or stored: rung ``index`` of the
-    ladder, measured by the ladder's estimates; ``solve`` is the rung's
-    ``SolveResult`` or ``None``."""
-    measured = ladder.estimates
+    ladder, measured by the ladder's estimates ``measured``; ``solve`` is the
+    rung's ``SolveResult`` or ``None``."""
     return ContinuationState(
         eps=rung.eps,
         delta_eps=rung.delta,
@@ -254,12 +241,13 @@ def _rung_state(
     )
 
 
-def _solved_state(ladder: _Ladder, index: int, phi0) -> ContinuationState:
-    """Rung ``index`` of the schedule solved from the warm start ``phi0``; the
-    rung's fields die on return, with only the state left."""
-    rung = _Rung.build(ladder, ladder.scenario.eps_schedule[index])
-    result = solve_ma_detailed(rung.a, rung.F, phi0=phi0, tol=ladder.scenario.tol)
-    return _rung_state(ladder, index, rung, result.phi, result.newton_steps, result)
+def _solved_state(scenario: Scenario, measured, index: int, phi0) -> ContinuationState:
+    """Rung ``index`` of the schedule solved from the warm start ``phi0`` and
+    measured by the ladder's estimates ``measured``; the rung's fields die
+    on return, with only the state left."""
+    rung = _Rung.build(scenario, measured.sharp, scenario.eps_schedule[index])
+    result = solve_ma_detailed(rung.a, rung.F, phi0=phi0, tol=scenario.tol)
+    return _rung_state(measured, index, rung, result.phi, result.newton_steps, result)
 
 
 def run_continuation(scenario: Scenario, keep=None) -> list:
@@ -278,9 +266,9 @@ def run_continuation(scenario: Scenario, keep=None) -> list:
     the kept values of all completed rungs attached; any other exception
     propagates as is.
     """
-    ladder = _Ladder.build(scenario)
+    measured = estimates._LadderEstimates.build(scenario)
     mass_a = _mass(scenario.alpha.coefficients())
-    mass_d = _mass_density(*ladder.sharp)
+    mass_d = _mass_density(*measured.sharp)
     if abs(mass_d - mass_a) > 1e-8 * abs(mass_a):
         raise ValueError(
             f"scenario is not mass-balanced ({mass_d:.12g} vs {mass_a:.12g}); "
@@ -289,7 +277,7 @@ def run_continuation(scenario: Scenario, keep=None) -> list:
     kept, phi0 = [], None
     for index, eps in enumerate(scenario.eps_schedule):
         try:
-            state = _solved_state(ladder, index, phi0)
+            state = _solved_state(scenario, measured, index, phi0)
         except _RUNG_ERRORS as exc:
             raise ContinuationError(
                 f"rung {index} (eps={eps:g}) failed: {exc}", kept, index, eps
@@ -313,12 +301,13 @@ def _workers(rungs: int) -> int:
 def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[ContinuationState]:
     """Continuation states from stored per-rung arrays, without solving.
 
-    The arrays must describe one rung per schedule value, and every
-    stored potential is validated as a grid field before any estimate runs
-    (``ValueError`` otherwise); each rung is then built with its stored
-    ``delta`` and each state by the constructor :func:`run_continuation`
-    used when the fields were solved, so a faithful record reproduces its
-    diagnostics exactly.
+    The arrays must describe one rung per schedule value, the stored ``eps``
+    must be the schedule's, and every stored potential is validated as a
+    grid field before any estimate runs (``ValueError`` otherwise); rung
+    ``k`` is then built at the schedule's ``eps`` with its stored ``delta``
+    and each state by the constructor :func:`run_continuation` used when
+    the fields were solved, so a faithful record reproduces its diagnostics
+    exactly.
 
     No rung reads another's, so the rungs are rebuilt on a pool of
     :func:`_workers` threads (numpy and the FFTs release the interpreter
@@ -326,22 +315,26 @@ def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[Continuat
     in order that fails raises its own error; the rungs already running are
     joined and no further one starts.
     """
+    schedule = scenario.eps_schedule
     rungs = (len(eps), len(delta), len(steps), len(phi))
     if len(set(rungs)) > 1 or not rungs[0]:
         raise ValueError(
             f"stored eps, delta, newton_steps and phi must hold the same positive "
             f"number of rungs, got {rungs}"
         )
-    if rungs[0] != len(scenario.eps_schedule):
+    if rungs[0] != len(schedule):
+        raise ValueError(f"stored states hold {rungs[0]} rungs, the schedule {len(schedule)}")
+    stored = np.asarray(eps, dtype=float)
+    if not np.array_equal(stored, schedule):
         raise ValueError(
-            f"stored states hold {rungs[0]} rungs, the schedule "
-            f"{len(scenario.eps_schedule)}"
+            f"stored eps {stored.tolist()} are not the schedule {list(schedule)}"
         )
     fields = [GridField(scenario.spec, values) for values in phi]
-    ladder = _Ladder.build(scenario)
+    measured = estimates._LadderEstimates.build(scenario)
 
-    def rebuild(k: int, e: float, d: float, n: int, phi_k: GridField) -> ContinuationState:
-        return _rung_state(ladder, k, _Rung.build(ladder, e, d), phi_k, n, None)
+    def rebuild(k: int, d: float, n: int, phi_k: GridField) -> ContinuationState:
+        rung = _Rung.build(scenario, measured.sharp, schedule[k], d)
+        return _rung_state(measured, k, rung, phi_k, n, None)
 
     workers = _workers(len(fields))
     pool = ThreadPoolExecutor(workers, thread_name_prefix="torusma-rung")
@@ -349,10 +342,10 @@ def rebuild_states(scenario: Scenario, eps, delta, steps, phi) -> list[Continuat
         # A rung is submitted only once the rung ``workers`` places before it
         # is collected, so a failed rung stops the schedule where it failed.
         states, running = [], deque()
-        for k, (e, d, n, phi_k) in enumerate(zip(eps, delta, steps, fields)):
+        for k, (d, n, phi_k) in enumerate(zip(delta, steps, fields)):
             if len(running) == workers:
                 states.append(running.popleft().result())
-            running.append(pool.submit(rebuild, k, float(e), float(d), int(n), phi_k))
+            running.append(pool.submit(rebuild, k, float(d), int(n), phi_k))
         states.extend(future.result() for future in running)
         return states
     finally:

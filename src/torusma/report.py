@@ -369,8 +369,8 @@ def load_states(outdir: str, experiment: ExperimentConfig) -> list[ContinuationS
     estimates-only verification needs.  Raises ``FileNotFoundError`` for
     missing states, ``ValueError`` for an archive that is not a readable
     record (damaged, missing a member or the config hash, no rungs, or
-    per-rung arrays of different lengths), for a foreign config hash and for
-    non-finite fields, and ``EstimateError`` or ``PositivityError`` when an
+    per-rung arrays of different lengths), for a foreign config hash, for
+    ``eps`` other than the schedule's and for non-finite fields, and ``EstimateError`` or ``PositivityError`` when an
     estimate's precondition fails on the stored fields.
     """
     path = os.path.join(outdir, "states.npz")

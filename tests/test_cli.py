@@ -794,6 +794,45 @@ class TestRunMemory:
         assert peaks[12] - peaks[4] < 64 * 64 * 8
 
 
+def _prefix_ladder(n: int, rungs: int) -> str:
+    """A pole ladder of ``rungs`` rungs halving eps from 1/16: at n = 1 on
+    N = 32, at n = 2 on N = 16, the pole below the threshold ``n / p``."""
+    schedule = " ".join(repr(2.0**-k) for k in range(4, 4 + rungs))
+    torus, mode, centre = {
+        1: ("n = 1\nN = 32", "1 0", "0.5 0.5"),
+        2: ("n = 2\nN = 16", "1 0 0 0", "0.5 0.5 0.25 0.5"),
+    }[n]
+    return (
+        f"[torus]\n{torus}\n[alpha]\nt = 0.5\n[psi1]\nmode = 0.3, {mode}, 0.3\n"
+        f"[psi2]\npole = {centre}, 0.5, 0.1, 0.2\n[hypothesis]\np = 1.5\n"
+        f"[continuation]\nschedule = {schedule}\n[estimates]\nC = 2.0\n"
+    )
+
+
+class TestLadderPrefix:
+    """A rung depends on the scenario, its sharp models, its eps and its warm
+    start, never on the rungs after it, so the first k rungs of a longer
+    schedule are the k-rung record: the same ``report.csv`` rows and the
+    same stored ``phi`` bits.  The Hoelder numbers do depend on the
+    schedule, since only its last three rungs measure them, but no
+    ``report.csv`` column holds them."""
+
+    @pytest.mark.parametrize("n, short, long", [(1, 3, 5), (2, 2, 4)], ids=["n1", "n2"])
+    def test_a_prefix_of_the_schedule_is_its_own_record(self, tmp_path, n, short, long):
+        from torusma.report import run_experiment
+
+        rows, phi = {}, {}
+        for rungs in (short, long):
+            out = tmp_path / str(rungs)
+            run_experiment(parse_config(_prefix_ladder(n, rungs)), str(out))
+            rows[rungs] = (out / "report.csv").read_text().splitlines()
+            with np.load(out / "states.npz") as data:
+                phi[rungs] = data["phi"]
+        assert len(rows[short]) == short + 1 and len(rows[long]) == long + 1
+        assert rows[long][: short + 1] == rows[short]
+        assert phi[long][:short].tobytes() == phi[short].tobytes()
+
+
 class TestVerifyVerb:
     @pytest.fixture()
     def mini_run(self, tmp_path, capsys):
@@ -919,8 +958,16 @@ class TestVerifyVerb:
                 lambda a: a.update({k: v[:-1] for k, v in a.items() if k != "meta"}),
                 "stored states hold 2 rungs, the schedule 3",
             ),
+            (lambda a: a.update(eps=a["eps"] * 1.5), "are not the schedule"),
         ],
-        ids=["missing-meta", "meta-without-hash", "short-eps", "no-rungs", "short-ladder"],
+        ids=[
+            "missing-meta",
+            "meta-without-hash",
+            "short-eps",
+            "no-rungs",
+            "short-ladder",
+            "foreign-eps",
+        ],
     )
     def test_malformed_states_exit_three(self, mini_run, capsys, change, message):
         _, _, rundir = mini_run

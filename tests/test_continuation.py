@@ -21,7 +21,6 @@ from torusma import continuation, estimates, geometry, pluripotential
 from torusma.continuation import (
     ContinuationError,
     Scenario,
-    _Ladder,
     _Rung,
     delta_eps,
     enforce_mass_balance,
@@ -149,11 +148,11 @@ class TestScenarioValidation:
             )
 
     def test_the_ladder_constant_prefers_the_configured_value(self):
-        assert _Ladder.build(_scenario(C=2.5)).estimates.C == 2.5
+        assert estimates._LadderEstimates.build(_scenario(C=2.5)).C == 2.5
         # Without an override the constant is certified from psi2: a single
         # cosine of amplitude a needs C = pi^2 a plus the strictness margin.
-        ladder = _Ladder.build(_scenario(psi2=(SmoothMode(0.1, (1, 0)),)))
-        certified = ladder.estimates.C
+        scenario = _scenario(psi2=(SmoothMode(0.1, (1, 0)),))
+        certified = estimates._LadderEstimates.build(scenario).C
         assert certified == pytest.approx(0.1 * np.pi**2 + 1e-6, abs=1e-10)
 
 
@@ -433,7 +432,8 @@ class TestOneDiagnosticsPath:
         # Hessian and half-Laplacian of the smoothed psi2, both inside the
         # guaranteed range (eps <= 0.1) and above it.
         scenario = enforce_mass_balance(_LADDERS[0])
-        rung = _Rung.build(_Ladder.build(scenario), eps)
+        sharp = (evaluate(scenario.psi1), evaluate(scenario.psi2))
+        rung = _Rung.build(scenario, sharp, eps)
         p1 = regularize(scenario.psi1, eps)
         p2 = regularize(scenario.psi2, eps)
         np.testing.assert_array_equal(rung.p2.values, p2.values)
@@ -571,7 +571,7 @@ class TestRungPool:
         main = threading.get_ident()
         started, finished = [], []
 
-        def rung(_ladder, eps, _delta=None):
+        def rung(_, _sharp, eps, _delta=None):
             started.append(eps)
             try:
                 if eps == first and stop == "interrupt":
@@ -614,9 +614,9 @@ class TestRungPool:
         started = []
         real = continuation._Rung.build
 
-        def rung(ladder, eps, delta=None):
+        def rung(scenario, sharp, eps, delta=None):
             started.append(eps)
-            return real(ladder, eps, delta)
+            return real(scenario, sharp, eps, delta)
 
         monkeypatch.setattr(continuation._Rung, "build", rung)
         phi[-1].flat[0] = np.nan
@@ -628,7 +628,7 @@ class TestRungPool:
     @pytest.mark.parametrize("scenario", _LADDERS, ids=["n1", "n2"])
     def test_ladder_arrays_refuse_in_place_writes(self, scenario):
         # Every rung, and every thread of the pool, reads them.
-        built = _Ladder.build(enforce_mass_balance(scenario)).estimates
+        built = estimates._LadderEstimates.build(enforce_mass_balance(scenario))
         H, laplacian, _, _ = built.eta
         shared = [built.rho, built.keep, *H.parts, laplacian, *built.stencil.masks]
         shared += [field.values for field in built.sharp]
@@ -678,7 +678,7 @@ class TestRungWork:
         # The last rung as a ladder of its own, so it measures no Hoelder radius.
         eps = _POLE_LADDERS[n].eps_schedule[-1]
         scenario = enforce_mass_balance(replace(_POLE_LADDERS[n], eps_schedule=(eps,)))
-        ladder = _Ladder.build(scenario)
+        measured = estimates._LadderEstimates.build(scenario)
         phi = GridField(scenario.spec, scenario.spec.zeros())
         count = []
         for name in ("_rfftn", "_irfftn"):
@@ -689,7 +689,7 @@ class TestRungWork:
                 return real(*args)
 
             monkeypatch.setattr(geometry, name, counted)
-        ladder.estimates.measure(0, _Rung.build(ladder, eps, 0.0), phi)
+        measured.measure(0, _Rung.build(scenario, measured.sharp, eps, 0.0), phi)
         assert len(count) <= limit
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -698,6 +698,24 @@ class TestRungWork:
         scenario = enforce_mass_balance(_POLE_LADDERS[n])
         for state in run_continuation(scenario):
             assert delta_eps(scenario, state.eps) == state.delta_eps
+
+    def test_delta_eps_builds_no_ladder_estimates(self, monkeypatch):
+        # A rung reads the scenario, the sharp models and eps alone; the
+        # estimates of a ladder are built by the ladder's walk, once.
+        scenario = enforce_mass_balance(_POLE_LADDERS[1])
+        built = []
+        real = estimates._LadderEstimates.build
+
+        def counted(scenario):
+            built.append(scenario)
+            return real(scenario)
+
+        monkeypatch.setattr(estimates._LadderEstimates, "build", counted)
+        for eps in scenario.eps_schedule:
+            delta_eps(scenario, eps)
+        assert built == []
+        run_continuation(scenario)
+        assert built == [scenario]
 
     def test_background_form_is_built_once_per_rung(self, monkeypatch):
         # The solve, delta and the shift identity read one form per rung;
@@ -726,7 +744,9 @@ class TestRungWork:
         # sharp psi2.
         scenario = enforce_mass_balance(_POLE_LADDERS[1])
         assert scenario.C_config is None
-        assert _Ladder.build(scenario).estimates.C == hessian_lower_bound(scenario.psi2)
+        assert estimates._LadderEstimates.build(scenario).C == hessian_lower_bound(
+            scenario.psi2
+        )
         sharp = []
         real = pluripotential.evaluate
 

@@ -15,12 +15,15 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from torusma.config import parse_config  # noqa: E402
 from torusma.continuation import (  # noqa: E402
     Scenario,
-    _Ladder,
     _Rung,
     enforce_mass_balance,
     run_continuation,
 )
-from torusma.estimates import _RungMetric, _trace_identity_defect  # noqa: E402
+from torusma.estimates import (  # noqa: E402
+    _LadderEstimates,
+    _RungMetric,
+    _trace_identity_defect,
+)
 from torusma.geometry import (  # noqa: E402
     GridField,
     TorusSpec,
@@ -136,8 +139,8 @@ def test_rung_diagnostics_shift_by_rho(n, t, seed, amplitude):
     scenario = _smooth_scenario(n, t, seed, (eps,))
     spec = scenario.spec
     phi = GridField(spec, amplitude * trig_poly(spec, 1, seed).values)
-    ladder = _Ladder.build(scenario)
-    diagnostics = ladder.estimates.measure(0, _Rung.build(ladder, eps, 0.0), phi)
+    measured = _LadderEstimates.build(scenario)
+    diagnostics = measured.measure(0, _Rung.build(scenario, measured.sharp, eps, 0.0), phi)
     Phi = GridField(spec, phi.values + scenario.alpha.rho().values)
     m = _RungMetric.build(Phi, eps)
     assert diagnostics["trace_defect"] == _trace_identity_defect(m)

@@ -17,8 +17,11 @@ Hoelder stencil legs once; the Hoelder stencil is built only in
 ``estimates._LadderEstimates.build`` and its pass run only in
 ``estimates._LadderEstimates.measure``, the one private name of
 ``estimates`` that ``continuation`` reads, and no diagnostics key is named
-in ``continuation``; ``Verdict(...)`` is called only in the
-two deciding rules and the integrability check, all in ``estimates``;
+in ``continuation``; ``_LadderEstimates.build`` is called only in
+``continuation.run_continuation`` and ``continuation.rebuild_states``, once
+per ladder, so ``delta_eps`` and a rung build no estimates;
+``Verdict(...)`` is called only in the two deciding rules and the
+integrability check, all in ``estimates``;
 ``report`` imports nothing
 from ``pluripotential``, reads no private name of ``estimates`` or
 ``continuation`` and smooths no potential, and ``rebuild_states`` is
@@ -445,6 +448,18 @@ def test_the_hoelder_stencil_is_built_and_passed_at_one_site_each():
     assert _enclosing_functions(sources, stencils) == ["estimates._LadderEstimates.build"]
     passes = _call_sites(sources, "_holder_pass")
     assert _enclosing_functions(sources, passes) == ["estimates._LadderEstimates.measure"]
+
+
+# What the estimates of every rung read is built once per ladder, by the
+# two functions that walk a ladder; a rung reads only the scenario, the
+# sharp models and its eps, so ``delta_eps`` builds no estimates.
+def test_ladder_estimates_are_built_by_the_two_ladder_walks():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    sites = _method_call_sites(sources, "_LadderEstimates", "build")
+    assert _enclosing_functions(sources, sites) == [
+        "continuation.rebuild_states",
+        "continuation.run_continuation",
+    ]
 
 
 # The bundled scenarios are config documents: the library reaches the
