@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .geometry import (
     GridField,
@@ -58,6 +58,7 @@ from .geometry import (
     invert_half_laplacian,
     min_eigenvalue_field,
 )
+from .krylov import gmres
 
 __all__ = [
     "AlphaModel",
@@ -261,10 +262,12 @@ def _newton_direction(
         m = w.mean()
         return (_solve_half_laplacian((w - m) / sigma) + m).ravel()
 
-    A = LinearOperator((size, size), matvec=matvec, dtype=float)
-    M = LinearOperator((size, size), matvec=precond, dtype=float)
+    # ``gmres`` reads only ``matvec``; ``shape`` and ``dtype`` also let
+    # ``scipy.sparse.linalg.aslinearoperator`` wrap either operator.
+    A = SimpleNamespace(shape=(size, size), dtype=float, matvec=matvec)
+    M = SimpleNamespace(shape=(size, size), dtype=float, matvec=precond)
     b = (-r).ravel()
-    x, info = gmres(A, b, M=M, rtol=rtol, atol=0.0, restart=60, maxiter=200)
+    x, info = gmres(A, b, M=M, rtol=rtol, restart=60, maxiter=200)
     return GridField(spec, _mean_zero(x.reshape(shape))).values, info
 
 

@@ -54,6 +54,7 @@ PUBLIC = {
         "poisson_oracle_n1",
         "degeneracy_integrability",
     },
+    "krylov": {"gmres"},
     "continuation": {
         "Scenario",
         "ContinuationState",

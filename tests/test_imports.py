@@ -30,11 +30,15 @@ defined in ``continuation`` alone; ``_regularize`` is called only in
 ``report.run_experiment`` makes a run directory, only ``report`` names
 ``states.npz``, and the command line imports neither ``shutil`` nor
 ``contextlib``; the scenario library imports nothing of the package but
-``config``; only the command-line module imports ``ctypes``; and only
-``geometry`` reads the ``parts`` of a Hermitian form.
+``config``; only the command-line module imports ``ctypes``; only
+``geometry`` reads the ``parts`` of a Hermitian form; and importing the
+command line loads neither ``scipy.sparse`` nor ``scipy.linalg``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -692,3 +696,24 @@ def test_only_geometry_reads_form_parts():
         if _attribute_reads(path.read_text(), "parts")
     ]
     assert readers == ["geometry.py"]
+
+
+# The n = 2 Krylov solve is the package's own (``krylov.gmres``); of scipy
+# only ``scipy.fft`` and ``scipy.special`` are imported, so a process that
+# runs ``torusma`` pays for no sparse or dense linear algebra.
+def test_the_command_line_loads_no_scipy_linear_algebra():
+    code = (
+        "import sys, torusma.cli\n"
+        "print(*sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.sparse', 'scipy.linalg'))))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

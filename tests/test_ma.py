@@ -6,9 +6,17 @@ complex axis, which is exactly ``I + H(rho)`` for the closed-form potential
 from that identity and from ``H(a cos(2 pi x_0)) = -pi^2 a cos(2 pi x_0)``.
 """
 
+import ctypes
+import mmap
+import sys
+import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import torusma.krylov as krylov
 import torusma.ma as ma
 from torusma.geometry import (
     GridField,
@@ -451,6 +459,201 @@ class TestForcing:
         for k, rtol in enumerate(rtols):
             eta = 0.05 if k == 0 else min(0.9 * (history[k] / history[k - 1]) ** 2, 0.05)
             assert rtol == pytest.approx(max(eta, self.TOL / (2 * history[k])), rel=1e-12)
+
+
+def _counted(matvec, n, calls, key):
+    """An ``n x n`` operator that counts its applications in ``calls[key]``."""
+
+    def apply(x):
+        calls[key] += 1
+        return matvec(x)
+
+    return SimpleNamespace(shape=(n, n), dtype=float, matvec=apply)
+
+
+class TestGmres:
+    """``ma.gmres`` is scipy's restarted GMRES from a zero start, bit for bit,
+    less one preconditioner application, with a basis that holds only the
+    rows it writes."""
+
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.sparse.linalg import LinearOperator
+        from scipy.sparse.linalg import gmres as scipy_gmres
+
+        rng = np.random.default_rng(33)
+        seen = Counter()
+        for case in range(280):
+            n = int(rng.integers(1, 80))
+            restart = case % 70 + 1
+            maxiter = int(rng.integers(1, 6))
+            # Every tenth system has b = 0, and every tenth rtol >= 1.
+            kind = case % 10
+            b = np.zeros(n) if kind == 1 else rng.standard_normal(n)
+            if kind == 0:
+                # The identity with a constant preconditioner spans the
+                # solution in one step: the Arnoldi process breaks down, and
+                # an unreachable tolerance then ends the solve short.
+                A = np.eye(n)
+                d = np.full(n, rng.uniform(0.5, 2.0))
+                rtol = 1e-18
+            else:
+                scale = rng.uniform(0.01, 1.0) / np.sqrt(n)
+                A = rng.uniform(0.5, 3.0) * np.eye(n) + scale * rng.standard_normal((n, n))
+                d = rng.uniform(0.2, 2.0, n)
+                rtol = 10.0 ** rng.uniform(-14, 0)
+                if kind == 2:
+                    rtol = 1.0 if case % 20 == 2 else 1.5
+            calls = Counter()
+            x, info = ma.gmres(
+                _counted(lambda v, A=A: A @ v, n, calls, "A"),
+                b,
+                M=_counted(lambda v, d=d: v / d, n, calls, "M"),
+                rtol=rtol,
+                restart=restart,
+                maxiter=maxiter,
+            )
+            want, want_info = scipy_gmres(
+                LinearOperator((n, n), matvec=lambda v, A=A: A @ v, dtype=float),
+                b,
+                M=LinearOperator((n, n), matvec=lambda v, d=d: v / d, dtype=float),
+                rtol=rtol,
+                atol=0.0,
+                restart=restart,
+                maxiter=maxiter,
+            )
+            assert x.tobytes() == want.tobytes() and info == want_info, case
+            seen["short"] += info == maxiter
+            seen["breakdown"] += kind == 0 and info == maxiter and calls["A"] == 2
+        assert seen["short"] >= 20 and seen["breakdown"] >= 10, seen
+
+    def test_givens_rotations_are_lapacks(self):
+        from scipy.linalg import get_lapack_funcs
+
+        lartg = get_lapack_funcs("lartg", dtype=np.float64)
+        info = np.finfo(float)
+        edges = [0.0, 5e-324, info.tiny, 2.0**-511, 1e-160, 1.0, 3.0, 1e160, 2.0**511]
+        edges += [info.max / 4, info.max]
+        edges += [-v for v in edges]
+        rng = np.random.default_rng(1)
+        wide = rng.standard_normal((2, 20000)) * 10.0 ** rng.integers(-300, 300, (2, 20000))
+        unit = rng.standard_normal((2, 20000))
+        pairs = [(f, g) for f in edges for g in edges]
+        pairs += list(zip(*wide.tolist())) + list(zip(*unit.tolist()))
+        for f, g in pairs:
+            got = np.array(krylov._lartg(f, g))
+            assert got.tobytes() == np.array(lartg(f, g), dtype=float).tobytes(), (f, g)
+
+    def test_a_one_cycle_solve_applies_the_preconditioner_once_per_operator(self):
+        from scipy.sparse.linalg import gmres as scipy_gmres
+
+        rng = np.random.default_rng(2)
+        n = 50
+        A = 2.0 * np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        d = rng.uniform(1.0, 3.0, n)
+        b = rng.standard_normal(n)
+        counts = {}
+        for name, solve in (("ours", ma.gmres), ("scipy", scipy_gmres)):
+            calls = Counter()
+            _, info = solve(
+                _counted(lambda v: A @ v, n, calls, "A"),
+                b,
+                M=_counted(lambda v: v / d, n, calls, "M"),
+                rtol=1e-6,
+                restart=n,
+                maxiter=1,
+            )
+            assert info == 0
+            counts[name] = calls
+        assert counts["ours"]["A"] == counts["scipy"]["A"] > 2
+        assert counts["ours"]["M"] == counts["ours"]["A"]
+        assert counts["scipy"]["M"] == counts["scipy"]["A"] + 1
+
+    def test_operators_may_return_their_input_or_a_reused_buffer(self):
+        # An operator that returns its argument, or a preconditioner that
+        # writes every result into one buffer, must not reach the basis: the
+        # solve is the one with operators that return new arrays.
+        rng = np.random.default_rng(3)
+        n = 40
+        d = rng.uniform(0.5, 2.0, n)
+        out = np.empty(n)
+
+        def into_buffer(v):
+            np.divide(v, d, out=out)
+            return out
+
+        def solve(A, M):
+            return ma.gmres(
+                SimpleNamespace(matvec=A), b, M=SimpleNamespace(matvec=M), rtol=1e-12, restart=10, maxiter=5
+            )
+
+        def mixing(v):
+            return 2.0 * v + v[::-1]
+
+        for aliased, fresh in (
+            ((lambda v: v, lambda v: v), (np.copy, np.copy)),
+            ((mixing, into_buffer), (mixing, lambda v: v / d)),
+        ):
+            b = rng.standard_normal(n)
+            got, info = solve(*aliased)
+            want, want_info = solve(*fresh)
+            assert info == want_info == 0
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads residency with mincore")
+    @pytest.mark.parametrize("rtol", [ma._FORCING_MAX, 1e-8])
+    def test_the_krylov_basis_grows_with_the_iterations(self, monkeypatch, rtol):
+        # One n = 2, N = 16 direction on the near-degenerate background: at
+        # the forcing cap k = 15 operator applications over 3 restart cycles,
+        # the longest of 6 iterations; at 1e-8, k = 40 over 2 cycles of 19.
+        # The basis block is (restart + 1) x points of address space whose
+        # rows become resident as a cycle writes them.  What numpy allocates
+        # besides (the right-hand side, the iterate, the preconditioner's
+        # scaling and the operator's transient Hessian parts) peaks at 12
+        # fields however long the cycles are, so nothing copies the basis.
+        # A (restart + 1) x points allocation alone is 61 fields.
+        spec = TorusSpec(2, 16)
+        field = 8 * spec.N**4
+        data = _MetricData.from_form(AlphaModel(spec, t=1.0).coefficients(0.01))
+        r = np.log(data.det) - 0.3 * trig_poly(spec, 3, seed=3).values
+        blocks, in_block = [], []
+        real_gmres, real_block = ma.gmres, krylov._basis_block
+
+        def spying(A, b, *, M, **kwargs):
+            def matvec(x):
+                in_block.append(np.shares_memory(x, blocks[-1]))
+                return A.matvec(x)
+
+            return real_gmres(SimpleNamespace(matvec=matvec), b, M=M, **kwargs)
+
+        def kept(rows, n):
+            blocks.append(real_block(rows, n))
+            return blocks[-1]
+
+        monkeypatch.setattr(ma, "gmres", spying)
+        monkeypatch.setattr(krylov, "_basis_block", kept)
+        ma._newton_direction(spec, data, r, rtol)  # warm the caches
+        blocks.clear()
+        in_block.clear()
+        tracemalloc.start()
+        try:
+            _, info = ma._newton_direction(spec, data, r, rtol)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (block,) = blocks
+        pages = (ctypes.c_ubyte * (block.nbytes // mmap.PAGESIZE))()
+        mincore = ctypes.CDLL(None, use_errno=True).mincore
+        rc = mincore(ctypes.c_void_p(block.ctypes.data), ctypes.c_size_t(block.nbytes), pages)
+        assert rc == 0, ctypes.get_errno()
+        resident = sum(page & 1 for page in pages) * mmap.PAGESIZE
+        # Each cycle applies A to its basis rows, then once to the iterate.
+        k = len(in_block)
+        longest = max(map(len, "".join("v" if hit else " " for hit in in_block).split()))
+        assert info == 0 and k >= 10 and longest >= 6
+        assert block.nbytes == 61 * field
+        assert longest * field <= resident <= (longest + 1) * field
+        assert traced < 13 * field
+        assert traced + resident < (k + 8) * field
 
 
 class TestPoissonOracle:
