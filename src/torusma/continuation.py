@@ -194,19 +194,18 @@ def delta_eps(scenario: Scenario, eps: float) -> float:
 class _Rung:
     """One regularized problem ``det(a + H(phi)) = F``, each part computed once:
     the form ``a = alpha.coefficients(eps)``, the mass constant ``delta``,
-    ``F = (1 + delta) exp(psi1_eps - psi2_eps)``, ``p2 = psi2_eps`` with its
-    Hessian and half-Laplacian ``calculus2`` (guarantee (b)) and the constant
-    ``C_cert = hessian_lower_bound(psi2, s_min=sqrt(eps))`` certified while
-    smoothing, from which the estimates form its comparison weight.  It
-    reads the scenario, the sharp models and ``eps`` alone, not the schedule."""
+    ``F = (1 + delta) exp(psi1_eps - psi2_eps)``, and ``p2 = psi2_eps`` with
+    its comparison ``weight2``, certified while smoothing: its Hessian and
+    half-Laplacian, ``C = hessian_lower_bound(psi2, s_min=sqrt(eps))`` and the
+    one certificate guarantee (b) and the estimates read.  It reads the
+    scenario, the sharp models and ``eps`` alone, not the schedule."""
 
     eps: float
     a: HermitianFormField
     delta: float
     F: GridField
     p2: GridField
-    calculus2: tuple
-    C_cert: float
+    weight2: tuple
 
     @classmethod
     def build(cls, scenario: Scenario, sharp, eps: float, delta=None) -> "_Rung":
@@ -214,13 +213,13 @@ class _Rung:
         ``psi1`` and ``psi2`` sampled at smoothing 0; ``delta`` balances the
         masses unless a stored value is given."""
         p1 = _regularize(scenario.psi1, eps, sharp[0])[0]
-        p2, C_cert, calculus2 = _regularize(scenario.psi2, eps, sharp[1])
+        p2, weight2 = _regularize(scenario.psi2, eps, sharp[1])
         a = scenario.alpha.coefficients(eps)
         density = np.exp(p1.values - p2.values)
         if delta is None:
             delta = _mass(a) / float(density.mean()) - 1.0
         F = GridField(scenario.spec, (1.0 + delta) * density)
-        return cls(eps, a, delta, F, p2, calculus2, C_cert)
+        return cls(eps, a, delta, F, p2, weight2)
 
 
 def _rung_state(

@@ -38,13 +38,14 @@ from .geometry import (
     _read_only,
     half_laplacian,
     complex_hessian,
-    min_eigenvalue_field,
     scaled_identity,
     spectral_gradient,
 )
 from .ma import PositivityError, ma_density
 from .pluripotential import (
+    _CERTIFICATE_FLOOR,
     QuasiPshModel,
+    _certified,
     _curvature_bound,
     _periodic_d2,
     density_lp_check,
@@ -200,17 +201,15 @@ def _siu_residual(m: _RungMetric, f: GridField, C: float) -> np.ndarray:
     return lhs - rhs
 
 
-_COMPARISON_PRECONDITION = -1e-8
-
-
 def comparison_residual(
     Phi: GridField, psi: GridField, C: float, eps: float = 0.0
 ) -> GridField:
     """Residual of the convexity comparison for a curvature-bounded weight.
 
-    Precondition: ``C I + H(psi)`` is positive semidefinite on the grid (up
-    to ``-1e-8``); rejected otherwise, since the claim is simply false for
-    under-certified constants.  The claim:
+    Precondition: ``C I + H(psi)`` is positive semidefinite on the grid up
+    to ``-1e-8`` by its certificate, the one ``pluripotential._certified``
+    takes for the smoothing guarantee too; rejected otherwise, since the
+    claim is simply false for under-certified constants.  The claim:
 
         trace(g^{-1} (C I + H(psi)))  >=  (C n + Delta psi) / ((1+eps) q),
 
@@ -219,21 +218,13 @@ def comparison_residual(
     to round-off whenever the precondition holds.
     """
     m = _RungMetric.build(Phi, eps)
-    weight = _weight(_hessian_and_trace(psi), C)
+    weight = _certified(_hessian_and_trace(psi), C)
     return GridField(Phi.spec, _comparison_residual(m, weight))
-
-
-def _weight(calculus, C: float) -> tuple:
-    """A comparison weight ``psi`` with its constant, differentiated once:
-    ``(H(psi), Delta psi, C, min eig(C I + H(psi)))`` from its ``_hessian_and_trace``."""
-    H, laplacian = calculus
-    eig = min_eigenvalue_field(scaled_identity(H.spec, C) + H)
-    return H, laplacian, C, float(np.min(eig.values))
 
 
 def _comparison_residual(m: _RungMetric, weight: tuple) -> np.ndarray:
     H, laplacian, C, min_eig = weight
-    if min_eig < _COMPARISON_PRECONDITION:
+    if min_eig < _CERTIFICATE_FLOOR:
         raise EstimateError(
             f"weight is not curvature-bounded by C={C:.6g}: "
             f"grid minimum eigenvalue {min_eig:.3e}"
@@ -533,8 +524,8 @@ class _LadderEstimates:
     the one measurement of a rung, :meth:`measure`: ``C`` (configured, else
     ``hessian_lower_bound(psi2)`` from the sharp ``psi2``), ``rho``, whose
     shift ``Phi = phi + rho`` every estimate reads, the background weight
-    ``eta = -rho`` (see :func:`_weight`), the pole mask ``keep`` of
-    ``sharp_weighted_sup`` and the Hoelder ``stencil``.  ``sharp`` holds both
+    ``eta = -rho`` (see ``pluripotential._certified``), the pole mask ``keep``
+    of ``sharp_weighted_sup`` and the Hoelder ``stencil``.  ``sharp`` holds both
     models at smoothing 0, sampled once: ``psi2``'s is the sharp weight, and
     the ladder shares both as the reference of the smoothing guarantee and
     the mass check.  Every array is read by every rung, and by concurrent
@@ -560,7 +551,7 @@ class _LadderEstimates:
         alpha, psi2 = scenario.alpha, scenario.psi2
         rho = _read_only(alpha.rho().values)
         H, laplacian = _hessian_and_trace(alpha.eta())
-        eta = _weight((_read_only(H), _read_only(laplacian)), alpha.t + 1e-6)
+        eta = _certified((_read_only(H), _read_only(laplacian)), alpha.t + 1e-6)
         keep = _read_only(_pole_mask(psi2))
         stencil = _HolderStencil.build(
             scenario.spec, scenario.settings, scenario.singular_centers
@@ -578,8 +569,8 @@ class _LadderEstimates:
         ``phi``: those of the metric, then, once its fields are released,
         the rung's Hoelder pass at the radii :func:`_holder_radii` gives it.
         ``rung`` is the ``continuation`` rung: its ``eps``, form ``a``,
-        density ``F``, smoothed ``p2`` and that potential's ``calculus2``
-        and certified ``C_cert``."""
+        density ``F``, smoothed ``p2`` and its ``weight2``, certified while
+        smoothing, so no eigenvalue is taken here."""
         diagnostics = self._metric_diagnostics(rung, phi)
         radii = _holder_radii(index, self.rungs)
         if radii:
@@ -597,9 +588,6 @@ class _LadderEstimates:
         ``PositivityError`` when a precondition fails.
         """
         spec, C, eps = phi.spec, self.C, rung.eps
-        # psi2's weight first: its eigenvalue temporaries are freed before
-        # the metric's fields are made.
-        weight2 = _weight(rung.calculus2, rung.C_cert)
         m = _RungMetric.build(GridField(spec, phi.values + self.rho), eps)
         # Each residual field is reduced as soon as it is made, and the log
         # density released, so no two of them are alive at once.
@@ -607,7 +595,7 @@ class _LadderEstimates:
         min_siu = float(np.min(_siu_residual(m, f_log, C)))
         del f_log
         comparison = min(
-            float(np.min(_comparison_residual(m, weight2))),
+            float(np.min(_comparison_residual(m, rung.weight2))),
             float(np.min(_comparison_residual(m, self.eta))),
         )
         shift_defect = float(np.max(np.abs(ma_density(rung.a, phi).values - m.data.det)))

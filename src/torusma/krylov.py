@@ -73,9 +73,12 @@ def gmres(A, b, *, M, rtol, restart, maxiter):
     arrays.  GMRES writes into what ``M.matvec`` returns, copying it first
     only if it shares memory with the basis.  The solve stops when
     ``|b - A x| <= rtol |b|`` or after ``maxiter`` restart cycles of at most
-    ``restart`` iterations each.  Returns ``(x, info)``: ``info`` is 0 on
-    success and ``maxiter`` otherwise.
+    ``restart`` iterations each, both at least 1 (else ``ValueError``).
+    Returns ``(x, info)``: ``info`` is 0 on success and ``maxiter`` otherwise.
     """
+    for name, value in (("restart", restart), ("maxiter", maxiter)):
+        if not value >= 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     matvec, psolve = A.matvec, M.matvec
     bnrm2 = np.linalg.norm(b)
     atol = float(rtol) * float(bnrm2)

@@ -18,10 +18,10 @@ At width zero, the default, the pole argument is floored at the grid scale:
 value finite while preserving the pole profile at all resolved distances.
 
 The module also provides: heat-kernel regularization with its two per-call
-guarantees (lower bound and curvature bound), analytic Lelong numbers, the
-exponential-integrability dichotomy at a pole (with a refining quadrature as
-numeric evidence), and the L^p hypothesis check for a density
-``exp(psi1 - psi2)``.
+guarantees (lower bound, and curvature bound on the certificate of a
+comparison weight that ``estimates`` also reads), analytic Lelong numbers,
+the Skoda integrability dichotomy at a pole (with a refining quadrature as
+numeric evidence), and the L^p hypothesis check for ``exp(psi1 - psi2)``.
 """
 
 from __future__ import annotations
@@ -223,6 +223,17 @@ def _curvature_bound(hessian: HermitianFormField) -> float:
     return max(0.0, -lam + 1e-6)
 
 
+# The least certificate of a C-quasi-plurisubharmonic weight, up to round-off.
+_CERTIFICATE_FLOOR = -1e-8
+
+
+def _certified(calculus, C: float) -> tuple:
+    """A comparison weight ``psi`` with its constant ``C``, from its
+    ``_hessian_and_trace``: ``(H(psi), Delta psi, C, min eig H(psi) + C)``."""
+    H, laplacian = calculus
+    return H, laplacian, C, float(np.min(min_eigenvalue_field(H).values) + C)
+
+
 # Regularization guarantees are enforced only at moderate smoothing times;
 # beyond this the heat kernel moves smooth parts by more than the contractual
 # slack of 1, and both guarantees are skipped: neither checked nor recorded.
@@ -250,10 +261,9 @@ def regularize(
 
 def _regularize(model: QuasiPshModel, eps: float, sharp: GridField | None) -> tuple:
     """:func:`regularize`, checked when ``sharp`` (the model at smoothing 0)
-    is given, plus what it certifies: the constant ``hessian_lower_bound(model,
-    s_min=sqrt(eps))`` of the widened model the smoothing starts from, and the
-    Hessian and half-Laplacian of the output, from one forward transform.
-    """
+    is given, and the output's :func:`_certified` weight: its Hessian and
+    half-Laplacian from one forward transform, ``C = hessian_lower_bound(model,
+    s_min=sqrt(eps))`` and the certificate guarantee (b) reads."""
     if not eps > 0:
         raise ValueError(f"regularization parameter must be positive, got {eps}")
     spec = model.spec
@@ -262,7 +272,7 @@ def _regularize(model: QuasiPshModel, eps: float, sharp: GridField | None) -> tu
     smoothed, *base_hessian = _spectral(base.values, mults)
     out = GridField(spec, smoothed)
     c_bound = _curvature_bound(HermitianFormField(spec, base_hessian))
-    hessian, trace = _hessian_and_trace(out)
+    weight = _certified(_hessian_and_trace(out), c_bound)
     if sharp is not None and eps <= _GUARANTEE_EPS_MAX:
         short = float(np.min(out.values - (sharp.values - 1.0)))
         if short < -1e-12:
@@ -270,13 +280,12 @@ def _regularize(model: QuasiPshModel, eps: float, sharp: GridField | None) -> tu
                 f"smoothed field drops {-short:.3e} below the sharp field minus 1 "
                 f"(eps={eps:g}); pole or cutoff configuration is inconsistent"
             )
-        lam = float(np.min(min_eigenvalue_field(hessian).values) + c_bound)
-        if lam < -1e-8:
+        if weight[3] < _CERTIFICATE_FLOOR:
             raise RegularizationContractError(
-                f"curvature bound fails after smoothing: min eig {lam:.3e} < -1e-8 "
-                f"(eps={eps:g}, C={c_bound:.3e})"
+                f"curvature bound fails after smoothing: min eig {weight[3]:.3e} "
+                f"< -1e-8 (eps={eps:g}, C={c_bound:.3e})"
             )
-    return out, c_bound, (hessian, trace)
+    return out, weight
 
 
 def _match_center(center: tuple[float, ...], x, tol: float = 1e-9) -> bool:

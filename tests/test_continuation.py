@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from torusma import continuation, estimates, geometry, pluripotential
+from torusma import continuation, estimates, geometry, ma, pluripotential
 from torusma.continuation import (
     ContinuationError,
     Scenario,
@@ -42,6 +42,7 @@ from torusma.geometry import (
     complex_hessian,
     half_laplacian,
     integrate,
+    min_eigenvalue_field,
     scaled_identity,
 )
 from torusma.ma import AlphaModel, ma_density, poisson_oracle_n1, solve_ma_detailed
@@ -427,10 +428,11 @@ class TestOneDiagnosticsPath:
 
     @pytest.mark.parametrize("eps", [0.25, 0.1, 0.01])
     def test_smoothed_potentials_certify_psi2_once(self, eps):
-        # One rung's smoothing yields the same fields as ``regularize``, the
-        # constant ``hessian_lower_bound`` certifies at sqrt(eps), and the
-        # Hessian and half-Laplacian of the smoothed psi2, both inside the
-        # guaranteed range (eps <= 0.1) and above it.
+        # One rung's smoothing yields the same fields as ``regularize``, and
+        # psi2's comparison weight: the constant ``hessian_lower_bound``
+        # certifies at sqrt(eps), and the Hessian and half-Laplacian of the
+        # smoothed psi2, both inside the guaranteed range (eps <= 0.1) and
+        # above it.
         scenario = enforce_mass_balance(_LADDERS[0])
         sharp = (evaluate(scenario.psi1), evaluate(scenario.psi2))
         rung = _Rung.build(scenario, sharp, eps)
@@ -439,11 +441,40 @@ class TestOneDiagnosticsPath:
         np.testing.assert_array_equal(rung.p2.values, p2.values)
         density = np.exp(p1.values - p2.values)
         np.testing.assert_array_equal(rung.F.values, (1.0 + rung.delta) * density)
-        H, laplacian = rung.calculus2
-        assert rung.C_cert == hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
+        H, laplacian, C_cert, _ = rung.weight2
+        assert C_cert == hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
         for got, want in zip(H.parts, complex_hessian(p2).parts):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(laplacian, half_laplacian(p2).values)
+
+    @pytest.mark.parametrize("scenario", _LADDERS, ids=["n1", "n2"])
+    def test_the_certificate_is_taken_once_per_rung(self, monkeypatch, scenario):
+        # On a guarded rung (eps <= 0.1) the smoothing takes psi2's
+        # certificate, min eig H(psi2_eps) + C_cert, for guarantee (b), and
+        # the comparison precondition reads that number: measuring the rung
+        # takes no eigenvalue of its own.
+        scenario = enforce_mass_balance(scenario)
+        eps = scenario.eps_schedule[-1]
+        assert eps <= 0.1
+        measured = estimates._LadderEstimates.build(scenario)
+        rung = _Rung.build(scenario, measured.sharp, eps)
+        C_cert = hessian_lower_bound(scenario.psi2, s_min=float(np.sqrt(eps)))
+        lam = min_eigenvalue_field(complex_hessian(rung.p2)).values
+        assert rung.weight2[2] == C_cert
+        assert rung.weight2[3] == float(np.min(lam) + C_cert)
+        phi = solve_ma_detailed(rung.a, rung.F, tol=scenario.tol).phi
+        calls = []
+
+        def counted(form):
+            calls.append(form)
+            return min_eigenvalue_field(form)
+
+        for module in (continuation, estimates, geometry, ma, pluripotential):
+            if hasattr(module, "min_eigenvalue_field"):
+                monkeypatch.setattr(module, "min_eigenvalue_field", counted)
+        diagnostics = measured.measure(len(scenario.eps_schedule) - 1, rung, phi)
+        assert calls == []
+        assert np.isfinite(diagnostics["comparison_min"])
 
     def test_rebuilt_diagnostics_equal_the_solved_ones(self, ladder):
         scenario, states = ladder

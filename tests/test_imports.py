@@ -26,7 +26,11 @@ integrability check, all in ``estimates``;
 from ``pluripotential``, reads no private name of ``estimates`` or
 ``continuation`` and smooths no potential, and ``rebuild_states`` is
 defined in ``continuation`` alone; ``_regularize`` is called only in
-``continuation._Rung.build`` and ``pluripotential.regularize``; only
+``continuation._Rung.build`` and ``pluripotential.regularize``, and
+``pluripotential._certified``, the one maker of a weight's curvature
+certificate, only in ``pluripotential._regularize``,
+``estimates._LadderEstimates.build`` and ``estimates.comparison_residual``,
+while ``estimates`` reads no ``min_eigenvalue_field``; only
 ``report.run_experiment`` makes a run directory, only ``report`` names
 ``states.npz``, and the command line imports neither ``shutil`` nor
 ``contextlib``; the scenario library imports nothing of the package but
@@ -415,6 +419,22 @@ def test_potentials_are_smoothed_at_two_sites():
         "continuation._Rung.build",
         "continuation._Rung.build",
         "pluripotential.regularize",
+    ]
+
+
+# A comparison weight's curvature certificate, ``min eig H(psi) + C``, is
+# taken by ``pluripotential._certified`` alone, so the smoothing guarantee
+# (b) and the comparison precondition read one number: it weighs each
+# smoothed potential, the ladder's background weight and the public
+# residual's weight, and ``estimates`` takes no eigenvalue of its own.
+def test_weights_are_certified_at_three_sites():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert "min_eigenvalue_field" not in _reads(ast.parse(sources["estimates"]))
+    sites = _call_sites(sources, "_certified")
+    assert _enclosing_functions(sources, sites) == [
+        "estimates._LadderEstimates.build",
+        "estimates.comparison_residual",
+        "pluripotential._regularize",
     ]
 
 

@@ -526,6 +526,23 @@ class TestGmres:
             seen["breakdown"] += kind == 0 and info == maxiter and calls["A"] == 2
         assert seen["short"] >= 20 and seen["breakdown"] >= 10, seen
 
+    @pytest.mark.parametrize("restart, maxiter", [(5, 0), (0, 5), (-1, 5)])
+    def test_a_restart_or_maxiter_below_one_is_rejected(self, restart, maxiter):
+        # Named before any work, even for b = 0, where the solve returns at once.
+        name = "restart" if restart < 1 else "maxiter"
+        for b in (np.ones(4), np.zeros(4)):
+            calls = Counter()
+            with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+                ma.gmres(
+                    _counted(lambda v: 2.0 * v, 4, calls, "A"),
+                    b,
+                    M=_counted(lambda v: v, 4, calls, "M"),
+                    rtol=1e-8,
+                    restart=restart,
+                    maxiter=maxiter,
+                )
+            assert not calls
+
     def test_givens_rotations_are_lapacks(self):
         from scipy.linalg import get_lapack_funcs
 
