@@ -20,11 +20,13 @@ Conventions
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "TorusSpec",
@@ -102,17 +104,18 @@ def _read_only(item):
 def _half_wavenumbers(n: int, N: int, derivative: bool) -> tuple[np.ndarray, ...]:
     """Integer frequencies on the ``rfftn`` half spectrum, one per real axis.
 
-    Every axis runs over ``-N/2 .. N/2-1`` except the last, which keeps only
-    ``0 .. N/2``.  With ``derivative`` the Nyquist frequency is set to zero:
-    an odd multiplier is not Hermitian there, so only with that entry zeroed
-    is every product of first-derivative factors exact under ``irfftn``.
+    Every axis runs over ``0 .. N/2-1, -N/2 .. -1`` (``fftfreq`` order)
+    except the last, which keeps only ``0 .. N/2``.  With ``derivative`` the
+    Nyquist frequency is set to zero: an odd multiplier is not Hermitian
+    there, so only with that entry zeroed is every product of
+    first-derivative factors exact under ``irfftn``.
     """
     ks = []
     for axis in range(2 * n):
         if axis == 2 * n - 1:
-            k = scipy.fft.rfftfreq(N, d=1.0 / N)
+            k = np.arange(N // 2 + 1, dtype=float)
         else:
-            k = scipy.fft.fftfreq(N, d=1.0 / N)
+            k = np.concatenate((np.arange(N // 2), np.arange(-(N // 2), 0))).astype(float)
         if derivative:
             k[N // 2] = 0.0
         shape = [1] * (2 * n)
@@ -277,12 +280,38 @@ def scaled_identity(spec: TorusSpec, scale: float = 1.0) -> HermitianFormField:
     )
 
 
+def _load_pocketfft():
+    """scipy's compiled pocketfft module, loaded from its file so that no
+    Python module of scipy is imported: ``scipy.fft`` would bring
+    ``scipy.special`` and numpy's testing, f2py and random packages."""
+    spec = importlib.util.find_spec("scipy")  # runs no scipy/__init__.py
+    if spec is None:
+        raise ImportError("scipy is not installed; torusma needs its compiled pocketfft")
+    folder = os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader("pypocketfft", path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader("pypocketfft", loader)
+            )
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled pocketfft (pypocketfft) not found in {folder}")
+
+
+_POCKETFFT = _load_pocketfft()
+
+
+# The arguments scipy.fft's ``r2cn``/``c2rn`` pass for ``norm="backward"``
+# and ``workers=1``: normalisation 0 forward and 2 (1/points) inverse, no
+# output buffer, one thread.  So every bit is ``rfftn``/``irfftn``'s.
 def _rfftn(values: np.ndarray) -> np.ndarray:
-    return scipy.fft.rfftn(values)
+    return _POCKETFFT.r2c(values, tuple(range(values.ndim)), True, 0, None, 1)
 
 
 def _irfftn(values_hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return scipy.fft.irfftn(values_hat, s=shape)
+    return _POCKETFFT.c2r(values_hat, tuple(range(len(shape))), shape[-1], False, 2, None, 1)
 
 
 def _spectral(values: np.ndarray, mults) -> list[np.ndarray]:

@@ -30,7 +30,6 @@ import numbers
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .geometry import (
     GridField,
@@ -302,6 +301,21 @@ def lelong_number(model: QuasiPshModel, x) -> float:
     return sum(p.weight for p in model.poles if _match_center(p.center, x))
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` of a finite, non-empty 1-D real array: a port of
+    scipy 1.17.1's ``_logsumexp``, bit for bit.  The maximum is split out:
+    with ``m`` entries equal to it and ``s`` the sum of ``exp(a - max)`` over
+    the others (zeros in their places, so the pairwise sum is scipy's), the
+    result is ``log1p(s/m) + log(m) + max``."""
+    top = np.max(a)
+    at_top = a == top
+    terms = np.exp(a - top)
+    terms[at_top] = 0.0
+    m = float(np.count_nonzero(at_top))
+    s = np.sum(terms)
+    return float(np.log1p(s / m) + np.log(m) + top)
+
+
 # Integrability margins ``n - p nu`` nearer zero than this are borderline.
 _BORDERLINE_MARGIN = 0.05
 
@@ -348,7 +362,7 @@ def skoda_integrability(model: QuasiPshModel, p: float, x) -> SkodaResult:
         sub = TorusSpec(n, N)
         # Sample only the index window around x that covers the ball: the
         # same grid coordinates and floor as the whole grid, in sorted
-        # order, so the ball's values reach logsumexp in the same order.
+        # order, so the ball's values reach _logsumexp in the same order.
         coords = []
         for axis, aj in enumerate(center):
             c = sub.axis_coordinate(axis)
@@ -360,7 +374,7 @@ def skoda_integrability(model: QuasiPshModel, p: float, x) -> SkodaResult:
         mask = np.broadcast_to(d2 <= radius**2, window)
         # log of the cell-sum over the ball, computed in log space
         log_integrals.append(
-            float(logsumexp(-p * np.broadcast_to(psi, window)[mask]))
+            _logsumexp(-p * np.broadcast_to(psi, window)[mask])
             - sub.num_axes * np.log(N)
         )
 

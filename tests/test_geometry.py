@@ -1,5 +1,10 @@
 """Spectral calculus on the flat torus: closed-form and finite-difference oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +17,9 @@ from torusma.geometry import (
     _hessian_and_trace,
     _hessian_multipliers,
     _inverse_k_squared,
+    _irfftn,
     _k_squared,
+    _rfftn,
     _spectral,
     complex_hessian,
     half_laplacian,
@@ -393,3 +400,87 @@ class TestCachedMultipliers:
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+
+# Grids to compare on: every one the bundled scenarios transform on (n = 1 at
+# N = 32, 64, 256 and 512; n = 2 at N = 16 and its nested 8), the n = 2
+# benchmark's 24 and its nested 12, and besides these N = 10 and 128 at
+# n = 1 and every even N from 6 to 32 at n = 2.
+_GRIDS = [(1, N) for N in (10, 32, 64, 128, 256, 512)] + [(2, N) for N in range(6, 33, 2)]
+
+
+def _bits(a):
+    """An array's bits, so that ``-0.0`` and ``0.0`` differ."""
+    a = np.ascontiguousarray(a)
+    return a.dtype, a.shape, a.view(np.int64).tobytes()
+
+
+def _scipy_mismatches(grids):
+    """Every grid where the direct pocketfft calls, or the frequencies, differ
+    in any bit from ``scipy.fft``'s ``rfftn``/``irfftn``/``fftfreq``."""
+    import scipy.fft
+
+    bad = []
+    for n, N in grids:
+        shape = (N,) * (2 * n)
+        values = np.random.default_rng(1000 * n + N).normal(size=shape)
+        spectrum = scipy.fft.rfftn(values)
+        if _bits(_rfftn(values)) != _bits(spectrum):
+            bad.append(f"rfftn n={n} N={N}")
+        if _bits(_irfftn(spectrum, shape)) != _bits(scipy.fft.irfftn(spectrum, s=shape)):
+            bad.append(f"irfftn n={n} N={N}")
+        # The last multiplier reuses the spectrum's buffer in place.
+        for mults in (_hessian_multipliers(n, N) + (_k_squared(n, N),), (_k_squared(n, N),)):
+            got = _spectral(values, mults)
+            want = [scipy.fft.irfftn(m * spectrum, s=shape) for m in mults]
+            if [_bits(g) for g in got] != [_bits(w) for w in want]:
+                bad.append(f"_spectral n={n} N={N} with {len(mults)} multipliers")
+        for derivative in (False, True):
+            freqs = [scipy.fft.fftfreq(N, d=1.0 / N) for _ in range(2 * n - 1)]
+            freqs.append(scipy.fft.rfftfreq(N, d=1.0 / N))
+            for k, f in zip(_half_wavenumbers(n, N, derivative), freqs, strict=True):
+                if derivative:
+                    f[N // 2] = 0.0
+                if _bits(k.ravel()) != _bits(f):
+                    bad.append(f"wavenumbers n={n} N={N} derivative={derivative}")
+    return bad
+
+
+class TestScipyBits:
+    """The transforms call scipy's compiled pocketfft with the arguments of
+    ``scipy.fft.rfftn``/``irfftn`` (``norm="backward"``, one worker), so every
+    bit is scipy's; this is what guards a scipy other than 1.17.1."""
+
+    @pytest.mark.parametrize("n,N", _GRIDS)
+    def test_transforms_and_frequencies_equal_scipy_fft(self, n, N):
+        assert _scipy_mismatches([(n, N)]) == []
+
+    @pytest.mark.parametrize("first", ["scipy.fft", "torusma.cli"])
+    def test_either_import_order(self, first):
+        # In a fresh interpreter, so that the order of the first imports is
+        # the one named here, whatever pytest has loaded.
+        second = "torusma.cli" if first == "scipy.fft" else "scipy.fft"
+        code = (
+            f"import {first}, {second}, test_geometry as t\n"
+            "print(t._scipy_mismatches(t._GRIDS))\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_frequencies_are_exact_integers(self):
+        # scipy's fftfreq(N, 1/N) scales by 1/(N * (1/N)), which rounds away
+        # from 1 at some even N (98, 196, 206, ...); these stay integers.
+        for N in range(6, 1026, 2):
+            *ks, last = (k.ravel() for k in _half_wavenumbers(2, N, False))
+            assert np.array_equal(last, np.arange(N // 2 + 1))
+            for k in ks:
+                assert np.array_equal(k, np.r_[0 : N // 2, -N // 2 : 0])

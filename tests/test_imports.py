@@ -36,7 +36,9 @@ while ``estimates`` reads no ``min_eigenvalue_field``; only
 ``contextlib``; the scenario library imports nothing of the package but
 ``config``; only the command-line module imports ``ctypes``; only
 ``geometry`` reads the ``parts`` of a Hermitian form; and importing the
-command line loads neither ``scipy.sparse`` nor ``scipy.linalg``.
+command line loads no module of scipy, nor ``numpy.f2py``,
+``numpy.testing`` or ``numpy.random``, while a scipy without its compiled
+pocketfft fails that import with an ``ImportError``.
 """
 
 import ast
@@ -718,22 +720,40 @@ def test_only_geometry_reads_form_parts():
     assert readers == ["geometry.py"]
 
 
-# The n = 2 Krylov solve is the package's own (``krylov.gmres``); of scipy
-# only ``scipy.fft`` and ``scipy.special`` are imported, so a process that
-# runs ``torusma`` pays for no sparse or dense linear algebra.
-def test_the_command_line_loads_no_scipy_linear_algebra():
-    code = (
-        "import sys, torusma.cli\n"
-        "print(*sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.sparse', 'scipy.linalg'))))\n"
-    )
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+def _python(code: str, *path: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``path`` ahead of the package."""
+    path = os.pathsep.join(filter(None, [*path, str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+# The n = 2 Krylov solve is the package's own (``krylov.gmres``), the
+# transforms call scipy's compiled pocketfft directly and ``logsumexp`` is
+# ported (``pluripotential._logsumexp``), so a process that runs ``torusma``
+# loads no Python module of scipy, and none of the numpy packages that
+# ``scipy.fft``'s array-API layer would bring along.
+def test_the_command_line_loads_no_scipy_module():
+    code = (
+        "import sys, torusma.cli\n"
+        "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith("
+        "('scipy.', 'numpy.f2py', 'numpy.testing', 'numpy.random'))))\n"
+    )
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_a_missing_pocketfft_fails_loudly(tmp_path):
+    # A scipy package without its fft directory: the import names the
+    # directory it searched, and nothing falls back to another transform.
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    proc = _python("import torusma.cli", str(tmp_path))
+    assert proc.returncode != 0
+    assert "ImportError" in proc.stderr
+    assert str(tmp_path / "scipy" / "fft" / "_pocketfft") in proc.stderr

@@ -24,6 +24,7 @@ from torusma.pluripotential import (
     QuasiPshModel,
     RegularizationContractError,
     SmoothMode,
+    _logsumexp,
     density_lp_check,
     evaluate,
     hessian_lower_bound,
@@ -345,6 +346,44 @@ class TestSkodaDichotomy:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestLogSumExp:
+    """``pluripotential._logsumexp`` is scipy's ``logsumexp`` bit for bit on
+    the finite 1-D real arrays the ball quadrature passes it."""
+
+    @staticmethod
+    def _assert_bits(a):
+        got, want = np.float64(_logsumexp(a)), np.float64(logsumexp(a))
+        assert got.view(np.int64) == want.view(np.int64), (got, want)
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            self._assert_bits(rng.normal(size=rng.integers(2, 5000)) * rng.uniform(0.01, 50))
+
+    def test_ties_at_the_maximum(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            a = np.round(rng.normal(size=rng.integers(2, 2000)) * 3)
+            a[rng.integers(0, a.size, size=4)] = a.max()
+            assert np.count_nonzero(a == a.max()) > 1
+            self._assert_bits(a)
+        self._assert_bits(np.full(7, -2.5))
+
+    @pytest.mark.parametrize("value", [0.0, -3.25, 812.0])
+    def test_a_single_element(self, value):
+        self._assert_bits(np.array([value]))
+        assert _logsumexp(np.array([value])) == value
+
+    def test_a_spread_wider_than_exp_can_hold(self):
+        # exp overflows above log(DBL_MAX) = 709.78: only the shift by the
+        # maximum keeps these finite.
+        a = np.random.default_rng(7).uniform(-400.0, 1500.0, size=3000)
+        assert np.ptp(a) > 700 and a.max() > np.log(np.finfo(float).max)
+        self._assert_bits(a)
+        self._assert_bits(-a)
+        assert np.isfinite(_logsumexp(a))
 
 
 class TestDensityCheck:
