@@ -262,8 +262,8 @@ def _newton_direction(
         m = w.mean()
         return (_solve_half_laplacian((w - m) / sigma) + m).ravel()
 
-    # ``gmres`` reads only ``matvec``; ``shape`` and ``dtype`` also let
-    # ``scipy.sparse.linalg.aslinearoperator`` wrap either operator.
+    # ``gmres`` reads only ``matvec``; ``shape`` and ``dtype`` are for the
+    # benchmark's tracer, which wraps both operators to count their calls.
     A = SimpleNamespace(shape=(size, size), dtype=float, matvec=matvec)
     M = SimpleNamespace(shape=(size, size), dtype=float, matvec=precond)
     b = (-r).ravel()

@@ -316,6 +316,20 @@ class TestC2Uniformity:
     def test_short_ladder_is_inconclusive(self):
         assert self._run([0.01, 0.01]).status == INCONCLUSIVE
 
+    @pytest.mark.parametrize("bump, status", [(-1e-6, HOLDS), (1e-6, VIOLATED)])
+    def test_the_factor_gate_sits_at_two(self, bump, status):
+        # A bump in the middle rung of a symmetric ladder leaves the
+        # least-squares slope at 0, so only the factor clause decides.
+        states = [
+            replace(s, diagnostics={"sharp_weighted_sup": r})
+            for s, r in zip(_ladder(SPEC1, [0.0] * 5), [1.0, 1.0, 2.0 + bump, 1.0, 1.0])
+        ]
+        verdict = c2_uniformity(states)
+        assert verdict.status == status
+        keys = dict(verdict.witness)
+        assert keys["worst_ratio"] == 2.0 + bump
+        assert abs(keys["relative_slope"]) < 1e-12
+
 
 class TestDeltaTrend:
     def _states(self, deltas):

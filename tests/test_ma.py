@@ -210,6 +210,16 @@ class TestSolve:
         with pytest.raises(PositivityError, match="initial iterate"):
             solve_ma_detailed(scaled_identity(SPEC1), F, phi0=_mode(SPEC1, 0.2))
 
+    def test_an_eigenvalue_below_the_positivity_margin_is_rejected(self):
+        # 5e-11 I is positive definite but below the 1e-10 margin: the check
+        # fails and the solver refuses the start, even though the zero start
+        # already solves det(a) = F.
+        a = scaled_identity(SPEC1, 5e-11)
+        report = positivity_check(a, GridField(SPEC1, SPEC1.zeros()))
+        assert not report.ok and report.min_eig == pytest.approx(5e-11, rel=1e-12)
+        with pytest.raises(PositivityError, match="initial iterate"):
+            solve_ma_detailed(a, GridField(SPEC1, a.det()))
+
     def test_unreachable_tolerance_stalls_safely(self):
         # Below the spectral round-off floor no step can decrease the sup
         # residual; the stall is reported as a stall, not looped on.
@@ -472,14 +482,12 @@ def _counted(matvec, n, calls, key):
 
 
 class TestGmres:
-    """``ma.gmres`` is scipy's restarted GMRES from a zero start, bit for bit,
-    less one preconditioner application, with a basis that holds only the
-    rows it writes."""
+    """``ma.gmres`` is restarted GMRES from a zero start, right-preconditioned,
+    that stops once the true residual meets ``rtol``, with a basis that holds
+    only the rows it writes."""
 
-    def test_matches_scipy_bit_for_bit(self):
-        from scipy.sparse.linalg import LinearOperator
-        from scipy.sparse.linalg import gmres as scipy_gmres
-
+    def test_solves_seeded_systems_to_their_tolerance(self):
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(33)
         seen = Counter()
         for case in range(280):
@@ -491,8 +499,7 @@ class TestGmres:
             b = np.zeros(n) if kind == 1 else rng.standard_normal(n)
             if kind == 0:
                 # The identity with a constant preconditioner spans the
-                # solution in one step: the Arnoldi process breaks down, and
-                # an unreachable tolerance then ends the solve short.
+                # solution in one step, and the Krylov space stops growing.
                 A = np.eye(n)
                 d = np.full(n, rng.uniform(0.5, 2.0))
                 rtol = 1e-18
@@ -512,19 +519,36 @@ class TestGmres:
                 restart=restart,
                 maxiter=maxiter,
             )
-            want, want_info = scipy_gmres(
-                LinearOperator((n, n), matvec=lambda v, A=A: A @ v, dtype=float),
-                b,
-                M=LinearOperator((n, n), matvec=lambda v, d=d: v / d, dtype=float),
-                rtol=rtol,
-                atol=0.0,
-                restart=restart,
-                maxiter=maxiter,
-            )
-            assert x.tobytes() == want.tobytes() and info == want_info, case
-            seen["short"] += info == maxiter
-            seen["breakdown"] += kind == 0 and info == maxiter and calls["A"] == 2
-        assert seen["short"] >= 20 and seen["breakdown"] >= 10, seen
+            want = np.linalg.solve(A, b)
+            bnorm = np.linalg.norm(b)
+            residual = np.linalg.norm(b - A @ x)
+            assert info in (0, maxiter), case
+            if kind in (1, 2):
+                # Zero already meets the tolerance: no operator is applied.
+                assert info == 0 and not calls and not x.any(), case
+                seen["trivial"] += 1
+            elif kind == 0:
+                assert calls == {"A": 1, "M": 2}, case
+                np.testing.assert_allclose(x, want, rtol=1e-14, atol=1e-14 * bnorm)
+                seen["breakdown"] += 1
+            elif info == 0:
+                # The stopping test reads the Arnoldi residual, which is the
+                # true one up to round-off: below rtol = 1e-10 that round-off
+                # may show, and the bound is (rtol + 4 eps) |b|.
+                bound = rtol if rtol >= 1e-10 else rtol + 4 * eps
+                assert residual <= bound * bnorm, (case, residual / (rtol * bnorm))
+                error = np.linalg.norm(x - want)
+                assert error <= np.linalg.cond(A) * bound * np.linalg.norm(want) * (1 + 1e-6), case
+                seen["converged"] += 1
+            else:
+                # Capped: every cycle ran to its end, and each restart
+                # applied A once to the iterate.
+                k = min(restart, n)
+                assert calls == {"A": maxiter * (k + 1) - 1, "M": maxiter * (k + 1)}, case
+                assert residual > rtol * bnorm, case
+                seen["short"] += 1
+        assert seen["short"] >= 20 and seen["converged"] >= 150, seen
+        assert seen["breakdown"] == 28 and seen["trivial"] == 56, seen
 
     @pytest.mark.parametrize("restart, maxiter", [(5, 0), (0, 5), (-1, 5)])
     def test_a_restart_or_maxiter_below_one_is_rejected(self, restart, maxiter):
@@ -543,47 +567,24 @@ class TestGmres:
                 )
             assert not calls
 
-    def test_givens_rotations_are_lapacks(self):
-        from scipy.linalg import get_lapack_funcs
-
-        lartg = get_lapack_funcs("lartg", dtype=np.float64)
-        info = np.finfo(float)
-        edges = [0.0, 5e-324, info.tiny, 2.0**-511, 1e-160, 1.0, 3.0, 1e160, 2.0**511]
-        edges += [info.max / 4, info.max]
-        edges += [-v for v in edges]
-        rng = np.random.default_rng(1)
-        wide = rng.standard_normal((2, 20000)) * 10.0 ** rng.integers(-300, 300, (2, 20000))
-        unit = rng.standard_normal((2, 20000))
-        pairs = [(f, g) for f in edges for g in edges]
-        pairs += list(zip(*wide.tolist())) + list(zip(*unit.tolist()))
-        for f, g in pairs:
-            got = np.array(krylov._lartg(f, g))
-            assert got.tobytes() == np.array(lartg(f, g), dtype=float).tobytes(), (f, g)
-
-    def test_a_one_cycle_solve_applies_the_preconditioner_once_per_operator(self):
-        from scipy.sparse.linalg import gmres as scipy_gmres
-
+    def test_a_converged_one_cycle_solve_applies_the_preconditioner_once_more(self):
+        # k iterations apply A M to k basis rows; the iterate takes one more M.
         rng = np.random.default_rng(2)
         n = 50
         A = 2.0 * np.eye(n) + 0.1 * rng.standard_normal((n, n))
         d = rng.uniform(1.0, 3.0, n)
         b = rng.standard_normal(n)
-        counts = {}
-        for name, solve in (("ours", ma.gmres), ("scipy", scipy_gmres)):
-            calls = Counter()
-            _, info = solve(
-                _counted(lambda v: A @ v, n, calls, "A"),
-                b,
-                M=_counted(lambda v: v / d, n, calls, "M"),
-                rtol=1e-6,
-                restart=n,
-                maxiter=1,
-            )
-            assert info == 0
-            counts[name] = calls
-        assert counts["ours"]["A"] == counts["scipy"]["A"] > 2
-        assert counts["ours"]["M"] == counts["ours"]["A"]
-        assert counts["scipy"]["M"] == counts["scipy"]["A"] + 1
+        calls = Counter()
+        _, info = ma.gmres(
+            _counted(lambda v: A @ v, n, calls, "A"),
+            b,
+            M=_counted(lambda v: v / d, n, calls, "M"),
+            rtol=1e-6,
+            restart=n,
+            maxiter=1,
+        )
+        assert info == 0
+        assert calls["M"] == calls["A"] + 1 > 3
 
     def test_operators_may_return_their_input_or_a_reused_buffer(self):
         # An operator that returns its argument, or a preconditioner that
@@ -620,14 +621,14 @@ class TestGmres:
     @pytest.mark.parametrize("rtol", [ma._FORCING_MAX, 1e-8])
     def test_the_krylov_basis_grows_with_the_iterations(self, monkeypatch, rtol):
         # One n = 2, N = 16 direction on the near-degenerate background: at
-        # the forcing cap k = 15 operator applications over 3 restart cycles,
-        # the longest of 6 iterations; at 1e-8, k = 40 over 2 cycles of 19.
-        # The basis block is (restart + 1) x points of address space whose
-        # rows become resident as a cycle writes them.  What numpy allocates
-        # besides (the right-hand side, the iterate, the preconditioner's
-        # scaling and the operator's transient Hessian parts) peaks at 12
-        # fields however long the cycles are, so nothing copies the basis.
-        # A (restart + 1) x points allocation alone is 61 fields.
+        # the forcing cap one cycle of 7 operator applications, at 1e-8 one
+        # of 34.  The basis block is (restart + 1) x points of address space
+        # whose rows become resident as a cycle writes them.  What numpy
+        # allocates besides (the right-hand side, the iterate, the
+        # preconditioner's scaling and the operator's transient Hessian
+        # parts) peaks at about 11 fields at both tolerances, so nothing
+        # copies the basis.  A (restart + 1) x points allocation alone is 61
+        # fields.
         spec = TorusSpec(2, 16)
         field = 8 * spec.N**4
         data = _MetricData.from_form(AlphaModel(spec, t=1.0).coefficients(0.01))
@@ -636,11 +637,11 @@ class TestGmres:
         real_gmres, real_block = ma.gmres, krylov._basis_block
 
         def spying(A, b, *, M, **kwargs):
-            def matvec(x):
+            def precond(x):
                 in_block.append(np.shares_memory(x, blocks[-1]))
-                return A.matvec(x)
+                return M.matvec(x)
 
-            return real_gmres(SimpleNamespace(matvec=matvec), b, M=M, **kwargs)
+            return real_gmres(A, b, M=SimpleNamespace(matvec=precond), **kwargs)
 
         def kept(rows, n):
             blocks.append(real_block(rows, n))
@@ -663,14 +664,12 @@ class TestGmres:
         rc = mincore(ctypes.c_void_p(block.ctypes.data), ctypes.c_size_t(block.nbytes), pages)
         assert rc == 0, ctypes.get_errno()
         resident = sum(page & 1 for page in pages) * mmap.PAGESIZE
-        # Each cycle applies A to its basis rows, then once to the iterate.
-        k = len(in_block)
+        # Each cycle applies M to its basis rows, then once to the update.
         longest = max(map(len, "".join("v" if hit else " " for hit in in_block).split()))
-        assert info == 0 and k >= 10 and longest >= 6
+        assert info == 0 and longest >= 7
         assert block.nbytes == 61 * field
         assert longest * field <= resident <= (longest + 1) * field
         assert traced < 13 * field
-        assert traced + resident < (k + 8) * field
 
 
 class TestPoissonOracle:
