@@ -194,8 +194,7 @@ def siu_residual(Phi: GridField, f: GridField, eps: float, C: float) -> GridFiel
 
 
 def _siu_residual(m: _RungMetric, f: GridField, C: float) -> np.ndarray:
-    logq = GridField(m.Phi.spec, m.log_q)
-    lhs = m.data.contract(complex_hessian(logq))
+    lhs = m.data.contract_hessian(m.log_q)
     rhs = (half_laplacian(f).values / (1.0 + m.eps) - C) / m.q
     rhs = rhs - C * (1.0 + m.eps) * m.data.inverse_trace()
     return lhs - rhs

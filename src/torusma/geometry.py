@@ -186,10 +186,17 @@ class HermitianFormField:
 
     ``parts`` follows the order of ``_hessian_parts``: ``(g00,)`` for
     ``n = 1`` and ``(g00, g11, Re g01, Im g01)`` for ``n = 2``, each a real
-    field of grid shape (``g10`` is the conjugate of ``g01``), so a form is
-    Hermitian by construction.  A form costs one real field for ``n = 1``
-    and four for ``n = 2``.  The constructor checks the part count and
-    shapes and reads no values.  Only this module reads ``parts``.
+    array of grid shape (``g10`` is the conjugate of ``g01``), so a form is
+    Hermitian by construction.  A computed form costs one real field for
+    ``n = 1`` and four for ``n = 2``; a background form (``scaled_identity``,
+    ``ma.AlphaModel.coefficients``) holds read-only broadcast views of its
+    values at their natural shape, and one shared zero for ``g01``, so it
+    costs no grid field.  So a part may be a read-only view: only the freshly
+    computed Hessian parts of ``_metric_form`` and
+    ``_MetricData.contract_hessian`` are written in place, and every mean
+    runs over a contiguous array (``_mean``).  The constructor checks the
+    part count and shapes and reads no values.  Only this module reads
+    ``parts``.
     """
 
     spec: TorusSpec
@@ -206,10 +213,13 @@ class HermitianFormField:
 
     @classmethod
     def _from_diagonal(cls, spec: TorusSpec, diagonal) -> "HermitianFormField":
-        """The form with real diagonal fields ``diagonal`` and zero ``g01``."""
-        parts = list(diagonal)
+        """The form with real diagonal ``diagonal`` and zero ``g01``: each
+        entry, an array broadcastable to the grid, becomes a read-only
+        broadcast view, and ``Re g01`` and ``Im g01`` share one zero."""
+        parts = [np.broadcast_to(d, spec.shape) for d in diagonal]
         if spec.n == 2:
-            parts += [np.zeros(spec.shape), np.zeros(spec.shape)]
+            zero = np.broadcast_to(0.0, spec.shape)
+            parts += [zero, zero]
         return cls(spec, parts)
 
     def __add__(self, other: "HermitianFormField") -> "HermitianFormField":
@@ -226,8 +236,19 @@ class HermitianFormField:
     def det(self) -> np.ndarray:
         if self.spec.n == 1:
             return self.parts[0]
-        g00, g11, re, im = self.parts
-        return g00 * g11 - (re * re + im * im)
+        return _det2(*self.parts)
+
+
+def _det2(g00, g11, re, im, b2=None, out=None) -> np.ndarray:
+    """``g00 g11 - (re^2 + im^2)`` in that operation order, with ``re^2 +
+    im^2`` formed in ``b2`` and the result in ``out``: two fresh fields when
+    they are ``None``, or buffers that may be ``re`` and ``im`` themselves."""
+    b2 = np.multiply(re, re, out=b2)
+    out = np.multiply(im, im, out=out)
+    b2 += out
+    np.multiply(g00, g11, out=out)
+    out -= b2
+    return out
 
 
 def _frobenius(form: HermitianFormField) -> np.ndarray:
@@ -245,7 +266,10 @@ class _MetricData:
 
     ``weights`` pairs with the parts of a form ``M`` so that ``trace(g^{-1}
     M) = sum(weights * parts) / det``: ``(1,)`` for ``n = 1`` and ``(g11,
-    g00, -2 Re g01, -2 Im g01)`` for ``n = 2``.
+    g00, Re g01, Im g01)`` for ``n = 2``, where each off-diagonal product is
+    then scaled by ``-2``.  Scaling by a power of two is exact, so this gives
+    the bits of the weights ``-2 Re g01`` and ``-2 Im g01`` without a copy
+    of either.
     """
 
     det: np.ndarray
@@ -254,30 +278,72 @@ class _MetricData:
 
     @classmethod
     def from_form(cls, g: HermitianFormField) -> "_MetricData":
-        if g.spec.n == 1:
-            weights = (1.0,)
-        else:
-            g00, g11, re, im = g.parts
-            weights = (g11, g00, -2.0 * re, -2.0 * im)
+        weights = (1.0,) if g.spec.n == 1 else tuple(g.parts[i] for i in (1, 0, 2, 3))
         return cls(det=g.det(), weights=weights, n=g.spec.n)
 
     def contract(self, M: HermitianFormField) -> np.ndarray:
-        """trace(g^{-1} M) pointwise for a Hermitian form ``M``."""
+        """trace(g^{-1} M) pointwise for a Hermitian form ``M``, left unchanged."""
+        if self.n == 1:
+            return M.parts[0] / self.det
         num = self.weights[0] * M.parts[0]
-        for w, p in zip(self.weights[1:], M.parts[1:]):
-            num += w * p
-        return num / self.det
+        return self._contract(num, M.parts[1:], np.empty_like(num))
+
+    def contract_hessian(self, values: np.ndarray) -> np.ndarray:
+        """trace(g^{-1} H(u)) pointwise for the raw grid array ``values`` of
+        ``u``, computed in the freshly transformed Hessian parts themselves."""
+        parts = _hessian_parts(values)
+        if self.n == 1:
+            return np.divide(parts[0], self.det, out=parts[0])
+        parts[0] *= self.weights[0]
+        return self._contract(parts[0], parts[1:], None)
+
+    def _contract(self, num, parts, buffer) -> np.ndarray:
+        """``num`` plus the products of the last three weights with ``parts``
+        (``g00``'s, then ``Re g01``'s and ``Im g01``'s, each scaled by -2),
+        over ``det``, in the order of the sum; each product goes to
+        ``buffer``, or into its part when ``buffer`` is ``None``."""
+        for i, (w, p) in enumerate(zip(self.weights[1:], parts)):
+            term = np.multiply(w, p, out=p if buffer is None else buffer)
+            if i:
+                term *= -2.0
+            num += term
+        num /= self.det
+        return num
 
     def inverse_trace(self) -> np.ndarray:
         """trace(g^{-1}) pointwise."""
         return sum(self.weights[: self.n]) / self.det
 
 
+def _metric_form(a: HermitianFormField, phi: GridField) -> HermitianFormField:
+    """The form ``a + H(phi)``, built in the Hessian's own fresh buffers:
+    each part of ``a`` is added into the part the transform returns, which
+    gives the bits of ``a + complex_hessian(phi)`` because IEEE addition
+    commutes."""
+    parts = _hessian_parts(phi.values)
+    for p, x in zip(parts, a.parts):
+        p += x
+    return HermitianFormField(a.spec, parts)
+
+
+def _metric_density(a: HermitianFormField, phi: GridField) -> np.ndarray:
+    """``det(a + H(phi))`` pointwise, in the bits of ``_metric_form(a,
+    phi).det()``, computed in the metric form's own buffers."""
+    form = _metric_form(a, phi)
+    if a.spec.n == 1:
+        return form.parts[0]
+    g00, g11, re, im = form.parts
+    return _det2(g00, g11, re, im, b2=re, out=im)
+
+
 def scaled_identity(spec: TorusSpec, scale: float = 1.0) -> HermitianFormField:
-    """The constant coefficient field ``scale * I``."""
-    return HermitianFormField._from_diagonal(
-        spec, [np.full(spec.shape, float(scale)) for _ in range(spec.n)]
-    )
+    """The constant coefficient field ``scale * I``.
+
+    Its parts are read-only broadcast views of one scalar (and one shared
+    zero for ``g01``), so the form holds no grid field and cannot be
+    written into.
+    """
+    return HermitianFormField._from_diagonal(spec, [float(scale)] * spec.n)
 
 
 def _load_pocketfft():
@@ -417,21 +483,38 @@ def invert_half_laplacian(f: GridField) -> GridField:
     return GridField(f.spec, _solve_half_laplacian(f.values))
 
 
+def _mean(values: np.ndarray) -> float:
+    """Grid mean, summed over a contiguous array: numpy's pairwise sum
+    visits a broadcast view in another order than its materialized copy, so
+    a background part is copied first to give the copy's bits."""
+    return float(np.ascontiguousarray(values).mean())
+
+
 def integrate(f: GridField) -> float:
     """Trapezoidal (= midpoint = spectral) quadrature on the periodic grid."""
-    return float(f.values.mean())
+    return _mean(f.values)
 
 
 def min_eigenvalue_field(form: HermitianFormField) -> GridField:
     """Pointwise smallest eigenvalue of a Hermitian coefficient field.
 
     Closed-form for ``n <= 2``: the eigenvalues of a Hermitian 2x2 matrix are
-    ``m -/+ sqrt(((a-d)/2)^2 + |b|^2)`` with ``m = (a+d)/2``.
+    ``m -/+ sqrt(((a-d)/2)^2 + |b|^2)`` with ``m = (a+d)/2``, evaluated in
+    that operation order in two fields of temporaries.
     """
     spec = form.spec
     if spec.n == 1:
         return GridField(spec, form.parts[0])
     a, d, re, im = form.parts
-    mid = 0.5 * (a + d)
-    rad = np.sqrt((0.5 * (a - d)) ** 2 + (re * re + im * im))
-    return GridField(spec, mid - rad)
+    b2 = re * re
+    out = im * im
+    b2 += out  # |b|^2
+    np.subtract(a, d, out=out)
+    out *= 0.5
+    out *= out
+    out += b2
+    rad = np.sqrt(out, out=out)
+    mid = np.add(a, d, out=b2)
+    mid *= 0.5
+    mid -= rad
+    return GridField(spec, mid)

@@ -47,13 +47,14 @@ from .geometry import (
     GridField,
     HermitianFormField,
     TorusSpec,
+    _mean,
+    _metric_density,
+    _metric_form,
     _MetricData,
-    _hessian_parts,
     _prolong,
     _restrict,
     _restrict_form,
     _solve_half_laplacian,
-    complex_hessian,
     integrate,
     invert_half_laplacian,
     min_eigenvalue_field,
@@ -100,7 +101,10 @@ class AlphaModel:
     ``t = 0`` is the flat background; ``t = 1`` degenerates quadratically on
     the coordinate sheets.  ``eps0`` is the claimed integrability exponent of
     the reciprocal density ``1/det a`` (any value below 1/2 is integrable for
-    this family; see :func:`degeneracy_integrability`).
+    this family; see :func:`degeneracy_integrability`).  Both ``rho`` and
+    the coefficients depend on the ``x_j`` axes only, so their values are
+    read-only broadcast views of arrays of that natural shape, not grid
+    fields: they cannot be written into.
     """
 
     spec: TorusSpec
@@ -123,7 +127,7 @@ class AlphaModel:
     def rho(self) -> GridField:
         """Potential with ``I + H(rho)`` equal to the coefficient field."""
         vals = sum(self._cosines()) * (self.t / np.pi**2)
-        return GridField(self.spec, np.broadcast_to(vals, self.spec.shape).copy())
+        return GridField(self.spec, np.broadcast_to(vals, self.spec.shape))
 
     def eta(self) -> GridField:
         """The comparison potential ``-rho``."""
@@ -132,21 +136,13 @@ class AlphaModel:
 
     def coefficients(self, eps: float = 0.0) -> HermitianFormField:
         """Closed-form ``diag(1 - t cos(2 pi x_j)) + eps I``."""
-        shape = self.spec.shape
-        diagonal = [
-            np.broadcast_to(1.0 - self.t * c + eps, shape).copy() for c in self._cosines()
-        ]
+        diagonal = [1.0 - self.t * c + eps for c in self._cosines()]
         return HermitianFormField._from_diagonal(self.spec, diagonal)
-
-
-def _metric_form(a: HermitianFormField, phi: GridField) -> HermitianFormField:
-    """The perturbed form ``g = a + H(phi)``."""
-    return a + complex_hessian(phi)
 
 
 def ma_density(a: HermitianFormField, phi: GridField) -> GridField:
     """Pointwise ``det(a + H(phi))``; may be negative, callers gate on positivity."""
-    return GridField(a.spec, _metric_form(a, phi).det())
+    return GridField(a.spec, _metric_density(a, phi))
 
 
 @dataclass(frozen=True)
@@ -210,7 +206,15 @@ _FORCING_GAMMA = 0.9
 
 
 def _mean_zero(values: np.ndarray) -> np.ndarray:
-    return values - values.mean()
+    return values - _mean(values)
+
+
+def _log_residual(data: _MetricData, logF: np.ndarray) -> tuple[np.ndarray, float]:
+    """``r = log det g - log F`` and ``sup |r|``, taken as the larger of
+    ``|max r|`` and ``|min r|`` so that no field of absolute values is made."""
+    r = np.log(data.det)
+    r -= logF
+    return r, max(abs(float(r.max())), abs(float(r.min())))
 
 
 def _forcing(r_sup: float, r_prev: float | None, tol: float) -> float:
@@ -254,8 +258,9 @@ def _newton_direction(
     sigma = data.inverse_trace() / spec.n
 
     def matvec(x):
-        hu = data.contract(HermitianFormField(spec, _hessian_parts(x.reshape(shape))))
-        return (hu + x.mean()).ravel()
+        hu = data.contract_hessian(x.reshape(shape))
+        hu += x.mean()
+        return hu.ravel()
 
     def precond(x):
         w = x.reshape(shape)
@@ -300,16 +305,14 @@ def solve_ma_detailed(
             f"beyond 1e-8 relative"
         )
 
-    phi = GridField(spec, _mean_zero(phi0.values if phi0 is not None else spec.zeros()))
     coarse, rejected, form = None, False, None
     if spec.n == 2 and spec.N % 4 == 0 and spec.N >= 16:
-        nested, coarse = _nested_start(a, F, phi, tol)
-        form = None if nested is None else _metric_form(a, nested)
-        if form is not None and _positivity(form).ok:
-            phi = nested
-        else:
-            form, rejected = None, True
+        phi, coarse = _nested_start(a, F, phi0, tol)
+        form = None if phi is None else _metric_form(a, phi)
+        if form is None or not _positivity(form).ok:
+            phi, form, rejected = None, None, True
     if form is None:
+        phi = _start(spec, phi0)
         form = _metric_form(a, phi)
         report = _positivity(form)
         if not report.ok:
@@ -319,8 +322,8 @@ def solve_ma_detailed(
 
     logF = np.log(F.values)
     data = _MetricData.from_form(form)
-    r = np.log(data.det) - logF
-    r_sup = float(np.max(np.abs(r)))
+    del form  # the first accepted step makes it stale; ``data`` holds its parts
+    r, r_sup = _log_residual(data, logF)
     history = [r_sup]
     gmres_info_nonzero = 0
 
@@ -342,15 +345,12 @@ def solve_ma_detailed(
         lam = 1.0
         positive = False
         while True:
-            cand = GridField(spec, _mean_zero(phi.values + lam * direction))
-            cand_form = _metric_form(a, cand)
-            if _positivity(cand_form).ok:
+            trial = _trial(a, logF, phi, lam, direction)
+            if trial is not None:
                 positive = True
-                cand_data = _MetricData.from_form(cand_form)
-                cand_r = np.log(cand_data.det) - logF
-                cand_sup = float(np.max(np.abs(cand_r)))
-                if cand_sup < r_sup:
+                if trial[3] < r_sup:
                     break
+                trial = None  # released before the next trial is built
             lam *= 0.5
             if lam < _MIN_STEP_LENGTH:
                 if positive:
@@ -362,27 +362,48 @@ def solve_ma_detailed(
                     f"no step length down to 2^-20 admits a positive form with "
                     f"residual decrease (residual {r_sup:.3e})"
                 )
-        phi, data, r, r_sup = cand, cand_data, cand_r, cand_sup
+        phi, data, r, r_sup = trial
         history.append(r_sup)
 
     return SolveResult(phi, tuple(history), gmres_info_nonzero, coarse, rejected)
 
 
+def _trial(
+    a: HermitianFormField, logF: np.ndarray, phi: GridField, lam: float, direction: np.ndarray
+) -> tuple | None:
+    """The line search's trial iterate, ``phi + lam * direction`` made
+    mean-zero, with its metric data and log residual: ``(phi, data, r,
+    sup |r|)``, or ``None`` when its form is not positive."""
+    phi = GridField(a.spec, _mean_zero(phi.values + lam * direction))
+    form = _metric_form(a, phi)
+    if not _positivity(form).ok:
+        return None
+    data = _MetricData.from_form(form)
+    return (phi, data, *_log_residual(data, logF))
+
+
+def _start(spec: TorusSpec, phi0: GridField | None) -> GridField:
+    """The mean-zero start of a solve from ``phi0`` (zero when ``None``)."""
+    return GridField(spec, _mean_zero(phi0.values if phi0 is not None else spec.zeros()))
+
+
 def _nested_start(
-    a: HermitianFormField, F: GridField, phi: GridField, tol: float
+    a: HermitianFormField, F: GridField, phi0: GridField | None, tol: float
 ) -> tuple[GridField | None, SolveResult | None]:
-    """The start ``phi`` corrected by the same problem solved on the ``N/2`` grid.
+    """The start ``phi = _start(phi0)`` corrected by the same problem solved
+    on the ``N/2`` grid.
 
     ``a``, ``F`` and ``phi`` are restricted by injection; the coarse density
     is rescaled to the coarse background mass, which injection does not
     preserve exactly.  The coarse solve starts from the restricted ``phi``
     with the same ``tol`` (and nests again when it can), and its correction
-    is prolonged spectrally and added to ``phi``.  Returns the corrected
+    is prolonged spectrally and added to ``phi``, which is built again for
+    that rather than held across the coarse solve.  Returns the corrected
     start and the coarse result, or ``(None, None)`` when the coarse solve
     fails; the caller still gates the corrected start on positivity.
     """
     a_c = _restrict_form(a)
-    start = _restrict(phi.values)
+    start = _restrict(_start(a.spec, phi0).values)
     F_c = _restrict(F.values)
     F_c *= a_c.det().mean() / F_c.mean()
     try:
@@ -392,7 +413,7 @@ def _nested_start(
     except (PositivityError, IterationLimitError):
         return None, None
     correction = _prolong(coarse.phi.values - start, a.spec.N)
-    return GridField(a.spec, _mean_zero(phi.values + correction)), coarse
+    return GridField(a.spec, _mean_zero(_start(a.spec, phi0).values + correction)), coarse
 
 
 def solve_ma(
@@ -418,8 +439,8 @@ def poisson_oracle_n1(
     if spec.n != 1:
         raise ValueError("the linear-reduction oracle only exists in dimension one")
     background = np.ones(spec.shape) if a is None else a.trace()
-    mass_f = float(F.values.mean())
-    mass_a = float(background.mean())
+    mass_f = _mean(F.values)
+    mass_a = _mean(background)
     if abs(mass_f - mass_a) > 1e-10 * max(1.0, abs(mass_a)):
         raise CompatibilityError(
             f"density mass {mass_f:.12g} differs from background mass {mass_a:.12g}"

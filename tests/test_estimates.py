@@ -32,6 +32,7 @@ from torusma.estimates import (
 from torusma.geometry import (
     GridField,
     TorusSpec,
+    _hessian_and_trace,
     complex_hessian,
     half_laplacian,
     min_eigenvalue_field,
@@ -39,7 +40,7 @@ from torusma.geometry import (
     spectral_gradient,
 )
 from torusma.ma import PositivityError, ma_density
-from torusma.pluripotential import Pole, QuasiPshModel, evaluate
+from torusma.pluripotential import Pole, QuasiPshModel, _certified, evaluate
 from torusma.report import build_record
 from conftest import trig_poly
 
@@ -213,6 +214,44 @@ class TestComparisonResidual:
         psi = _mode(spec, 0.1)  # curvature reaches -pi^2/10
         with pytest.raises(ValueError, match="not curvature-bounded"):
             comparison_residual(_zero(spec), psi, 0.5)
+
+
+class TestFloors:
+    """Boundary tests of two floors that no bundled record comes near: each
+    passes at its floor and fails just below it.  No gate moves."""
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        experiment = parse_config(
+            "[torus]\nn = 1\nN = 32\n[alpha]\nt = 0.5\n"
+            "[psi2]\nmode = 0.04, 0 1, 0.5\n"
+            "[continuation]\nschedule = 0.25 0.125 0.0625\n"
+        )
+        return experiment.scenario, run_continuation(experiment.scenario)
+
+    @pytest.mark.parametrize(
+        "worst,status", [(-1e-4, HOLDS), (-1.01e-4, VIOLATED), (-1e-3, VIOLATED)]
+    )
+    def test_the_log_trace_inequality_floor_is_minus_1e_minus_4(self, ladder, worst, status):
+        scenario, states = ladder
+        states = [
+            replace(s, diagnostics={**s.diagnostics, "min_siu_residual": v})
+            for s, v in zip(states, (0.0, worst, 0.0))
+        ]
+        verdicts = {v.name: v for v in estimates.record_verdicts(scenario, states)}
+        assert verdicts["inequality-main"].status == status
+
+    @pytest.mark.parametrize("certificate", [-1e-8, -1.01e-8, -1e-6])
+    def test_the_comparison_needs_a_certificate_of_minus_1e_minus_8(self, certificate):
+        spec = TorusSpec(2, 8)
+        m = _RungMetric.build(_zero(spec), 0.1)
+        H, laplacian, C, _ = _certified(_hessian_and_trace(_zero(spec)), 0.5)
+        weight = (H, laplacian, C, certificate)
+        if certificate >= -1e-8:
+            assert float(np.min(estimates._comparison_residual(m, weight))) >= 0.0
+        else:
+            with pytest.raises(ValueError, match="not curvature-bounded"):
+                estimates._comparison_residual(m, weight)
 
 
 def _trace_defect(Phi, eps):

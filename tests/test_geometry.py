@@ -12,6 +12,7 @@ from torusma.geometry import (
     GridField,
     HermitianFormField,
     TorusSpec,
+    _MetricData,
     _half_wavenumbers,
     _heat_multiplier,
     _hessian_and_trace,
@@ -19,6 +20,8 @@ from torusma.geometry import (
     _inverse_k_squared,
     _irfftn,
     _k_squared,
+    _metric_density,
+    _metric_form,
     _rfftn,
     _spectral,
     complex_hessian,
@@ -26,8 +29,10 @@ from torusma.geometry import (
     integrate,
     invert_half_laplacian,
     min_eigenvalue_field,
+    scaled_identity,
     spectral_gradient,
 )
+from torusma.ma import AlphaModel
 
 from conftest import dense, form_from_dense, trig_poly
 
@@ -337,6 +342,130 @@ class TestEigenvaluesAndNorms:
     def test_integrate_constant(self):
         spec = TorusSpec(2, 8)
         assert integrate(GridField(spec, np.full(spec.shape, 2.5))) == pytest.approx(2.5)
+
+
+def _positive_form(spec, seed):
+    """A random Hermitian form, positive definite with eigenvalues at least 0.1."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=spec.shape + (spec.n, spec.n))
+    B = B + 1j * rng.normal(size=B.shape)
+    return form_from_dense(spec, B @ np.conj(np.swapaxes(B, -1, -2)) + 0.1 * np.eye(spec.n))
+
+
+def _backgrounds(spec, seed):
+    return [
+        scaled_identity(spec, 1.3),
+        AlphaModel(spec, t=0.7).coefficients(0.05),
+        _positive_form(spec, seed),
+    ]
+
+
+# The formulas each in-place path replaced, written out with a fresh array
+# for every operation.
+def _formula_det(form):
+    if form.spec.n == 1:
+        return form.parts[0]
+    g00, g11, re, im = form.parts
+    return g00 * g11 - (re * re + im * im)
+
+
+def _formula_min_eig(form):
+    if form.spec.n == 1:
+        return form.parts[0]
+    a, d, re, im = form.parts
+    return 0.5 * (a + d) - np.sqrt((0.5 * (a - d)) ** 2 + (re * re + im * im))
+
+
+def _formula_contract(g, M):
+    if g.spec.n == 1:
+        num = 1.0 * M.parts[0]
+    else:
+        g00, g11, re, im = g.parts
+        weights = (g11, g00, -2.0 * re, -2.0 * im)
+        num = weights[0] * M.parts[0]
+        for w, p in zip(weights[1:], M.parts[1:]):
+            num += w * p
+    return num / _formula_det(g)
+
+
+def _same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+_SEEDED = [(n, seed) for n in (1, 2) for seed in range(4)]
+
+
+class TestInPlaceForms:
+    """Every path that writes into fresh buffers, or saves a temporary, keeps
+    the bits of the formula it replaced (compared byte for byte, so a
+    flipped sign of zero counts), on seeded fields at n = 1 and n = 2."""
+
+    @staticmethod
+    def _spec(n):
+        return TorusSpec(n, 32 if n == 1 else 8)
+
+    @pytest.mark.parametrize("n,seed", _SEEDED)
+    def test_metric_form_and_density(self, n, seed):
+        spec = self._spec(n)
+        phi = GridField(spec, 0.01 * trig_poly(spec, kmax=3, seed=seed).values)
+        for a in _backgrounds(spec, seed):
+            want = a + complex_hessian(phi)
+            got = _metric_form(a, phi)
+            assert all(_same_bits(x, y) for x, y in zip(got.parts, want.parts))
+            assert _same_bits(got.det(), _formula_det(want))
+            assert _same_bits(_metric_density(a, phi), _formula_det(want))
+
+    @pytest.mark.parametrize("n,seed", _SEEDED)
+    def test_min_eigenvalue(self, n, seed):
+        spec = self._spec(n)
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=spec.shape + (n, n)) + 1j * rng.normal(size=spec.shape + (n, n))
+        forms = [form_from_dense(spec, A + np.conj(np.swapaxes(A, -1, -2)))]
+        forms += _backgrounds(spec, seed)
+        for form in forms:
+            assert _same_bits(min_eigenvalue_field(form).values, _formula_min_eig(form))
+
+    @pytest.mark.parametrize("n,seed", _SEEDED)
+    def test_contractions(self, n, seed):
+        spec = self._spec(n)
+        u = trig_poly(spec, kmax=3, seed=seed + 10)
+        for g in _backgrounds(spec, seed):
+            data = _MetricData.from_form(g)
+            M = complex_hessian(u)
+            before = [p.copy() for p in M.parts]
+            want = _formula_contract(g, M)
+            assert _same_bits(data.contract(M), want)
+            assert all(_same_bits(p, q) for p, q in zip(M.parts, before))
+            assert _same_bits(data.contract_hessian(u.values), want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_background_parts_are_read_only_views(self, n):
+        spec = TorusSpec(n, 16)
+        natural = 8 * spec.N**n  # bytes of one value per x_j axis point
+        alpha = AlphaModel(spec, t=0.5)
+        forms = [scaled_identity(spec, 2.0), alpha.coefficients(0.1)]
+        arrays = [p for form in forms for p in form.parts] + [alpha.rho().values]
+        for array in arrays:
+            root = array
+            while root.base is not None:
+                root = root.base
+            assert array.shape == spec.shape
+            assert root.nbytes <= natural
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        if n == 2:
+            assert all(form.parts[2] is form.parts[3] for form in forms)
+
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    def test_a_mean_reads_a_broadcast_as_its_copy(self, N):
+        # numpy's pairwise sum visits a broadcast view in another order than
+        # the contiguous copy, which can move the last bit of a mean.
+        spec = TorusSpec(2, N)
+        rng = np.random.default_rng(N)
+        for _ in range(10):
+            view = np.broadcast_to(rng.normal(size=(N, 1, N, 1)), spec.shape)
+            copy = np.ascontiguousarray(view)
+            assert integrate(GridField(spec, view)) == float(copy.mean())
 
 
 class TestValidation:

@@ -18,8 +18,10 @@ import pytest
 
 import torusma.krylov as krylov
 import torusma.ma as ma
+from torusma.continuation import _mass
 from torusma.geometry import (
     GridField,
+    HermitianFormField,
     TorusSpec,
     _MetricData,
     _prolong,
@@ -98,6 +100,64 @@ class TestAlphaModel:
         for eps0 in (0.0, float("nan")):
             with pytest.raises(ValueError, match="integrability exponent"):
                 AlphaModel(SPEC1, t=0.5, eps0=eps0)
+
+
+class TestBackgroundMass:
+    # At n = 1 the determinant of a background form is its broadcast part,
+    # and from N = 256 on numpy's pairwise mean of such a view can differ in
+    # its last bit from the mean of the copy the form used to hold.
+    @pytest.mark.parametrize("n,N", [(1, 32), (1, 256), (1, 512), (2, 8), (2, 16)])
+    def test_the_mass_is_that_of_the_materialized_form(self, n, N):
+        spec = TorusSpec(n, N)
+        for t in (0.3, 0.7, 1.0):
+            for eps in (0.0, 0.01, 0.1, 0.25):
+                a = AlphaModel(spec, t=t).coefficients(eps)
+                copy = HermitianFormField(spec, [np.array(p) for p in a.parts])
+                assert _mass(a) == _mass(copy)
+
+
+def _traced_fields(spec, call) -> float:
+    """Traced peak of ``call()`` above its start, in grid fields, after one
+    warm-up call that fills the multiplier caches."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (8 * np.prod(spec.shape))
+
+
+class TestMemoryBudget:
+    """Traced peaks at n = 2, N = 16, in grid fields.  The metric form is
+    built in the Hessian's buffers, the determinant and the smallest
+    eigenvalue take two fields of temporaries, and the Newton loop holds no
+    stale form and no rejected trial; before that these read 9.0 and 30.0.
+    The solve's fine grid backtracks once from a positive trial whose
+    residual did not fall, so the release of rejected trials is covered."""
+
+    @staticmethod
+    def _problem():
+        spec = TorusSpec(2, 16)
+        u = trig_poly(spec, kmax=6, seed=1)  # beyond what N = 8 resolves
+        lam = float(np.min(min_eigenvalue_field(complex_hessian(u)).values))
+        phi = GridField(spec, u.values * (0.9 / -lam))  # min eig of I + H is 0.1
+        a = scaled_identity(spec)
+        return spec, a, phi, ma_density(a, phi)
+
+    def test_the_density_and_positivity_check(self):
+        spec, a, phi, _ = self._problem()
+        fields = _traced_fields(spec, lambda: (ma_density(a, phi), positivity_check(a, phi)))
+        assert fields <= 7.5  # 7.13 measured
+
+    def test_one_solve(self):
+        spec, a, _, F = self._problem()
+        result = solve_ma_detailed(a, F)
+        assert result.newton_steps > 0 and result.coarse is None
+        fields = _traced_fields(spec, lambda: solve_ma_detailed(a, F))
+        assert fields <= 20.0  # 19.33 measured
 
 
 class TestMaDensity:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from torusma import pluripotential
 from torusma.geometry import (
     GridField,
     TorusSpec,
@@ -200,6 +201,20 @@ class TestRegularize:
         C = hessian_lower_bound(self.MODEL, s_min=float(np.sqrt(eps)))
         lam = float(np.min(min_eigenvalue_field(complex_hessian(out)).values))
         assert lam + C >= -1e-8
+
+    @pytest.mark.parametrize("certificate", [-1e-8, -1.01e-8, -1e-6])
+    def test_the_curvature_guarantee_floor_is_minus_1e_minus_8(self, monkeypatch, certificate):
+        # The certificate is replaced by a value at or below the floor; the
+        # smoothing itself is the certified one of the test above.
+        real = pluripotential._certified
+        monkeypatch.setattr(
+            pluripotential, "_certified", lambda calc, C: (*real(calc, C)[:3], certificate)
+        )
+        if certificate >= -1e-8:
+            assert regularize(self.MODEL, 0.01).values.shape == SPEC64.shape
+        else:
+            with pytest.raises(RegularizationContractError, match="curvature bound fails"):
+                regularize(self.MODEL, 0.01)
 
     def test_l1_distance_to_sharp_decreases_with_eps(self):
         sharp = evaluate(self.MODEL, smoothing=0.0)
